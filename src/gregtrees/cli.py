@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .polys import Poly, gen_F, gen_G, gen_H, gen_P, gen_Q, shift
+from .polys import FAMILIES, gen_F, gen_G, gen_H, gen_P, gen_Q, shift
 from .series import series_T, series_W
 from .suite import CHECK_NAMES, SuiteConfig, run_suite
 from .trees import enumerate_greg, imp_polynomial, u_bound, unl_polynomial
@@ -24,10 +24,6 @@ from .wfunc import eval_W, nth_derivative_W
 
 _VERTEX_CAP = 11          # trees work caps at 11 total vertices
 _IMP_CAP = 7              # n^(n-1) rooted trees; 8 would be ~2M
-
-_PLAIN_FAMILIES = {"F": gen_F, "G": gen_G, "H": gen_H, "P": gen_P}
-_SHIFT_FAMILIES = {"F-shift": gen_F, "G-shift": gen_G, "H-shift": gen_H}
-FAMILY_CHOICES = ("F", "G", "H", "P", "Q", "F-shift", "G-shift", "H-shift")
 
 # aliases accepted by `check` beside full names
 CHECK_ALIASES = {
@@ -96,10 +92,9 @@ def _run_polys(args, parser) -> int:
             text = "\n".join(lines) + "\n"
         _emit(text, args.out)
         return 0
-    if family in _PLAIN_FAMILIES:
-        rows = _PLAIN_FAMILIES[family](n)
-    else:
-        rows = [shift(p, -1) for p in _SHIFT_FAMILIES[family](n)]
+    rows = globals()[f"gen_{family.removesuffix('-shift')}"](n)  # by name: wrappers on gen_* see it
+    if family.endswith("-shift"):
+        rows = [shift(p, -1) for p in rows]
     if args.format == "text":
         text = "\n".join(str(p) for p in rows) + "\n"
     elif args.format == "json":
@@ -195,8 +190,6 @@ def _run_check(args, parser) -> int:
     config = SuiteConfig.quick() if (args.quick or profile == "quick") else SuiteConfig()
     if args.corrupt is not None:
         config = replace(config, corrupt=args.corrupt)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
 
     target = args.name
     if target in CHECK_ALIASES:
@@ -298,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write output to PATH instead of stdout")
 
     p = sub.add_parser("polys", help="polynomial family tables, rows 1..N")
-    p.add_argument("family", choices=FAMILY_CHOICES)
+    p.add_argument("family", choices=(*FAMILIES, "P", "Q", *(f"{f}-shift" for f in FAMILIES)))
     p.add_argument("n", type=int, metavar="N")
     add_common(p)
     p.set_defaults(run=_run_polys)
@@ -323,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reduced budgets (also via GREGTREES_PROFILE=quick)")
     p.add_argument("--corrupt", metavar="FAMILY:ROW", default=None,
                    help="bump one stored polynomial, to see the checks catch it")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker count; checks currently run sequentially")
     p.add_argument("--x", action="append", metavar="RATIONAL",
                    help="sample points for the egf-theorem check")
     p.add_argument("--n-max", type=int, default=None, help="depth override for one check")

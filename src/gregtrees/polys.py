@@ -5,16 +5,17 @@ T = z e^T.  Its derivatives, and those of 1/(1-T) and of the unrooted-tree
 series sum n^{n-2} z^n/n!, are governed by three sequences of integer
 polynomials generated by first-order recursions of the common shape
 
-    X_{n+1}(x) = (a_n + b_n x) X_n(x) + (1+x)^2 X_n'(x),      X_1 = 1,
+    X_{n+1}(x) = ((2n+c) + (n+c) x) X_n(x) + (1+x)^2 X_n'(x),      X_1 = 1,
 
-with (a_n, b_n) = (2n+2, n+2) for F, (2n, n) for G and (2n-1, n-1) for H.
+with c = 2 for F, 0 for G and -1 for H (``FAMILIES`` holds each family's facts).
 
 * ``G_n`` counts rooted Greg trees with n labeled vertices by number of
   unlabeled vertices (coefficient triangle A048160 in the OEIS).
 * ``H_n`` counts unrooted Greg trees the same way (A048159).
 * ``F_n`` counts bi-rooted Greg trees after multiplication by (1+x)^3.
 * ``P_n`` is the derivative polynomial of the principal Lambert W branch,
-  obtained from G_n by a homogenized sign substitution.
+  generated by its own recursion P_{n+1} = (1+x) P_n' - ((3n-1) + nx) P_n
+  from W' = e^{-W}/(1+W), not from G_n, so the G/P reciprocity stays a check.
 * ``Q_{n,k}`` is a Ramanujan-style refinement whose specializations at
   x = -1, 0, 1 recover the shifted F, G and H rows.
 
@@ -25,8 +26,20 @@ through ``fractions.Fraction``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+
+def power(base, k: int, one):
+    """base**k by binary powering; `one` is the unit of base's ring."""
+    if k < 0:
+        raise ValueError(f"negative power {k}")
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
 
 
 class Poly:
@@ -108,22 +121,13 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly((1,))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, Poly((1,)))
 
     def derivative(self) -> "Poly":
         return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def __call__(self, x):
-        """Horner evaluation; exact for int/Fraction, works for float/complex."""
+        """Horner evaluation; exact for int/Fraction/Poly/RatSeries, works for float/complex."""
         acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -181,54 +185,80 @@ class PolyTriangle:
         return iter(self.rows)
 
 
+# ── the families ──────────────────────────────────────────────────────────
+
+@dataclass(frozen=True)
+class Family:
+    """One family X: c is its recursion offset, and with the base series
+    T_alpha, d^n T_alpha = e^{nT} (1-T)^{-(n+c)} X_n(T/(1-T)); on the W side
+    X_n gives d^n of the Bernstein function ``bernstein``, with exponent n + c."""
+
+    name: str
+    c: int
+    alpha: int
+    census: tuple[tuple[str, int], ...]   # (Greg tree variant, k): census (1+x)^k X_n
+    imp: str | None                       # Cayley variant with imp census X_n(x-1)
+    bernstein: str
+
+
+FAMILIES: dict[str, Family] = {f.name: f for f in (
+    Family("F", c=2, alpha=0, census=(("birooted", 3),), imp=None, bernstein="ratio"),
+    Family("G", c=0, alpha=1, census=(("rooted", 0), ("relaxed", 1)), imp="rooted",
+           bernstein="W"),
+    Family("H", c=-1, alpha=2, census=(("unrooted", 0),), imp="unrooted",
+           bernstein="half-square"),
+)}
+
+
+def census_family(variant: str) -> tuple[Family, int]:
+    """The family X and the k with (1+x)^k X_n the census of `variant` Greg trees."""
+    return next((f, k) for f in FAMILIES.values() for v, k in f.census if v == variant)
+
+
+def imp_family(rooted: bool) -> Family:
+    """The family X with X_n(x-1) the improper-edge census of Cayley trees."""
+    return next(f for f in FAMILIES.values() if f.imp == ("rooted" if rooted else "unrooted"))
+
+
 # ── generators ────────────────────────────────────────────────────────────
 
-def _gen_recursive(n_max: int, a0: int, b0: int, step_a: int, step_b: int) -> list[Poly]:
-    # X_{n+1} = (a_n + b_n x) X_n + (1+x)^2 X_n', coefficients a_n = a0 + step_a*n etc.
-    sq = Poly((1, 2, 1))
+def _rows(n_max: int, lin: Callable[[int], Poly], mult: Poly) -> list[Poly]:
+    """X_1 = 1 and X_{n+1} = lin(n) X_n + mult X_n', rows 1..n_max."""
     out: list[Poly] = []
     if n_max >= 1:
         out.append(Poly((1,)))
     for n in range(1, n_max):
-        lin = Poly((a0 + step_a * n, b0 + step_b * n))
-        out.append(lin * out[-1] + sq * out[-1].derivative())
+        out.append(lin(n) * out[-1] + mult * out[-1].derivative())
     return out
+
+
+def _family_rows(name: str, n_max: int) -> list[Poly]:
+    c = FAMILIES[name].c
+    return _rows(n_max, lambda n: Poly((2 * n + c, n + c)), Poly((1, 2, 1)))
 
 
 def gen_F(n_max: int) -> list[Poly]:
     """F_1..F_{n_max}: derivative polynomials of 1/(1-T); deg F_n = n-1."""
-    return _gen_recursive(n_max, 2, 2, 2, 1)
+    return _family_rows("F", n_max)
 
 
 def gen_G(n_max: int) -> list[Poly]:
     """G_1..G_{n_max}: rooted Greg tree census polynomials; deg G_n = n-1."""
-    return _gen_recursive(n_max, 0, 0, 2, 1)
+    return _family_rows("G", n_max)
 
 
 def gen_H(n_max: int) -> list[Poly]:
     """H_1..H_{n_max}: unrooted Greg tree census polynomials; deg H_n = max(n-2, 0)."""
-    return _gen_recursive(n_max, -1, -1, 2, 1)
+    return _family_rows("H", n_max)
 
 
 def gen_P(n_max: int) -> list[Poly]:
     """P_1..P_{n_max}: Lambert W derivative polynomials.
 
-    P_n(x) = (-1-x)^{n-1} G_n(-x/(1+x)), expanded without leaving Z[x] as
-    (-1)^{n-1} sum_k g_{n,k} (-x)^k (1+x)^{n-1-k}.  (-1)^{n-1} P_n has
-    positive unimodal coefficients and degree n-1.
+    P_1 = 1 and P_{n+1} = (1+x) P_n' - ((3n-1) + nx) P_n.  (-1)^{n-1} P_n
+    has positive unimodal coefficients and degree n-1.
     """
-    out: list[Poly] = []
-    one_plus_x = Poly((1, 1))
-    for n, g in enumerate(gen_G(n_max), start=1):
-        pw = [Poly((1,))]
-        for _ in range(n - 1):
-            pw.append(pw[-1] * one_plus_x)
-        acc = Poly()
-        for k, coeff in enumerate(g.coeffs):
-            sign = -coeff if k % 2 else coeff
-            acc = acc + sign * (X ** k) * pw[n - 1 - k]
-        out.append(acc if (n - 1) % 2 == 0 else -acc)
-    return out
+    return _rows(n_max, lambda n: Poly((1 - 3 * n, -n)), Poly((1, 1)))
 
 
 def gen_Q(n_max: int) -> PolyTriangle:
@@ -259,21 +289,7 @@ def gen_Q(n_max: int) -> PolyTriangle:
 
 def shift(p: Poly, a: int) -> Poly:
     """The polynomial q with q(x) = p(x + a), computed exactly over Z."""
-    base = Poly((a, 1))
-    acc = Poly()
-    for c in reversed(p.coeffs):
-        acc = acc * base + c
-    return acc
-
-
-def eval_rational(p: Poly, q: Fraction | int) -> Fraction:
-    """Exact evaluation p(q) by Horner."""
-    return p(Fraction(q))
-
-
-def coefficient_rows(polys: Iterable[Poly]) -> list[list[int]]:
-    """Coefficient lists, lowest degree first, one row per polynomial."""
-    return [list(p.coeffs) for p in polys]
+    return p(Poly((a, 1)))
 
 
 def double_factorial(k: int) -> int:

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .polys import Poly, gen_F, gen_G, gen_H, gen_P
+from .polys import FAMILIES, Poly, gen_F, gen_G, gen_H, gen_P, imp_family, power
 from .report import CheckReport
 
 
@@ -135,16 +135,8 @@ class RatSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "RatSeries":
-        if k < 0:
-            raise ValueError("negative power; use reciprocal() first")
-        out = RatSeries.const(1, self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        """Nonnegative powers only; take reciprocal() first for negative ones."""
+        return power(self, k, RatSeries.const(1, self.order))
 
     # ── calculus ──────────────────────────────────────────────────────
 
@@ -246,14 +238,6 @@ def series_W(order: int) -> RatSeries:
     return RatSeries(coeffs)
 
 
-def poly_at_series(p: Poly, g: RatSeries) -> RatSeries:
-    """p(g) by Horner; g may have any constant term (p is a polynomial)."""
-    acc = RatSeries.zero(g.order)
-    for c in reversed(p.coeffs):
-        acc = acc * g + c
-    return acc
-
-
 def reversion(f: RatSeries) -> RatSeries:
     """Compositional inverse g with f(g) = z, by series Newton iteration.
 
@@ -276,13 +260,10 @@ def reversion(f: RatSeries) -> RatSeries:
     return g
 
 
-def nth_derivative(f: RatSeries, n: int) -> RatSeries:
-    return f.nth_derivative(n)
-
-
 # ── closed forms of the n-th derivatives ──────────────────────────────────
 
-_FAMILY_ALPHA = {"F": 0, "G": 1, "H": 2}
+def _gen(family: str, n_max: int) -> list[Poly]:
+    return globals()[f"gen_{family}"](n_max)  # by name: wrappers on gen_* see it
 
 
 def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> RatSeries:
@@ -295,21 +276,18 @@ def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> Rat
     """
     if n < 1:
         raise ValueError("derivative index must be >= 1")
-    if family == "P":
-        if poly is None:
-            poly = gen_P(n)[n - 1]
-        w = series_W(order)
-        inv = (-w).geom_inverse()  # 1/(1+W)
-        return (-n * w).exp() * inv ** (2 * n - 1) * poly_at_series(poly, w)
-    if family not in _FAMILY_ALPHA:
+    if family != "P" and family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if poly is None:
-        poly = {"F": gen_F, "G": gen_G, "H": gen_H}[family](n)[n - 1]
+        poly = _gen(family, n)[n - 1]
+    if family == "P":
+        w = series_W(order)
+        inv = (-w).geom_inverse()  # 1/(1+W)
+        return (-n * w).exp() * inv ** (2 * n - 1) * poly(w)
     t = series_T(1, order)
     inv = t.geom_inverse()  # 1/(1-T)
     ratio = t * inv  # T/(1-T)
-    exponent = {"F": n + 2, "G": n, "H": n - 1}[family]
-    return (n * t).exp() * inv ** exponent * poly_at_series(poly, ratio)
+    return (n * t).exp() * inv ** (n + FAMILIES[family].c) * poly(ratio)
 
 
 def check_def_identity(
@@ -326,9 +304,9 @@ def check_def_identity(
     if order < n_max + 5:
         raise ValueError(f"order {order} too small for n_max {n_max}; need order >= n_max + 5")
     name = f"def-identity-{family}"
-    base = series_W(order) if family == "P" else series_T(_FAMILY_ALPHA[family], order)
+    base = series_W(order) if family == "P" else series_T(FAMILIES[family].alpha, order)
     if polys is None:
-        polys = {"F": gen_F, "G": gen_G, "H": gen_H, "P": gen_P}[family](n_max)
+        polys = _gen(family, n_max)
     for n in range(1, n_max + 1):
         lhs = base.nth_derivative(n)
         rhs = rhs_series(family, n, order, poly=polys[n - 1]).truncate(order - n)
@@ -430,7 +408,7 @@ def check_egf_theorem(
     if order is None:
         order = n_max + 2
     if polys is None:
-        polys = {"F": gen_F(n_max), "G": gen_G(n_max), "H": gen_H(n_max)}
+        polys = {family: _gen(family, n_max) for family in FAMILIES}
     name = "egf-theorem"
     xs = [Fraction(x) for x in x_samples]
     for x in xs:
@@ -471,13 +449,13 @@ def check_gh_functional(
     polys: Mapping[str, Sequence[Poly]] | None = None,
 ) -> CheckReport:
     """Tail generating functions satisfy H~ = G~ - ((1+x)/2) G~^2 at each sample."""
-    if polys is None:
-        polys = {"G": gen_G(order), "H": gen_H(order)}
+    g_rows = gen_G(order) if polys is None else polys["G"]
+    h_rows = gen_H(order) if polys is None else polys["H"]
     name = "gh-functional"
     xs = [Fraction(x) for x in x_samples]
     for x in xs:
-        gt = RatSeries([0] + [polys["G"][n - 1](x) / math.factorial(n) for n in range(1, order + 1)])
-        ht = RatSeries([0] + [polys["H"][n - 1](x) / math.factorial(n) for n in range(1, order + 1)])
+        gt = RatSeries([0] + [g_rows[n - 1](x) / math.factorial(n) for n in range(1, order + 1)])
+        ht = RatSeries([0] + [h_rows[n - 1](x) / math.factorial(n) for n in range(1, order + 1)])
         want = gt - gt * gt * Fraction(1 + x, 2)
         if ht != want:
             k = next(i for i in range(order + 1) if ht.coeffs[i] != want.coeffs[i])
@@ -503,17 +481,17 @@ def check_imp_census_series(
     compared exactly to the shared truncation order.
     """
     name = f"imp-census-series-{'rooted' if rooted else 'unrooted'}"
+    family = imp_family(rooted)
     t = series_T(1, order)
     inv = t.geom_inverse()
-    base = series_T(1, order) if rooted else series_T(2, order)
+    base = series_T(family.alpha, order)
     for n in sorted(censuses):
         counts = censuses[n]
         acc = RatSeries.zero(order)
         for j, c in enumerate(counts):
             if c:
                 acc = acc + c * inv ** j
-        exponent = n if rooted else n - 1
-        display = (n * t).exp() * inv ** exponent * acc
+        display = (n * t).exp() * inv ** (n + family.c) * acc
         lhs = base.nth_derivative(n)
         if display.truncate(order - n) != lhs:
             k = next(i for i in range(order - n + 1) if display.coeffs[i] != lhs.coeffs[i])

@@ -15,19 +15,18 @@ check that consumes the corrupted row and no check that does not.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import series as _series
 from . import trees as _trees
 from . import wfunc as _wfunc
-from .polys import Poly, gen_F, gen_G, gen_H, gen_P, gen_Q, shift
+from .polys import (FAMILIES, Poly, X, census_family, gen_F, gen_G, gen_H, gen_P, gen_Q,
+                    imp_family, shift)
 from .report import CheckReport, jsonable
 
-X = Poly((0, 1))
-ONE_PLUS_X = Poly((1, 1))
+_BUNDLE_FAMILIES = (*FAMILIES, "P")    # the rows a bundle holds and --corrupt may bump
 
 # frozen reference rows, coefficients lowest degree first
 _GOLDEN: dict[str, list[list[int]]] = {
@@ -142,8 +141,9 @@ class SuiteResult:
 
 def _parse_corrupt(spec: str) -> tuple[str, int]:
     family, _, row = spec.partition(":")
-    if family not in ("F", "G", "H", "P") or not row.isdigit() or int(row) < 1:
-        raise ValueError(f"corrupt spec {spec!r}; want FAMILY:ROW with family F, G, H or P")
+    if family not in _BUNDLE_FAMILIES or not row.isdigit() or int(row) < 1:
+        raise ValueError(f"corrupt spec {spec!r}; want FAMILY:ROW, FAMILY one of "
+                         + ", ".join(_BUNDLE_FAMILIES))
     return family, int(row)
 
 
@@ -152,7 +152,8 @@ def _make_bundle(config: SuiteConfig) -> dict[str, list[Poly]]:
                config.q_rows + 1, config.imp_rows, config.egf_n_max,
                config.series_n_max, config.gh_order, config.census_n_max,
                config.census_birooted_n_max, 7)
-    bundle = {"F": gen_F(rows), "G": gen_G(rows), "H": gen_H(rows), "P": gen_P(rows)}
+    # gen_* by name in this module, so wrappers placed on them see the calls
+    bundle = {family: globals()[f"gen_{family}"](rows) for family in _BUNDLE_FAMILIES}
     if config.corrupt is not None:
         family, row = _parse_corrupt(config.corrupt)
         if row > rows:
@@ -181,7 +182,7 @@ def _check_golden(bundle) -> CheckReport:
 
 def _check_positivity(bundle, rows: int) -> CheckReport:
     name = "shifted-positivity"
-    for family in ("F", "G", "H"):
+    for family in FAMILIES:
         for i in range(rows):
             p = shift(bundle[family][i], -1)
             if any(c < 0 for c in p.coeffs):
@@ -248,23 +249,20 @@ def _check_q_specializations(bundle, rows: int) -> CheckReport:
 
 def _check_census_unl(bundle, variant: str, n_max: int) -> CheckReport:
     name = f"census-unl-{variant}"
-    expect: Callable[[int], Poly] = {
-        "unrooted": lambda n: bundle["H"][n - 1],
-        "rooted": lambda n: bundle["G"][n - 1],
-        "relaxed": lambda n: ONE_PLUS_X * bundle["G"][n - 1],
-        "birooted": lambda n: ONE_PLUS_X**3 * bundle["F"][n - 1],
-    }[variant]
+    family, k = census_family(variant)
+    factor = Poly((1, 1)) ** k
     for n in range(1, n_max + 1):
         got = _trees.unl_polynomial(n, variant)
-        if got != expect(n):
-            return CheckReport.fail(name, f"n={n}: census {got}, expected {expect(n)}",
+        want = factor * bundle[family.name][n - 1]
+        if got != want:
+            return CheckReport.fail(name, f"n={n}: census {got}, expected {want}",
                                     n=n, variant=variant)
     return CheckReport.ok(name, n_max=n_max, variant=variant)
 
 
 def _check_census_imp(bundle, rooted: bool, rows: int) -> CheckReport:
     name = f"census-imp-{'rooted' if rooted else 'unrooted'}"
-    family = "G" if rooted else "H"
+    family = imp_family(rooted).name
     for n in range(1, rows + 1):
         got = _trees.imp_polynomial(n, rooted)
         want = shift(bundle[family][n - 1], -1)
@@ -274,12 +272,13 @@ def _check_census_imp(bundle, rooted: bool, rows: int) -> CheckReport:
     return CheckReport.ok(name, rows=rows, rooted=rooted)
 
 
-def _restriction_expected(n: int, u: int, rooted: bool, m: int) -> int:
+def _restriction_expected(n: int, u: int, variant: str, m: int) -> int:
     """Series prediction for the fiber count over a census class."""
     order = m - n + 1
     t = _series.series_T(1, order)
     inv = t.geom_inverse()
-    base = (n * t).exp() * inv ** (n - 1 + (1 if rooted else 0)) * (t * inv) ** u
+    c = census_family(variant)[0].c
+    base = (n * t).exp() * inv ** (n + c) * (t * inv) ** u
     value = base.egf_coefficient(m - n)
     assert value.denominator == 1
     return int(value)
@@ -290,16 +289,16 @@ def _check_restriction(rooted: bool, n_max: int, extra: int) -> CheckReport:
     variant = "rooted" if rooted else "unrooted"
     trees_checked = 0
     for n in range(1, n_max + 1):
+        # m = n is left out: restriction to all labels is the identity
+        fibers = {m: _trees.restriction_fibers(m, n, rooted)
+                  for m in range(n + 1, n + extra + 1)}
         for t in _trees.enumerate_greg(n, variant):
-            census = _trees.restriction_census(t, n + extra)
-            for j, m in enumerate(range(n, n + extra + 1)):
-                if m == n:
-                    want = 1 if t.u == 0 else 0
-                else:
-                    want = _restriction_expected(n, t.u, rooted, m)
-                if census[j] != want:
+            for m, fiber in fibers.items():
+                got = fiber.get(t, 0)
+                want = _restriction_expected(n, t.u, variant, m)
+                if got != want:
                     return CheckReport.fail(
-                        name, f"tree {t}: {census[j]} preimages at m={m}, series expects {want}",
+                        name, f"tree {t}: {got} preimages at m={m}, series expects {want}",
                         n=n, m=m)
             trees_checked += 1
     return CheckReport.ok(name, n_max=n_max, extra=extra, trees=trees_checked)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .polys import Poly
@@ -517,8 +516,9 @@ def restrict(x: CayleyTree, n: int) -> GregTree:
                           root=rename[root] if root is not None else None)
 
 
-@lru_cache(maxsize=None)
-def _restriction_fibers(m: int, n: int, rooted: bool):
+def restriction_fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
+    """How many Cayley trees of size m (rooted or not) restrict to each
+    Greg tree on the labels 1..n, for n < m."""
     fibers: Counter[GregTree] = Counter()
     for x in enumerate_cayley(m, rooted=rooted):
         fibers[restrict(x, n)] += 1
@@ -538,5 +538,5 @@ def restriction_census(t: GregTree, m_max: int) -> list[int]:
         if m == n:
             out.append(1 if t.u == 0 else 0)
         else:
-            out.append(_restriction_fibers(m, n, rooted).get(t, 0))
+            out.append(restriction_fibers(m, n, rooted).get(t, 0))
     return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .polys import Poly, gen_F, gen_G, gen_H
+from .polys import FAMILIES, Poly, gen_F, gen_G, gen_H
 from .report import CheckReport
 
 _INV_E = math.exp(-1.0)
@@ -32,7 +32,8 @@ _MAX_ITER = 50
 _STEP_TOL = 1e-15
 _RESIDUAL_TOL = 1e-13
 
-BERNSTEIN_FAMILIES = ("W", "half-square", "ratio")
+# W itself first, then W^2/2 + W, then W/(1+W)
+BERNSTEIN_FAMILIES = tuple(FAMILIES[name].bernstein for name in "GHF")
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,9 @@ def eval_W(z: complex | float) -> WEval:
     """Principal-branch W(z) by Halley iteration.
 
     Real z on the cut (z <= -1/e) raises ValueError.  A result violating
-    the residual contract raises ArithmeticError; with the seeds above
-    that does not happen on the cut-free plane.
+    the residual contract raises ArithmeticError.  Known defects: real
+    z >= 3e307 raises it (w e^w overflows), and z = inf or nan returns
+    w = nan with residual nan, since a NaN residual passes the test.
     """
     if isinstance(z, complex) and z.imag == 0.0:
         z = z.real
@@ -100,8 +102,11 @@ def eval_W(z: complex | float) -> WEval:
 
 
 @lru_cache(maxsize=None)
-def _family_rows(n_max: int) -> dict[str, list[Poly]]:
-    return {"W": gen_G(n_max), "half-square": gen_H(n_max), "ratio": gen_F(n_max)}
+def _family_row(bernstein: str, n: int) -> tuple[Poly, int]:
+    """Row n of the family behind the Bernstein function, and its offset c."""
+    family = next(f for f in FAMILIES.values() if f.bernstein == bernstein)
+    rows = globals()[f"gen_{family.name}"](n)  # by name: wrappers on gen_* see it
+    return rows[n - 1], family.c
 
 
 def family_derivative(family: str, z: float, n: int) -> float:
@@ -112,10 +117,8 @@ def family_derivative(family: str, z: float, n: int) -> float:
         raise ValueError("derivative index must be >= 1")
     w = eval_W(float(z)).w
     x = -w / (1.0 + w)
-    rows = _family_rows(n)
-    poly = rows[family][n - 1]
-    exponent = {"W": n, "half-square": n - 1, "ratio": n + 2}[family]
-    value = poly(x) * math.exp(-n * w) / (1.0 + w) ** exponent
+    poly, c = _family_row(family, n)
+    value = poly(x) * math.exp(-n * w) / (1.0 + w) ** (n + c)
     return value if n % 2 == 1 else -value
 
 

@@ -161,7 +161,7 @@ USAGE_ERRORS = [
     ("check", "halfplane", "--n-max", "5"),
     ("check", "all", "--x", "1"),
     ("check", "golden", "--samples", "10"),
-    ("check", "all", "--jobs", "0"),
+    ("check", "all", "--jobs", "1"),            # --jobs was removed
     ("check", "all", "--corrupt", "Z:1", "--quick"),
     ("wfun", "-1"),
     ("wfun", "abc"),

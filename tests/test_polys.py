@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from gregtrees.polys import (
     Poly,
     X,
-    coefficient_rows,
     double_factorial,
-    eval_rational,
     gen_F,
     gen_G,
     gen_H,
@@ -49,7 +47,7 @@ GENERATORS = {"F": gen_F, "G": gen_G, "H": gen_H}
 @pytest.mark.parametrize("family", ["F", "G", "H"])
 def test_golden_rows(family):
     rows = GENERATORS[family](len(GOLDEN[family]))
-    assert coefficient_rows(rows) == GOLDEN[family]
+    assert [list(p.coeffs) for p in rows] == GOLDEN[family]
 
 
 @pytest.mark.parametrize("family", ["F", "G", "H"])
@@ -75,9 +73,9 @@ def test_constant_terms_count_cayley_trees():
     n_max = 25
     F, G, H = gen_F(n_max), gen_G(n_max), gen_H(n_max)
     for n in range(1, n_max + 1):
-        assert eval_rational(F[n - 1], 0) == Fraction(n) ** n
-        assert eval_rational(G[n - 1], 0) == Fraction(n) ** (n - 1)
-        assert eval_rational(H[n - 1], 0) == Fraction(n) ** (n - 2)
+        assert F[n - 1](Fraction(0)) == Fraction(n) ** n
+        assert G[n - 1](Fraction(0)) == Fraction(n) ** (n - 1)
+        assert H[n - 1](Fraction(0)) == Fraction(n) ** (n - 2)
 
 
 def test_shifted_G_recursion():
@@ -100,6 +98,23 @@ def test_P_small_rows():
     P = gen_P(2)
     assert P[0] == Poly((1,))
     assert P[1] == Poly((-2, -1))
+
+
+def test_P_recursion_matches_substitution_into_G():
+    """P_n(x) = (-1-x)^{n-1} G_n(-x/(1+x)), expanded in Z[x] as
+    (-1)^{n-1} sum_k g_{n,k} (-x)^k (1+x)^{n-1-k}: the substitution that
+    once generated P, kept here as the oracle for its own recursion."""
+    n_max = 60
+    one_plus_x = Poly((1, 1))
+    for n, (g, p) in enumerate(zip(gen_G(n_max), gen_P(n_max)), start=1):
+        pw = [Poly((1,))]
+        for _ in range(n - 1):
+            pw.append(pw[-1] * one_plus_x)
+        acc = Poly()
+        for k, coeff in enumerate(g.coeffs):
+            sign = -coeff if k % 2 else coeff
+            acc = acc + sign * (X ** k) * pw[n - 1 - k]
+        assert p == (acc if (n - 1) % 2 == 0 else -acc), n
 
 
 def test_P_sign_and_unimodality():

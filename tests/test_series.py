@@ -13,8 +13,6 @@ from gregtrees.series import (
     check_gh_functional,
     check_imp_census_series,
     check_reversion_lemma,
-    nth_derivative,
-    poly_at_series,
     reversion,
     rhs_series,
     series_T,
@@ -66,7 +64,7 @@ def test_derive_integrate_nth():
         RatSeries([1]).derive().derive()
     with pytest.raises(ValueError):
         s.nth_derivative(4)
-    assert nth_derivative(s, 3) == s.derive().derive().derive()
+    assert s.nth_derivative(3) == s.derive().derive().derive()
 
 
 def test_egf_coefficient():
@@ -98,7 +96,7 @@ def test_poly_at_series():
     order = 8
     t = series_T(1, order)
     p = Poly((2, 0, 3))  # 3x^2 + 2
-    assert poly_at_series(p, t) == 3 * t * t + RatSeries.const(2, order)
+    assert p(t) == 3 * t * t + RatSeries.const(2, order)
 
 
 def test_reversion_against_known_inverse():
@@ -153,9 +151,9 @@ def test_def_identity_needs_margin():
 def test_rhs_series_first_derivatives():
     order = 10
     # T' equals the G display at n = 1
-    assert nth_derivative(series_T(1, order), 1) == rhs_series("G", 1, order).truncate(order - 1)
+    assert series_T(1, order).nth_derivative(1) == rhs_series("G", 1, order).truncate(order - 1)
     # W' equals the P display at n = 1
-    assert nth_derivative(series_W(order), 1) == rhs_series("P", 1, order).truncate(order - 1)
+    assert series_W(order).nth_derivative(1) == rhs_series("P", 1, order).truncate(order - 1)
 
 
 def test_egf_theorem_samples():

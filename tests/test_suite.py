@@ -7,18 +7,33 @@ import pytest
 
 from gregtrees.suite import CHECK_NAMES, SuiteConfig, run_suite
 
-# checks that consume the stored G_3 row somewhere in their work
-G3_SENSITIVE = {
-    "golden-tables",
-    "interconversion",
-    "reciprocity",
-    "q-specializations",
-    "def-identity-G",
-    "egf-theorem",
-    "gh-functional",
-    "census-unl-rooted",
-    "census-unl-relaxed",
-    "census-imp-rooted",
+# per corrupted row, the checks that consume it somewhere in their work
+# (quick profile)
+SENSITIVE = {
+    "G:3": {
+        "golden-tables",
+        "interconversion",
+        "reciprocity",
+        "q-specializations",
+        "def-identity-G",
+        "egf-theorem",
+        "gh-functional",
+        "census-unl-rooted",
+        "census-unl-relaxed",
+        "census-imp-rooted",
+    },
+    "P:3": {"reciprocity", "def-identity-P"},
+    "F:3": {"golden-tables", "q-specializations", "def-identity-F", "egf-theorem"},
+    "H:3": {
+        "golden-tables",
+        "interconversion",
+        "q-specializations",
+        "def-identity-H",
+        "egf-theorem",
+        "gh-functional",
+        "census-unl-unrooted",
+        "census-imp-unrooted",
+    },
 }
 
 
@@ -54,11 +69,13 @@ def test_text_rendering_shape():
     assert lines[-1] == "25 passed, 0 failed, 0 skipped"
 
 
-def test_corruption_trips_exactly_the_consumers():
-    result = run_suite(replace(SuiteConfig.quick(), corrupt="G:3"))
-    assert set(result.failed_names()) == G3_SENSITIVE
+@pytest.mark.parametrize("spec", SENSITIVE)
+def test_corruption_trips_exactly_the_consumers(spec):
+    sensitive = SENSITIVE[spec]
+    result = run_suite(replace(SuiteConfig.quick(), corrupt=spec))
+    assert set(result.failed_names()) == sensitive
     for r in result.reports:
-        if r.name in G3_SENSITIVE:
+        if r.name in sensitive:
             assert r.passed is False
             assert r.witness
         else:
@@ -66,8 +83,10 @@ def test_corruption_trips_exactly_the_consumers():
     assert not result.ok
     # the witnesses point at the damaged row
     by_name = {r.name: r for r in result.reports}
-    assert by_name["golden-tables"].params == {"family": "G", "row": 3}
-    assert "G_3" in by_name["golden-tables"].witness
+    if "golden-tables" in sensitive:
+        family = spec.partition(":")[0]
+        assert by_name["golden-tables"].params == {"family": family, "row": 3}
+        assert f"{family}_3" in by_name["golden-tables"].witness
 
 
 def test_corrupt_spec_validation():
