@@ -262,6 +262,11 @@ def reversion(f: RatSeries) -> RatSeries:
 
 # ── closed forms of the n-th derivatives ──────────────────────────────────
 
+def _check_family(family: str) -> None:
+    if family != "P" and family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+
+
 def _gen(family: str, n_max: int) -> list[Poly]:
     return globals()[f"gen_{family}"](n_max)  # by name: wrappers on gen_* see it
 
@@ -276,8 +281,7 @@ def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> Rat
     """
     if n < 1:
         raise ValueError("derivative index must be >= 1")
-    if family != "P" and family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    _check_family(family)
     if poly is None:
         poly = _gen(family, n)[n - 1]
     if family == "P":
@@ -301,6 +305,7 @@ def check_def_identity(
     `polys` may inject the polynomial sequence (row n at index n-1);
     omitted, the sequence is generated from the recursions.
     """
+    _check_family(family)
     if order < n_max + 5:
         raise ValueError(f"order {order} too small for n_max {n_max}; need order >= n_max + 5")
     name = f"def-identity-{family}"

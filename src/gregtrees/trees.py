@@ -18,7 +18,11 @@ canonical form, so dataclass equality is exactly this isomorphism.
 
 Enumeration goes through Pruefer sequences generated under multiplicity
 constraints (a vertex of degree d appears d-1 times in the sequence), so
-only degree-feasible labeled trees are ever decoded.
+only degree-feasible labeled trees are ever decoded, each in linear time.
+The labeled candidates are deduplicated by their split systems, and only
+the first candidate of each tree is put into canonical form.  The rooted
+improper-edge census walks each unrooted Cayley tree once and reroots it
+to get every root's value.
 """
 
 from __future__ import annotations
@@ -232,28 +236,43 @@ def _canonical_form(n, ids, edges, root, roots):
 
 # ── Pruefer machinery ─────────────────────────────────────────────────────
 
+def _prufer_pairs(seq: Sequence[int], k: int) -> list[tuple[int, int]]:
+    """Edges of the tree on 1..k encoded by `seq`, as (leaf, neighbour)
+    pairs in removal order: hung from vertex k, every vertex appears as a
+    leaf after all of its children.  Linear: the pointer to the smallest
+    leaf only moves forward, and a neighbour that just became a leaf below
+    the pointer is taken next.  Entries are not range-checked."""
+    degree = [1] * (k + 1)
+    for v in seq:
+        degree[v] += 1
+    ptr = degree.index(1, 1)
+    leaf = ptr
+    pairs = []
+    for v in seq:
+        pairs.append((leaf, v))
+        degree[v] -= 1
+        if v < ptr and degree[v] == 1:
+            leaf = v
+        else:
+            ptr = degree.index(1, ptr + 1)
+            leaf = ptr
+    pairs.append((leaf, k))
+    return pairs
+
+
 def prufer_decode(seq: Sequence[int], k: int) -> tuple[tuple[int, int], ...]:
-    """Edges of the labeled tree on 1..k encoded by `seq` (length k-2)."""
+    """Edges of the labeled tree on 1..k encoded by `seq` (length k-2,
+    entries in 1..k)."""
     if k < 1:
         raise ValueError("need at least one vertex")
     if len(seq) != max(k - 2, 0):
         raise ValueError(f"sequence length {len(seq)} != {max(k - 2, 0)}")
+    for v in seq:
+        if not 1 <= v <= k:
+            raise ValueError(f"sequence entry {v} out of range 1..{k}")
     if k == 1:
         return ()
-    degree = [1] * (k + 1)
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    for v in seq:
-        for w in range(1, k + 1):
-            if degree[w] == 1:
-                edges.append((min(v, w), max(v, w)))
-                degree[w] -= 1
-                degree[v] -= 1
-                break
-    a, b = (w for w in range(1, k + 1) if degree[w] == 1)
-    edges.append((a, b))
-    return tuple(sorted(edges))
+    return _normalize_edges(_prufer_pairs(seq, k))
 
 
 def _constrained_prufer(n: int, u: int, slack: int, floor: int) -> Iterator[tuple[int, ...]]:
@@ -271,29 +290,42 @@ def _constrained_prufer(n: int, u: int, slack: int, floor: int) -> Iterator[tupl
         if u == 0 or (u <= slack and floor == 0):
             yield ()
         return
-    counts = [0] * u
+    counts = [0] * (k + 1)
     seq = [0] * length
     forgivable = slack * (2 - floor)
-
-    def final_ok() -> bool:
-        short = [c for c in counts if c < 2]
-        return len(short) <= slack and all(c >= floor for c in short)
+    # over the unlabeled ids: the unmet deficit sum(2 - c for c < 2) and
+    # the number with c < 2, kept up to date as ids enter and leave the
+    # sequence; need == short exactly when no id has c == 0
+    need = 2 * u
+    short = u
 
     def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == length:
-            if final_ok():
-                yield tuple(seq)
-            return
+        nonlocal need, short
         left = length - pos - 1
-        for v in range(1, k + 1):
-            if v > n:
-                counts[v - n - 1] += 1
-            need = sum(2 - c for c in counts if c < 2)
+        # labeled ids come first in the order and leave the deficit alone
+        if need - forgivable <= left:
+            for v in range(1, n + 1):
+                seq[pos] = v
+                if left:
+                    yield from rec(pos + 1)
+                elif short <= slack and (floor == 0 or need == short):
+                    yield tuple(seq)
+        for v in range(n + 1, k + 1):
+            c = counts[v]
+            counts[v] = c + 1
+            if c < 2:
+                need -= 1
+                short -= c
             if need - forgivable <= left:
                 seq[pos] = v
-                yield from rec(pos + 1)
-            if v > n:
-                counts[v - n - 1] -= 1
+                if left:
+                    yield from rec(pos + 1)
+                elif short <= slack and (floor == 0 or need == short):
+                    yield tuple(seq)
+            counts[v] = c
+            if c < 2:
+                need += 1
+                short += c
 
     yield from rec(0)
 
@@ -306,11 +338,10 @@ def enumerate_cayley(n: int, rooted: bool = False) -> Iterator[CayleyTree]:
     if n < 1:
         raise ValueError("need at least one vertex")
     if n == 1:
-        seqs: Iterator[tuple[int, ...]] = iter([()])
-    else:
-        seqs = _constrained_prufer(n, 0, 0, 0)
-    for seq in seqs:
-        edges = prufer_decode(seq, n)
+        yield CayleyTree(n=1, edges=(), root=1 if rooted else None)
+        return
+    for seq in _constrained_prufer(n, 0, 0, 0):
+        edges = _normalize_edges(_prufer_pairs(seq, n))
         if rooted:
             for r in range(1, n + 1):
                 yield CayleyTree(n=n, edges=edges, root=r)
@@ -339,65 +370,117 @@ def _build_canonical(n: int, u: int, edges, root=None, roots=None) -> GregTree:
     return GregTree(n=n, u=u, edges=ces, root=croot, roots=croots)
 
 
-def _greg_candidates(n: int, u: int, variant: str) -> Iterator[GregTree]:
-    """Degree-valid (tree, root data) configurations, before dedup."""
+def _greg_configs(n: int, u: int, variant: str):
+    """Degree-valid (edges, root, roots) configurations, before dedup.
+
+    Edges are the (leaf, neighbour) pairs of `_prufer_pairs`.  Order:
+    lexicographic Pruefer, then root choices ascending (root pairs
+    lexicographic).
+    """
     k = n + u
     slack, floor = {"unrooted": (0, 2), "rooted": (1, 1),
                     "relaxed": (1, 0), "birooted": (2, 0)}[variant]
     if k == 1:
         if variant == "unrooted":
-            yield GregTree.build(n, u, ())
+            yield (), None, None
         elif variant in ("rooted", "relaxed"):
-            yield GregTree.build(n, u, (), root=1)
+            yield (), 1, None
         else:
-            yield GregTree.build(n, u, (), roots=(1, 1))
+            yield (), None, (1, 1)
         return
+    everyone = range(1, k + 1)
     for seq in _constrained_prufer(n, u, slack, floor):
-        edges = prufer_decode(seq, k)
-        deg = {v: 0 for v in range(1, k + 1)}
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1
-        # unlabeled vertices below degree 3 must be covered by root slots
-        short = [v for v in range(n + 1, k + 1) if deg[v] < 3]
+        pairs = _prufer_pairs(seq, k)
+        # unlabeled vertices below degree 3 must be covered by root slots;
+        # a vertex of degree d appears d - 1 times in the sequence, and the
+        # floor already keeps a short vertex at the root's least degree
+        short = [v for v in range(n + 1, k + 1) if seq.count(v) < 2]
         if variant == "unrooted":
             if not short:
-                yield _build_canonical(n, u, edges)
+                yield pairs, None, None
         elif variant in ("rooted", "relaxed"):
-            root_min = 2 if variant == "rooted" else 1
-            for r in range(1, k + 1):
-                if all(v == r for v in short) and (r <= n or deg[r] >= root_min):
-                    yield _build_canonical(n, u, edges, root=r)
-        else:
-            if len(short) > 2:
-                continue
-            for r1 in range(1, k + 1):
-                for r2 in range(1, k + 1):
-                    if all(v == r1 or v == r2 for v in short):
-                        yield _build_canonical(n, u, edges, roots=(r1, r2))
+            if not short:
+                for r in everyone:
+                    yield pairs, r, None
+            elif len(short) == 1:
+                yield pairs, short[0], None
+        elif not short:
+            for r1 in everyone:
+                for r2 in everyone:
+                    yield pairs, None, (r1, r2)
+        elif len(short) == 1:
+            (s,) = short
+            for r1 in everyone:
+                if r1 == s:
+                    for r2 in everyone:
+                        yield pairs, None, (s, r2)
+                else:
+                    yield pairs, None, (r1, s)
+        elif len(short) == 2:
+            s1, s2 = short
+            yield pairs, None, (s1, s2)
+            yield pairs, None, (s2, s1)
+
+
+def _greg_candidates(n: int, u: int, variant: str) -> Iterator[GregTree]:
+    """Degree-valid (tree, root data) configurations, before dedup."""
+    for edges, root, roots in _greg_configs(n, u, variant):
+        yield _build_canonical(n, u, edges, root, roots)
 
 
 def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
     """All Greg trees of the variant, deduplicated to canonical forms.
 
     Order: u ascending, then lexicographic Pruefer, then root choices.
+
+    A configuration is kept on the first occurrence of its split system,
+    and only then canonicalized.  Marks are bits: label i is bit i - 1, the
+    root (or first root) bit n, the second root bit n + 1.  The key is the
+    sorted tuple of the marks on the side of each edge away from vertex 1.
+    Every vertex of degree <= 2 carries a mark (an unlabeled one is a
+    root), and such a tree is fixed up to isomorphism by its splits
+    (Buneman 1971; Semple & Steel, Phylogenetics, 2003, ch. 3).
     """
     if n < 1:
         raise ValueError("need at least one labeled vertex")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    seen: set[GregTree] = set()
+    first, second = 1 << n, 1 << (n + 1)
+    # every mark the variant's trees carry
+    full = (first - 1) | {"unrooted": 0, "birooted": first | second}.get(variant, first)
     for u in range(u_bound(n, variant) + 1):
-        for t in _greg_candidates(n, u, variant):
-            if t not in seen:
-                seen.add(t)
-                yield t
+        labels = [0] + [1 << i for i in range(n)] + [0] * u
+        seen: set[tuple[int, ...]] = set()
+        for pairs, root, roots in _greg_configs(n, u, variant):
+            mark = labels[:]
+            if root is not None:
+                mark[root] |= first
+            elif roots is not None:
+                mark[roots[0]] |= first
+                mark[roots[1]] |= second
+            # pairs hang from vertex n + u, leaves first: a leaf's marks
+            # are complete when its edge comes up, and the side away from
+            # vertex 1 is the complement whenever that side holds label 1
+            below = []
+            for leaf, parent in pairs:
+                m = mark[leaf]
+                mark[parent] |= m
+                below.append(m ^ full if m & 1 else m)
+            below.sort()
+            key = tuple(below)
+            if key not in seen:
+                seen.add(key)
+                yield _build_canonical(n, u, pairs, root, roots)
 
 
 def degree_filtered_count(n: int, u: int, variant: str) -> int:
     """Number of degree-valid labeled configurations at (n, u), before the
     unlabeled ids are identified.  The relabeling action is free, so this
     equals u! times the number of canonical forms."""
+    if n < 1 or u < 0:
+        raise ValueError("need n >= 1 labeled and u >= 0 unlabeled vertices")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     return sum(1 for _ in _greg_candidates(n, u, variant))
 
 
@@ -438,13 +521,52 @@ def imp(t: CayleyTree) -> int:
     return sum(1 for v in order if parent[v] and parent[v] > subtree_min[v])
 
 
+def _imp_by_root(t: CayleyTree) -> list[int]:
+    """imp of the tree rooted at each vertex: entry r - 1 for root r.
+
+    One pass from vertex 1 gives the subtree minima below every edge;
+    across an edge the other side holds vertex 1, so its minimum is 1.
+    Moving the root from a parent p to its child v flips only the edge
+    p-v: p -> v (improper when p > min below v) becomes v -> p, which is
+    improper since v > 1.
+    """
+    n = t.n
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for a, b in t.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = [0] * (n + 1)
+    order = [1]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    low = list(range(n + 1))
+    for v in reversed(order):
+        p = parent[v]
+        if low[v] < low[p]:
+            low[p] = low[v]
+    down = [0] * (n + 1)   # 1 when the edge into v from its parent is improper
+    for v in order[1:]:
+        down[v] = parent[v] > low[v]
+    out = [0] * (n + 1)
+    out[1] = sum(down)
+    for v in order[1:]:
+        out[v] = out[parent[v]] + 1 - down[v]
+    return out[1:]
+
+
 def imp_polynomial(n: int, rooted: bool = True) -> Poly:
     """Improper-edge census: sum of x^imp over rooted Cayley trees, or over
-    unrooted trees rooted at label 1.  Equals G_n(x-1) resp. H_n(x-1)."""
+    unrooted trees rooted at label 1.  Equals G_n(x-1) resp. H_n(x-1).
+
+    The rooted census reroots each unrooted tree (`_imp_by_root`) instead
+    of walking it once per root."""
     counts: Counter[int] = Counter()
     if rooted:
-        for t in enumerate_cayley(n, rooted=True):
-            counts[imp(t)] += 1
+        for t in enumerate_cayley(n):
+            counts.update(_imp_by_root(t))
     else:
         for t in enumerate_cayley(n):
             counts[imp(CayleyTree(n=n, edges=t.edges, root=1))] += 1

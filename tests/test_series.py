@@ -148,6 +148,14 @@ def test_def_identity_needs_margin():
         check_def_identity("G", 10, 12)
 
 
+@pytest.mark.parametrize("family", ["X", "Q", "g"])
+def test_def_identity_rejects_unknown_family(family):
+    with pytest.raises(ValueError, match="unknown family"):
+        check_def_identity(family, 3, 10)
+    with pytest.raises(ValueError, match="unknown family"):
+        rhs_series(family, 3, 10)
+
+
 def test_rhs_series_first_derivatives():
     order = 10
     # T' equals the G display at n = 1

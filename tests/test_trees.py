@@ -11,6 +11,8 @@ from gregtrees.trees import (
     VARIANTS,
     CayleyTree,
     GregTree,
+    _greg_candidates,
+    _imp_by_root,
     degree_filtered_count,
     enumerate_cayley,
     enumerate_greg,
@@ -36,6 +38,35 @@ def test_prufer_decode_basics():
     assert prufer_decode((2, 3), 4) == ((1, 2), (2, 3), (3, 4))
     with pytest.raises(ValueError):
         prufer_decode((1,), 4)
+    for bad in ((0, 0), (-1, 2), (5, 5), (1, 5)):
+        with pytest.raises(ValueError, match="out of range"):
+            prufer_decode(bad, 4)
+
+
+def _quadratic_prufer_decode(seq, k):
+    """Reference decode: scan for the smallest leaf at every step."""
+    if k == 1:
+        return ()
+    degree = [1] * (k + 1)
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        for w in range(1, k + 1):
+            if degree[w] == 1:
+                edges.append((min(v, w), max(v, w)))
+                degree[w] -= 1
+                degree[v] -= 1
+                break
+    a, b = (w for w in range(1, k + 1) if degree[w] == 1)
+    edges.append((a, b))
+    return tuple(sorted(edges))
+
+
+def test_prufer_decode_matches_quadratic_reference():
+    for k in range(1, 8):
+        for seq in itertools.product(range(1, k + 1), repeat=max(k - 2, 0)):
+            assert prufer_decode(seq, k) == _quadratic_prufer_decode(seq, k), (seq, k)
 
 
 def test_cayley_counts():
@@ -129,6 +160,30 @@ def test_degree_filtered_counts_are_factorial_multiples():
                     math.factorial(u) * census.get(u, 0), (variant, n, u)
 
 
+@pytest.mark.parametrize("variant, n_max", [
+    ("unrooted", 5), ("rooted", 4), ("relaxed", 4), ("birooted", 3)])
+def test_split_key_dedup_matches_canonical_dedup(variant, n_max):
+    """enumerate_greg keys on split systems; canonicalizing every candidate
+    and keeping first occurrences must give the same trees in the same order."""
+    for n in range(1, n_max + 1):
+        want, seen = [], set()
+        for u in range(u_bound(n, variant) + 1):
+            for t in _greg_candidates(n, u, variant):
+                if t not in seen:
+                    seen.add(t)
+                    want.append(t)
+        assert list(enumerate_greg(n, variant)) == want, (variant, n)
+
+
+def test_degree_filtered_count_rejects_bad_input():
+    with pytest.raises(ValueError, match="unknown variant"):
+        degree_filtered_count(2, 0, "bogus")
+    with pytest.raises(ValueError):
+        degree_filtered_count(0, 1, "unrooted")
+    with pytest.raises(ValueError):
+        degree_filtered_count(3, -1, "relaxed")
+
+
 def test_enumeration_validates_and_is_distinct():
     for variant in VARIANTS:
         trees = list(enumerate_greg(3, variant))
@@ -201,6 +256,13 @@ def test_imp_requires_root_and_counts_inversions():
     assert imp(CayleyTree.build(3, [(1, 2), (2, 3)], root=1)) == 0
     with pytest.raises(ValueError):
         imp(CayleyTree.build(2, [(1, 2)]))
+
+
+def test_rerooted_imp_matches_imp_at_every_root():
+    for n in range(1, 7):
+        for t in enumerate_cayley(n):
+            want = [imp(CayleyTree(n=n, edges=t.edges, root=r)) for r in range(1, n + 1)]
+            assert _imp_by_root(t) == want, t
 
 
 def test_imp_census_small():
