@@ -250,7 +250,7 @@ def _run_wfun(args, parser) -> int:
         parser.error("--n-max must be >= 0")
     try:
         res = eval_W(z)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         parser.error(str(exc))
     real_positive = not isinstance(res.z, complex) and res.z > 0
     derivs = []

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .polys import FAMILIES, Poly, gen_F, gen_G, gen_H, gen_P, imp_family, power
+from .polys import FAMILIES, Poly, gen_F, gen_G, gen_H, gen_P, imp_family, power, shift
 from .report import CheckReport
 
 
@@ -239,24 +239,25 @@ def series_W(order: int) -> RatSeries:
 
 
 def reversion(f: RatSeries) -> RatSeries:
-    """Compositional inverse g with f(g) = z, by series Newton iteration.
+    """Compositional inverse g with f(g) = z, by Lagrange inversion.
 
-    Requires f(0) = 0 and f'(0) != 0.  The result has the same order and
-    satisfies f(g) = z exactly to that order.
+    Requires f(0) = 0 and f'(0) != 0.  With h = w/f(w), [z^k] g is
+    [w^{k-1}] h^k / k (Flajolet & Sedgewick, Analytic Combinatorics, A.6);
+    g has the order of f, and f(g) = z is verified exactly to that order.
     """
     if f.coeffs[0] != 0:
         raise ValueError("reversion requires a series vanishing at 0")
     if f.order < 1 or f.coeffs[1] == 0:
         raise ValueError("reversion requires a nonzero linear coefficient")
     n = f.order
-    fprime = RatSeries([k * f.coeffs[k] for k in range(1, n + 1)] + [0])
-    z = RatSeries.var(n)
-    g = RatSeries([0, 1 / f.coeffs[1]], n)
-    steps = max(1, n).bit_length() + 1
-    for _ in range(steps):
-        g = g - (f.compose(g) - z) * fprime.compose(g).reciprocal()
-    if f.compose(g) != z:
-        raise ArithmeticError("reversion failed to converge")  # unreachable for valid input
+    h = RatSeries(f.coeffs[1:]).reciprocal()  # w/f(w) through w^{n-1}
+    coeffs, hk = [Fraction(0)], h
+    for k in range(1, n + 1):
+        coeffs.append(hk.coeffs[k - 1] / k)
+        hk = hk * h
+    g = RatSeries(coeffs)
+    if f.compose(g) != RatSeries.var(n):
+        raise ArithmeticError("reversion failed its check f(g) = z")  # unreachable for valid input
     return g
 
 
@@ -278,6 +279,8 @@ def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> Rat
     G: e^{nT} (1-T)^{-n}     G_n(T/(1-T))   for T_1 = T
     H: e^{nT} (1-T)^{-(n-1)} H_n(T/(1-T))   for T_2 = T - T^2/2
     P: e^{-nW} (1+W)^{-(2n-1)} P_n(W)       for W itself
+
+    A given `poly` stands in for row n, and no row is generated.
     """
     if n < 1:
         raise ValueError("derivative index must be >= 1")
@@ -292,6 +295,11 @@ def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> Rat
     inv = t.geom_inverse()  # 1/(1-T)
     ratio = t * inv  # T/(1-T)
     return (n * t).exp() * inv ** (n + FAMILIES[family].c) * poly(ratio)
+
+
+def _first_mismatch(a: RatSeries, b: RatSeries) -> int | None:
+    """Index of the first coefficient where a and b differ, over their common length."""
+    return next((i for i, (x, y) in enumerate(zip(a.coeffs, b.coeffs)) if x != y), None)
 
 
 def check_def_identity(
@@ -314,9 +322,9 @@ def check_def_identity(
         polys = _gen(family, n_max)
     for n in range(1, n_max + 1):
         lhs = base.nth_derivative(n)
-        rhs = rhs_series(family, n, order, poly=polys[n - 1]).truncate(order - n)
-        if lhs != rhs:
-            k = next(i for i in range(order - n + 1) if lhs.coeffs[i] != rhs.coeffs[i])
+        rhs = rhs_series(family, n, order, poly=polys[n - 1])
+        k = _first_mismatch(lhs, rhs)
+        if k is not None:
             return CheckReport.fail(
                 name,
                 f"n={n}: coefficient of z^{k} differs: derivative {lhs.coeffs[k]}, closed form {rhs.coeffs[k]}",
@@ -462,8 +470,8 @@ def check_gh_functional(
         gt = RatSeries([0] + [g_rows[n - 1](x) / math.factorial(n) for n in range(1, order + 1)])
         ht = RatSeries([0] + [h_rows[n - 1](x) / math.factorial(n) for n in range(1, order + 1)])
         want = gt - gt * gt * Fraction(1 + x, 2)
-        if ht != want:
-            k = next(i for i in range(order + 1) if ht.coeffs[i] != want.coeffs[i])
+        k = _first_mismatch(ht, want)
+        if k is not None:
             return CheckReport.fail(
                 name, f"x={x}: coefficient of u^{k}: H side {ht.coeffs[k]}, G side {want.coeffs[k]}",
                 x_samples=xs, order=order,
@@ -487,19 +495,13 @@ def check_imp_census_series(
     """
     name = f"imp-census-series-{'rooted' if rooted else 'unrooted'}"
     family = imp_family(rooted)
-    t = series_T(1, order)
-    inv = t.geom_inverse()
     base = series_T(family.alpha, order)
     for n in sorted(censuses):
-        counts = censuses[n]
-        acc = RatSeries.zero(order)
-        for j, c in enumerate(counts):
-            if c:
-                acc = acc + c * inv ** j
-        display = (n * t).exp() * inv ** (n + family.c) * acc
+        # sum_j c_j (1-T)^{-j} is C(1 + T/(1-T)) for C(x) = sum_j c_j x^j
+        display = rhs_series(family.name, n, order, poly=shift(Poly(censuses[n]), 1))
         lhs = base.nth_derivative(n)
-        if display.truncate(order - n) != lhs:
-            k = next(i for i in range(order - n + 1) if display.coeffs[i] != lhs.coeffs[i])
+        k = _first_mismatch(display, lhs)
+        if k is not None:
             return CheckReport.fail(
                 name, f"n={n}: coefficient of z^{k}: census side {display.coeffs[k]}, derivative {lhs.coeffs[k]}",
                 n_values=sorted(censuses), order=order, rooted=rooted,

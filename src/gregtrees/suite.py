@@ -274,12 +274,8 @@ def _check_census_imp(bundle, rooted: bool, rows: int) -> CheckReport:
 
 def _restriction_expected(n: int, u: int, variant: str, m: int) -> int:
     """Series prediction for the fiber count over a census class."""
-    order = m - n + 1
-    t = _series.series_T(1, order)
-    inv = t.geom_inverse()
-    c = census_family(variant)[0].c
-    base = (n * t).exp() * inv ** (n + c) * (t * inv) ** u
-    value = base.egf_coefficient(m - n)
+    family = census_family(variant)[0].name
+    value = _series.rhs_series(family, n, m - n + 1, poly=X ** u).egf_coefficient(m - n)
     assert value.denominator == 1
     return int(value)
 

@@ -561,15 +561,12 @@ def imp_polynomial(n: int, rooted: bool = True) -> Poly:
     """Improper-edge census: sum of x^imp over rooted Cayley trees, or over
     unrooted trees rooted at label 1.  Equals G_n(x-1) resp. H_n(x-1).
 
-    The rooted census reroots each unrooted tree (`_imp_by_root`) instead
-    of walking it once per root."""
+    Both walk each unrooted tree once (`_imp_by_root`); the rooted census
+    takes its imp at every root, the unrooted one at root 1 only."""
+    roots = n if rooted else 1
     counts: Counter[int] = Counter()
-    if rooted:
-        for t in enumerate_cayley(n):
-            counts.update(_imp_by_root(t))
-    else:
-        for t in enumerate_cayley(n):
-            counts[imp(CayleyTree(n=n, edges=t.edges, root=1))] += 1
+    for t in enumerate_cayley(n):
+        counts.update(_imp_by_root(t)[:roots])
     coeffs = [0] * (max(counts) + 1)
     for j, c in counts.items():
         coeffs[j] = c

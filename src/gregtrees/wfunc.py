@@ -68,17 +68,19 @@ def _seed(z: complex | float) -> complex | float:
 def eval_W(z: complex | float) -> WEval:
     """Principal-branch W(z) by Halley iteration.
 
-    Real z on the cut (z <= -1/e) raises ValueError.  A result violating
-    the residual contract raises ArithmeticError.  Known defects: real
-    z >= 3e307 raises it (w e^w overflows), and z = inf or nan returns
-    w = nan with residual nan, since a NaN residual passes the test.
+    Real z on the cut (z <= -1/e) and non-finite z (an infinite or NaN
+    part) raise ValueError.  A result violating the residual contract
+    raises ArithmeticError.  Known defect: real z >= 3e307 raises it
+    (w e^w overflows).
     """
     if isinstance(z, complex) and z.imag == 0.0:
         z = z.real
     if not isinstance(z, complex):
         z = float(z)
-        if z <= -_INV_E:
-            raise ValueError(f"z={z!r} lies on the branch cut (-inf, -1/e]")
+    if not cmath.isfinite(z):
+        raise ValueError(f"z={z!r} is not finite")
+    if not isinstance(z, complex) and z <= -_INV_E:
+        raise ValueError(f"z={z!r} lies on the branch cut (-inf, -1/e]")
     if z == 0:
         return WEval(z=z, w=0.0, residual=0.0, iterations=0)
     exp = cmath.exp if isinstance(z, complex) else math.exp

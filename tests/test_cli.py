@@ -166,6 +166,8 @@ USAGE_ERRORS = [
     ("wfun", "-1"),
     ("wfun", "abc"),
     ("wfun", "1.0", "--n-max", "-1"),
+    ("wfun", "1e308"),                           # w e^w overflows: ArithmeticError
+    ("wfun", "nan"),
 ]
 
 

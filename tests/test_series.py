@@ -109,6 +109,31 @@ def test_reversion_against_known_inverse():
     assert g.compose(f) == z
 
 
+def _newton_reversion(f: RatSeries) -> RatSeries:
+    """Series Newton iteration g <- g - (f(g) - z) / f'(g), which doubles
+    the number of correct coefficients each step: an oracle for `reversion`
+    that shares nothing with Lagrange inversion."""
+    n = f.order
+    fprime = RatSeries([k * f.coeffs[k] for k in range(1, n + 1)] + [0])
+    z = RatSeries.var(n)
+    g = RatSeries([0, 1 / f.coeffs[1]], n)
+    for _ in range(max(1, n).bit_length() + 1):
+        g = g - (f.compose(g) - z) * fprime.compose(g).reciprocal()
+    return g
+
+
+@pytest.mark.parametrize("make", [
+    lambda z: series_T(1, z.order) * series_T(1, z.order).geom_inverse(),  # T/(1-T)
+    lambda z: z * (-z).exp(),
+    lambda z: z + 3 * z * z + RatSeries([0, 0, 0, F(1, 3)], z.order),
+    lambda z: 2 * z - z * z * F(1, 5),                                     # non-unit linear term
+], ids=["T/(1-T)", "z*exp(-z)", "z+3z^2+z^3/3", "2z-z^2/5"])
+def test_reversion_matches_newton_iteration(make):
+    for order in range(1, 16):
+        f = make(RatSeries.var(order))
+        assert reversion(f) == _newton_reversion(f), order
+
+
 def test_reversion_lagrange_inversion_oracle():
     """Coefficients of the inverse from the Lagrange formula
     [z^n] g = (1/n) [w^{n-1}] (w/f(w))^n, computed independently."""
@@ -196,12 +221,13 @@ def test_imp_census_series(rooted):
     assert report.passed, report.witness
 
 
-def test_imp_census_series_detects_bad_census():
-    censuses = {n: imp_census(n, False) for n in range(1, 4)}
+@pytest.mark.parametrize("rooted", [False, True])
+def test_imp_census_series_detects_bad_census(rooted):
+    censuses = {n: imp_census(n, rooted) for n in range(1, 4)}
     bad = list(censuses[3])
     bad[0] += 1
     censuses[3] = tuple(bad)
-    report = check_imp_census_series(censuses, rooted=False, order=10)
+    report = check_imp_census_series(censuses, rooted=rooted, order=10)
     assert report.passed is False
     assert report.witness
 

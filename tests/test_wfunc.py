@@ -71,6 +71,10 @@ def test_branch_cut_rejection():
     # complex values just off the cut are fine
     assert eval_W(complex(-1.0, 1e-9)).w.imag > 0
     assert eval_W(complex(-1.0, -1e-9)).w.imag < 0
+    # non-finite input is rejected, not answered with NaN
+    for z in (math.inf, -math.inf, math.nan, complex(math.nan, 1.0), complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            eval_W(z)
 
 
 def test_real_input_stays_real():
