@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .polys import FAMILIES, gen_F, gen_G, gen_H, gen_P, gen_Q, shift
+from .polys import FAMILIES, gen_F, gen_G, gen_H, gen_P, gen_Q
 from .series import series_T, series_W
 from .suite import CHECK_NAMES, SuiteConfig, run_suite
 from .trees import enumerate_greg, imp_polynomial, u_bound, unl_polynomial
@@ -92,9 +92,9 @@ def _run_polys(args, parser) -> int:
             text = "\n".join(lines) + "\n"
         _emit(text, args.out)
         return 0
-    rows = globals()[f"gen_{family.removesuffix('-shift')}"](n)  # by name: wrappers on gen_* see it
-    if family.endswith("-shift"):
-        rows = [shift(p, -1) for p in rows]
+    base = family.removesuffix("-shift")
+    gen = globals()[f"gen_{base}"]  # by name: wrappers on gen_* see it
+    rows = gen(n) if base == family else gen(n, shifted=True)
     if args.format == "text":
         text = "\n".join(str(p) for p in rows) + "\n"
     elif args.format == "json":

@@ -8,9 +8,16 @@ polynomials generated by first-order recursions of the common shape
     X_{n+1}(x) = ((2n+c) + (n+c) x) X_n(x) + (1+x)^2 X_n'(x),      X_1 = 1,
 
 with c = 2 for F, 0 for G and -1 for H (``FAMILIES`` holds each family's facts).
+Substituting x = y - 1 gives the shifted rows Y_n(y) = X_n(y-1) their own
+recursion, whose coefficients are all nonnegative:
+
+    Y_{n+1}(y) = (n + (n+c) y) Y_n(y) + y^2 Y_n'(y),                   Y_1 = 1.
+
+``gen_F/G/H(n, shifted=True)`` runs it; ``shift`` stays the exact oracle.
 
 * ``G_n`` counts rooted Greg trees with n labeled vertices by number of
-  unlabeled vertices (coefficient triangle A048160 in the OEIS).
+  unlabeled vertices (coefficient triangle A048160 in the OEIS); the
+  shifted rows G_n(x-1) and H_n(x-1) count Cayley trees by improper edges.
 * ``H_n`` counts unrooted Greg trees the same way (A048159).
 * ``F_n`` counts bi-rooted Greg trees after multiplication by (1+x)^3.
 * ``P_n`` is the derivative polynomial of the principal Lambert W branch,
@@ -232,24 +239,30 @@ def _rows(n_max: int, lin: Callable[[int], Poly], mult: Poly) -> list[Poly]:
     return out
 
 
-def _family_rows(name: str, n_max: int) -> list[Poly]:
+def _family_rows(name: str, n_max: int, shifted: bool) -> list[Poly]:
+    """Rows X_1..X_{n_max}, or with `shifted` the rows X_n(x-1) from their own recursion."""
     c = FAMILIES[name].c
+    if shifted:
+        return _rows(n_max, lambda n: Poly((n, n + c)), Poly((0, 0, 1)))
     return _rows(n_max, lambda n: Poly((2 * n + c, n + c)), Poly((1, 2, 1)))
 
 
-def gen_F(n_max: int) -> list[Poly]:
-    """F_1..F_{n_max}: derivative polynomials of 1/(1-T); deg F_n = n-1."""
-    return _family_rows("F", n_max)
+def gen_F(n_max: int, shifted: bool = False) -> list[Poly]:
+    """F_1..F_{n_max}: derivative polynomials of 1/(1-T); deg F_n = n-1.
+    With `shifted`, the rows F_n(x-1)."""
+    return _family_rows("F", n_max, shifted)
 
 
-def gen_G(n_max: int) -> list[Poly]:
-    """G_1..G_{n_max}: rooted Greg tree census polynomials; deg G_n = n-1."""
-    return _family_rows("G", n_max)
+def gen_G(n_max: int, shifted: bool = False) -> list[Poly]:
+    """G_1..G_{n_max}: rooted Greg tree census polynomials; deg G_n = n-1.
+    With `shifted`, the rows G_n(x-1)."""
+    return _family_rows("G", n_max, shifted)
 
 
-def gen_H(n_max: int) -> list[Poly]:
-    """H_1..H_{n_max}: unrooted Greg tree census polynomials; deg H_n = max(n-2, 0)."""
-    return _family_rows("H", n_max)
+def gen_H(n_max: int, shifted: bool = False) -> list[Poly]:
+    """H_1..H_{n_max}: unrooted Greg tree census polynomials; deg H_n = max(n-2, 0).
+    With `shifted`, the rows H_n(x-1)."""
+    return _family_rows("H", n_max, shifted)
 
 
 def gen_P(n_max: int) -> list[Poly]:

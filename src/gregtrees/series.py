@@ -456,26 +456,54 @@ def check_egf_theorem(
     return CheckReport.ok(name, x_samples=xs, n_max=n_max, order=order)
 
 
+def _scaled_value(p: Poly, num: int, den: int, e: int) -> int:
+    """den^e p(num/den), an integer for deg p <= e; homogeneous Horner."""
+    acc, den_k = 0, 1
+    for c in reversed(p.coeffs):
+        acc = acc * num + c * den_k
+        den_k *= den
+    return acc * den ** (e - p.degree) if p else 0
+
+
 def check_gh_functional(
     x_samples: Sequence[Fraction | int],
     order: int,
     polys: Mapping[str, Sequence[Poly]] | None = None,
 ) -> CheckReport:
-    """Tail generating functions satisfy H~ = G~ - ((1+x)/2) G~^2 at each sample."""
+    """Tail generating functions satisfy H~ = G~ - ((1+x)/2) G~^2 at each sample.
+
+    Here G~ = sum_n G_n(x) u^n/n!, so the u^n coefficient reads
+    H_n = G_n - ((1+x)/2) sum_k C(n,k) G_k G_{n-k}.  It is checked on
+    integers: at x = p/q, with g_n = q^{n-1+E} G_n(p/q) and h_n likewise,
+
+        2 q^E h_n = 2 q^E g_n - (p+q) sum_{k=1}^{n-1} C(n,k) g_k g_{n-k},
+
+    where E = max(0, deg - (n-1)) over the given rows keeps every term an
+    integer (E = 0 for the generated rows).  A failure reports the first
+    mismatching u^n coefficient as the two rationals H_n(x)/n! and
+    [u^n](G~ - ((1+x)/2) G~^2).
+    """
     g_rows = gen_G(order) if polys is None else polys["G"]
     h_rows = gen_H(order) if polys is None else polys["H"]
     name = "gh-functional"
     xs = [Fraction(x) for x in x_samples]
+    rows = [(g_rows[n - 1], h_rows[n - 1]) for n in range(1, order + 1)]
+    extra = max([0] + [r.degree - (n - 1) for n, pair in enumerate(rows, start=1) for r in pair])
     for x in xs:
-        gt = RatSeries([0] + [g_rows[n - 1](x) / math.factorial(n) for n in range(1, order + 1)])
-        ht = RatSeries([0] + [h_rows[n - 1](x) / math.factorial(n) for n in range(1, order + 1)])
-        want = gt - gt * gt * Fraction(1 + x, 2)
-        k = _first_mismatch(ht, want)
-        if k is not None:
-            return CheckReport.fail(
-                name, f"x={x}: coefficient of u^{k}: H side {ht.coeffs[k]}, G side {want.coeffs[k]}",
-                x_samples=xs, order=order,
-            )
+        p, q = x.numerator, x.denominator
+        qe = q ** extra
+        g = [0] + [_scaled_value(gr, p, q, n - 1 + extra) for n, (gr, _) in enumerate(rows, start=1)]
+        for n in range(1, order + 1):
+            conv = sum(math.comb(n, k) * g[k] * g[n - k] for k in range(1, n))
+            h = _scaled_value(rows[n - 1][1], p, q, n - 1 + extra)
+            rhs = 2 * qe * g[n] - (p + q) * conv
+            if 2 * qe * h != rhs:
+                scale = q ** (n - 1 + extra) * math.factorial(n)
+                return CheckReport.fail(
+                    name, f"x={x}: coefficient of u^{n}: H side {Fraction(h, scale)}, "
+                          f"G side {Fraction(rhs, 2 * qe * scale)}",
+                    x_samples=xs, order=order,
+                )
     return CheckReport.ok(name, x_samples=xs, order=order)
 
 

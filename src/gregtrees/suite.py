@@ -284,6 +284,7 @@ def _check_restriction(rooted: bool, n_max: int, extra: int) -> CheckReport:
     name = f"restriction-fiber-{'rooted' if rooted else 'unrooted'}"
     variant = "rooted" if rooted else "unrooted"
     trees_checked = 0
+    expected: dict[tuple[int, int, int], int] = {}   # (n, u, m) -> series prediction
     for n in range(1, n_max + 1):
         # m = n is left out: restriction to all labels is the identity
         fibers = {m: _trees.restriction_fibers(m, n, rooted)
@@ -291,7 +292,10 @@ def _check_restriction(rooted: bool, n_max: int, extra: int) -> CheckReport:
         for t in _trees.enumerate_greg(n, variant):
             for m, fiber in fibers.items():
                 got = fiber.get(t, 0)
-                want = _restriction_expected(n, t.u, variant, m)
+                key = (n, t.u, m)
+                if key not in expected:
+                    expected[key] = _restriction_expected(n, t.u, variant, m)
+                want = expected[key]
                 if got != want:
                     return CheckReport.fail(
                         name, f"tree {t}: {got} preimages at m={m}, series expects {want}",

@@ -78,12 +78,40 @@ def test_constant_terms_count_cayley_trees():
         assert H[n - 1](Fraction(0)) == Fraction(n) ** (n - 2)
 
 
-def test_shifted_G_recursion():
-    # substituting x-1 into the raising recursion leaves x^2 G~' + n(1+x) G~
-    n_max = 40
-    G = [shift(p, -1) for p in gen_G(n_max)]
+# recursion offsets c, written out here so the tests do not read FAMILIES
+OFFSETS = {"F": 2, "G": 0, "H": -1}
+
+
+@pytest.mark.parametrize("family", ["F", "G", "H"])
+def test_shifted_recursion(family):
+    # substituting x-1 into the raising recursion leaves (n + (n+c)x) X~ + x^2 X~'
+    n_max, c = 40, OFFSETS[family]
+    Y = [shift(p, -1) for p in GENERATORS[family](n_max)]
+    assert Y[0] == Poly((1,))
     for n in range(1, n_max):
-        assert G[n] == Poly((n, n)) * G[n - 1] + Poly((0, 0, 1)) * G[n - 1].derivative()
+        assert Y[n] == Poly((n, n + c)) * Y[n - 1] + Poly((0, 0, 1)) * Y[n - 1].derivative()
+
+
+@pytest.mark.parametrize("family", ["F", "G", "H"])
+def test_shifted_generator_matches_shift(family):
+    """The shifted rows from their own recursion against `shift`, the oracle."""
+    n_max = 200
+    rows = GENERATORS[family](n_max)
+    assert GENERATORS[family](n_max, shifted=True) == [shift(p, -1) for p in rows]
+
+
+@pytest.mark.parametrize("family", ["F", "G", "H"])
+def test_shifted_rows_are_nonnegative(family):
+    for n, p in enumerate(GENERATORS[family](200, shifted=True), start=1):
+        assert p and all(c >= 0 for c in p.coeffs), n
+
+
+def test_shift_stays_public():
+    import gregtrees
+
+    assert gregtrees.shift is shift
+    assert "shift" in gregtrees.__all__
+    assert shift(Poly((1, 2, 1)), -1) == Poly((0, 0, 1))
 
 
 def test_interconversion_H_to_G():

@@ -1,10 +1,12 @@
 """Exact power-series arithmetic and the series-level identity checks."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from gregtrees.polys import Poly, gen_G, gen_H
+from gregtrees.report import CheckReport
 from gregtrees.series import (
     RatSeries,
     check_basic_identities,
@@ -212,6 +214,90 @@ def test_egf_census_totals_at_x_one():
 def test_gh_functional():
     report = check_gh_functional([0, 1, 2, F(-1, 2)], 10)
     assert report.passed, report.witness
+
+
+def _fraction_gh_functional(x_samples, order, polys=None):
+    """The check as RatSeries products over Q, with no integer scaling: an
+    oracle for the integer form of `check_gh_functional`."""
+    g_rows = gen_G(order) if polys is None else polys["G"]
+    h_rows = gen_H(order) if polys is None else polys["H"]
+    xs = [F(x) for x in x_samples]
+    for x in xs:
+        gt = RatSeries([0] + [g_rows[n - 1](x) / math.factorial(n) for n in range(1, order + 1)])
+        ht = RatSeries([0] + [h_rows[n - 1](x) / math.factorial(n) for n in range(1, order + 1)])
+        want = gt - gt * gt * F(1 + x, 2)
+        k = next((i for i, (a, b) in enumerate(zip(ht.coeffs, want.coeffs)) if a != b), None)
+        if k is not None:
+            return CheckReport.fail(
+                "gh-functional",
+                f"x={x}: coefficient of u^{k}: H side {ht.coeffs[k]}, G side {want.coeffs[k]}",
+                x_samples=xs, order=order,
+            )
+    return CheckReport.ok("gh-functional", x_samples=xs, order=order)
+
+
+# the ten x samples of the exact-series bench workload, and the pole of 1/(1+x)
+GH_SAMPLES = (0, 1, 2, F(1, 2), F(-1, 2), F(3, 7), F(-2, 3), F(5, 3), F(-7, 5), F(11, 13), -1)
+GH_ORDER = 14
+
+
+def _gh_rows():
+    return {"G": gen_G(GH_ORDER), "H": gen_H(GH_ORDER)}
+
+
+def _assert_same_gh_report(samples, polys):
+    got = check_gh_functional(samples, GH_ORDER, polys=polys)
+    want = _fraction_gh_functional(samples, GH_ORDER, polys=polys)
+    assert (got.passed, got.witness, got.params) == (want.passed, want.witness, want.params)
+    assert got.to_json() == want.to_json()
+    return got
+
+
+def test_gh_functional_matches_fraction_oracle_on_clean_rows():
+    assert _assert_same_gh_report(GH_SAMPLES, None).passed
+    for x in GH_SAMPLES:
+        assert _assert_same_gh_report([x], _gh_rows()).passed
+
+
+@pytest.mark.parametrize("family", ["G", "H"])
+@pytest.mark.parametrize("row", range(1, 13))
+def test_gh_functional_matches_fraction_oracle_on_bumped_rows(family, row):
+    polys = _gh_rows()
+    polys[family][row - 1] = polys[family][row - 1] + 1
+    assert _assert_same_gh_report(GH_SAMPLES, polys).passed is False
+    for x in GH_SAMPLES:
+        _assert_same_gh_report([x], polys)
+
+
+@pytest.mark.parametrize("bump", [
+    lambda n, p: p + Poly([0] * n + [1]),          # H_n + x^n: one degree too many
+    lambda n, p: p + Poly([0] * (n + 3) + [-2]),   # H_n - 2x^(n+3)
+    lambda n, p: p + (Poly([0] * 9 + [5]) if n == 2 else 0),   # one row far above n - 1
+], ids=["+x^n", "-2x^(n+3)", "H_2+5x^9"])
+def test_gh_functional_matches_fraction_oracle_on_high_degree_rows(bump):
+    polys = _gh_rows()
+    polys["H"] = [bump(n, p) for n, p in enumerate(polys["H"], start=1)]
+    for x in GH_SAMPLES:
+        _assert_same_gh_report([x], polys)
+    polys["G"][4] = polys["G"][4] + Poly([0] * 8 + [1])   # and a G row of degree 8 at n = 5
+    for x in GH_SAMPLES:
+        _assert_same_gh_report([x], polys)
+
+
+def test_gh_functional_passes_rows_of_high_degree_that_satisfy_it():
+    """Rows of degree n+1 built to satisfy H_n = G_n - ((1+x)/2) sum C(n,k) G_k G_{n-k}
+    pass both forms; the G rows have even coefficients so every H row is integral."""
+    g_rows = [2 * Poly(range(1, n + 3)) for n in range(1, GH_ORDER + 1)]
+    h_rows = []
+    for n in range(1, GH_ORDER + 1):
+        conv = sum((math.comb(n, k) * g_rows[k - 1] * g_rows[n - k - 1] for k in range(1, n)), Poly())
+        half = Poly((1, 1)) * conv
+        assert all(c % 2 == 0 for c in half.coeffs)
+        h_rows.append(g_rows[n - 1] - Poly(c // 2 for c in half.coeffs))
+    polys = {"G": g_rows, "H": h_rows}
+    assert _assert_same_gh_report(GH_SAMPLES, polys).passed
+    h_rows[6] = h_rows[6] + Poly((0, 0, 1))
+    assert _assert_same_gh_report(GH_SAMPLES, polys).passed is False
 
 
 @pytest.mark.parametrize("rooted", [False, True])
