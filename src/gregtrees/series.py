@@ -1,10 +1,19 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated formal power series, exact over the rationals and the integers.
 
 A ``RatSeries`` holds the coefficients of z^0..z^N for an explicit
 truncation order N.  Binary operations truncate to the smaller operand
 order; composition-style operations (compose, exp, geometric inverse,
 reversion) require the inner series to vanish at 0 and raise ValueError
-otherwise.  No floating point anywhere.
+otherwise.  A product is one integer convolution over a common denominator.
+No floating point anywhere.
+
+Where every coefficient is an integer after scaling by k!, the series is an
+integer EGF vector instead: the closed-form derivative displays
+(``rhs_series``) and both sides of ``check_def_identity`` and
+``check_imp_census_series`` are built and compared on ints.  The
+``egf-theorem`` and ``reversion-lemma`` checks stay on ``RatSeries``, since
+their series are the statements under test; ``gh-functional`` is checked on
+integers at x = p/q.
 
 The checks at the bottom compare independently computed expansions of the
 tree function T (T = z e^T, T(z) = -W(-z)) and its relatives
@@ -117,20 +126,23 @@ class RatSeries:
         return (-self) + other
 
     def __mul__(self, other) -> "RatSeries":
+        """Product over one common denominator: each operand is scaled to
+        integer numerators over the lcm of its denominators, the numerators
+        are convolved as ints, and each output coefficient is reduced once."""
         if isinstance(other, (int, Fraction)):
             return RatSeries([c * other for c in self.coeffs])
         if not isinstance(other, RatSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if a:
+        a, da = _common_denominator(self.coeffs[: n + 1])
+        b, db = _common_denominator(other.coeffs[: n + 1])
+        out = [0] * (n + 1)
+        for i, x in enumerate(a):
+            if x:
                 for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return RatSeries(out)
+                    out[i + j] += x * b[j]
+        den = da * db
+        return RatSeries([Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
 
@@ -169,9 +181,10 @@ class RatSeries:
         if inner.coeffs[0] != 0:
             raise ValueError("composition requires the inner series to vanish at 0")
         n = min(self.order, inner.order)
-        acc = RatSeries.const(self.coeffs[n] if n <= self.order else 0, n)
+        inner = inner.truncate(n)
+        acc = RatSeries.const(self.coeffs[n], n)
         for k in range(n - 1, -1, -1):
-            acc = acc * inner.truncate(n) + self.coeffs[k]
+            acc = acc * inner + self.coeffs[k]
         return acc
 
     def exp(self) -> "RatSeries":
@@ -220,6 +233,12 @@ class RatSeries:
         return cls([Fraction(s) for s in data])
 
 
+def _common_denominator(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers m_k and d with cs[k] = m_k/d, d the lcm of the denominators."""
+    d = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
 # ── the tree-function family ──────────────────────────────────────────────
 
 def series_T(alpha: int, order: int) -> RatSeries:
@@ -261,6 +280,75 @@ def reversion(f: RatSeries) -> RatSeries:
     return g
 
 
+# ── integer EGF vectors ───────────────────────────────────────────────────
+#
+# A list e of ints stands for the series sum_k e[k] z^k/k!.  T, W, e^{nT},
+# (1-T)^{-k}, (1+W)^{-k} and T/(1-T) all have integer entries, so the
+# derivative displays are built on ints by binomial convolution, and the
+# n-th derivative of such a series is its vector shifted by n.
+
+def _binomial_sum(a: Sequence[int], b: Sequence[int], m: int) -> int:
+    """sum_k C(m,k) a[k] b[m-k]: entry m of the product of a and b."""
+    acc, binom = 0, 1
+    for k in range(m + 1):
+        if a[k]:
+            acc += binom * a[k] * b[m - k]
+        binom = binom * (m - k) // (k + 1)
+    return acc
+
+
+def _egf_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product, to the shorter length."""
+    return [_binomial_sum(a, b, m) for m in range(min(len(a), len(b)))]
+
+
+def _egf_exp(f: Sequence[int]) -> list[int]:
+    """exp(f) for f[0] = 0; E' = f'E gives E[m+1] = sum_k C(m,k) f[k+1] E[m-k]."""
+    df, e = f[1:], [1]
+    for m in range(len(df)):
+        e.append(_binomial_sum(df, e, m))
+    return e
+
+
+def _egf_pow(f: Sequence[int], a: int) -> list[int]:
+    """f^a for f[0] = 1 and any integer a; g'f = a f'g gives
+    g[m+1] = a sum_k C(m,k) f[k+1] g[m-k] - sum_{k<m} C(m,k) g[k+1] f[m-k]."""
+    df, g, dg = f[1:], [1], []   # dg[k] = g[k+1]
+    for m in range(len(df)):
+        dg.append(0)   # so the second sum leaves out the unknown g[m+1] f[0]
+        dg[m] = a * _binomial_sum(df, g, m) - _binomial_sum(dg, f, m)
+        g.append(dg[m])
+    return g
+
+
+def _egf_horner(p: Poly, v: Sequence[int]) -> list[int]:
+    """p(v), to the length of v."""
+    acc = [0] * len(v)
+    for c in reversed(p.coeffs):
+        acc = _egf_mul(acc, v)
+        acc[0] += c
+    return acc
+
+
+def _base_egf(family: str, order: int) -> list[int]:
+    """The series the family's n-th derivatives are taken of: W for P, else
+    T_alpha = sum_{m>=1} m^{m-alpha} z^m/m! (alpha <= 2, so only 1^{-1} = 1
+    has a negative exponent)."""
+    if family == "P":
+        return [0] + [(-m) ** (m - 1) for m in range(1, order + 1)]
+    alpha = FAMILIES[family].alpha
+    return [0] + [m ** max(m - alpha, 0) for m in range(1, order + 1)]
+
+
+def _from_egf(e: Sequence[int]) -> RatSeries:
+    return RatSeries([Fraction(c, math.factorial(k)) for k, c in enumerate(e)])
+
+
+def _egf_text(e: Sequence[int], k: int) -> str:
+    """Coefficient k of the series, as RatSeries prints it."""
+    return str(Fraction(e[k], math.factorial(k)))
+
+
 # ── closed forms of the n-th derivatives ──────────────────────────────────
 
 def _check_family(family: str) -> None:
@@ -272,6 +360,19 @@ def _gen(family: str, n_max: int) -> list[Poly]:
     return globals()[f"gen_{family}"](n_max)  # by name: wrappers on gen_* see it
 
 
+def _rhs_egf(family: str, n: int, order: int, poly: Poly) -> list[int]:
+    """Entries 0..order of the closed form of the n-th derivative (see rhs_series)."""
+    if family == "P":
+        w = _base_egf("P", order)
+        head, unit, exponent, arg = [-n * c for c in w], [1] + w[1:], 1 - 2 * n, w
+    else:
+        t = _base_egf("G", order)   # T
+        unit = [1] + [-c for c in t[1:]]   # 1 - T
+        head, exponent = [n * c for c in t], -(n + FAMILIES[family].c)
+        arg = _egf_mul(t, _egf_pow(unit, -1))   # T/(1-T)
+    return _egf_mul(_egf_mul(_egf_exp(head), _egf_pow(unit, exponent)), _egf_horner(poly, arg))
+
+
 def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> RatSeries:
     """Closed form of the n-th derivative of the family's base series.
 
@@ -280,26 +381,22 @@ def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> Rat
     H: e^{nT} (1-T)^{-(n-1)} H_n(T/(1-T))   for T_2 = T - T^2/2
     P: e^{-nW} (1+W)^{-(2n-1)} P_n(W)       for W itself
 
-    A given `poly` stands in for row n, and no row is generated.
+    A given `poly` stands in for row n, and no row is generated.  The
+    display is built on integer EGF vectors.
     """
     if n < 1:
         raise ValueError("derivative index must be >= 1")
     _check_family(family)
+    if order < 0:
+        raise ValueError("negative truncation order")
     if poly is None:
         poly = _gen(family, n)[n - 1]
-    if family == "P":
-        w = series_W(order)
-        inv = (-w).geom_inverse()  # 1/(1+W)
-        return (-n * w).exp() * inv ** (2 * n - 1) * poly(w)
-    t = series_T(1, order)
-    inv = t.geom_inverse()  # 1/(1-T)
-    ratio = t * inv  # T/(1-T)
-    return (n * t).exp() * inv ** (n + FAMILIES[family].c) * poly(ratio)
+    return _from_egf(_rhs_egf(family, n, order, poly))
 
 
-def _first_mismatch(a: RatSeries, b: RatSeries) -> int | None:
-    """Index of the first coefficient where a and b differ, over their common length."""
-    return next((i for i, (x, y) in enumerate(zip(a.coeffs, b.coeffs)) if x != y), None)
+def _first_mismatch(a: Sequence, b: Sequence) -> int | None:
+    """Index of the first entry where a and b differ, over their common length."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 
 def check_def_identity(
@@ -311,23 +408,27 @@ def check_def_identity(
     """Exact comparison of d^n/dz^n of the base series with its closed form.
 
     `polys` may inject the polynomial sequence (row n at index n-1);
-    omitted, the sequence is generated from the recursions.
+    omitted, the sequence is generated from the recursions.  Both sides are
+    integer EGF vectors: the derivative is the base vector shifted by n.
     """
     _check_family(family)
     if order < n_max + 5:
         raise ValueError(f"order {order} too small for n_max {n_max}; need order >= n_max + 5")
-    name = f"def-identity-{family}"
-    base = series_W(order) if family == "P" else series_T(FAMILIES[family].alpha, order)
     if polys is None:
         polys = _gen(family, n_max)
+    elif len(polys) < n_max:
+        raise ValueError(f"{len(polys)} rows given for n_max {n_max}")
+    name = f"def-identity-{family}"
+    base = _base_egf(family, order)
     for n in range(1, n_max + 1):
-        lhs = base.nth_derivative(n)
-        rhs = rhs_series(family, n, order, poly=polys[n - 1])
+        lhs = base[n:]
+        rhs = _rhs_egf(family, n, order - n, polys[n - 1])
         k = _first_mismatch(lhs, rhs)
         if k is not None:
             return CheckReport.fail(
                 name,
-                f"n={n}: coefficient of z^{k} differs: derivative {lhs.coeffs[k]}, closed form {rhs.coeffs[k]}",
+                f"n={n}: coefficient of z^{k} differs: derivative {_egf_text(lhs, k)}, "
+                f"closed form {_egf_text(rhs, k)}",
                 family=family, n_max=n_max, order=order,
             )
     return CheckReport.ok(name, family=family, n_max=n_max, order=order)
@@ -390,14 +491,23 @@ def _shifted_tree_series(s0: Fraction, order: int) -> RatSeries:
         s0 + sigma = (s0 + (1-s0) u) e^sigma,  sigma(0) = 0,
 
     a purely rational equation solved by series Newton; the derivative has
-    unit constant term 1 - s0 != 0 for every x != -1.
+    unit constant term 1 - s0 != 0 for every x != -1.  A step doubles the
+    number of correct coefficients, so the steps run at the precisions
+    order // 2^j in rising order (1, 3, 7, 15, 30 for order 30; 1, 2, 4,
+    ..., 32 for order 32), each at most twice the last plus one, and only
+    the last at full order.  The result is then checked at full order.
     """
-    a = RatSeries([s0, 1 - s0], order)
+    precisions, p = [], order
+    while p:
+        precisions.append(p)
+        p //= 2
     sigma = RatSeries.zero(order)
-    for _ in range(max(1, order).bit_length() + 1):
-        e = sigma.exp()
-        sigma = sigma - (sigma + s0 - a * e) * (1 - a * e).reciprocal()
-    if sigma + s0 != a * sigma.exp():
+    for p in reversed(precisions):
+        a = RatSeries([s0, 1 - s0], p)
+        sigma = RatSeries(sigma.coeffs, p)
+        e = a * sigma.exp()
+        sigma = sigma - (sigma + s0 - e) * (1 - e).reciprocal()
+    if sigma + s0 != RatSeries([s0, 1 - s0], order) * sigma.exp():
         raise ArithmeticError("shifted tree series failed to converge")  # unreachable
     return sigma
 
@@ -420,8 +530,12 @@ def check_egf_theorem(
     """
     if order is None:
         order = n_max + 2
+    if order < n_max:
+        raise ValueError(f"order {order} too small for n_max {n_max}; need order >= n_max")
     if polys is None:
         polys = {family: _gen(family, n_max) for family in FAMILIES}
+    elif any(len(polys[family]) < n_max for family in FAMILIES):
+        raise ValueError(f"fewer than n_max = {n_max} rows given")
     name = "egf-theorem"
     xs = [Fraction(x) for x in x_samples]
     for x in xs:
@@ -485,6 +599,8 @@ def check_gh_functional(
     """
     g_rows = gen_G(order) if polys is None else polys["G"]
     h_rows = gen_H(order) if polys is None else polys["H"]
+    if min(len(g_rows), len(h_rows)) < order:
+        raise ValueError(f"fewer than order = {order} rows given")
     name = "gh-functional"
     xs = [Fraction(x) for x in x_samples]
     rows = [(g_rows[n - 1], h_rows[n - 1]) for n in range(1, order + 1)]
@@ -519,19 +635,24 @@ def check_imp_census_series(
         e^{nT} (1-T)^{-(n-1)} sum_j c_j (1-T)^{-j}  =  d^n/dz^n T_2   (unrooted census)
         e^{nT} (1-T)^{-n}     sum_j c_j (1-T)^{-j}  =  d^n/dz^n T_1   (rooted census)
 
-    compared exactly to the shared truncation order.
+    compared exactly, as integer EGF vectors, to the shared truncation order.
     """
     name = f"imp-census-series-{'rooted' if rooted else 'unrooted'}"
     family = imp_family(rooted)
-    base = series_T(family.alpha, order)
+    base = _base_egf(family.name, order)
     for n in sorted(censuses):
+        if n < 1:
+            raise ValueError("derivative index must be >= 1")
+        if n > order:
+            raise ValueError(f"derivative order {n} exceeds truncation order {order}")
         # sum_j c_j (1-T)^{-j} is C(1 + T/(1-T)) for C(x) = sum_j c_j x^j
-        display = rhs_series(family.name, n, order, poly=shift(Poly(censuses[n]), 1))
-        lhs = base.nth_derivative(n)
+        display = _rhs_egf(family.name, n, order - n, shift(Poly(censuses[n]), 1))
+        lhs = base[n:]
         k = _first_mismatch(display, lhs)
         if k is not None:
             return CheckReport.fail(
-                name, f"n={n}: coefficient of z^{k}: census side {display.coeffs[k]}, derivative {lhs.coeffs[k]}",
+                name, f"n={n}: coefficient of z^{k}: census side {_egf_text(display, k)}, "
+                      f"derivative {_egf_text(lhs, k)}",
                 n_values=sorted(censuses), order=order, rooted=rooted,
             )
     return CheckReport.ok(name, n_values=sorted(censuses), order=order, rooted=rooted)

@@ -4,8 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gregtrees.polys import Poly, gen_G, gen_H
+from gregtrees.polys import FAMILIES, Poly, X, gen_F, gen_G, gen_H, gen_P, imp_family, shift
 from gregtrees.report import CheckReport
 from gregtrees.series import (
     RatSeries,
@@ -15,6 +17,7 @@ from gregtrees.series import (
     check_gh_functional,
     check_imp_census_series,
     check_reversion_lemma,
+    _shifted_tree_series,
     reversion,
     rhs_series,
     series_T,
@@ -324,3 +327,205 @@ def test_series_json_round_trip():
     assert data[3] == "3/2"
     assert RatSeries.from_json(data) == t
     assert RatSeries.from_json(RatSeries([1, F(-2, 7)]).to_json()).coeff(1) == F(-2, 7)
+
+
+# ── the integer paths against the RatSeries bodies they replaced ─────────
+
+GENS = {"F": gen_F, "G": gen_G, "H": gen_H, "P": gen_P}
+
+
+def _ratseries_rhs(family, n, order, poly=None):
+    """The closed form built from RatSeries products over Q: an oracle for
+    the integer EGF display behind `rhs_series`."""
+    if poly is None:
+        poly = GENS[family](n)[n - 1]
+    if family == "P":
+        w = series_W(order)
+        inv = (-w).geom_inverse()  # 1/(1+W)
+        return (-n * w).exp() * inv ** (2 * n - 1) * poly(w)
+    t = series_T(1, order)
+    inv = t.geom_inverse()  # 1/(1-T)
+    ratio = t * inv  # T/(1-T)
+    return (n * t).exp() * inv ** (n + FAMILIES[family].c) * poly(ratio)
+
+
+def _ratseries_def_identity(family, n_max, order, polys):
+    """`check_def_identity` with both sides as RatSeries."""
+    name = f"def-identity-{family}"
+    base = series_W(order) if family == "P" else series_T(FAMILIES[family].alpha, order)
+    for n in range(1, n_max + 1):
+        lhs = base.nth_derivative(n)
+        rhs = _ratseries_rhs(family, n, order, poly=polys[n - 1])
+        k = next((i for i, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if x != y), None)
+        if k is not None:
+            return CheckReport.fail(
+                name,
+                f"n={n}: coefficient of z^{k} differs: derivative {lhs.coeffs[k]}, closed form {rhs.coeffs[k]}",
+                family=family, n_max=n_max, order=order,
+            )
+    return CheckReport.ok(name, family=family, n_max=n_max, order=order)
+
+
+def _ratseries_imp_census_series(censuses, rooted, order):
+    """`check_imp_census_series` with both sides as RatSeries."""
+    name = f"imp-census-series-{'rooted' if rooted else 'unrooted'}"
+    family = imp_family(rooted)
+    base = series_T(family.alpha, order)
+    for n in sorted(censuses):
+        display = _ratseries_rhs(family.name, n, order, poly=shift(Poly(censuses[n]), 1))
+        lhs = base.nth_derivative(n)
+        k = next((i for i, (x, y) in enumerate(zip(display.coeffs, lhs.coeffs)) if x != y), None)
+        if k is not None:
+            return CheckReport.fail(
+                name, f"n={n}: coefficient of z^{k}: census side {display.coeffs[k]}, derivative {lhs.coeffs[k]}",
+                n_values=sorted(censuses), order=order, rooted=rooted,
+            )
+    return CheckReport.ok(name, n_values=sorted(censuses), order=order, rooted=rooted)
+
+
+def _assert_same_report(got, want):
+    assert (got.passed, got.witness, got.params) == (want.passed, want.witness, want.params)
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("family", ["F", "G", "H", "P"])
+def test_rhs_series_matches_ratseries_oracle(family):
+    for n in range(1, 9):
+        assert rhs_series(family, n, 25) == _ratseries_rhs(family, n, 25), n
+    for poly in (shift(Poly((3, -1, 2)), 1), shift(Poly((0, 0, 5)), 1), X ** 0, X ** 3, Poly()):
+        for n in (1, 2, 5):
+            assert rhs_series(family, n, 25, poly=poly) == _ratseries_rhs(family, n, 25, poly=poly)
+    for order in (0, 1, 2):
+        assert rhs_series(family, 3, order) == _ratseries_rhs(family, 3, order)
+
+
+DEF_N_MAX, DEF_ORDER = 8, 13
+
+
+@pytest.mark.parametrize("family", ["F", "G", "H", "P"])
+def test_def_identity_matches_ratseries_oracle(family):
+    rows = GENS[family](DEF_N_MAX)
+    for bumped in [None] + list(range(1, DEF_N_MAX + 1)):
+        polys = list(rows)
+        if bumped is not None:
+            polys[bumped - 1] = polys[bumped - 1] + 1
+        got = check_def_identity(family, DEF_N_MAX, DEF_ORDER, polys=polys)
+        _assert_same_report(got, _ratseries_def_identity(family, DEF_N_MAX, DEF_ORDER, polys))
+        assert got.passed is (bumped is None)
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_imp_census_series_matches_ratseries_oracle(rooted):
+    # the improper-edge census of size n is X_n(x-1)
+    rows = GENS[imp_family(rooted).name](DEF_N_MAX)
+    clean = {n: shift(rows[n - 1], -1).coeffs for n in range(1, DEF_N_MAX + 1)}
+    for bumped in [None] + list(range(1, DEF_N_MAX + 1)):
+        censuses = dict(clean)
+        if bumped is not None:
+            censuses[bumped] = (censuses[bumped][0] + 1,) + censuses[bumped][1:]
+        got = check_imp_census_series(censuses, rooted, DEF_ORDER)
+        _assert_same_report(got, _ratseries_imp_census_series(censuses, rooted, DEF_ORDER))
+        assert got.passed is (bumped is None)
+
+
+def _schoolbook_mul(a, b):
+    """The product as one Fraction product per pair of coefficients."""
+    n = min(a.order, b.order)
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return RatSeries(out)
+
+
+coefficients = st.one_of(
+    st.just(0),
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    st.fractions(max_denominator=10 ** 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=40),
+)
+series_values = st.lists(coefficients, min_size=1, max_size=14).map(RatSeries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_values, series_values)
+def test_mul_matches_schoolbook_product(a, b):
+    got = a * b
+    assert got == _schoolbook_mul(a, b)
+    assert got.order == min(a.order, b.order)
+    assert all(type(c) is F for c in got.coeffs)
+    assert b * a == got
+
+
+@settings(max_examples=50, deadline=None)
+@given(series_values, st.one_of(st.integers(-50, 50), st.fractions(max_denominator=50)))
+def test_mul_by_scalar_matches_schoolbook_product(a, c):
+    want = _schoolbook_mul(a, RatSeries([c], a.order))
+    assert a * c == want
+    assert c * a == want
+
+
+def test_compose_at_differing_orders():
+    outer = RatSeries([1, 2, F(1, 3), -4, 5])
+    inner = RatSeries([0, 1, F(-1, 2)])
+    assert outer.compose(inner) == 1 + 2 * inner + F(1, 3) * inner * inner
+    wide = RatSeries([0, 1, F(-1, 2), 7, 8, 9])
+    assert RatSeries([1, 2, F(1, 3)]).compose(wide) == 1 + 2 * inner + F(1, 3) * inner * inner
+    assert outer.compose(wide).order == 4
+
+
+def _full_order_shifted_tree_series(s0, order):
+    """Series Newton run for bit_length(order) + 1 steps, every one at full
+    order: an oracle for the precision-doubling schedule."""
+    a = RatSeries([s0, 1 - s0], order)
+    sigma = RatSeries.zero(order)
+    for _ in range(max(1, order).bit_length() + 1):
+        e = sigma.exp()
+        sigma = sigma - (sigma + s0 - a * e) * (1 - a * e).reciprocal()
+    return sigma
+
+
+@pytest.mark.parametrize("x", GH_SAMPLES[:-1], ids=str)
+def test_shifted_tree_series_matches_full_order_newton(x):
+    """Every order 0..40 against the oracle at order 40, whose solution is
+    unique and so truncates to the oracle at each lower order; that is
+    checked directly where the doubling schedule changes length."""
+    s0 = F(x) / (1 + x)
+    want = _full_order_shifted_tree_series(s0, 40)
+    for order in range(41):
+        assert _shifted_tree_series(s0, order) == want.truncate(order), order
+    for order in (0, 1, 2, 3, 4, 7, 8, 15, 16):
+        assert _full_order_shifted_tree_series(s0, order) == want.truncate(order), order
+
+
+# ── inputs outside the domain ─────────────────────────────────────────────
+
+def test_egf_theorem_needs_order_at_least_n_max():
+    with pytest.raises(ValueError, match="order"):
+        check_egf_theorem([1], 5, order=4)
+    assert check_egf_theorem([1], 5, order=5).passed
+
+
+def test_egf_theorem_rejects_short_rows():
+    polys = {"F": gen_F(5), "G": gen_G(4), "H": gen_H(5)}
+    with pytest.raises(ValueError, match="rows"):
+        check_egf_theorem([1], 5, polys=polys)
+
+
+def test_rhs_series_rejects_negative_order():
+    with pytest.raises(ValueError, match="negative"):
+        rhs_series("G", 1, -1)
+    assert rhs_series("G", 1, 0) == RatSeries([1])
+
+
+def test_def_identity_rejects_short_rows():
+    with pytest.raises(ValueError, match="rows"):
+        check_def_identity("G", 6, 20, polys=gen_G(5))
+    assert check_def_identity("G", 5, 20, polys=gen_G(5)).passed
+
+
+def test_gh_functional_rejects_short_rows():
+    with pytest.raises(ValueError, match="rows"):
+        check_gh_functional([1], 10, polys={"G": gen_G(10), "H": gen_H(9)})
+    with pytest.raises(ValueError, match="rows"):
+        check_gh_functional([1], 10, polys={"G": gen_G(9), "H": gen_H(10)})
