@@ -19,7 +19,7 @@ from fractions import Fraction
 from .polys import FAMILIES, gen_F, gen_G, gen_H, gen_P, gen_Q
 from .series import series_T, series_W
 from .suite import CHECK_NAMES, SuiteConfig, run_suite
-from .trees import enumerate_greg, imp_polynomial, u_bound, unl_polynomial
+from .trees import VARIANTS, enumerate_greg, imp_polynomial, u_bound, unl_polynomial
 from .wfunc import eval_W, nth_derivative_W
 
 _VERTEX_CAP = 11          # trees work caps at 11 total vertices
@@ -132,11 +132,11 @@ def _run_trees(args, parser) -> int:
     if n < 1:
         parser.error("N must be >= 1")
     if args.action == "census-imp":
-        if variant not in ("rooted", "unrooted"):
+        if variant not in {f.imp for f in FAMILIES.values()}:
             parser.error("census-imp applies to rooted or unrooted trees")
         if n > _IMP_CAP:
             parser.error(f"census-imp caps at n = {_IMP_CAP}")
-        counts = list(imp_polynomial(n, rooted=(variant == "rooted")).coeffs)
+        counts = list(imp_polynomial(n, rooted=VARIANTS[variant].roots > 0).coeffs)
         return _census_output(args, parser, counts, "imp",
                               {"n": n, "variant": variant, "statistic": "imp"})
     if n + u_bound(n, variant) > _VERTEX_CAP:
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_polys)
 
     p = sub.add_parser("trees", help="enumerate Greg trees or print censuses")
-    p.add_argument("variant", choices=("unrooted", "rooted", "relaxed", "birooted"))
+    p.add_argument("variant", choices=tuple(VARIANTS))
     p.add_argument("n", type=int, metavar="N")
     p.add_argument("action", choices=("list", "census-unl", "census-imp"))
     add_common(p)

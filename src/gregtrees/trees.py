@@ -2,8 +2,11 @@
 
 A Greg tree has n labeled vertices (ids 1..n) and u unlabeled vertices
 (ids n+1..n+u, interchangeable), with every unlabeled vertex of degree at
-least 3.  Root variants relax the degree rule at the root:
+least 3.  Root variants relax the degree rule at the root; ``VARIANTS``
+states each variant's rules once, as its number of root slots and the
+least degree of an unlabeled vertex in a slot:
 
+* ``unrooted``  no root;
 * ``rooted``    one root, an unlabeled root may have degree 2;
 * ``relaxed``   one root, an unlabeled root may have degree 1 or 2;
 * ``birooted``  an ordered pair of roots (coincidence allowed), each
@@ -14,7 +17,9 @@ G_n (rooted), (1+x) G_n (relaxed), (1+x)^3 F_n (bi-rooted).
 
 Two Greg trees are equal when some relabeling of the unlabeled ids maps
 one edge set (and root data) onto the other; ``GregTree.build`` stores a
-canonical form, so dataclass equality is exactly this isomorphism.
+canonical form, so dataclass equality is exactly this isomorphism.  The
+canonical form takes one walk of the tree: the sorted encoding it builds
+lists every vertex in the order that numbers the unlabeled ones.
 
 Enumeration goes through Pruefer sequences generated under multiplicity
 constraints (a vertex of degree d appears d-1 times in the sequence), so
@@ -33,7 +38,31 @@ from typing import Iterator, Sequence
 
 from .polys import Poly
 
-VARIANTS = ("unrooted", "rooted", "relaxed", "birooted")
+
+@dataclass(frozen=True)
+class Variant:
+    """Root rules of one Greg tree variant: `roots` root slots (a pair may
+    coincide), and `root_degree`, the least degree of an unlabeled vertex
+    in a slot; every other unlabeled vertex has degree at least 3."""
+
+    name: str
+    roots: int
+    root_degree: int
+
+
+VARIANTS: dict[str, Variant] = {v.name: v for v in (
+    Variant("unrooted", roots=0, root_degree=3),
+    Variant("rooted", roots=1, root_degree=2),
+    Variant("relaxed", roots=1, root_degree=1),
+    Variant("birooted", roots=2, root_degree=1),
+)}
+
+
+def _variant(name: str) -> Variant:
+    try:
+        return VARIANTS[name]
+    except KeyError:
+        raise ValueError(f"unknown variant {name!r}") from None
 
 
 # ── data types ────────────────────────────────────────────────────────────
@@ -121,23 +150,15 @@ class GregTree:
 
     def validate(self, variant: str) -> None:
         """Raise ValueError unless the degree rules of `variant` hold."""
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+        rules = _variant(variant)
+        slots = (self.root,) if self.root is not None else self.roots or ()
+        if len(slots) != rules.roots:
+            raise ValueError(f"{variant} tree needs {rules.roots} root slot(s), "
+                             f"this one has {len(slots)}")
+        least = dict.fromkeys(slots, rules.root_degree)
         deg = self.degrees()
-        if variant == "unrooted":
-            if self.root is not None or self.roots is not None:
-                raise ValueError("unrooted tree carries root data")
-            exempt: dict[int, int] = {}
-        elif variant in ("rooted", "relaxed"):
-            if self.root is None:
-                raise ValueError(f"{variant} tree lacks a root")
-            exempt = {self.root: 2 if variant == "rooted" else 1}
-        else:
-            if self.roots is None:
-                raise ValueError("bi-rooted tree lacks its root pair")
-            exempt = {self.roots[0]: 0, self.roots[1]: 0}
         for v in range(self.n + 1, self.n + self.u + 1):
-            minimum = exempt.get(v, 3)
+            minimum = least.get(v, 3)
             if deg[v] < minimum:
                 raise ValueError(f"unlabeled vertex {v} has degree {deg[v]} < {minimum}")
 
@@ -191,8 +212,10 @@ def _canonical_form(n, ids, edges, root, roots):
     root marks, and each subtree hanging off the anchor is encoded as a
     nested tuple with children sorted by encoding.  Every subtree of a
     valid Greg tree contains a labeled or root-marked vertex (unlabeled
-    non-root leaves are forbidden), so sibling encodings never tie and the
-    traversal order is well defined.
+    non-root leaves are forbidden), so sibling encodings never tie.  The
+    encoding's preorder is the canonical order: labels keep their ids,
+    unlabeled vertices take n+1, n+2, ... in turn, and marks 1 and 2 name
+    the root (or first root) and the second root.
     """
     adj: dict[int, list[int]] = {v: [] for v in ids}
     for a, b in edges:
@@ -205,33 +228,30 @@ def _canonical_form(n, ids, edges, root, roots):
         mark[roots[0]] |= 1
         mark[roots[1]] |= 2
 
-    enc: dict[int, tuple] = {}
-
     def encode(v: int, parent: int | None) -> tuple:
         subs = sorted(encode(w, v) for w in adj[v] if w != parent)
-        color = (0, v, mark[v]) if v <= n else (1, 0, mark[v])
-        enc[v] = (color, tuple(subs))
-        return enc[v]
+        return (0, v, mark[v]) if v <= n else (1, 0, mark[v]), tuple(subs)
 
-    encode(1, None)
-
-    new_id: dict[int, int] = {}
-    counter = [n]
-
-    def assign(v: int, parent: int | None) -> None:
-        if v <= n:
-            new_id[v] = v
-        else:
-            counter[0] += 1
-            new_id[v] = counter[0]
-        for w in sorted((w for w in adj[v] if w != parent), key=lambda w: enc[w]):
-            assign(w, v)
-
-    assign(1, None)
-    new_edges = _normalize_edges((new_id[a], new_id[b]) for a, b in edges)
-    new_root = new_id[root] if root is not None else None
-    new_roots = (new_id[roots[0]], new_id[roots[1]]) if roots is not None else None
-    return new_edges, new_root, new_roots
+    new_edges = []
+    first = second = None
+    counter = n
+    stack = [(encode(1, None), 0)]
+    while stack:
+        ((unlabeled, v, m), subs), parent = stack.pop()
+        if unlabeled:
+            counter += 1
+            v = counter
+        if parent:
+            new_edges.append((parent, v) if parent < v else (v, parent))
+        if m & 1:
+            first = v
+        if m & 2:
+            second = v
+        stack.extend((sub, v) for sub in reversed(subs))
+    new_edges.sort()
+    if roots is not None:
+        return tuple(new_edges), None, (first, second)
+    return tuple(new_edges), first, None
 
 
 # ── Pruefer machinery ─────────────────────────────────────────────────────
@@ -350,16 +370,13 @@ def enumerate_cayley(n: int, rooted: bool = False) -> Iterator[CayleyTree]:
 
 
 def u_bound(n: int, variant: str) -> int:
-    """Largest u with any Greg tree of the variant (census degree)."""
-    if variant == "unrooted":
-        return max(n - 2, 0)
-    if variant == "rooted":
-        return n - 1
-    if variant == "relaxed":
-        return n
-    if variant == "birooted":
-        return n + 2
-    raise ValueError(f"unknown variant {variant!r}")
+    """Largest u with any Greg tree of the variant (census degree).
+
+    The degree sum 2(n + u - 1) is at least n for the labels, 3 for each
+    unlabeled vertex outside a root slot and `root_degree` for one in a
+    slot."""
+    rules = _variant(variant)
+    return max(n - 2 + rules.roots * (3 - rules.root_degree), 0)
 
 
 def _build_canonical(n: int, u: int, edges, root=None, roots=None) -> GregTree:
@@ -370,7 +387,7 @@ def _build_canonical(n: int, u: int, edges, root=None, roots=None) -> GregTree:
     return GregTree(n=n, u=u, edges=ces, root=croot, roots=croots)
 
 
-def _greg_configs(n: int, u: int, variant: str):
+def _greg_configs(n: int, u: int, rules: Variant):
     """Degree-valid (edges, root, roots) configurations, before dedup.
 
     Edges are the (leaf, neighbour) pairs of `_prufer_pairs`.  Order:
@@ -378,32 +395,28 @@ def _greg_configs(n: int, u: int, variant: str):
     lexicographic).
     """
     k = n + u
-    slack, floor = {"unrooted": (0, 2), "rooted": (1, 1),
-                    "relaxed": (1, 0), "birooted": (2, 0)}[variant]
+    slots = rules.roots
     if k == 1:
-        if variant == "unrooted":
+        if slots == 0:
             yield (), None, None
-        elif variant in ("rooted", "relaxed"):
+        elif slots == 1:
             yield (), 1, None
         else:
             yield (), None, (1, 1)
         return
     everyone = range(1, k + 1)
-    for seq in _constrained_prufer(n, u, slack, floor):
+    for seq in _constrained_prufer(n, u, slots, max(rules.root_degree - 1, 0)):
         pairs = _prufer_pairs(seq, k)
-        # unlabeled vertices below degree 3 must be covered by root slots;
-        # a vertex of degree d appears d - 1 times in the sequence, and the
-        # floor already keeps a short vertex at the root's least degree
+        if slots == 0:
+            yield pairs, None, None
+            continue
+        # unlabeled vertices below degree 3 must fill root slots; a vertex
+        # of degree d appears d - 1 times in the sequence, and the sequence
+        # already holds at most `slots` of them, each at the least degree
         short = [v for v in range(n + 1, k + 1) if seq.count(v) < 2]
-        if variant == "unrooted":
-            if not short:
-                yield pairs, None, None
-        elif variant in ("rooted", "relaxed"):
-            if not short:
-                for r in everyone:
-                    yield pairs, r, None
-            elif len(short) == 1:
-                yield pairs, short[0], None
+        if slots == 1:
+            for r in short or everyone:
+                yield pairs, r, None
         elif not short:
             for r1 in everyone:
                 for r2 in everyone:
@@ -416,16 +429,10 @@ def _greg_configs(n: int, u: int, variant: str):
                         yield pairs, None, (s, r2)
                 else:
                     yield pairs, None, (r1, s)
-        elif len(short) == 2:
+        else:
             s1, s2 = short
             yield pairs, None, (s1, s2)
             yield pairs, None, (s2, s1)
-
-
-def _greg_candidates(n: int, u: int, variant: str) -> Iterator[GregTree]:
-    """Degree-valid (tree, root data) configurations, before dedup."""
-    for edges, root, roots in _greg_configs(n, u, variant):
-        yield _build_canonical(n, u, edges, root, roots)
 
 
 def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
@@ -443,15 +450,13 @@ def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
     """
     if n < 1:
         raise ValueError("need at least one labeled vertex")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    rules = _variant(variant)
     first, second = 1 << n, 1 << (n + 1)
-    # every mark the variant's trees carry
-    full = (first - 1) | {"unrooted": 0, "birooted": first | second}.get(variant, first)
+    full = (1 << (n + rules.roots)) - 1   # every mark the variant's trees carry
     for u in range(u_bound(n, variant) + 1):
         labels = [0] + [1 << i for i in range(n)] + [0] * u
         seen: set[tuple[int, ...]] = set()
-        for pairs, root, roots in _greg_configs(n, u, variant):
+        for pairs, root, roots in _greg_configs(n, u, rules):
             mark = labels[:]
             if root is not None:
                 mark[root] |= first
@@ -479,9 +484,7 @@ def degree_filtered_count(n: int, u: int, variant: str) -> int:
     equals u! times the number of canonical forms."""
     if n < 1 or u < 0:
         raise ValueError("need n >= 1 labeled and u >= 0 unlabeled vertices")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    return sum(1 for _ in _greg_candidates(n, u, variant))
+    return sum(1 for _ in _greg_configs(n, u, _variant(variant)))
 
 
 def unl_polynomial(n: int, variant: str = "unrooted") -> Poly:
@@ -581,12 +584,12 @@ def imp_census(n: int, rooted: bool) -> tuple[int, ...]:
 # ── restriction ───────────────────────────────────────────────────────────
 
 def restrict(x: CayleyTree, n: int) -> GregTree:
-    """Unlabel the vertices above n, then iterate until stable: smooth
-    unlabeled degree-2 vertices and prune unlabeled leaves.
+    """Unlabel the vertices above n, prune unlabeled leaves until none is
+    left, then smooth the unlabeled degree-2 vertices.
 
-    If x is rooted the root survives: an unlabeled degree-2 root is kept,
-    and pruning an unlabeled degree-1 root hands the root to its
-    neighbour.  The result is a Greg tree (rooted iff x is).
+    If x is rooted the root survives: pruning an unlabeled leaf root hands
+    the root to its neighbour, and an unlabeled degree-2 root is not
+    smoothed.  The result is a Greg tree (rooted iff x is).
     """
     if not 1 <= n < x.n:
         raise ValueError(f"need 1 <= n < {x.n}")
@@ -595,44 +598,28 @@ def restrict(x: CayleyTree, n: int) -> GregTree:
         adj[a].add(b)
         adj[b].add(a)
     root = x.root
-    while True:
-        action = None
-        for v in sorted(adj):
-            if v <= n:
-                continue
-            d = len(adj[v])
-            if v == root:
-                if d == 1:
-                    action = ("prune-root", v)
-                    break
-            elif d == 2:
-                action = ("smooth", v)
-                break
-            elif d <= 1:
-                action = ("prune", v)
-                break
-        if action is None:
-            break
-        kind, v = action
-        if kind == "smooth":
-            a, b = adj[v]
-            adj[a].discard(v)
-            adj[b].discard(v)
-            adj[a].add(b)
-            adj[b].add(a)
-            del adj[v]
-        else:
-            if kind == "prune-root":
-                (root,) = adj[v]
-            for w in adj[v]:
-                adj[w].discard(v)
-            del adj[v]
-    survivors = sorted(v for v in adj if v > n)
-    rename = {v: v for v in adj if v <= n}
-    rename.update({v: n + 1 + i for i, v in enumerate(survivors)})
-    edges = {(rename[a], rename[b]) for a in adj for b in adj[a] if a < b}
-    return GregTree.build(n, len(survivors), edges,
-                          root=rename[root] if root is not None else None)
+    # labels are never pruned, so no two unlabeled leaves are adjacent and
+    # every vertex on the worklist is still a leaf when it is popped
+    leaves = [v for v in range(n + 1, x.n + 1) if len(adj[v]) == 1]
+    while leaves:
+        v = leaves.pop()
+        (w,) = adj.pop(v)
+        adj[w].remove(v)
+        if v == root:
+            root = w
+        if w > n and len(adj[w]) == 1:
+            leaves.append(w)
+    # smoothing leaves every other degree unchanged
+    for v in [v for v in adj if v > n and v != root and len(adj[v]) == 2]:
+        a, b = adj.pop(v)
+        adj[a].remove(v)
+        adj[b].remove(v)
+        adj[a].add(b)
+        adj[b].add(a)
+    # the canonical form renumbers the surviving unlabeled ids
+    edges = [(a, b) for a in adj for b in adj[a] if a < b]
+    ces, croot, _ = _canonical_form(n, adj, edges, root, None)
+    return GregTree(n=n, u=len(adj) - n, edges=ces, root=croot)
 
 
 def restriction_fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:

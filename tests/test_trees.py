@@ -6,13 +6,17 @@ from collections import Counter
 
 import pytest
 
-from gregtrees.polys import Poly, gen_F, gen_G, gen_H, shift
+from gregtrees.polys import FAMILIES, Poly, gen_F, gen_G, gen_H, shift
 from gregtrees.trees import (
     VARIANTS,
     CayleyTree,
     GregTree,
-    _greg_candidates,
+    Variant,
+    _build_canonical,
+    _canonical_form,
+    _greg_configs,
     _imp_by_root,
+    _normalize_edges,
     degree_filtered_count,
     enumerate_cayley,
     enumerate_greg,
@@ -143,6 +147,39 @@ def test_birooted_roots_may_coincide():
     assert pair_kinds[True] >= 2  # (1,1) and one unlabeled self-pair at least
 
 
+def _u_bound_by_cases(n, variant):
+    """The per-variant formulas the table-derived bound replaced."""
+    if variant == "unrooted":
+        return max(n - 2, 0)
+    if variant == "rooted":
+        return n - 1
+    if variant == "relaxed":
+        return n
+    if variant == "birooted":
+        return n + 2
+    raise AssertionError(variant)
+
+
+def test_u_bound_matches_per_variant_formulas():
+    for variant in VARIANTS:
+        for n in range(1, 51):
+            assert u_bound(n, variant) == _u_bound_by_cases(n, variant), (variant, n)
+    with pytest.raises(ValueError, match="unknown variant"):
+        u_bound(3, "bogus")
+
+
+def test_variant_table():
+    assert list(VARIANTS) == ["unrooted", "rooted", "relaxed", "birooted"]
+    assert [(v.roots, v.root_degree) for v in VARIANTS.values()] == \
+        [(0, 3), (1, 2), (1, 1), (2, 1)]
+    assert all(isinstance(v, Variant) and v.name == name for name, v in VARIANTS.items())
+
+
+def test_every_variant_has_exactly_one_census_family():
+    counted = [v for f in FAMILIES.values() for v, _ in f.census]
+    assert sorted(counted) == sorted(VARIANTS)
+
+
 def test_u_bound_is_sharp():
     for variant in VARIANTS:
         for n in (1, 2, 3):
@@ -160,8 +197,16 @@ def test_degree_filtered_counts_are_factorial_multiples():
                     math.factorial(u) * census.get(u, 0), (variant, n, u)
 
 
-@pytest.mark.parametrize("variant, n_max", [
-    ("unrooted", 5), ("rooted", 4), ("relaxed", 4), ("birooted", 3)])
+def _greg_candidates(n, u, variant):
+    """Every degree-valid configuration, put into canonical form."""
+    for edges, root, roots in _greg_configs(n, u, VARIANTS[variant]):
+        yield _build_canonical(n, u, edges, root, roots)
+
+
+SMALL_CASES = [("unrooted", 5), ("rooted", 4), ("relaxed", 4), ("birooted", 3)]
+
+
+@pytest.mark.parametrize("variant, n_max", SMALL_CASES)
 def test_split_key_dedup_matches_canonical_dedup(variant, n_max):
     """enumerate_greg keys on split systems; canonicalizing every candidate
     and keeping first occurrences must give the same trees in the same order."""
@@ -204,20 +249,114 @@ def test_validate_rejects_wrong_shape():
         unrooted.validate("rooted")    # no root at all
 
 
+def test_validate_checks_the_root_slot_count():
+    rooted = GregTree.build(2, 1, [(1, 3), (2, 3)], root=3)
+    birooted = GregTree.build(2, 1, [(1, 3), (2, 3)], roots=(3, 3))
+    birooted.validate("birooted")
+    with pytest.raises(ValueError, match="needs 2 root slot"):
+        rooted.validate("birooted")
+    for variant in ("rooted", "relaxed"):
+        with pytest.raises(ValueError, match="needs 1 root slot"):
+            birooted.validate(variant)
+    with pytest.raises(ValueError, match="unknown variant"):
+        rooted.validate("bogus")
+
+
+def test_validate_reads_the_root_degree():
+    leaf_root = GregTree.build(1, 1, [(1, 2)], root=2)
+    leaf_root.validate("relaxed")
+    with pytest.raises(ValueError, match="degree 1 < 2"):
+        leaf_root.validate("rooted")
+    GregTree.build(1, 1, [(1, 2)], roots=(2, 1)).validate("birooted")
+
+
 # ── canonical form ───────────────────────────────────────────────────────
+
+def _two_pass_canonical_form(n, ids, edges, root, roots):
+    """The canonical form as first written: encode every subtree, then walk
+    the tree again, visiting children in the order of their encodings."""
+    adj = {v: [] for v in ids}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    mark = {v: 0 for v in ids}
+    if root is not None:
+        mark[root] |= 1
+    if roots is not None:
+        mark[roots[0]] |= 1
+        mark[roots[1]] |= 2
+    enc = {}
+
+    def encode(v, parent):
+        subs = sorted(encode(w, v) for w in adj[v] if w != parent)
+        color = (0, v, mark[v]) if v <= n else (1, 0, mark[v])
+        enc[v] = (color, tuple(subs))
+        return enc[v]
+
+    encode(1, None)
+    new_id = {}
+    counter = [n]
+
+    def assign(v, parent):
+        if v <= n:
+            new_id[v] = v
+        else:
+            counter[0] += 1
+            new_id[v] = counter[0]
+        for w in sorted((w for w in adj[v] if w != parent), key=lambda w: enc[w]):
+            assign(w, v)
+
+    assign(1, None)
+    new_edges = _normalize_edges((new_id[a], new_id[b]) for a, b in edges)
+    new_root = new_id[root] if root is not None else None
+    new_roots = (new_id[roots[0]], new_id[roots[1]]) if roots is not None else None
+    return new_edges, new_root, new_roots
+
+
+@pytest.mark.parametrize("variant, n_max", SMALL_CASES)
+def test_canonical_form_matches_two_pass_form(variant, n_max):
+    for n in range(1, n_max + 1):
+        for u in range(u_bound(n, variant) + 1):
+            ids = set(range(1, n + u + 1))
+            for edges, root, roots in _greg_configs(n, u, VARIANTS[variant]):
+                assert _canonical_form(n, ids, edges, root, roots) == \
+                    _two_pass_canonical_form(n, ids, edges, root, roots), (edges, root, roots)
+
+
+def _permuted_builds(t):
+    """GregTree.build on every relabeling of t's unlabeled ids, with the
+    edges reversed and listed backwards."""
+    ids = list(range(t.n + 1, t.n + t.u + 1))
+    for perm in itertools.permutations(ids):
+        mapping = {v: v for v in range(1, t.n + 1)}
+        mapping.update(zip(ids, perm))
+        edges = [(mapping[b], mapping[a]) for a, b in reversed(t.edges)]
+        root = mapping[t.root] if t.root is not None else None
+        roots = (mapping[t.roots[0]], mapping[t.roots[1]]) if t.roots is not None else None
+        yield GregTree.build(t.n, t.u, edges, root=root, roots=roots)
+
 
 def test_build_is_invariant_under_unlabeled_permutation():
     """Relabeling the unlabeled ids must not change the built value."""
-    for variant in ("unrooted", "rooted"):
-        for t in enumerate_greg(3, variant):
-            u = t.u
-            ids = list(range(4, 4 + u))
-            for perm in itertools.permutations(ids):
-                mapping = {v: v for v in range(1, 4)}
-                mapping.update(dict(zip(ids, perm)))
-                edges = [(mapping[a], mapping[b]) for a, b in t.edges]
-                root = mapping[t.root] if t.root is not None else None
-                assert GregTree.build(3, u, edges, root=root) == t
+    for variant, n_max in (("unrooted", 4), ("rooted", 3), ("relaxed", 3), ("birooted", 2)):
+        for n in range(1, n_max + 1):
+            for t in enumerate_greg(n, variant):
+                for built in _permuted_builds(t):
+                    assert built == t, (variant, t)
+
+
+def test_build_keeps_coincident_birooted_roots():
+    trees = [t for t in enumerate_greg(2, "birooted") if t.roots[0] == t.roots[1]]
+    assert {t.roots[0] > t.n for t in trees} == {False, True}
+    for t in trees:
+        assert all(built == t and built.roots[0] == built.roots[1]
+                   for built in _permuted_builds(t))
+    # the same unlabeled vertex as both roots, under either id
+    a = GregTree.build(2, 2, [(1, 3), (3, 4), (2, 4)], roots=(3, 3))
+    b = GregTree.build(2, 2, [(1, 4), (4, 3), (2, 3)], roots=(4, 4))
+    assert a == b and a.roots == (3, 3)
+    assert a != GregTree.build(2, 2, [(1, 3), (3, 4), (2, 4)], roots=(3, 4))
+
 
 
 def test_build_separates_distinct_structures():
@@ -306,6 +445,62 @@ def test_restrict_prunes_leaf_root_with_transfer():
 def test_restrict_transfer_can_iterate_onto_labels():
     star = CayleyTree.build(4, [(1, 2), (2, 3), (3, 4)], root=4)
     assert restrict(star, 1) == GregTree.build(1, 0, (), root=1)
+
+
+def _rescanning_restrict(x, n):
+    """restrict as first written: rescan the vertices in id order after
+    every single smooth or prune step."""
+    adj = {v: set() for v in range(1, x.n + 1)}
+    for a, b in x.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    root = x.root
+    while True:
+        action = None
+        for v in sorted(adj):
+            if v <= n:
+                continue
+            d = len(adj[v])
+            if v == root:
+                if d == 1:
+                    action = ("prune-root", v)
+                    break
+            elif d == 2:
+                action = ("smooth", v)
+                break
+            elif d <= 1:
+                action = ("prune", v)
+                break
+        if action is None:
+            break
+        kind, v = action
+        if kind == "smooth":
+            a, b = adj[v]
+            adj[a].discard(v)
+            adj[b].discard(v)
+            adj[a].add(b)
+            adj[b].add(a)
+            del adj[v]
+        else:
+            if kind == "prune-root":
+                (root,) = adj[v]
+            for w in adj[v]:
+                adj[w].discard(v)
+            del adj[v]
+    survivors = sorted(v for v in adj if v > n)
+    rename = {v: v for v in adj if v <= n}
+    rename.update({v: n + 1 + i for i, v in enumerate(survivors)})
+    edges = {(rename[a], rename[b]) for a in adj for b in adj[a] if a < b}
+    return GregTree.build(n, len(survivors), edges,
+                          root=rename[root] if root is not None else None)
+
+
+@pytest.mark.parametrize("rooted, m_max", [(False, 7), (True, 6)])
+def test_restrict_matches_rescanning_restrict(rooted, m_max):
+    for m in range(2, m_max + 1):
+        for x in enumerate_cayley(m, rooted=rooted):
+            for n in range(1, m):
+                assert restrict(x, n) == _rescanning_restrict(x, n), (x, n)
 
 
 def test_restrict_rejects_bad_index():
