@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -184,10 +183,7 @@ def _run_series(args, parser) -> int:
 # ── check ─────────────────────────────────────────────────────────────────
 
 def _run_check(args, parser) -> int:
-    profile = os.environ.get("GREGTREES_PROFILE", "default")
-    if profile not in ("default", "quick"):
-        parser.error(f"GREGTREES_PROFILE={profile!r}; valid values: default, quick")
-    config = SuiteConfig.quick() if (args.quick or profile == "quick") else SuiteConfig()
+    config = SuiteConfig.quick() if args.quick else SuiteConfig()
     if args.corrupt is not None:
         config = replace(config, corrupt=args.corrupt)
 
@@ -313,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", default="all",
                    help="check name or 'all' (default)")
     p.add_argument("--quick", action="store_true",
-                   help="reduced budgets (also via GREGTREES_PROFILE=quick)")
+                   help="reduced budgets")
     p.add_argument("--corrupt", metavar="FAMILY:ROW", default=None,
                    help="bump one stored polynomial, to see the checks catch it")
     p.add_argument("--x", action="append", metavar="RATIONAL",

@@ -12,11 +12,14 @@ least degree of an unlabeled vertex in a slot:
 * ``birooted``  an ordered pair of roots (coincidence allowed), each
                 exempt from the degree rule.
 
+A tree's ``roots`` tuple has its variant's number of root slots: entry i
+is the vertex in slot i.
+
 Census polynomials by number of unlabeled vertices: H_n (unrooted),
 G_n (rooted), (1+x) G_n (relaxed), (1+x)^3 F_n (bi-rooted).
 
 Two Greg trees are equal when some relabeling of the unlabeled ids maps
-one edge set (and root data) onto the other; ``GregTree.build`` stores a
+one edge set (and root slots) onto the other; ``GregTree.build`` stores a
 canonical form, so dataclass equality is exactly this isomorphism.  The
 canonical form takes one walk of the tree: the sorted encoding it builds
 lists every vertex in the order that numbers the unlabeled ones.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Sequence
 
 from .polys import Poly
@@ -122,24 +126,23 @@ class GregTree:
     n: int
     u: int
     edges: tuple[tuple[int, int], ...]
-    root: int | None = None
-    roots: tuple[int, int] | None = None
+    roots: tuple[int, ...] = ()
 
     @classmethod
-    def build(cls, n: int, u: int, edges, root: int | None = None,
-              roots: tuple[int, int] | None = None) -> "GregTree":
+    def build(cls, n: int, u: int, edges, roots=()) -> "GregTree":
         if n < 1 or u < 0:
             raise ValueError("need n >= 1 labeled and u >= 0 unlabeled vertices")
-        if root is not None and roots is not None:
-            raise ValueError("a tree is rooted or bi-rooted, not both")
+        roots = tuple(roots)
+        if len(roots) > 2:
+            raise ValueError(f"a tree has at most 2 root slots, got {len(roots)}")
         ids = set(range(1, n + u + 1))
         es = _normalize_edges(edges)
         _check_tree(ids, es)
-        for r in ([root] if root is not None else []) + (list(roots) if roots else []):
+        for r in roots:
             if r not in ids:
                 raise ValueError(f"root {r} is not a vertex")
-        ces, croot, croots = _canonical_form(n, ids, es, root, roots)
-        return cls(n=n, u=u, edges=ces, root=croot, roots=croots)
+        ces, croots = _canonical_form(n, ids, es, roots)
+        return cls(n=n, u=u, edges=ces, roots=croots)
 
     def degrees(self) -> dict[int, int]:
         d = {v: 0 for v in range(1, self.n + self.u + 1)}
@@ -151,11 +154,10 @@ class GregTree:
     def validate(self, variant: str) -> None:
         """Raise ValueError unless the degree rules of `variant` hold."""
         rules = _variant(variant)
-        slots = (self.root,) if self.root is not None else self.roots or ()
-        if len(slots) != rules.roots:
+        if len(self.roots) != rules.roots:
             raise ValueError(f"{variant} tree needs {rules.roots} root slot(s), "
-                             f"this one has {len(slots)}")
-        least = dict.fromkeys(slots, rules.root_degree)
+                             f"this one has {len(self.roots)}")
+        least = dict.fromkeys(self.roots, rules.root_degree)
         deg = self.degrees()
         for v in range(self.n + 1, self.n + self.u + 1):
             minimum = least.get(v, 3)
@@ -163,49 +165,51 @@ class GregTree:
                 raise ValueError(f"unlabeled vertex {v} has degree {deg[v]} < {minimum}")
 
     def to_json_dict(self) -> dict:
+        """``"root": null`` or ``"root": r`` for up to one slot,
+        ``"roots": [a, b]`` for a pair."""
         out: dict = {"n": self.n, "u": self.u}
-        if self.roots is not None:
+        if len(self.roots) == 2:
             out["roots"] = list(self.roots)
         else:
-            out["root"] = self.root
+            out["root"] = self.roots[0] if self.roots else None
         out["edges"] = [list(e) for e in self.edges]
         return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GregTree":
-        roots = tuple(data["roots"]) if "roots" in data and data["roots"] is not None else None
-        return cls.build(data["n"], data["u"], data["edges"],
-                         root=data.get("root"), roots=roots)
+        try:
+            n, u, edges = data["n"], data["u"], data["edges"]
+        except KeyError as exc:
+            raise ValueError(f"tree record lacks {exc.args[0]!r}") from None
+        root, pair = data.get("root"), data.get("roots")
+        roots = () if root is None else (root,)
+        if pair is not None:
+            if roots or len(pair) != 2:
+                raise ValueError('a tree record gives one "root" or a "roots" pair')
+            roots = tuple(pair)
+        return cls.build(n, u, edges, roots=roots)
 
     def to_text(self) -> str:
-        """Header line "n u root" followed by one "a b" line per edge."""
-        if self.roots is not None:
-            r = f"{self.roots[0]},{self.roots[1]}"
-        elif self.root is not None:
-            r = str(self.root)
-        else:
-            r = "-"
-        lines = [f"{self.n} {self.u} {r}"]
+        """Header line "n u roots" (slots joined by commas, "-" for none)
+        followed by one "a b" line per edge."""
+        lines = [f"{self.n} {self.u} {','.join(map(str, self.roots)) or '-'}"]
         lines += [f"{a} {b}" for a, b in self.edges]
         return "\n".join(lines)
 
     @classmethod
     def from_text(cls, text: str) -> "GregTree":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("tree text has no header line")
         n_s, u_s, r_s = lines[0].split()
-        root = roots = None
-        if "," in r_s:
-            a, b = r_s.split(",")
-            roots = (int(a), int(b))
-        elif r_s != "-":
-            root = int(r_s)
+        roots = () if r_s == "-" else tuple(map(int, r_s.split(",")))
         edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
-        return cls.build(int(n_s), int(u_s), edges, root=root, roots=roots)
+        return cls.build(int(n_s), int(u_s), edges, roots=roots)
 
 
 # ── canonical form ────────────────────────────────────────────────────────
 
-def _canonical_form(n, ids, edges, root, roots):
+def _canonical_form(n, ids, edges, roots):
     """Deterministic relabeling of the unlabeled ids, anchored at vertex 1.
 
     Vertices are colored (label for ids <= n, a shared color above) plus
@@ -214,19 +218,16 @@ def _canonical_form(n, ids, edges, root, roots):
     valid Greg tree contains a labeled or root-marked vertex (unlabeled
     non-root leaves are forbidden), so sibling encodings never tie.  The
     encoding's preorder is the canonical order: labels keep their ids,
-    unlabeled vertices take n+1, n+2, ... in turn, and marks 1 and 2 name
-    the root (or first root) and the second root.
+    unlabeled vertices take n+1, n+2, ... in turn, and mark bit i names
+    root slot i.  Returns the edges and the root slots.
     """
     adj: dict[int, list[int]] = {v: [] for v in ids}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
     mark = {v: 0 for v in ids}
-    if root is not None:
-        mark[root] |= 1
-    if roots is not None:
-        mark[roots[0]] |= 1
-        mark[roots[1]] |= 2
+    for i, r in enumerate(roots):
+        mark[r] |= 1 << i
 
     def encode(v: int, parent: int | None) -> tuple:
         subs = sorted(encode(w, v) for w in adj[v] if w != parent)
@@ -249,9 +250,7 @@ def _canonical_form(n, ids, edges, root, roots):
             second = v
         stack.extend((sub, v) for sub in reversed(subs))
     new_edges.sort()
-    if roots is not None:
-        return tuple(new_edges), None, (first, second)
-    return tuple(new_edges), first, None
+    return tuple(new_edges), (first, second)[:len(roots)]
 
 
 # ── Pruefer machinery ─────────────────────────────────────────────────────
@@ -379,16 +378,15 @@ def u_bound(n: int, variant: str) -> int:
     return max(n - 2 + rules.roots * (3 - rules.root_degree), 0)
 
 
-def _build_canonical(n: int, u: int, edges, root=None, roots=None) -> GregTree:
+def _build_canonical(n: int, u: int, edges, roots=()) -> GregTree:
     # for Pruefer-decoded candidates: skip the structural check, keep the
     # canonical relabeling
-    ids = set(range(1, n + u + 1))
-    ces, croot, croots = _canonical_form(n, ids, edges, root, roots)
-    return GregTree(n=n, u=u, edges=ces, root=croot, roots=croots)
+    ces, croots = _canonical_form(n, set(range(1, n + u + 1)), edges, roots)
+    return GregTree(n=n, u=u, edges=ces, roots=croots)
 
 
 def _greg_configs(n: int, u: int, rules: Variant):
-    """Degree-valid (edges, root, roots) configurations, before dedup.
+    """Degree-valid (edges, roots) configurations, before dedup.
 
     Edges are the (leaf, neighbour) pairs of `_prufer_pairs`.  Order:
     lexicographic Pruefer, then root choices ascending (root pairs
@@ -397,18 +395,13 @@ def _greg_configs(n: int, u: int, rules: Variant):
     k = n + u
     slots = rules.roots
     if k == 1:
-        if slots == 0:
-            yield (), None, None
-        elif slots == 1:
-            yield (), 1, None
-        else:
-            yield (), None, (1, 1)
+        yield (), (1,) * slots
         return
     everyone = range(1, k + 1)
     for seq in _constrained_prufer(n, u, slots, max(rules.root_degree - 1, 0)):
         pairs = _prufer_pairs(seq, k)
         if slots == 0:
-            yield pairs, None, None
+            yield pairs, ()
             continue
         # unlabeled vertices below degree 3 must fill root slots; a vertex
         # of degree d appears d - 1 times in the sequence, and the sequence
@@ -416,23 +409,23 @@ def _greg_configs(n: int, u: int, rules: Variant):
         short = [v for v in range(n + 1, k + 1) if seq.count(v) < 2]
         if slots == 1:
             for r in short or everyone:
-                yield pairs, r, None
+                yield pairs, (r,)
         elif not short:
             for r1 in everyone:
                 for r2 in everyone:
-                    yield pairs, None, (r1, r2)
+                    yield pairs, (r1, r2)
         elif len(short) == 1:
             (s,) = short
             for r1 in everyone:
                 if r1 == s:
                     for r2 in everyone:
-                        yield pairs, None, (s, r2)
+                        yield pairs, (s, r2)
                 else:
-                    yield pairs, None, (r1, s)
+                    yield pairs, (r1, s)
         else:
             s1, s2 = short
-            yield pairs, None, (s1, s2)
-            yield pairs, None, (s2, s1)
+            yield pairs, (s1, s2)
+            yield pairs, (s2, s1)
 
 
 def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
@@ -441,9 +434,9 @@ def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
     Order: u ascending, then lexicographic Pruefer, then root choices.
 
     A configuration is kept on the first occurrence of its split system,
-    and only then canonicalized.  Marks are bits: label i is bit i - 1, the
-    root (or first root) bit n, the second root bit n + 1.  The key is the
-    sorted tuple of the marks on the side of each edge away from vertex 1.
+    and only then canonicalized.  Marks are bits: label i is bit i - 1, root
+    slot i bit n + i.  The key is the sorted tuple of the marks on the side
+    of each edge away from vertex 1.
     Every vertex of degree <= 2 carries a mark (an unlabeled one is a
     root), and such a tree is fixed up to isomorphism by its splits
     (Buneman 1971; Semple & Steel, Phylogenetics, 2003, ch. 3).
@@ -451,18 +444,15 @@ def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
     if n < 1:
         raise ValueError("need at least one labeled vertex")
     rules = _variant(variant)
-    first, second = 1 << n, 1 << (n + 1)
+    slot_bits = [1 << (n + i) for i in range(rules.roots)]
     full = (1 << (n + rules.roots)) - 1   # every mark the variant's trees carry
     for u in range(u_bound(n, variant) + 1):
         labels = [0] + [1 << i for i in range(n)] + [0] * u
         seen: set[tuple[int, ...]] = set()
-        for pairs, root, roots in _greg_configs(n, u, rules):
+        for pairs, roots in _greg_configs(n, u, rules):
             mark = labels[:]
-            if root is not None:
-                mark[root] |= first
-            elif roots is not None:
-                mark[roots[0]] |= first
-                mark[roots[1]] |= second
+            for r, bit in zip(roots, slot_bits):
+                mark[r] |= bit
             # pairs hang from vertex n + u, leaves first: a leaf's marks
             # are complete when its edge comes up, and the side away from
             # vertex 1 is the complement whenever that side holds label 1
@@ -475,7 +465,7 @@ def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
             key = tuple(below)
             if key not in seen:
                 seen.add(key)
-                yield _build_canonical(n, u, pairs, root, roots)
+                yield _build_canonical(n, u, pairs, roots)
 
 
 def degree_filtered_count(n: int, u: int, variant: str) -> int:
@@ -490,11 +480,14 @@ def degree_filtered_count(n: int, u: int, variant: str) -> int:
 def unl_polynomial(n: int, variant: str = "unrooted") -> Poly:
     """Census polynomial: coefficient of x^u counts Greg trees with u
     unlabeled vertices."""
-    counts = Counter(t.u for t in enumerate_greg(n, variant))
-    size = max(counts) + 1 if counts else 0
-    coeffs = [0] * size
-    for u, c in counts.items():
-        coeffs[u] = c
+    return _census(Counter(t.u for t in enumerate_greg(n, variant)))
+
+
+def _census(counts: Counter[int]) -> Poly:
+    """Polynomial with coefficient counts[j] at x^j."""
+    coeffs = [0] * (max(counts) + 1 if counts else 0)
+    for j, c in counts.items():
+        coeffs[j] = c
     return Poly(coeffs)
 
 
@@ -560,20 +553,24 @@ def _imp_by_root(t: CayleyTree) -> list[int]:
     return out[1:]
 
 
+@cache
+def _imp_polynomials(n: int) -> tuple[Poly, Poly]:
+    """The unrooted and the rooted improper-edge census, from one walk of
+    each unrooted tree (`_imp_by_root`): the rooted census takes its imp at
+    every root, the unrooted one at root 1 only."""
+    unrooted: Counter[int] = Counter()
+    rooted: Counter[int] = Counter()
+    for t in enumerate_cayley(n):
+        by_root = _imp_by_root(t)
+        unrooted[by_root[0]] += 1
+        rooted.update(by_root)
+    return _census(unrooted), _census(rooted)
+
+
 def imp_polynomial(n: int, rooted: bool = True) -> Poly:
     """Improper-edge census: sum of x^imp over rooted Cayley trees, or over
-    unrooted trees rooted at label 1.  Equals G_n(x-1) resp. H_n(x-1).
-
-    Both walk each unrooted tree once (`_imp_by_root`); the rooted census
-    takes its imp at every root, the unrooted one at root 1 only."""
-    roots = n if rooted else 1
-    counts: Counter[int] = Counter()
-    for t in enumerate_cayley(n):
-        counts.update(_imp_by_root(t)[:roots])
-    coeffs = [0] * (max(counts) + 1)
-    for j, c in counts.items():
-        coeffs[j] = c
-    return Poly(coeffs)
+    unrooted trees rooted at label 1.  Equals G_n(x-1) resp. H_n(x-1)."""
+    return _imp_polynomials(n)[bool(rooted)]
 
 
 def imp_census(n: int, rooted: bool) -> tuple[int, ...]:
@@ -618,8 +615,8 @@ def restrict(x: CayleyTree, n: int) -> GregTree:
         adj[b].add(a)
     # the canonical form renumbers the surviving unlabeled ids
     edges = [(a, b) for a in adj for b in adj[a] if a < b]
-    ces, croot, _ = _canonical_form(n, adj, edges, root, None)
-    return GregTree(n=n, u=len(adj) - n, edges=ces, root=croot)
+    ces, croots = _canonical_form(n, adj, edges, (root,) if root else ())
+    return GregTree(n=n, u=len(adj) - n, edges=ces, roots=croots)
 
 
 def restriction_fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
@@ -635,10 +632,10 @@ def restriction_census(t: GregTree, m_max: int) -> list[int]:
     """Entry for each m = t.n..m_max: how many Cayley trees of size m
     (rooted iff t is) restrict to t.  The m = t.n entry uses the identity
     convention restrict(X, n) = X, so it is 1 exactly when t.u = 0."""
-    if t.roots is not None:
+    if len(t.roots) > 1:
         raise ValueError("restriction fibers are defined for unrooted and rooted trees")
     n = t.n
-    rooted = t.root is not None
+    rooted = len(t.roots) == 1
     out = []
     for m in range(n, m_max + 1):
         if m == n:

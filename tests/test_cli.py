@@ -22,6 +22,11 @@ def run(capsys, *argv):
 
 # ── frozen text outputs ───────────────────────────────────────────────────
 
+def _indented(payload) -> str:
+    """The CLI's JSON layout: two-space indent, one trailing newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
 FROZEN = [
     (("polys", "G", "3"), "1\nx+2\n3x^2+10x+9\n"),
     (("polys", "H-shift", "4", "--format", "bfile"),
@@ -36,6 +41,31 @@ FROZEN = [
      "3 0 -\n1 2\n2 3\n\n"
      "3 0 -\n1 3\n2 3\n\n"
      "3 1 -\n1 4\n2 4\n3 4\n"),
+    # one serializer per root-slot count: none, one, a pair
+    (("trees", "relaxed", "1", "list"), "1 0 1\n\n1 1 2\n1 2\n"),
+    (("trees", "birooted", "1", "list"),
+     "1 0 1,1\n\n"
+     "1 1 1,2\n1 2\n\n"
+     "1 1 2,1\n1 2\n\n"
+     "1 1 2,2\n1 2\n\n"
+     "1 2 2,3\n1 2\n1 3\n\n"
+     "1 2 2,3\n1 2\n2 3\n\n"
+     "1 2 3,2\n1 2\n2 3\n\n"
+     "1 3 3,4\n1 2\n2 3\n2 4\n"),
+    (("trees", "relaxed", "1", "list", "--format", "json"),
+     _indented([{"n": 1, "u": 0, "root": 1, "edges": []},
+                {"n": 1, "u": 1, "root": 2, "edges": [[1, 2]]}])),
+    (("trees", "birooted", "1", "list", "--format", "json"),
+     _indented([{"n": 1, "u": 0, "roots": [1, 1], "edges": []},
+                {"n": 1, "u": 1, "roots": [1, 2], "edges": [[1, 2]]},
+                {"n": 1, "u": 1, "roots": [2, 1], "edges": [[1, 2]]},
+                {"n": 1, "u": 1, "roots": [2, 2], "edges": [[1, 2]]},
+                {"n": 1, "u": 2, "roots": [2, 3], "edges": [[1, 2], [1, 3]]},
+                {"n": 1, "u": 2, "roots": [2, 3], "edges": [[1, 2], [2, 3]]},
+                {"n": 1, "u": 2, "roots": [3, 2], "edges": [[1, 2], [2, 3]]},
+                {"n": 1, "u": 3, "roots": [3, 4], "edges": [[1, 2], [2, 3], [2, 4]]}])),
+    (("trees", "unrooted", "2", "list", "--format", "json"),
+     _indented([{"n": 2, "u": 0, "root": None, "edges": [[1, 2]]}])),
 ]
 
 
@@ -134,15 +164,10 @@ def test_check_quick_all(capsys):
     assert out.splitlines()[-1] == "25 passed, 0 failed, 0 skipped"
 
 
-def test_profile_env(capsys, monkeypatch):
-    monkeypatch.setenv("GREGTREES_PROFILE", "quick")
-    code, out, _ = run(capsys, "check", "golden", "--format", "json")
+def test_quick_budget(capsys):
+    code, out, _ = run(capsys, "check", "golden", "--quick", "--format", "json")
     assert code == 0
     assert json.loads(out)["budget"]["halfplane_samples"] == 200
-    monkeypatch.setenv("GREGTREES_PROFILE", "bogus")
-    code, _, err = run(capsys, "check", "golden")
-    assert code == 2
-    assert "GREGTREES_PROFILE" in err
 
 
 # ── usage errors exit 2 ───────────────────────────────────────────────────

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import gregtrees.trees as trees_module
 from gregtrees.polys import FAMILIES, Poly, gen_F, gen_G, gen_H, shift
 from gregtrees.trees import (
     VARIANTS,
@@ -16,6 +17,7 @@ from gregtrees.trees import (
     _canonical_form,
     _greg_configs,
     _imp_by_root,
+    _imp_polynomials,
     _normalize_edges,
     degree_filtered_count,
     enumerate_cayley,
@@ -114,7 +116,7 @@ def test_size3_trees_are_three_paths_and_one_star():
 def test_size2_rooted_trees():
     trees = list(enumerate_greg(2, "rooted"))
     assert len(trees) == 3
-    assert {(t.u, t.root) for t in trees} == {(0, 1), (0, 2), (1, 3)}
+    assert {(t.u, t.roots) for t in trees} == {(0, (1,)), (0, (2,)), (1, (3,))}
     unl_root = [t for t in trees if t.u == 1][0]
     assert unl_root.edges == ((1, 3), (2, 3))  # degree-2 unlabeled root in the middle
 
@@ -199,8 +201,8 @@ def test_degree_filtered_counts_are_factorial_multiples():
 
 def _greg_candidates(n, u, variant):
     """Every degree-valid configuration, put into canonical form."""
-    for edges, root, roots in _greg_configs(n, u, VARIANTS[variant]):
-        yield _build_canonical(n, u, edges, root, roots)
+    for edges, roots in _greg_configs(n, u, VARIANTS[variant]):
+        yield _build_canonical(n, u, edges, roots)
 
 
 SMALL_CASES = [("unrooted", 5), ("rooted", 4), ("relaxed", 4), ("birooted", 3)]
@@ -238,7 +240,7 @@ def test_enumeration_validates_and_is_distinct():
 
 
 def test_validate_rejects_wrong_shape():
-    t = GregTree.build(2, 1, [(1, 3), (2, 3)], root=3)
+    t = GregTree.build(2, 1, [(1, 3), (2, 3)], roots=(3,))
     t.validate("rooted")
     with pytest.raises(ValueError):
         t.validate("unrooted")   # carries a root
@@ -250,7 +252,7 @@ def test_validate_rejects_wrong_shape():
 
 
 def test_validate_checks_the_root_slot_count():
-    rooted = GregTree.build(2, 1, [(1, 3), (2, 3)], root=3)
+    rooted = GregTree.build(2, 1, [(1, 3), (2, 3)], roots=(3,))
     birooted = GregTree.build(2, 1, [(1, 3), (2, 3)], roots=(3, 3))
     birooted.validate("birooted")
     with pytest.raises(ValueError, match="needs 2 root slot"):
@@ -263,7 +265,7 @@ def test_validate_checks_the_root_slot_count():
 
 
 def test_validate_reads_the_root_degree():
-    leaf_root = GregTree.build(1, 1, [(1, 2)], root=2)
+    leaf_root = GregTree.build(1, 1, [(1, 2)], roots=(2,))
     leaf_root.validate("relaxed")
     with pytest.raises(ValueError, match="degree 1 < 2"):
         leaf_root.validate("rooted")
@@ -313,14 +315,23 @@ def _two_pass_canonical_form(n, ids, edges, root, roots):
     return new_edges, new_root, new_roots
 
 
+def _two_pass_slots(n, ids, edges, slots):
+    """Adapter: the two-pass form on a root-slot tuple, which it takes and
+    gives as a root (one slot) or a root pair (two slots)."""
+    root = slots[0] if len(slots) == 1 else None
+    pair = slots if len(slots) == 2 else None
+    new_edges, new_root, new_roots = _two_pass_canonical_form(n, ids, edges, root, pair)
+    return new_edges, new_roots or ((new_root,) if new_root is not None else ())
+
+
 @pytest.mark.parametrize("variant, n_max", SMALL_CASES)
 def test_canonical_form_matches_two_pass_form(variant, n_max):
     for n in range(1, n_max + 1):
         for u in range(u_bound(n, variant) + 1):
             ids = set(range(1, n + u + 1))
-            for edges, root, roots in _greg_configs(n, u, VARIANTS[variant]):
-                assert _canonical_form(n, ids, edges, root, roots) == \
-                    _two_pass_canonical_form(n, ids, edges, root, roots), (edges, root, roots)
+            for edges, roots in _greg_configs(n, u, VARIANTS[variant]):
+                assert _canonical_form(n, ids, edges, roots) == \
+                    _two_pass_slots(n, ids, edges, roots), (edges, roots)
 
 
 def _permuted_builds(t):
@@ -331,9 +342,7 @@ def _permuted_builds(t):
         mapping = {v: v for v in range(1, t.n + 1)}
         mapping.update(zip(ids, perm))
         edges = [(mapping[b], mapping[a]) for a, b in reversed(t.edges)]
-        root = mapping[t.root] if t.root is not None else None
-        roots = (mapping[t.roots[0]], mapping[t.roots[1]]) if t.roots is not None else None
-        yield GregTree.build(t.n, t.u, edges, root=root, roots=roots)
+        yield GregTree.build(t.n, t.u, edges, roots=[mapping[r] for r in t.roots])
 
 
 def test_build_is_invariant_under_unlabeled_permutation():
@@ -357,8 +366,6 @@ def test_build_keeps_coincident_birooted_roots():
     assert a == b and a.roots == (3, 3)
     assert a != GregTree.build(2, 2, [(1, 3), (3, 4), (2, 4)], roots=(3, 4))
 
-
-
 def test_build_separates_distinct_structures():
     a = GregTree.build(4, 1, [(1, 5), (2, 5), (3, 5), (3, 4)])
     b = GregTree.build(4, 1, [(1, 5), (2, 5), (4, 5), (3, 4)])
@@ -380,10 +387,22 @@ def test_build_normalizes_unlabeled_ids_freshly():
 def test_greg_build_validation():
     with pytest.raises(ValueError):
         GregTree.build(2, 1, [(1, 2)])  # edge count off
-    with pytest.raises(ValueError):
-        GregTree.build(1, 0, (), root=1, roots=(1, 1))  # both root kinds
-    with pytest.raises(ValueError):
-        GregTree.build(2, 0, [(1, 2)], root=5)
+    with pytest.raises(ValueError, match="at most 2 root slots"):
+        GregTree.build(2, 0, [(1, 2)], roots=(1, 2, 1))
+    with pytest.raises(ValueError, match="root 5 is not a vertex"):
+        GregTree.build(2, 0, [(1, 2)], roots=(5,))
+    with pytest.raises(ValueError, match="root 3 is not a vertex"):
+        GregTree.build(2, 0, [(1, 2)], roots=(1, 3))
+
+
+def test_build_keeps_one_entry_per_root_slot():
+    assert GregTree.build(2, 0, [(1, 2)]).roots == ()
+    assert GregTree.build(2, 0, [(1, 2)], roots=(2,)).roots == (2,)
+    assert GregTree.build(2, 0, [(1, 2)], roots=[2, 1]).roots == (2, 1)
+    # slot i of the input is slot i of the canonical form
+    t = GregTree.build(2, 2, [(1, 4), (4, 3), (2, 3)], roots=(2, 4))
+    assert t.roots == (2, 3)
+    assert GregTree.build(2, 2, [(1, 4), (4, 3), (2, 3)], roots=(4, 2)).roots == (3, 2)
 
 
 # ── improper edges ───────────────────────────────────────────────────────
@@ -417,6 +436,27 @@ def test_imp_polynomial_equals_shifted_family(rooted, family):
         assert imp_polynomial(n, rooted) == shift(rows[n - 1], -1), n
 
 
+def test_imp_censuses_share_one_walk(monkeypatch):
+    """The rooted and the unrooted census come from one pass over the
+    unrooted Cayley trees, and each is still its shifted family row."""
+    calls = []
+    real = trees_module.enumerate_cayley
+
+    def counted(n, rooted=False):
+        calls.append((n, rooted))
+        return real(n, rooted)
+
+    monkeypatch.setattr(trees_module, "enumerate_cayley", counted)
+    _imp_polynomials.cache_clear()
+    try:
+        rooted, unrooted = imp_polynomial(5, True), imp_polynomial(5, False)
+        assert calls == [(5, False)]
+        assert imp_polynomial(5, rooted=1) == rooted and imp_polynomial(5, rooted=0) == unrooted
+        assert rooted == shift(gen_G(5)[4], -1) and unrooted == shift(gen_H(5)[4], -1)
+    finally:
+        _imp_polynomials.cache_clear()
+
+
 # ── restriction ──────────────────────────────────────────────────────────
 
 def test_restrict_ten_vertex_example():
@@ -434,17 +474,17 @@ def test_restrict_collapses_to_cayley():
 
 def test_restrict_unlabeled_root_degree2_survives():
     t = CayleyTree.build(3, [(1, 3), (2, 3)], root=3)
-    assert restrict(t, 2) == GregTree.build(2, 1, [(1, 3), (2, 3)], root=3)
+    assert restrict(t, 2) == GregTree.build(2, 1, [(1, 3), (2, 3)], roots=(3,))
 
 
 def test_restrict_prunes_leaf_root_with_transfer():
     chain = CayleyTree.build(5, [(1, 2), (2, 3), (3, 4), (4, 5)], root=5)
-    assert restrict(chain, 2) == GregTree.build(2, 0, [(1, 2)], root=2)
+    assert restrict(chain, 2) == GregTree.build(2, 0, [(1, 2)], roots=(2,))
 
 
 def test_restrict_transfer_can_iterate_onto_labels():
     star = CayleyTree.build(4, [(1, 2), (2, 3), (3, 4)], root=4)
-    assert restrict(star, 1) == GregTree.build(1, 0, (), root=1)
+    assert restrict(star, 1) == GregTree.build(1, 0, (), roots=(1,))
 
 
 def _rescanning_restrict(x, n):
@@ -491,8 +531,9 @@ def _rescanning_restrict(x, n):
     rename = {v: v for v in adj if v <= n}
     rename.update({v: n + 1 + i for i, v in enumerate(survivors)})
     edges = {(rename[a], rename[b]) for a in adj for b in adj[a] if a < b}
+    # adapter: the one root, if any, becomes the one root slot
     return GregTree.build(n, len(survivors), edges,
-                          root=rename[root] if root is not None else None)
+                          roots=(rename[root],) if root is not None else ())
 
 
 @pytest.mark.parametrize("rooted, m_max", [(False, 7), (True, 6)])
@@ -516,7 +557,7 @@ def test_restriction_census_frozen_values():
     assert restriction_census(edge, 4) == [1, 3, 16]
     star = GregTree.build(3, 1, [(4, 1), (4, 2), (4, 3)])
     assert restriction_census(star, 4) == [0, 1]
-    rooted_mid = GregTree.build(2, 1, [(1, 3), (2, 3)], root=3)
+    rooted_mid = GregTree.build(2, 1, [(1, 3), (2, 3)], roots=(3,))
     assert restriction_census(rooted_mid, 3) == [0, 1]
 
 
@@ -530,9 +571,9 @@ def test_rooted_restriction_fibers_cover_everything():
     # every rooted tree of size 3 restricts to exactly one class over n=2
     fibers = Counter(restrict(x, 2) for x in enumerate_cayley(3, rooted=True))
     assert sum(fibers.values()) == 9
-    assert fibers[GregTree.build(2, 0, [(1, 2)], root=1)] == 4
-    assert fibers[GregTree.build(2, 0, [(1, 2)], root=2)] == 4
-    assert fibers[GregTree.build(2, 1, [(1, 3), (2, 3)], root=3)] == 1
+    assert fibers[GregTree.build(2, 0, [(1, 2)], roots=(1,))] == 4
+    assert fibers[GregTree.build(2, 0, [(1, 2)], roots=(2,))] == 4
+    assert fibers[GregTree.build(2, 1, [(1, 3), (2, 3)], roots=(3,))] == 1
 
 
 # ── serialization ────────────────────────────────────────────────────────
@@ -540,6 +581,11 @@ def test_rooted_restriction_fibers_cover_everything():
 def test_tree_text_round_trip():
     for t in enumerate_greg(3, "rooted"):
         assert GregTree.from_text(t.to_text()) == t
+    for variant, rules in VARIANTS.items():
+        for t in enumerate_greg(2, variant):
+            slots = t.to_text().splitlines()[0].split()[2]
+            assert slots.count(",") == max(rules.roots - 1, 0), slots
+            assert GregTree.from_text(t.to_text()) == t
     unrooted = GregTree.build(3, 1, [(1, 4), (2, 4), (3, 4)])
     assert unrooted.to_text() == "3 1 -\n1 4\n2 4\n3 4"
     birooted = GregTree.build(1, 1, [(1, 2)], roots=(1, 2))
@@ -551,6 +597,35 @@ def test_tree_json_round_trip():
     for variant in VARIANTS:
         for t in enumerate_greg(2, variant):
             assert GregTree.from_json_dict(t.to_json_dict()) == t
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "2 0\n1 2", "2 0 1 2\n1 2",
+                                  "2 0 x\n1 2", "2 0 1,\n1 2", "2 0 1,2,1\n1 2",
+                                  "2 0 -\n1 2 3"])
+def test_from_text_rejects_malformed_input(text):
+    with pytest.raises(ValueError):
+        GregTree.from_text(text)
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 2},
+    {"u": 0, "root": None, "edges": [[1, 2]]},
+    {"n": 2, "u": 0, "root": 1},
+    {"n": 2, "u": 0, "root": 1, "roots": [1, 2], "edges": [[1, 2]]},
+    {"n": 2, "u": 0, "roots": [1], "edges": [[1, 2]]},
+    {"n": 2, "u": 0, "roots": [1, 2, 1], "edges": [[1, 2]]},
+], ids=["edges-and-u-missing", "n-missing", "edges-missing", "root-and-roots",
+        "short-pair", "long-pair"])
+def test_from_json_dict_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        GregTree.from_json_dict(data)
+
+
+def test_from_json_dict_reads_null_roots_as_absent():
+    edge = GregTree.build(2, 0, [(1, 2)])
+    assert GregTree.from_json_dict({"n": 2, "u": 0, "root": None, "roots": None,
+                                    "edges": [[1, 2]]}) == edge
+    assert GregTree.from_json_dict({"n": 2, "u": 0, "edges": [[1, 2]]}) == edge
 
 
 def test_cayley_json_shape():
