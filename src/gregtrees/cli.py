@@ -69,6 +69,18 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _json_rows(rows) -> str:
+    """``_json_text([p.to_json() for p in rows])`` for a nonempty list of
+    rows, joined by hand: with ``indent`` the json module runs its
+    pure-Python encoder.  Decimal strings need no escaping, and the table
+    is built by one join over one string per row."""
+    lines = ['[\n    "' + '",\n    "'.join(map(str, p.coeffs)) + '"\n  ]' if p else "[]"
+             for p in rows]
+    lines[0] = "[\n  " + lines[0]
+    lines[-1] += "\n]\n"
+    return ",\n  ".join(lines)
+
+
 # ── polys ─────────────────────────────────────────────────────────────────
 
 def _run_polys(args, parser) -> int:
@@ -97,7 +109,7 @@ def _run_polys(args, parser) -> int:
     if args.format == "text":
         text = "\n".join(str(p) for p in rows) + "\n"
     elif args.format == "json":
-        text = _json_text([p.to_json() for p in rows])
+        text = _json_rows(rows)
     elif args.format == "csv":
         lines = ["n,k,coefficient"]
         for m, p in enumerate(rows, start=1):

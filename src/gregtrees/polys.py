@@ -14,6 +14,9 @@ recursion, whose coefficients are all nonnegative:
     Y_{n+1}(y) = (n + (n+c) y) Y_n(y) + y^2 Y_n'(y),                   Y_1 = 1.
 
 ``gen_F/G/H(n, shifted=True)`` runs it; ``shift`` stays the exact oracle.
+Each recursion, like that of P below, is a three-term recurrence on the
+coefficients, so the rows are built on tuples of ints and wrapped in ``Poly``
+once each.
 
 * ``G_n`` counts rooted Greg trees with n labeled vertices by number of
   unlabeled vertices (coefficient triangle A048160 in the OEIS); the
@@ -26,14 +29,17 @@ recursion, whose coefficients are all nonnegative:
 * ``Q_{n,k}`` is a Ramanujan-style refinement whose specializations at
   x = -1, 0, 1 recover the shifted F, G and H rows.
 
-Everything is exact: coefficients are Python ints, and evaluation goes
-through ``fractions.Fraction``.
+Everything is exact: coefficients are Python ints, and the hot paths (the
+row recurrences and ``shift``) run on plain ints.  ``Poly.__call__`` is exact
+at an int or a ``Fraction``; ``series`` evaluates rows at a rational point on
+integers by homogeneous Horner instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator
 
 
 def power(base, k: int, one):
@@ -68,10 +74,6 @@ class Poly:
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
         return len(self.coeffs) - 1
-
-    @property
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -165,10 +167,6 @@ class Poly:
         """Coefficients as decimal strings, lowest degree first."""
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "Poly":
-        return cls(int(s) for s in data)
-
 
 X = Poly((0, 1))
 
@@ -229,13 +227,27 @@ def imp_family(rooted: bool) -> Family:
 
 # ── generators ────────────────────────────────────────────────────────────
 
-def _rows(n_max: int, lin: Callable[[int], Poly], mult: Poly) -> list[Poly]:
-    """X_1 = 1 and X_{n+1} = lin(n) X_n + mult X_n', rows 1..n_max."""
+def _rows(n_max: int, lin: Callable[[int], tuple[int, int]],
+          mult: tuple[int, int, int]) -> list[Poly]:
+    """X_1 = 1 and X_{n+1} = (a0 + a1 x) X_n + (m0 + m1 x + m2 x^2) X_n',
+    rows 1..n_max, with (a0, a1) = lin(n) and (m0, m1, m2) = mult.
+
+    On coefficients a_u of X_n this is the three-term recurrence
+
+        [x^u] X_{n+1} = (a0 + m1 u) a_u + (a1 + m2 (u-1)) a_{u-1} + m0 (u+1) a_{u+1},
+
+    run on tuples of ints; each row is wrapped in ``Poly`` once.
+    """
+    m0, m1, m2 = mult
     out: list[Poly] = []
     if n_max >= 1:
         out.append(Poly((1,)))
     for n in range(1, n_max):
-        out.append(lin(n) * out[-1] + mult * out[-1].derivative())
+        a0, a1 = lin(n)
+        row = out[-1].coeffs
+        out.append(Poly([(a0 + m1 * u) * a + (a1 + m2 * (u - 1)) * below + m0 * (u + 1) * above
+                         for u, (a, below, above)
+                         in enumerate(zip(row + (0,), (0,) + row, row[1:] + (0, 0)))]))
     return out
 
 
@@ -243,8 +255,8 @@ def _family_rows(name: str, n_max: int, shifted: bool) -> list[Poly]:
     """Rows X_1..X_{n_max}, or with `shifted` the rows X_n(x-1) from their own recursion."""
     c = FAMILIES[name].c
     if shifted:
-        return _rows(n_max, lambda n: Poly((n, n + c)), Poly((0, 0, 1)))
-    return _rows(n_max, lambda n: Poly((2 * n + c, n + c)), Poly((1, 2, 1)))
+        return _rows(n_max, lambda n: (n, n + c), (0, 0, 1))
+    return _rows(n_max, lambda n: (2 * n + c, n + c), (1, 2, 1))
 
 
 def gen_F(n_max: int, shifted: bool = False) -> list[Poly]:
@@ -271,7 +283,7 @@ def gen_P(n_max: int) -> list[Poly]:
     P_1 = 1 and P_{n+1} = (1+x) P_n' - ((3n-1) + nx) P_n.  (-1)^{n-1} P_n
     has positive unimodal coefficients and degree n-1.
     """
-    return _rows(n_max, lambda n: Poly((1 - 3 * n, -n)), Poly((1, 1)))
+    return _rows(n_max, lambda n: (1 - 3 * n, -n), (1, 1, 0))
 
 
 def gen_Q(n_max: int) -> PolyTriangle:
@@ -301,8 +313,19 @@ def gen_Q(n_max: int) -> PolyTriangle:
 # ── operations ────────────────────────────────────────────────────────────
 
 def shift(p: Poly, a: int) -> Poly:
-    """The polynomial q with q(x) = p(x + a), computed exactly over Z."""
-    return p(Poly((a, 1)))
+    """The polynomial q with q(x) = p(x + a), computed exactly over Z.
+
+    A Taylor shift by repeated synthetic division: the coefficients are
+    first scaled to those of p(ax), which is shifted by 1 in place (pass i
+    replaces c_i..c_d by their suffix sums), and the scaling is undone, as
+    q_k = [x^k] p(a(x + 1)) / a^k exactly.
+    """
+    if not a:
+        return p
+    c = [ck * a ** k for k, ck in enumerate(p.coeffs)]   # p(ax)
+    for i in range(len(c) - 1):
+        c[i:] = reversed(list(accumulate(reversed(c[i:]))))
+    return Poly(ck // a ** k for k, ck in enumerate(c))
 
 
 def double_factorial(k: int) -> int:

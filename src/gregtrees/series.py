@@ -12,8 +12,9 @@ integer EGF vector instead: the closed-form derivative displays
 (``rhs_series``) and both sides of ``check_def_identity`` and
 ``check_imp_census_series`` are built and compared on ints.  The
 ``egf-theorem`` and ``reversion-lemma`` checks stay on ``RatSeries``, since
-their series are the statements under test; ``gh-functional`` is checked on
-integers at x = p/q.
+their series are the statements under test; ``exp`` and ``reciprocal`` run
+their recurrences on integers over one common denominator.  The rows of
+``egf-theorem`` and ``gh-functional`` are evaluated on integers at x = p/q.
 
 The checks at the bottom compare independently computed expansions of the
 tree function T (T = z e^T, T(z) = -W(-z)) and its relatives
@@ -42,7 +43,7 @@ class RatSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int], order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("negative truncation order")
@@ -157,23 +158,6 @@ class RatSeries:
             raise ValueError("derivative of an order-0 series has no coefficients")
         return RatSeries([k * self.coeffs[k] for k in range(1, self.order + 1)])
 
-    def integrate(self) -> "RatSeries":
-        """Antiderivative with constant 0; order grows by one."""
-        return RatSeries([Fraction(0)] + [self.coeffs[k] / (k + 1) for k in range(self.order + 1)])
-
-    def nth_derivative(self, n: int) -> "RatSeries":
-        if n < 0:
-            raise ValueError("negative derivative order")
-        if n > self.order:
-            raise ValueError(f"derivative order {n} exceeds truncation order {self.order}")
-        if n == 0:
-            return self
-        out = [
-            self.coeffs[k + n] * Fraction(math.factorial(k + n), math.factorial(k))
-            for k in range(self.order - n + 1)
-        ]
-        return RatSeries(out)
-
     # ── composition-style operations ──────────────────────────────────
 
     def compose(self, inner: "RatSeries") -> "RatSeries":
@@ -188,33 +172,56 @@ class RatSeries:
         return acc
 
     def exp(self) -> "RatSeries":
-        """exp(self); requires constant term 0."""
+        """exp(self); requires constant term 0.
+
+        With self = sum F_j z^j / D over one common denominator D, the
+        recurrence m e_m = sum_j j f_j e_{m-j} runs on the integers
+        E_m = m! D^m e_m:
+
+            E_m = sum_{j=1}^m j F_j E_{m-j} (m-1)!/(m-j)! D^{j-1},   E_0 = 1,
+
+        and each coefficient is reduced once.
+        """
         if self.coeffs[0] != 0:
             raise ValueError("exp requires a series vanishing at 0")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
-        for m in range(1, n + 1):
-            s = Fraction(0)
+        f, d = _common_denominator(self.coeffs)
+        g = [0] + [(j + 1) * c * d ** j for j, c in enumerate(f[1:])]   # g[j] = j F_j D^{j-1}
+        e, out, scale = [1], [Fraction(1)], 1   # scale = m! D^m
+        for m in range(1, len(f)):
+            acc, falling = 0, 1   # falling = (m-1)!/(m-j)!
             for j in range(1, m + 1):
-                if self.coeffs[j]:
-                    s += j * self.coeffs[j] * out[m - j]
-            out[m] = s / m
+                if g[j]:
+                    acc += g[j] * e[m - j] * falling
+                falling *= m - j
+            e.append(acc)
+            scale *= m * d
+            out.append(Fraction(acc, scale))
         return RatSeries(out)
 
     def reciprocal(self) -> "RatSeries":
-        """1/self; requires a nonzero constant term."""
+        """1/self; requires a nonzero constant term.
+
+        With self = sum F_j z^j / D, the recurrence f_0 r_m = -sum_j f_j r_{m-j}
+        runs on the integers R_m = r_m F_0^{m+1} / D:
+
+            R_m = -sum_{j=1}^m F_j R_{m-j} F_0^{j-1},   R_0 = 1,
+
+        and each coefficient is reduced once.
+        """
         if self.coeffs[0] == 0:
             raise ValueError("reciprocal requires a unit constant term")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / self.coeffs[0]
-        for m in range(1, n + 1):
-            s = Fraction(0)
+        f, d = _common_denominator(self.coeffs)
+        f0 = f[0]
+        g = [0] + [c * f0 ** j for j, c in enumerate(f[1:])]   # g[j] = F_j F_0^{j-1}
+        r, out, scale = [1], [Fraction(d, f0)], f0   # scale = F_0^{m+1}
+        for m in range(1, len(f)):
+            acc = 0
             for j in range(1, m + 1):
-                if self.coeffs[j]:
-                    s += self.coeffs[j] * out[m - j]
-            out[m] = -s / self.coeffs[0]
+                if g[j]:
+                    acc -= g[j] * r[m - j]
+            r.append(acc)
+            scale *= f0
+            out.append(Fraction(acc * d, scale))
         return RatSeries(out)
 
     def geom_inverse(self) -> "RatSeries":
@@ -227,10 +234,6 @@ class RatSeries:
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "RatSeries":
-        return cls([Fraction(s) for s in data])
 
 
 def _common_denominator(cs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -526,7 +529,8 @@ def check_egf_theorem(
         sum u^n/n! F_n(x) = (1+x)^{-2} / (1 - S)      (F_0 = 1/(1+x))
         sum u^n/n! H_n(x) = (1+x) (S - S^2/2)         (H_0 = x(x+2)/(2(x+1)))
 
-    checked exactly at each sample, n = 0..n_max.
+    checked exactly at each sample, n = 0..n_max.  The row side is evaluated
+    on integers, q^deg X_n(p/q) at x = p/q, and compared by cross-multiplying.
     """
     if order is None:
         order = n_max + 2
@@ -561,10 +565,14 @@ def check_egf_theorem(
                 )
             for n in range(1, n_max + 1):
                 got = series[fam].egf_coefficient(n)
-                want = polys[fam][n - 1](x)
-                if got != want:
+                row = polys[fam][n - 1]
+                e = max(row.degree, 0)
+                qe = x.denominator ** e
+                want = _scaled_value(row, x.numerator, x.denominator, e)   # q^e X_n(p/q)
+                if got.numerator * qe != want * got.denominator:
                     return CheckReport.fail(
-                        name, f"family {fam}, x={x}, n={n}: series gives {got}, polynomial gives {want}",
+                        name, f"family {fam}, x={x}, n={n}: series gives {got}, "
+                              f"polynomial gives {Fraction(want, qe)}",
                         x_samples=xs, n_max=n_max, order=order,
                     )
     return CheckReport.ok(name, x_samples=xs, n_max=n_max, order=order)

@@ -631,9 +631,11 @@ def restriction_fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
 def restriction_census(t: GregTree, m_max: int) -> list[int]:
     """Entry for each m = t.n..m_max: how many Cayley trees of size m
     (rooted iff t is) restrict to t.  The m = t.n entry uses the identity
-    convention restrict(X, n) = X, so it is 1 exactly when t.u = 0."""
+    convention restrict(X, n) = X, so it is 1 exactly when t.u = 0.  A tree
+    that breaks the unrooted or rooted degree rules raises ValueError."""
     if len(t.roots) > 1:
         raise ValueError("restriction fibers are defined for unrooted and rooted trees")
+    t.validate("rooted" if t.roots else "unrooted")
     n = t.n
     rooted = len(t.roots) == 1
     out = []

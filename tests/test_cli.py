@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import gregtrees
-from gregtrees.cli import main
+from gregtrees.cli import _json_rows, main
+from gregtrees.polys import Poly
 
 
 def run(capsys, *argv):
@@ -100,6 +101,23 @@ def test_polys_json(capsys):
     code, out, _ = run(capsys, "polys", "G", "2", "--format", "json")
     assert code == 0
     assert json.loads(out) == [["1"], ["2", "1"]]
+
+
+@pytest.mark.parametrize("family", ["F", "G", "H", "P", "F-shift", "G-shift", "H-shift"])
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_polys_json_matches_json_module(capsys, family, n):
+    """The tables are joined by hand; the json module's indented layout is the oracle."""
+    base = family.removesuffix("-shift")
+    gen = getattr(gregtrees, f"gen_{base}")
+    rows = gen(n) if base == family else gen(n, shifted=True)
+    code, out, _ = run(capsys, "polys", family, str(n), "--format", "json")
+    assert code == 0
+    assert out == _indented([p.to_json() for p in rows])
+
+
+def test_json_rows_lays_out_zero_and_negative_rows():
+    rows = [Poly(), Poly((1, -2)), Poly()]
+    assert _json_rows(rows) == _indented([p.to_json() for p in rows])
 
 
 def test_series_json(capsys):

@@ -61,12 +61,12 @@ def test_degrees_and_leading_coefficients():
     F, G, H = gen_F(n_max), gen_G(n_max), gen_H(n_max)
     for n in range(1, n_max + 1):
         assert F[n - 1].degree == n - 1
-        assert F[n - 1].leading_coefficient == double_factorial(2 * n - 1)
+        assert F[n - 1].coeffs[-1] == double_factorial(2 * n - 1)
         assert G[n - 1].degree == n - 1
-        assert G[n - 1].leading_coefficient == double_factorial(2 * n - 3)
+        assert G[n - 1].coeffs[-1] == double_factorial(2 * n - 3)
         assert H[n - 1].degree == max(n - 2, 0)
         # (2n-5)!! needs n >= 2; the degree-0 row H_1 = 1 sits outside the law
-        assert H[n - 1].leading_coefficient == (1 if n == 1 else double_factorial(2 * n - 5))
+        assert H[n - 1].coeffs[-1] == (1 if n == 1 else double_factorial(2 * n - 5))
 
 
 def test_constant_terms_count_cayley_trees():
@@ -90,6 +90,49 @@ def test_shifted_recursion(family):
     assert Y[0] == Poly((1,))
     for n in range(1, n_max):
         assert Y[n] == Poly((n, n + c)) * Y[n - 1] + Poly((0, 0, 1)) * Y[n - 1].derivative()
+
+
+def _poly_product_rows(n_max, lin, mult):
+    """X_1 = 1 and X_{n+1} = lin(n) X_n + mult X_n', two Poly products per
+    row: an oracle for the integer coefficient recurrence behind gen_*."""
+    out = []
+    if n_max >= 1:
+        out.append(Poly((1,)))
+    for n in range(1, n_max):
+        out.append(lin(n) * out[-1] + mult * out[-1].derivative())
+    return out
+
+
+def _oracle_rows(family, n_max, shifted=False):
+    if family == "P":
+        return _poly_product_rows(n_max, lambda n: Poly((1 - 3 * n, -n)), Poly((1, 1)))
+    c = OFFSETS[family]
+    if shifted:
+        return _poly_product_rows(n_max, lambda n: Poly((n, n + c)), Poly((0, 0, 1)))
+    return _poly_product_rows(n_max, lambda n: Poly((2 * n + c, n + c)), Poly((1, 2, 1)))
+
+
+@pytest.mark.parametrize("family, shifted", [
+    ("F", False), ("G", False), ("H", False), ("F", True), ("G", True), ("H", True), ("P", False),
+])
+def test_rows_match_poly_product_oracle(family, shifted):
+    gen = {**GENERATORS, "P": gen_P}[family]
+    for n_max in (0, 1, 2, 80):
+        got = gen(n_max, shifted=True) if shifted else gen(n_max)
+        assert got == _oracle_rows(family, n_max, shifted), n_max
+        assert all(type(p) is Poly for p in got)
+
+
+def _horner_shift(p, a):
+    """p(x + a) by Horner over Poly: an oracle for the Taylor shift."""
+    return p(Poly((a, 1)))
+
+
+@pytest.mark.parametrize("a", [-2, -1, 1, 3])
+def test_shift_matches_horner_oracle(a):
+    rows = [p for gen in (gen_F, gen_G, gen_H, gen_P) for p in gen(40)]
+    for p in rows + [Poly(), Poly((7,)), Poly((0, 0, 0, -5)), Poly((3, -1, 0, 2))]:
+        assert shift(p, a) == _horner_shift(p, a), (p, a)
 
 
 @pytest.mark.parametrize("family", ["F", "G", "H"])
@@ -261,7 +304,7 @@ def test_shift_matches_composition(a, c):
 @given(coeff_lists)
 def test_json_round_trip(a):
     p = Poly(a)
-    assert Poly.from_json(p.to_json()) == p
+    assert Poly(int(c) for c in p.to_json()) == p
     assert all(isinstance(s, str) for s in p.to_json())
 
 

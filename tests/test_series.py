@@ -60,16 +60,34 @@ def test_arithmetic_truncates_to_min_order():
     assert (a * F(1, 2)).coeff(0) == F(1, 2)
 
 
+def _nth_derivative(s: RatSeries, n: int) -> RatSeries:
+    """The n-th derivative of a truncated series: the derivative side of the
+    closed-form oracles below."""
+    if n < 0:
+        raise ValueError("negative derivative order")
+    if n > s.order:
+        raise ValueError(f"derivative order {n} exceeds truncation order {s.order}")
+    if n == 0:
+        return s
+    out = [
+        s.coeffs[k + n] * Fraction(math.factorial(k + n), math.factorial(k))
+        for k in range(s.order - n + 1)
+    ]
+    return RatSeries(out)
+
+
 def test_derive_integrate_nth():
     s = RatSeries([5, 1, 3, 7])
     assert s.derive().coeffs == (1, 6, 21)
-    assert s.derive().integrate().coeffs == (0, 1, 3, 7)
-    assert s.nth_derivative(2).coeffs == (6, 42)
+    # the antiderivative with constant 0 gives back s less its constant term
+    antiderivative = RatSeries([0] + [c / (k + 1) for k, c in enumerate(s.derive().coeffs)])
+    assert antiderivative.coeffs == (0, 1, 3, 7)
+    assert _nth_derivative(s, 2).coeffs == (6, 42)
     with pytest.raises(ValueError):
         RatSeries([1]).derive().derive()
     with pytest.raises(ValueError):
-        s.nth_derivative(4)
-    assert s.nth_derivative(3) == s.derive().derive().derive()
+        _nth_derivative(s, 4)
+    assert _nth_derivative(s, 3) == s.derive().derive().derive()
 
 
 def test_egf_coefficient():
@@ -189,9 +207,9 @@ def test_def_identity_rejects_unknown_family(family):
 def test_rhs_series_first_derivatives():
     order = 10
     # T' equals the G display at n = 1
-    assert series_T(1, order).nth_derivative(1) == rhs_series("G", 1, order).truncate(order - 1)
+    assert _nth_derivative(series_T(1, order), 1) == rhs_series("G", 1, order).truncate(order - 1)
     # W' equals the P display at n = 1
-    assert series_W(order).nth_derivative(1) == rhs_series("P", 1, order).truncate(order - 1)
+    assert _nth_derivative(series_W(order), 1) == rhs_series("P", 1, order).truncate(order - 1)
 
 
 def test_egf_theorem_samples():
@@ -325,8 +343,8 @@ def test_series_json_round_trip():
     t = series_T(1, 6)
     data = t.to_json()
     assert data[3] == "3/2"
-    assert RatSeries.from_json(data) == t
-    assert RatSeries.from_json(RatSeries([1, F(-2, 7)]).to_json()).coeff(1) == F(-2, 7)
+    assert RatSeries([F(c) for c in data]) == t
+    assert F(RatSeries([1, F(-2, 7)]).to_json()[1]) == F(-2, 7)
 
 
 # ── the integer paths against the RatSeries bodies they replaced ─────────
@@ -354,7 +372,7 @@ def _ratseries_def_identity(family, n_max, order, polys):
     name = f"def-identity-{family}"
     base = series_W(order) if family == "P" else series_T(FAMILIES[family].alpha, order)
     for n in range(1, n_max + 1):
-        lhs = base.nth_derivative(n)
+        lhs = _nth_derivative(base, n)
         rhs = _ratseries_rhs(family, n, order, poly=polys[n - 1])
         k = next((i for i, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if x != y), None)
         if k is not None:
@@ -373,7 +391,7 @@ def _ratseries_imp_census_series(censuses, rooted, order):
     base = series_T(family.alpha, order)
     for n in sorted(censuses):
         display = _ratseries_rhs(family.name, n, order, poly=shift(Poly(censuses[n]), 1))
-        lhs = base.nth_derivative(n)
+        lhs = _nth_derivative(base, n)
         k = next((i for i, (x, y) in enumerate(zip(display.coeffs, lhs.coeffs)) if x != y), None)
         if k is not None:
             return CheckReport.fail(
@@ -465,6 +483,75 @@ def test_mul_by_scalar_matches_schoolbook_product(a, c):
     assert c * a == want
 
 
+def _fraction_exp(s):
+    """exp by one Fraction operation per term: an oracle for the
+    common-denominator recurrence of `RatSeries.exp`."""
+    n = s.order
+    out = [F(0)] * (n + 1)
+    out[0] = F(1)
+    for m in range(1, n + 1):
+        acc = F(0)
+        for j in range(1, m + 1):
+            if s.coeffs[j]:
+                acc += j * s.coeffs[j] * out[m - j]
+        out[m] = acc / m
+    return RatSeries(out)
+
+
+def _fraction_reciprocal(s):
+    """1/s by one Fraction operation per term: an oracle for
+    `RatSeries.reciprocal`."""
+    n = s.order
+    out = [F(0)] * (n + 1)
+    out[0] = 1 / s.coeffs[0]
+    for m in range(1, n + 1):
+        acc = F(0)
+        for j in range(1, m + 1):
+            if s.coeffs[j]:
+                acc += s.coeffs[j] * out[m - j]
+        out[m] = -acc / s.coeffs[0]
+    return RatSeries(out)
+
+
+# orders 0..15, with zero terms; constant terms negative, non-unit or fractional
+series_tails = st.lists(coefficients, min_size=0, max_size=15)
+constant_terms = st.one_of(
+    st.sampled_from([1, -1, 2, -3, F(1, 2), F(-5, 7)]),
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(bool),
+    st.fractions(max_denominator=10 ** 4).filter(bool),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_tails)
+def test_exp_matches_fraction_oracle(tail):
+    s = RatSeries([0] + tail)
+    got = s.exp()
+    assert got == _fraction_exp(s)
+    assert got.order == s.order
+    assert all(type(c) is F for c in got.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(constant_terms, series_tails)
+def test_reciprocal_matches_fraction_oracle(c0, tail):
+    s = RatSeries([c0] + tail)
+    got = s.reciprocal()
+    assert got == _fraction_reciprocal(s)
+    assert got.order == s.order
+    assert all(type(c) is F for c in got.coeffs)
+    assert (s * got) == RatSeries.const(1, s.order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(constant_terms, series_tails)
+def test_exp_and_reciprocal_reject_their_bad_constants(c0, tail):
+    with pytest.raises(ValueError):
+        RatSeries([c0] + tail).exp()
+    with pytest.raises(ValueError):
+        RatSeries([0] + tail).reciprocal()
+
+
 def test_compose_at_differing_orders():
     outer = RatSeries([1, 2, F(1, 3), -4, 5])
     inner = RatSeries([0, 1, F(-1, 2)])
@@ -496,6 +583,54 @@ def test_shifted_tree_series_matches_full_order_newton(x):
         assert _shifted_tree_series(s0, order) == want.truncate(order), order
     for order in (0, 1, 2, 3, 4, 7, 8, 15, 16):
         assert _full_order_shifted_tree_series(s0, order) == want.truncate(order), order
+
+
+def _fraction_egf_theorem(x_samples, n_max, order, polys):
+    """`check_egf_theorem` with every row evaluated by Poly Horner over
+    Fractions: an oracle for its integer row side and its witness text."""
+    name = "egf-theorem"
+    xs = [F(x) for x in x_samples]
+    for x in xs:
+        s0 = x / (1 + x)
+        s = _shifted_tree_series(s0, order) + s0
+        series = {
+            "G": s,
+            "F": ((1 - s0) ** 2) * (1 - s).reciprocal(),
+            "H": (1 + x) * (s - s * s * F(1, 2)),
+        }
+        for fam in ("F", "G", "H"):
+            for n in range(1, n_max + 1):
+                got = series[fam].egf_coefficient(n)
+                want = polys[fam][n - 1](x)
+                if got != want:
+                    return CheckReport.fail(
+                        name, f"family {fam}, x={x}, n={n}: series gives {got}, polynomial gives {want}",
+                        x_samples=xs, n_max=n_max, order=order,
+                    )
+    return CheckReport.ok(name, x_samples=xs, n_max=n_max, order=order)
+
+
+EGF_N_MAX, EGF_ORDER = 6, 8
+
+
+@pytest.mark.parametrize("family", ["F", "G", "H"])
+@pytest.mark.parametrize("bump", [
+    lambda n, p: p + 1,
+    lambda n, p: p + Poly([0] * (n + 2) + [1]),   # two degrees above the row
+    lambda n, p: Poly(),                          # the zero row
+], ids=["+1", "+x^(n+2)", "zero"])
+def test_egf_theorem_witness_matches_fraction_oracle(family, bump):
+    clean = {fam: GENS[fam](EGF_N_MAX) for fam in ("F", "G", "H")}
+    want = _fraction_egf_theorem(GH_SAMPLES[:-1], EGF_N_MAX, EGF_ORDER, clean)
+    _assert_same_report(check_egf_theorem(GH_SAMPLES[:-1], EGF_N_MAX, EGF_ORDER, polys=clean), want)
+    assert want.passed
+    for row in range(1, EGF_N_MAX + 1):
+        polys = {fam: list(rows) for fam, rows in clean.items()}
+        polys[family][row - 1] = bump(row, polys[family][row - 1])
+        for samples in (GH_SAMPLES[:-1], [GH_SAMPLES[row]]):
+            got = check_egf_theorem(samples, EGF_N_MAX, EGF_ORDER, polys=polys)
+            _assert_same_report(got, _fraction_egf_theorem(samples, EGF_N_MAX, EGF_ORDER, polys))
+            assert got.passed is False
 
 
 # ── inputs outside the domain ─────────────────────────────────────────────

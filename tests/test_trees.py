@@ -561,6 +561,20 @@ def test_restriction_census_frozen_values():
     assert restriction_census(rooted_mid, 3) == [0, 1]
 
 
+def test_restriction_census_rejects_relaxed_only_leaf_root():
+    # an unlabeled leaf root passes the relaxed rules, not the rooted ones
+    t = GregTree.build(1, 1, [(1, 2)], roots=(2,))
+    t.validate("relaxed")
+    with pytest.raises(ValueError, match="degree"):
+        restriction_census(t, 4)
+
+
+def test_restriction_census_rejects_unlabeled_degree_two():
+    t = GregTree.build(2, 1, [(1, 3), (2, 3)])
+    with pytest.raises(ValueError, match="degree"):
+        restriction_census(t, 3)
+
+
 def test_restriction_census_rejects_birooted():
     t = GregTree.build(1, 0, (), roots=(1, 1))
     with pytest.raises(ValueError):
