@@ -161,15 +161,41 @@ class RatSeries:
     # ── composition-style operations ──────────────────────────────────
 
     def compose(self, inner: "RatSeries") -> "RatSeries":
-        """self(inner); requires inner(0) = 0."""
+        """self(inner); requires inner(0) = 0.
+
+        Horner on integers: inner = B / D over one common denominator, and
+        acc = S / E with S integers.  The step acc <- acc inner + c_k is
+        S <- S B over E D, with c_k added to the constant term only
+        (B(0) = 0); then S and E are divided by their gcd, so E stays the
+        accumulator's own denominator instead of growing as D^n."""
         if inner.coeffs[0] != 0:
             raise ValueError("composition requires the inner series to vanish at 0")
         n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        acc = RatSeries.const(self.coeffs[n], n)
+        b, d = _common_denominator(inner.coeffs[: n + 1])
+        top = self.coeffs[n]
+        acc, den = [top.numerator] + [0] * n, top.denominator
         for k in range(n - 1, -1, -1):
-            acc = acc * inner + self.coeffs[k]
-        return acc
+            out = [0] * (n + 1)
+            for i, x in enumerate(acc):
+                if x:
+                    for j in range(1, n + 1 - i):
+                        out[i + j] += x * b[j]
+            den *= d
+            c = self.coeffs[k]
+            if c:
+                q = c.denominator
+                lcm = den // math.gcd(den, q) * q
+                if lcm != den:
+                    up = lcm // den
+                    out = [x * up for x in out]
+                    den = lcm
+                out[0] = c.numerator * (den // q)
+            g = math.gcd(den, *out)
+            if g != 1:
+                out = [x // g for x in out]
+                den //= g
+            acc = out
+        return RatSeries([Fraction(c, den) for c in acc])
 
     def exp(self) -> "RatSeries":
         """exp(self); requires constant term 0.

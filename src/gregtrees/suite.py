@@ -248,11 +248,18 @@ def _check_q_specializations(bundle, rows: int) -> CheckReport:
 
 
 def _check_census_unl(bundle, variant: str, n_max: int) -> CheckReport:
+    """The label-insertion census against the family row; below n_max it
+    must also equal the census of the Pruefer listing."""
     name = f"census-unl-{variant}"
     family, k = census_family(variant)
     factor = Poly((1, 1)) ** k
     for n in range(1, n_max + 1):
         got = _trees.unl_polynomial(n, variant)
+        if n < n_max:
+            listed = _trees.prufer_census(n, variant)
+            if got != listed:
+                return CheckReport.fail(name, f"n={n}: census {got}, Pruefer census {listed}",
+                                        n=n, variant=variant)
         want = factor * bundle[family.name][n - 1]
         if got != want:
             return CheckReport.fail(name, f"n={n}: census {got}, expected {want}",

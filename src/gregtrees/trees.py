@@ -24,13 +24,17 @@ canonical form, so dataclass equality is exactly this isomorphism.  The
 canonical form takes one walk of the tree: the sorted encoding it builds
 lists every vertex in the order that numbers the unlabeled ones.
 
-Enumeration goes through Pruefer sequences generated under multiplicity
-constraints (a vertex of degree d appears d-1 times in the sequence), so
-only degree-feasible labeled trees are ever decoded, each in linear time.
-The labeled candidates are deduplicated by their split systems, and only
-the first candidate of each tree is put into canonical form.  The rooted
-improper-edge census walks each unrooted Cayley tree once and reroots it
-to get every root's value.
+The census ``unl_polynomial`` walks label insertion: every tree on n+1
+labels comes from exactly one tree on n labels by one local move of label
+n+1, so a depth-first walk from the n = 1 trees meets each tree once and
+needs no dedup and no canonical form.  ``enumerate_greg`` stays the
+listing and the census oracle: it goes through Pruefer sequences generated
+under multiplicity constraints (a vertex of degree d appears d-1 times in
+the sequence), so only degree-feasible labeled trees are ever decoded, each
+in linear time.  The labeled candidates are deduplicated by their split
+systems, and only the first candidate of each tree is put into canonical
+form.  The rooted improper-edge census walks each unrooted Cayley tree once
+and reroots it to get every root's value.
 """
 
 from __future__ import annotations
@@ -374,6 +378,8 @@ def u_bound(n: int, variant: str) -> int:
     The degree sum 2(n + u - 1) is at least n for the labels, 3 for each
     unlabeled vertex outside a root slot and `root_degree` for one in a
     slot."""
+    if n < 1:
+        raise ValueError("need at least one labeled vertex")
     rules = _variant(variant)
     return max(n - 2 + rules.roots * (3 - rules.root_degree), 0)
 
@@ -479,7 +485,19 @@ def degree_filtered_count(n: int, u: int, variant: str) -> int:
 
 def unl_polynomial(n: int, variant: str = "unrooted") -> Poly:
     """Census polynomial: coefficient of x^u counts Greg trees with u
-    unlabeled vertices."""
+    unlabeled vertices.
+
+    Counts the label-insertion walk (`_inserted`), which builds each tree
+    once.  `enumerate_greg` stays the Pruefer listing, and `prufer_census`
+    counts it as this census's oracle."""
+    if n < 1:
+        raise ValueError("need at least one labeled vertex")
+    rules = _variant(variant)
+    return _census(Counter(len(unlabeled) for _, _, unlabeled in _inserted(n, rules)))
+
+
+def prufer_census(n: int, variant: str = "unrooted") -> Poly:
+    """The census of `unl_polynomial`, counted over `enumerate_greg`."""
     return _census(Counter(t.u for t in enumerate_greg(n, variant)))
 
 
@@ -489,6 +507,76 @@ def _census(counts: Counter[int]) -> Poly:
     for j, c in counts.items():
         coeffs[j] = c
     return Poly(coeffs)
+
+
+# ── label insertion ───────────────────────────────────────────────────────
+#
+# A tree in walk form is (edges, roots, unlabeled): labels keep their ids
+# 1..n, unlabeled vertices have negative ids listed in `unlabeled`, and
+# edges are unordered pairs in no particular order.  Inserting label n+1
+# renumbers nothing.
+#
+# The parent of a tree on n+1 labels: unlabel n+1, prune the unlabeled
+# leaves no slot allows (a pruned vertex hands its slots to its
+# neighbour), then smooth the unlabeled degree-2 vertices no slot
+# protects.  `_children` lists the inverse moves, one child per move and
+# place.  Each child's parent is unique, and a Greg tree has no nontrivial
+# automorphism fixing its labels and slots (every leaf is labeled or in a
+# slot), so distinct places give distinct children and the walk meets
+# every tree exactly once.
+
+def _children(n: int, edges: tuple, roots: tuple, unlabeled: tuple,
+              rules: Variant) -> list[tuple]:
+    """Walk-form trees on n+1 labels whose parent is the given tree on n.
+
+    Moves (5) and (6) apply when an unlabeled vertex in the (single) root
+    slot needs degree 2 or more: the parent map then prunes n+1 as a leaf
+    in the slot, or the degree-2 unlabeled root it hangs from, handing the
+    slot on."""
+    m = n + 1
+    fresh = min(unlabeled, default=0) - 1
+    grown = unlabeled + (fresh,)
+    # (1) n+1 as a leaf on any vertex
+    out = [(edges + ((w, m),), roots, unlabeled) for w in (*range(1, m), *unlabeled)]
+    for i, (a, b) in enumerate(edges):
+        rest = edges[:i] + edges[i + 1:]
+        # (2) n+1 subdivides the edge
+        out.append((rest + ((a, m), (m, b)), roots, unlabeled))
+        # (3) n+1 hangs from a new unlabeled vertex that subdivides it
+        out.append((rest + ((a, fresh), (fresh, b), (fresh, m)), roots, grown))
+    # (4) n+1 labels an unlabeled vertex, which keeps its slots
+    for x in unlabeled:
+        out.append((tuple((m if a == x else a, m if b == x else b) for a, b in edges),
+                    tuple(m if r == x else r for r in roots),
+                    tuple(y for y in unlabeled if y != x)))
+    if rules.roots and rules.root_degree >= 2:
+        (r,) = roots
+        # (5) a new unlabeled degree-2 root joined to the old root and n+1
+        out.append((edges + ((r, fresh), (fresh, m)), (fresh,), grown))
+        # (6) n+1 as a leaf on the root, taking the slot
+        out.append((edges + ((r, m),), (m,), unlabeled))
+    return out
+
+
+def _inserted(n: int, rules: Variant) -> Iterator[tuple]:
+    """Every Greg tree of the variant on n labels, in walk form, once each:
+    depth first from the n = 1 trees of `enumerate_greg`, so only one
+    children list per level is held at a time."""
+
+    def walk_form(t: GregTree) -> tuple:
+        # label 1 keeps its id, unlabeled ids 2..u+1 become -1..-u
+        def vid(v: int) -> int:
+            return 1 if v == 1 else 1 - v
+        return (tuple((vid(a), vid(b)) for a, b in t.edges), tuple(map(vid, t.roots)),
+                tuple(range(-1, -t.u - 1, -1)))
+
+    stack = [(1, walk_form(t)) for t in enumerate_greg(1, rules.name)]
+    while stack:
+        k, tree = stack.pop()
+        if k == n:
+            yield tree
+        else:
+            stack += [(k + 1, child) for child in _children(k, *tree, rules)]
 
 
 # ── improper edges ────────────────────────────────────────────────────────

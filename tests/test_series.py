@@ -552,6 +552,37 @@ def test_exp_and_reciprocal_reject_their_bad_constants(c0, tail):
         RatSeries([0] + tail).reciprocal()
 
 
+def _horner_compose(outer, inner):
+    """The Horner loop over `RatSeries` products and padded constant
+    series: an oracle for the integer Horner of `RatSeries.compose`."""
+    n = min(outer.order, inner.order)
+    inner = inner.truncate(n)
+    acc = RatSeries.const(outer.coeffs[n], n)
+    for k in range(n - 1, -1, -1):
+        acc = acc * inner + outer.coeffs[k]
+    return acc
+
+
+@settings(max_examples=50, deadline=None)
+@given(series_values, series_tails)
+def test_compose_matches_horner_oracle(outer, tail):
+    inner = RatSeries([0] + tail)
+    got = outer.compose(inner)
+    assert got == _horner_compose(outer, inner)
+    assert got.order == min(outer.order, inner.order)
+    assert all(type(c) is F for c in got.coeffs)
+
+
+def test_compose_matches_horner_oracle_on_the_reversion_lemma_series():
+    order = 30
+    t, z = series_T(1, order), RatSeries.var(order)
+    ratio = t * t.geom_inverse()
+    frac = z * (1 + z).reciprocal()
+    target = frac * (-frac).exp()
+    for outer, inner in ((ratio, target), (z * (-z).exp(), t), (target, ratio), (t, target)):
+        assert outer.compose(inner) == _horner_compose(outer, inner)
+
+
 def test_compose_at_differing_orders():
     outer = RatSeries([1, 2, F(1, 3), -4, 5])
     inner = RatSeries([0, 1, F(-1, 2)])

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import pytest
 
+import gregtrees.trees as trees_module
+from gregtrees.polys import Poly
 from gregtrees.suite import CHECK_NAMES, SuiteConfig, run_suite
 
 # per corrupted row, the checks that consume it somewhere in their work
@@ -118,3 +120,23 @@ def test_default_config_all_pass():
     result = run_suite()
     assert result.ok, result.failed_names()
     assert result.counts["pass"] == 25
+
+
+@pytest.mark.parametrize("bad_n, witness", [
+    # below n_max the Pruefer census is the oracle, at n_max the family row
+    (2, "n=2: census x^2+3x+3, Pruefer census x^2+3x+2"),
+    (4, "n=4: census 15x^4+85x^3+183x^2+177x+65, expected 15x^4+85x^3+183x^2+177x+64"),
+])
+def test_census_unl_checks_the_insertion_walk_against_pruefer_below_n_max(
+        monkeypatch, bad_n, witness):
+    walk = trees_module.unl_polynomial
+
+    def bumped(n, variant):
+        got = walk(n, variant)
+        return got + Poly((1,)) if n == bad_n else got
+    monkeypatch.setattr(trees_module, "unl_polynomial", bumped)
+    result = run_suite(SuiteConfig.quick(), only=["census-unl-relaxed"])
+    (report,) = [r for r in result.reports if not r.skipped]
+    assert report.passed is False
+    assert report.witness == witness
+    assert report.params == {"n": bad_n, "variant": "relaxed"}

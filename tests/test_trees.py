@@ -15,9 +15,11 @@ from gregtrees.trees import (
     Variant,
     _build_canonical,
     _canonical_form,
+    _children,
     _greg_configs,
     _imp_by_root,
     _imp_polynomials,
+    _inserted,
     _normalize_edges,
     degree_filtered_count,
     enumerate_cayley,
@@ -128,7 +130,7 @@ def test_size2_rooted_trees():
     ("birooted", lambda n, F, G, H: ONE_PLUS_X ** 3 * F[n - 1]),
 ])
 def test_unl_census_matches_polynomials(variant, expect):
-    n_max = 3 if variant == "birooted" else 4
+    n_max = 4 if variant == "birooted" else 6
     F, G, H = gen_F(n_max), gen_G(n_max), gen_H(n_max)
     for n in range(1, n_max + 1):
         assert unl_polynomial(n, variant) == expect(n, F, G, H), (variant, n)
@@ -168,6 +170,25 @@ def test_u_bound_matches_per_variant_formulas():
             assert u_bound(n, variant) == _u_bound_by_cases(n, variant), (variant, n)
     with pytest.raises(ValueError, match="unknown variant"):
         u_bound(3, "bogus")
+
+
+def test_u_bound_rejects_no_labels():
+    for variant in VARIANTS:
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="labeled"):
+                u_bound(n, variant)
+
+
+def test_unl_polynomial_rejects_bad_input_before_walking(monkeypatch):
+    def walk(*args):
+        raise AssertionError("walk started")
+    monkeypatch.setattr(trees_module, "_inserted", walk)
+    monkeypatch.setattr(trees_module, "enumerate_greg", walk)
+    for variant in VARIANTS:
+        with pytest.raises(ValueError, match="labeled"):
+            unl_polynomial(0, variant)
+    with pytest.raises(ValueError, match="unknown variant"):
+        unl_polynomial(2, "bogus")
 
 
 def test_variant_table():
@@ -220,6 +241,75 @@ def test_split_key_dedup_matches_canonical_dedup(variant, n_max):
                     seen.add(t)
                     want.append(t)
         assert list(enumerate_greg(n, variant)) == want, (variant, n)
+
+
+# ── label insertion ──────────────────────────────────────────────────────
+
+def _walk_to_greg(n, tree):
+    """A walk-form tree (negative unlabeled ids) as a `GregTree`."""
+    edges, roots, unlabeled = tree
+    ids = {x: n + 1 + i for i, x in enumerate(unlabeled)}
+    ids.update((v, v) for v in range(1, n + 1))
+    return GregTree.build(n, len(unlabeled), [(ids[a], ids[b]) for a, b in edges],
+                          roots=[ids[r] for r in roots])
+
+
+def _insertion_parent(m, tree, rules):
+    """Unlabel m, prune the unlabeled leaves no slot allows (a pruned
+    vertex hands its slots to its neighbour), then smooth the unlabeled
+    degree-2 vertices no slot protects."""
+    edges, roots, unlabeled = tree
+    v = min(unlabeled, default=0) - 1
+    adj = {}
+    for a, b in edges:
+        a, b = (v if a == m else a), (v if b == m else b)
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    roots = [v if r == m else r for r in roots]
+    unl = set(unlabeled) | {v}
+    leaves = [x for x in unl if len(adj[x]) == 1]
+    while leaves:
+        x = leaves.pop()
+        if x in roots and rules.root_degree <= 1:
+            continue
+        (w,) = adj.pop(x)
+        adj[w].remove(x)
+        unl.remove(x)
+        roots = [w if r == x else r for r in roots]
+        if w in unl and len(adj[w]) == 1:
+            leaves.append(w)
+    for x in [x for x in unl if len(adj[x]) == 2 and x not in roots]:
+        a, b = adj.pop(x)
+        adj[a] ^= {x, b}
+        adj[b] ^= {x, a}
+        unl.remove(x)
+    return (tuple((a, b) for a in adj for b in adj[a] if a < b), tuple(roots),
+            tuple(sorted(unl, reverse=True)))
+
+
+INSERTION_CASES = [("unrooted", 5), ("rooted", 5), ("relaxed", 5), ("birooted", 3)]
+
+
+@pytest.mark.parametrize("variant, n_max", INSERTION_CASES)
+def test_insertion_walk_lists_every_greg_tree_once(variant, n_max):
+    rules = VARIANTS[variant]
+    for n in range(1, n_max + 1):
+        built = [_walk_to_greg(n, t) for t in _inserted(n, rules)]
+        assert len(set(built)) == len(built), (variant, n)
+        assert set(built) == set(enumerate_greg(n, variant)), (variant, n)
+        for t in built:
+            t.validate(variant)
+
+
+@pytest.mark.parametrize("variant, n_max", INSERTION_CASES)
+def test_insertion_parent_map_inverts_every_move(variant, n_max):
+    rules = VARIANTS[variant]
+    for n in range(1, n_max):
+        for tree in _inserted(n, rules):
+            parent = _walk_to_greg(n, tree)
+            for child in _children(n, *tree, rules):
+                assert _walk_to_greg(n, _insertion_parent(n + 1, child, rules)) == parent, \
+                    (variant, tree, child)
 
 
 def test_degree_filtered_count_rejects_bad_input():
