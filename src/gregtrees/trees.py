@@ -13,7 +13,9 @@ least degree of an unlabeled vertex in a slot:
                 exempt from the degree rule.
 
 A tree's ``roots`` tuple has its variant's number of root slots: entry i
-is the vertex in slot i.
+is the vertex in slot i.  A Cayley (labeled) tree is a Greg tree with
+u = 0 and roots () or (r,); ``enumerate_cayley``, ``imp`` and ``restrict``
+deal in such trees.
 
 Census polynomials by number of unlabeled vertices: H_n (unrooted),
 G_n (rooted), (1+x) G_n (relaxed), (1+x)^3 F_n (bi-rooted).
@@ -99,28 +101,6 @@ def _check_tree(ids: set[int], edges: tuple[tuple[int, int], ...]) -> None:
                 stack.append(w)
     if seen != ids:
         raise ValueError("edge set is not connected")
-
-
-@dataclass(frozen=True)
-class CayleyTree:
-    """Labeled tree on 1..n, optionally rooted."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    root: int | None = None
-
-    @classmethod
-    def build(cls, n: int, edges, root: int | None = None) -> "CayleyTree":
-        if n < 1:
-            raise ValueError("need at least one vertex")
-        es = _normalize_edges(edges)
-        _check_tree(set(range(1, n + 1)), es)
-        if root is not None and not 1 <= root <= n:
-            raise ValueError(f"root {root} out of range 1..{n}")
-        return cls(n=n, edges=es, root=root)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "u": 0, "root": self.root, "edges": [list(e) for e in self.edges]}
 
 
 @dataclass(frozen=True)
@@ -355,21 +335,23 @@ def _constrained_prufer(n: int, u: int, slack: int, floor: int) -> Iterator[tupl
 
 # ── enumeration ───────────────────────────────────────────────────────────
 
-def enumerate_cayley(n: int, rooted: bool = False) -> Iterator[CayleyTree]:
-    """All labeled trees on 1..n, lexicographic Pruefer order; rooted
-    variants cycle roots in ascending order within each tree."""
+def enumerate_cayley(n: int, rooted: bool = False) -> Iterator[GregTree]:
+    """All labeled trees on 1..n as Greg trees with u = 0 and roots ()
+    or (r,), lexicographic Pruefer order; rooted variants cycle roots in
+    ascending order within each tree.  With no unlabeled vertex the sorted
+    edges and the root are already the canonical form."""
     if n < 1:
         raise ValueError("need at least one vertex")
     if n == 1:
-        yield CayleyTree(n=1, edges=(), root=1 if rooted else None)
+        yield GregTree(n=1, u=0, edges=(), roots=(1,) if rooted else ())
         return
     for seq in _constrained_prufer(n, 0, 0, 0):
         edges = _normalize_edges(_prufer_pairs(seq, n))
         if rooted:
             for r in range(1, n + 1):
-                yield CayleyTree(n=n, edges=edges, root=r)
+                yield GregTree(n=n, u=0, edges=edges, roots=(r,))
         else:
-            yield CayleyTree(n=n, edges=edges)
+            yield GregTree(n=n, u=0, edges=edges)
 
 
 def u_bound(n: int, variant: str) -> int:
@@ -581,31 +563,16 @@ def _inserted(n: int, rules: Variant) -> Iterator[tuple]:
 
 # ── improper edges ────────────────────────────────────────────────────────
 
-def imp(t: CayleyTree) -> int:
-    """Number of improper edges: parent -> child is improper when the
-    parent's label exceeds the smallest label in the child's subtree."""
-    if t.root is None:
-        raise ValueError("imp needs a rooted tree")
-    adj: dict[int, list[int]] = {v: [] for v in range(1, t.n + 1)}
-    for a, b in t.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = {t.root: 0}
-    order = [t.root]
-    for v in order:
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    subtree_min = {v: v for v in order}
-    for v in reversed(order):
-        p = parent[v]
-        if p:
-            subtree_min[p] = min(subtree_min[p], subtree_min[v])
-    return sum(1 for v in order if parent[v] and parent[v] > subtree_min[v])
+def imp(t: GregTree) -> int:
+    """Number of improper edges of a rooted Cayley tree (u = 0, one root
+    slot): parent -> child is improper when the parent's label exceeds the
+    smallest label in the child's subtree."""
+    if t.u or len(t.roots) != 1:
+        raise ValueError("imp needs a Cayley tree (u = 0) with one root")
+    return _imp_by_root(t)[t.roots[0] - 1]
 
 
-def _imp_by_root(t: CayleyTree) -> list[int]:
+def _imp_by_root(t: GregTree) -> list[int]:
     """imp of the tree rooted at each vertex: entry r - 1 for root r.
 
     One pass from vertex 1 gives the subtree minima below every edge;
@@ -668,21 +635,24 @@ def imp_census(n: int, rooted: bool) -> tuple[int, ...]:
 
 # ── restriction ───────────────────────────────────────────────────────────
 
-def restrict(x: CayleyTree, n: int) -> GregTree:
-    """Unlabel the vertices above n, prune unlabeled leaves until none is
-    left, then smooth the unlabeled degree-2 vertices.
+def restrict(x: GregTree, n: int) -> GregTree:
+    """Unlabel the vertices above n of the Cayley tree x (u = 0, at most
+    one root slot), prune unlabeled leaves until none is left, then smooth
+    the unlabeled degree-2 vertices.
 
     If x is rooted the root survives: pruning an unlabeled leaf root hands
     the root to its neighbour, and an unlabeled degree-2 root is not
     smoothed.  The result is a Greg tree (rooted iff x is).
     """
+    if x.u or len(x.roots) > 1:
+        raise ValueError("restrict needs a Cayley tree (u = 0) with at most one root")
     if not 1 <= n < x.n:
         raise ValueError(f"need 1 <= n < {x.n}")
     adj: dict[int, set[int]] = {v: set() for v in range(1, x.n + 1)}
     for a, b in x.edges:
         adj[a].add(b)
         adj[b].add(a)
-    root = x.root
+    root = x.roots[0] if x.roots else None
     # labels are never pruned, so no two unlabeled leaves are adjacent and
     # every vertex on the worklist is still a leaf when it is popped
     leaves = [v for v in range(n + 1, x.n + 1) if len(adj[v]) == 1]
@@ -720,16 +690,13 @@ def restriction_census(t: GregTree, m_max: int) -> list[int]:
     """Entry for each m = t.n..m_max: how many Cayley trees of size m
     (rooted iff t is) restrict to t.  The m = t.n entry uses the identity
     convention restrict(X, n) = X, so it is 1 exactly when t.u = 0.  A tree
-    that breaks the unrooted or rooted degree rules raises ValueError."""
+    that breaks the unrooted or rooted degree rules, or m_max < t.n, raises
+    ValueError."""
+    if m_max < t.n:
+        raise ValueError(f"need m_max >= n = {t.n}, got {m_max}")
     if len(t.roots) > 1:
         raise ValueError("restriction fibers are defined for unrooted and rooted trees")
     t.validate("rooted" if t.roots else "unrooted")
-    n = t.n
-    rooted = len(t.roots) == 1
-    out = []
-    for m in range(n, m_max + 1):
-        if m == n:
-            out.append(1 if t.u == 0 else 0)
-        else:
-            out.append(restriction_fibers(m, n, rooted).get(t, 0))
-    return out
+    rooted = bool(t.roots)
+    return [int(t.u == 0)] + [restriction_fibers(m, t.n, rooted).get(t, 0)
+                              for m in range(t.n + 1, m_max + 1)]

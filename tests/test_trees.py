@@ -10,7 +10,6 @@ import gregtrees.trees as trees_module
 from gregtrees.polys import FAMILIES, Poly, gen_F, gen_G, gen_H, shift
 from gregtrees.trees import (
     VARIANTS,
-    CayleyTree,
     GregTree,
     Variant,
     _build_canonical,
@@ -92,15 +91,26 @@ def test_cayley_enumeration_is_deterministic_and_distinct():
 
 def test_cayley_build_validation():
     with pytest.raises(ValueError):
-        CayleyTree.build(3, [(1, 2)])  # too few edges
+        GregTree.build(3, 0, [(1, 2)])  # too few edges
     with pytest.raises(ValueError):
-        CayleyTree.build(3, [(1, 2), (1, 2)])  # duplicate
+        GregTree.build(3, 0, [(1, 2), (1, 2)])  # duplicate
     with pytest.raises(ValueError):
-        CayleyTree.build(4, [(1, 2), (3, 4), (1, 2)])  # disconnected + dup
+        GregTree.build(4, 0, [(1, 2), (3, 4), (1, 2)])  # disconnected + dup
     with pytest.raises(ValueError):
-        CayleyTree.build(3, [(1, 2), (2, 5)])  # vertex out of range
+        GregTree.build(3, 0, [(1, 2), (2, 5)])  # vertex out of range
     with pytest.raises(ValueError):
-        CayleyTree.build(2, [(1, 2)], root=3)
+        GregTree.build(2, 0, [(1, 2)], roots=(3,))
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_enumerate_cayley_yields_canonical_values(rooted):
+    """Each tree equals its built canonical form, so it compares and
+    hashes like the trees `restrict` and `GregTree.build` return."""
+    for n in range(1, 7):
+        for t in enumerate_cayley(n, rooted):
+            assert t == GregTree.build(n, 0, t.edges, roots=t.roots), t
+            assert t.u == 0 and len(t.roots) == rooted, t
+            t.validate("rooted" if t.roots else "unrooted")
 
 
 # ── Greg tree censuses ───────────────────────────────────────────────────
@@ -498,19 +508,52 @@ def test_build_keeps_one_entry_per_root_slot():
 # ── improper edges ───────────────────────────────────────────────────────
 
 def test_imp_requires_root_and_counts_inversions():
-    chain = CayleyTree.build(3, [(1, 2), (2, 3)], root=3)
+    chain = GregTree.build(3, 0, [(1, 2), (2, 3)], roots=(3,))
     # 3 -> 2 covers subtree {2, 1} with min 1 < 3; 2 -> 1 has 2 > 1
     assert imp(chain) == 2
-    assert imp(CayleyTree.build(3, [(1, 2), (2, 3)], root=1)) == 0
-    with pytest.raises(ValueError):
-        imp(CayleyTree.build(2, [(1, 2)]))
+    assert imp(GregTree.build(3, 0, [(1, 2), (2, 3)], roots=(1,))) == 0
+    with pytest.raises(ValueError, match="imp needs"):
+        imp(GregTree.build(2, 0, [(1, 2)]))
+
+
+@pytest.mark.parametrize("tree", [
+    GregTree.build(2, 1, [(1, 3), (2, 3)], roots=(3,)),
+    GregTree.build(2, 1, [(1, 3), (2, 3)], roots=(1,)),
+    GregTree.build(2, 0, [(1, 2)], roots=(1, 2)),
+], ids=["unlabeled-root", "unlabeled-inner", "birooted"])
+def test_imp_rejects_all_but_rooted_cayley_trees(tree):
+    with pytest.raises(ValueError, match="imp needs"):
+        imp(tree)
+
+
+def _imp_from_root(t, root):
+    """imp as first written: one walk from `root`, subtree minima bottom up."""
+    adj = {v: [] for v in range(1, t.n + 1)}
+    for a, b in t.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = {root: 0}
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    subtree_min = {v: v for v in order}
+    for v in reversed(order):
+        p = parent[v]
+        if p:
+            subtree_min[p] = min(subtree_min[p], subtree_min[v])
+    return sum(1 for v in order if parent[v] and parent[v] > subtree_min[v])
 
 
 def test_rerooted_imp_matches_imp_at_every_root():
     for n in range(1, 7):
         for t in enumerate_cayley(n):
-            want = [imp(CayleyTree(n=n, edges=t.edges, root=r)) for r in range(1, n + 1)]
+            want = [_imp_from_root(t, r) for r in range(1, n + 1)]
             assert _imp_by_root(t) == want, t
+            assert [imp(GregTree(n=n, u=0, edges=t.edges, roots=(r,)))
+                    for r in range(1, n + 1)] == want, t
 
 
 def test_imp_census_small():
@@ -550,30 +593,30 @@ def test_imp_censuses_share_one_walk(monkeypatch):
 # ── restriction ──────────────────────────────────────────────────────────
 
 def test_restrict_ten_vertex_example():
-    big = CayleyTree.build(
-        10, [(7, 1), (7, 6), (7, 2), (2, 4), (4, 9), (7, 5), (5, 8), (8, 10), (8, 3)])
+    big = GregTree.build(
+        10, 0, [(7, 1), (7, 6), (7, 2), (2, 4), (4, 9), (7, 5), (5, 8), (8, 10), (8, 3)])
     got = restrict(big, 4)
     assert got == GregTree.build(4, 1, [(5, 1), (5, 2), (5, 3), (2, 4)])
 
 
 def test_restrict_collapses_to_cayley():
-    t = CayleyTree.build(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    t = GregTree.build(5, 0, [(1, 2), (2, 3), (3, 4), (4, 5)])
     # unlabel 4, 5: the tail smooths and prunes away
     assert restrict(t, 3) == GregTree.build(3, 0, [(1, 2), (2, 3)])
 
 
 def test_restrict_unlabeled_root_degree2_survives():
-    t = CayleyTree.build(3, [(1, 3), (2, 3)], root=3)
+    t = GregTree.build(3, 0, [(1, 3), (2, 3)], roots=(3,))
     assert restrict(t, 2) == GregTree.build(2, 1, [(1, 3), (2, 3)], roots=(3,))
 
 
 def test_restrict_prunes_leaf_root_with_transfer():
-    chain = CayleyTree.build(5, [(1, 2), (2, 3), (3, 4), (4, 5)], root=5)
+    chain = GregTree.build(5, 0, [(1, 2), (2, 3), (3, 4), (4, 5)], roots=(5,))
     assert restrict(chain, 2) == GregTree.build(2, 0, [(1, 2)], roots=(2,))
 
 
 def test_restrict_transfer_can_iterate_onto_labels():
-    star = CayleyTree.build(4, [(1, 2), (2, 3), (3, 4)], root=4)
+    star = GregTree.build(4, 0, [(1, 2), (2, 3), (3, 4)], roots=(4,))
     assert restrict(star, 1) == GregTree.build(1, 0, (), roots=(1,))
 
 
@@ -584,7 +627,7 @@ def _rescanning_restrict(x, n):
     for a, b in x.edges:
         adj[a].add(b)
         adj[b].add(a)
-    root = x.root
+    root = x.roots[0] if x.roots else None
     while True:
         action = None
         for v in sorted(adj):
@@ -635,20 +678,39 @@ def test_restrict_matches_rescanning_restrict(rooted, m_max):
 
 
 def test_restrict_rejects_bad_index():
-    t = CayleyTree.build(3, [(1, 2), (2, 3)])
+    t = GregTree.build(3, 0, [(1, 2), (2, 3)])
     with pytest.raises(ValueError):
         restrict(t, 3)
     with pytest.raises(ValueError):
         restrict(t, 0)
 
 
+@pytest.mark.parametrize("tree", [
+    GregTree.build(3, 1, [(1, 4), (2, 4), (3, 4)]),
+    GregTree.build(3, 1, [(1, 4), (2, 4), (3, 4)], roots=(4,)),
+    GregTree.build(3, 0, [(1, 2), (2, 3)], roots=(1, 3)),
+], ids=["unlabeled", "unlabeled-rooted", "birooted"])
+def test_restrict_rejects_all_but_cayley_trees(tree):
+    with pytest.raises(ValueError, match="restrict needs"):
+        restrict(tree, 2)
+
+
 def test_restriction_census_frozen_values():
     edge = GregTree.build(2, 0, [(1, 2)])
     assert restriction_census(edge, 4) == [1, 3, 16]
+    assert restriction_census(edge, 2) == [1]  # m_max = n: the identity entry alone
     star = GregTree.build(3, 1, [(4, 1), (4, 2), (4, 3)])
     assert restriction_census(star, 4) == [0, 1]
+    assert restriction_census(star, 3) == [0]
     rooted_mid = GregTree.build(2, 1, [(1, 3), (2, 3)], roots=(3,))
     assert restriction_census(rooted_mid, 3) == [0, 1]
+
+
+@pytest.mark.parametrize("m_max", [1, 0, -5])
+def test_restriction_census_rejects_bound_below_n(m_max):
+    edge = GregTree.build(2, 0, [(1, 2)])
+    with pytest.raises(ValueError, match="m_max"):
+        restriction_census(edge, m_max)
 
 
 def test_restriction_census_rejects_relaxed_only_leaf_root():
@@ -733,5 +795,5 @@ def test_from_json_dict_reads_null_roots_as_absent():
 
 
 def test_cayley_json_shape():
-    t = CayleyTree.build(3, [(1, 2), (2, 3)], root=2)
+    t = GregTree.build(3, 0, [(1, 2), (2, 3)], roots=(2,))
     assert t.to_json_dict() == {"n": 3, "u": 0, "root": 2, "edges": [[1, 2], [2, 3]]}
