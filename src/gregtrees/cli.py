@@ -22,7 +22,7 @@ from .trees import VARIANTS, enumerate_greg, imp_polynomial, u_bound, unl_polyno
 from .wfunc import eval_W, nth_derivative_W
 
 _VERTEX_CAP = 11          # trees work caps at 11 total vertices
-_IMP_CAP = 7              # n^(n-1) rooted trees; 8 would be ~2M
+_IMP_CAP = 7              # walks n^(n-2) unrooted trees; 8 would be 262,144
 
 # aliases accepted by `check` beside full names
 CHECK_ALIASES = {

@@ -35,8 +35,13 @@ under multiplicity constraints (a vertex of degree d appears d-1 times in
 the sequence), so only degree-feasible labeled trees are ever decoded, each
 in linear time.  The labeled candidates are deduplicated by their split
 systems, and only the first candidate of each tree is put into canonical
-form.  The rooted improper-edge census walks each unrooted Cayley tree once
-and reroots it to get every root's value.
+form.
+
+The improper-edge census and the restriction fibers walk the Cayley trees
+as Pruefer (leaf, parent) pair lists (`_cayley_pairs`) and build no
+per-tree object.  The census reroots each unrooted tree to get every
+root's value.  The fibers key each tree on the split system of its
+restriction, so `restrict` runs once per distinct result.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from typing import Iterator, Sequence
 
 from .polys import Poly
@@ -335,6 +341,16 @@ def _constrained_prufer(n: int, u: int, slack: int, floor: int) -> Iterator[tupl
 
 # ── enumeration ───────────────────────────────────────────────────────────
 
+def _cayley_pairs(n: int) -> Iterator[list[tuple[int, int]]]:
+    """The `_prufer_pairs` list of every labeled tree on 1..n, in
+    lexicographic Pruefer order: hung from vertex n, children first."""
+    if n == 1:
+        yield []
+        return
+    for seq in product(range(1, n + 1), repeat=n - 2):
+        yield _prufer_pairs(seq, n)
+
+
 def enumerate_cayley(n: int, rooted: bool = False) -> Iterator[GregTree]:
     """All labeled trees on 1..n as Greg trees with u = 0 and roots ()
     or (r,), lexicographic Pruefer order; rooted variants cycle roots in
@@ -342,11 +358,8 @@ def enumerate_cayley(n: int, rooted: bool = False) -> Iterator[GregTree]:
     edges and the root are already the canonical form."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n == 1:
-        yield GregTree(n=1, u=0, edges=(), roots=(1,) if rooted else ())
-        return
-    for seq in _constrained_prufer(n, 0, 0, 0):
-        edges = _normalize_edges(_prufer_pairs(seq, n))
+    for pairs in _cayley_pairs(n):
+        edges = _normalize_edges(pairs)
         if rooted:
             for r in range(1, n + 1):
                 yield GregTree(n=n, u=0, edges=edges, roots=(r,))
@@ -573,50 +586,55 @@ def imp(t: GregTree) -> int:
 
 
 def _imp_by_root(t: GregTree) -> list[int]:
-    """imp of the tree rooted at each vertex: entry r - 1 for root r.
-
-    One pass from vertex 1 gives the subtree minima below every edge;
-    across an edge the other side holds vertex 1, so its minimum is 1.
-    Moving the root from a parent p to its child v flips only the edge
-    p-v: p -> v (improper when p > min below v) becomes v -> p, which is
-    improper since v > 1.
-    """
-    n = t.n
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    """imp of the tree rooted at each vertex: entry r - 1 for root r."""
+    adj: list[list[int]] = [[] for _ in range(t.n + 1)]
     for a, b in t.edges:
         adj[a].append(b)
         adj[b].append(a)
-    parent = [0] * (n + 1)
+    parent = [0] * (t.n + 1)
     order = [1]
     for v in order:
         for w in adj[v]:
             if w != parent[v]:
                 parent[w] = v
                 order.append(w)
+    return _imp_hung(t.n, [(v, parent[v]) for v in reversed(order[1:])])
+
+
+def _imp_hung(n: int, pairs: list[tuple[int, int]]) -> list[int]:
+    """imp at each root r (entry r - 1) of the tree on 1..n whose edges
+    are the (child, parent) `pairs` of it hung from vertex 1, every child
+    listed after its own children.
+
+    One pass gives the subtree minima below every edge; across an edge the
+    other side holds vertex 1, so its minimum is 1.  Moving the root from
+    a parent p to its child v flips only the edge p-v: p -> v (improper
+    when p > min below v) becomes v -> p, which is improper since v > 1.
+    """
     low = list(range(n + 1))
-    for v in reversed(order):
-        p = parent[v]
+    for v, p in pairs:
         if low[v] < low[p]:
             low[p] = low[v]
-    down = [0] * (n + 1)   # 1 when the edge into v from its parent is improper
-    for v in order[1:]:
-        down[v] = parent[v] > low[v]
     out = [0] * (n + 1)
-    out[1] = sum(down)
-    for v in order[1:]:
-        out[v] = out[parent[v]] + 1 - down[v]
+    out[1] = sum(p > low[v] for v, p in pairs)
+    # parents before children; p is outside v's subtree, so p != low[v]
+    for v, p in reversed(pairs):
+        out[v] = out[p] + (p < low[v])
     return out[1:]
 
 
 @cache
 def _imp_polynomials(n: int) -> tuple[Poly, Poly]:
     """The unrooted and the rooted improper-edge census, from one walk of
-    each unrooted tree (`_imp_by_root`): the rooted census takes its imp at
-    every root, the unrooted one at root 1 only."""
+    the unrooted trees' Pruefer pairs: the rooted census takes imp at every
+    root, the unrooted one at root 1 only.  Relabeling i -> n + 1 - i is a
+    bijection of the labeled trees on 1..n, so the censuses are those of
+    the relabeled trees, which hang from vertex 1."""
+    flip = list(range(n + 1, 0, -1))   # flip[i] = n + 1 - i
     unrooted: Counter[int] = Counter()
     rooted: Counter[int] = Counter()
-    for t in enumerate_cayley(n):
-        by_root = _imp_by_root(t)
+    for pairs in _cayley_pairs(n):
+        by_root = _imp_hung(n, [(flip[v], flip[p]) for v, p in pairs])
         unrooted[by_root[0]] += 1
         rooted.update(by_root)
     return _census(unrooted), _census(rooted)
@@ -679,11 +697,45 @@ def restrict(x: GregTree, n: int) -> GregTree:
 
 def restriction_fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
     """How many Cayley trees of size m (rooted or not) restrict to each
-    Greg tree on the labels 1..n, for n < m."""
-    fibers: Counter[GregTree] = Counter()
-    for x in enumerate_cayley(m, rooted=rooted):
-        fibers[restrict(x, n)] += 1
-    return fibers
+    Greg tree on the labels 1..n, for 1 <= n < m.
+
+    Trees are counted by the split system of their restriction, and
+    `restrict` runs once per distinct system.  Marks are bits: label i <= n
+    is bit i - 1, the root bit n.  An edge of the Cayley tree lies on the
+    restriction exactly when both of its sides hold a label, and then
+    splits the marks as the restricted edge it lies on does; the root's
+    side is kept, since pruning moves the root only along edges with no
+    label beyond them.  The key is the set of the marks on the side of
+    each such edge away from label 1.  The restriction has no unmarked
+    vertex of degree <= 2, so its splits fix it (see `enumerate_greg`).
+    """
+    if not 1 <= n < m:
+        raise ValueError(f"need 1 <= n < m = {m}, got n = {n}")
+    labels = (1 << n) - 1
+    root_bit = 1 << n if rooted else 0
+    full = labels | root_bit
+    base = [0] + [1 << i for i in range(n)] + [0] * (m - n)
+    choices = [(r,) for r in range(1, m + 1)] if rooted else [()]
+    counts: Counter[frozenset[int]] = Counter()
+    first: dict[frozenset[int], GregTree] = {}
+    for pairs in _cayley_pairs(m):
+        for roots in choices:
+            mark = base[:]
+            for r in roots:
+                mark[r] |= root_bit
+            # pairs hang from vertex m, leaves first: a leaf's marks are
+            # complete when its edge comes up
+            splits = set()
+            for leaf, parent in pairs:
+                below = mark[leaf]
+                mark[parent] |= below
+                if 0 < below & labels < labels:
+                    splits.add(below ^ full if below & 1 else below)
+            key = frozenset(splits)
+            counts[key] += 1
+            if key not in first:
+                first[key] = GregTree(n=m, u=0, edges=_normalize_edges(pairs), roots=roots)
+    return Counter({restrict(first[key], n): count for key, count in counts.items()})
 
 
 def restriction_census(t: GregTree, m_max: int) -> list[int]:

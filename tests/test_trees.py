@@ -15,11 +15,13 @@ from gregtrees.trees import (
     _build_canonical,
     _canonical_form,
     _children,
+    _constrained_prufer,
     _greg_configs,
     _imp_by_root,
     _imp_polynomials,
     _inserted,
     _normalize_edges,
+    _prufer_pairs,
     degree_filtered_count,
     enumerate_cayley,
     enumerate_greg,
@@ -29,6 +31,7 @@ from gregtrees.trees import (
     prufer_decode,
     restrict,
     restriction_census,
+    restriction_fibers,
     u_bound,
     unl_polynomial,
 )
@@ -87,6 +90,29 @@ def test_cayley_enumeration_is_deterministic_and_distinct():
     assert len(set(trees)) == len(trees) == 16
     assert trees == list(enumerate_cayley(4))
     assert trees[0].edges == ((1, 2), (1, 3), (1, 4))  # sequence (1, 1)
+
+
+def _constrained_cayley(n, rooted):
+    """enumerate_cayley as first written: decode the unconstrained
+    `_constrained_prufer` sequences."""
+    if n == 1:
+        yield GregTree(n=1, u=0, edges=(), roots=(1,) if rooted else ())
+        return
+    for seq in _constrained_prufer(n, 0, 0, 0):
+        edges = _normalize_edges(_prufer_pairs(seq, n))
+        if rooted:
+            for r in range(1, n + 1):
+                yield GregTree(n=n, u=0, edges=edges, roots=(r,))
+        else:
+            yield GregTree(n=n, u=0, edges=edges)
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_enumerate_cayley_matches_constrained_prufer_order(rooted):
+    for n in range(1, 8):
+        pairs = itertools.zip_longest(enumerate_cayley(n, rooted), _constrained_cayley(n, rooted))
+        for i, (got, want) in enumerate(pairs):
+            assert got == want, (n, i)
 
 
 def test_cayley_build_validation():
@@ -564,8 +590,8 @@ def test_imp_census_small():
 
 @pytest.mark.parametrize("rooted, family", [(True, gen_G), (False, gen_H)])
 def test_imp_polynomial_equals_shifted_family(rooted, family):
-    rows = family(6)
-    for n in range(1, 6):
+    rows = family(7)
+    for n in range(1, 8):
         assert imp_polynomial(n, rooted) == shift(rows[n - 1], -1), n
 
 
@@ -573,17 +599,17 @@ def test_imp_censuses_share_one_walk(monkeypatch):
     """The rooted and the unrooted census come from one pass over the
     unrooted Cayley trees, and each is still its shifted family row."""
     calls = []
-    real = trees_module.enumerate_cayley
+    real = trees_module._cayley_pairs
 
-    def counted(n, rooted=False):
-        calls.append((n, rooted))
-        return real(n, rooted)
+    def counted(n):
+        calls.append(n)
+        return real(n)
 
-    monkeypatch.setattr(trees_module, "enumerate_cayley", counted)
+    monkeypatch.setattr(trees_module, "_cayley_pairs", counted)
     _imp_polynomials.cache_clear()
     try:
         rooted, unrooted = imp_polynomial(5, True), imp_polynomial(5, False)
-        assert calls == [(5, False)]
+        assert calls == [5]
         assert imp_polynomial(5, rooted=1) == rooted and imp_polynomial(5, rooted=0) == unrooted
         assert rooted == shift(gen_G(5)[4], -1) and unrooted == shift(gen_H(5)[4], -1)
     finally:
@@ -671,10 +697,26 @@ def _rescanning_restrict(x, n):
 
 @pytest.mark.parametrize("rooted, m_max", [(False, 7), (True, 6)])
 def test_restrict_matches_rescanning_restrict(rooted, m_max):
+    """Each restriction, and each fiber count of `restriction_fibers`."""
     for m in range(2, m_max + 1):
+        fibers = {n: Counter() for n in range(1, m)}
         for x in enumerate_cayley(m, rooted=rooted):
-            for n in range(1, m):
-                assert restrict(x, n) == _rescanning_restrict(x, n), (x, n)
+            for n, fiber in fibers.items():
+                want = _rescanning_restrict(x, n)
+                assert restrict(x, n) == want, (x, n)
+                fiber[want] += 1
+        for n, fiber in fibers.items():
+            assert restriction_fibers(m, n, rooted) == fiber, (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(4, 4), (4, 0), (1, 1)], ids=["n=m", "n=0", "m=1"])
+def test_restriction_fibers_reject_bad_bounds_before_walking(monkeypatch, m, n):
+    def walk(*args):
+        raise AssertionError("walk started")
+    monkeypatch.setattr(trees_module, "_cayley_pairs", walk)
+    for rooted in (False, True):
+        with pytest.raises(ValueError, match="1 <= n < m"):
+            restriction_fibers(m, n, rooted)
 
 
 def test_restrict_rejects_bad_index():
