@@ -219,14 +219,10 @@ def _canonical_form(n, ids, edges, roots):
     for i, r in enumerate(roots):
         mark[r] |= 1 << i
 
-    def encode(v: int, parent: int | None) -> tuple:
-        subs = sorted(encode(w, v) for w in adj[v] if w != parent)
-        return (0, v, mark[v]) if v <= n else (1, 0, mark[v]), tuple(subs)
-
     new_edges = []
     first = second = None
     counter = n
-    stack = [(encode(1, None), 0)]
+    stack = [(_encode(1, None, n, adj, mark), 0)]
     while stack:
         ((unlabeled, v, m), subs), parent = stack.pop()
         if unlabeled:
@@ -241,6 +237,13 @@ def _canonical_form(n, ids, edges, roots):
         stack.extend((sub, v) for sub in reversed(subs))
     new_edges.sort()
     return tuple(new_edges), (first, second)[:len(roots)]
+
+
+def _encode(v: int, parent: int | None, n: int, adj, mark) -> tuple:
+    """The subtree below v as a nested tuple, children sorted.  At module
+    level, not a closure, so a call leaves no reference cycle behind."""
+    subs = sorted(_encode(w, v, n, adj, mark) for w in adj[v] if w != parent)
+    return (0, v, mark[v]) if v <= n else (1, 0, mark[v]), tuple(subs)
 
 
 # ── Pruefer machinery ─────────────────────────────────────────────────────

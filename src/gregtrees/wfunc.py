@@ -4,6 +4,12 @@ W solves w e^w = z.  The principal branch is real-analytic on
 (-1/e, inf), has a branch point at z = -1/e, and the cut (-inf, -1/e].
 Evaluation is Halley iteration from a regime-chosen seed; every returned
 value satisfies the residual contract |w e^w - z| <= 1e-13 max(1, |z|).
+The iteration stops one step after the residual first reaches the
+rounding floor, |w e^w - z| <= 8 eps |z|, or at a step |dw| <= 1e-15
+(1 + |w|), whichever comes first, with 50 steps as the backstop.  The
+residual test is what ends it next to -1/e, where w e^w is flat and w is
+fixed only to about sqrt(eps), so the step test alone would spin to the
+backstop.  Derivatives at one real z share a single solve.
 
 Derivatives come from closed forms in the census polynomials:
 
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -30,6 +37,7 @@ _INV_E = math.exp(-1.0)
 
 _MAX_ITER = 50
 _STEP_TOL = 1e-15
+_FLOOR_TOL = 8.0 * sys.float_info.epsilon
 _RESIDUAL_TOL = 1e-13
 
 # W itself first, then W^2/2 + W, then W/(1+W)
@@ -62,11 +70,21 @@ def _seed(z: complex | float) -> complex | float:
         if z >= math.e:
             return math.log(z) - math.log(math.log(z))
         return math.log1p(z)
-    return cmath.log(z)
+    l1 = cmath.log(z)
+    if abs(z) >= 3.0:
+        # asymptotic series W = L1 - L2 + L2/L1 + ..., principal logs
+        l2 = cmath.log(l1)
+        return l1 - l2 + l2 / l1
+    return l1
 
 
 def eval_W(z: complex | float) -> WEval:
     """Principal-branch W(z) by Halley iteration.
+
+    The iteration ends on the step after the residual |w e^w - z| first
+    falls to 8 eps |z|, on a step |dw| <= 1e-15 (1 + |w|), or after 50
+    steps.  `iterations` counts the Halley steps taken (0 for z = 0), and
+    `residual` is |w e^w - z| of the returned w.
 
     Real z on the cut (z <= -1/e) and non-finite z (an infinite or NaN
     part) raise ValueError.  A result violating the residual contract
@@ -85,6 +103,7 @@ def eval_W(z: complex | float) -> WEval:
         return WEval(z=z, w=0.0, residual=0.0, iterations=0)
     exp = cmath.exp if isinstance(z, complex) else math.exp
     w = _seed(z)
+    floor = _FLOOR_TOL * abs(z)
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
         ew = exp(w)
@@ -95,12 +114,20 @@ def eval_W(z: complex | float) -> WEval:
             continue
         dw = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
         w = w - dw
-        if abs(dw) <= _STEP_TOL * (1.0 + abs(w)):
+        if abs(f) <= floor or abs(dw) <= _STEP_TOL * (1.0 + abs(w)):
             break
     residual = abs(w * exp(w) - z)
     if residual > _RESIDUAL_TOL * max(1.0, abs(z)):
         raise ArithmeticError(f"W({z!r}) did not converge: residual {residual:.3e}")
     return WEval(z=z, w=w, residual=residual, iterations=iterations)
+
+
+@lru_cache(maxsize=1)
+def _solved_W(z: float) -> float:
+    """W(z) of the last real z asked for: callers walk n at a fixed z.
+    `eval_W` is looked up at call time, so wrappers on it see the solve;
+    a raise is not cached."""
+    return eval_W(z).w
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +144,7 @@ def family_derivative(family: str, z: float, n: int) -> float:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("derivative index must be >= 1")
-    w = eval_W(float(z)).w
+    w = _solved_W(float(z))
     x = -w / (1.0 + w)
     poly, c = _family_row(family, n)
     value = poly(x) * math.exp(-n * w) / (1.0 + w) ** (n + c)

@@ -1,5 +1,6 @@
 """Enumeration, canonical forms, statistics, and restriction of trees."""
 
+import gc
 import itertools
 import math
 from collections import Counter
@@ -458,6 +459,18 @@ def test_canonical_form_matches_two_pass_form(variant, n_max):
             for edges, roots in _greg_configs(n, u, VARIANTS[variant]):
                 assert _canonical_form(n, ids, edges, roots) == \
                     _two_pass_slots(n, ids, edges, roots), (edges, roots)
+
+
+def test_build_leaves_no_reference_cycles():
+    # garbage from a build must be freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            GregTree.build(3, 1, [(1, 4), (2, 4), (3, 4)], roots=(1,))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _permuted_builds(t):

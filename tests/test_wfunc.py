@@ -3,10 +3,12 @@ sign checks."""
 
 import cmath
 import math
+import random
 
 import mpmath
 import pytest
 
+import gregtrees.wfunc as wfunc
 from gregtrees.wfunc import (
     BERNSTEIN_FAMILIES,
     WEval,
@@ -24,6 +26,47 @@ mpmath.mp.dps = 40
 
 def mp_W(z: complex) -> complex:
     return complex(mpmath.lambertw(mpmath.mpc(z.real, z.imag)))
+
+
+INV_E = math.exp(-1.0)
+
+
+def _step_test_W(z: float) -> tuple[float, int]:
+    """Real W(z) and its step count by Halley iteration that ends only on
+    the step test |dw| <= 1e-15 (1 + |w|) or after 50 steps, from the real
+    seeds of the module."""
+    if z == 0:
+        return 0.0, 0
+    if abs(z + INV_E) <= 0.3:
+        p = math.sqrt(2.0 * (math.e * z + 1.0))
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+    elif abs(z) <= 0.8:
+        w = z
+    elif z >= math.e:
+        w = math.log(z) - math.log(math.log(z))
+    else:
+        w = math.log1p(z)
+    iterations = 0
+    for iterations in range(1, 51):
+        ew = math.exp(w)
+        f = w * ew - z
+        w1 = w + 1.0
+        if w1 == 0:
+            w = w + 1e-6
+            continue
+        dw = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
+        w = w - dw
+        if abs(dw) <= 1e-15 * (1.0 + abs(w)):
+            break
+    return w, iterations
+
+
+def _assert_accurate(z, res):
+    """The residual contract, and the error bound against mpmath that
+    widens with the condition number 1/|1+W| at the branch point."""
+    assert res.residual <= 1e-13 * max(1.0, abs(z)), z
+    want = mp_W(complex(z))
+    assert abs(res.w - want) <= 1e-12 * (1.0 + 1.0 / abs(1.0 + want)) * abs(want), (z, res)
 
 
 def test_known_values():
@@ -62,6 +105,39 @@ def test_wrong_branch_gap_region():
         for theta in (1.7, 2.2, 2.7, 3.0):
             z = complex(r * math.cos(theta), r * math.sin(theta))
             assert abs(eval_W(z).w - mp_W(z)) < 1e-10
+
+
+def test_branch_point_stops_at_rounding_floor():
+    # next to -1/e w is fixed only to about sqrt(eps), so the step test
+    # cannot be met there and the residual test has to end the iteration
+    rng = random.Random(2024)
+    points = [-INV_E + 10.0 ** rng.uniform(-16.0, -1.0) for _ in range(300)]
+    points += [complex(-INV_E, 0.0) + cmath.rect(10.0 ** rng.uniform(-16.0, -1.0),
+                                                 rng.uniform(-math.pi, math.pi))
+               for _ in range(300)]
+    for z in points:
+        res = eval_W(z)
+        assert res.iterations <= 4, (z, res)
+        _assert_accurate(z, res)
+
+
+def test_real_outputs_match_step_test_loop():
+    points = [10.0 ** (-300.0 + 607.0 * k / 1500) for k in range(1501)]
+    points += [-INV_E + 0.1 + (INV_E - 0.1) * k / 300 for k in range(1, 300)]
+    for z in points:
+        res = eval_W(z)
+        assert (res.w, res.iterations) == _step_test_W(z), z
+
+
+def test_complex_asymptotic_seed():
+    # log z alone leaves the log log z term to the iteration: 5 to 7 steps
+    for kr in range(40):
+        r = 3.0 * 10.0 ** (300.0 * kr / 39)
+        for kt in range(16):
+            z = cmath.rect(r, -math.pi + 2.0 * math.pi * (kt + 0.5) / 16)
+            res = eval_W(z)
+            assert res.iterations <= 4, (z, res)
+            _assert_accurate(z, res)
 
 
 def test_branch_cut_rejection():
@@ -131,6 +207,49 @@ def test_bernstein_check_passes():
     assert report.passed, report.witness
     assert report.params["evaluations"] == 3 * 3 * 15
     assert set(report.params["families"]) == set(BERNSTEIN_FAMILIES)
+
+
+def _counting_eval_W(monkeypatch) -> list:
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return eval_W(z)
+    monkeypatch.setattr(wfunc, "eval_W", counted)
+    wfunc._solved_W.cache_clear()
+    return calls
+
+
+def test_derivatives_share_one_solve_per_point(monkeypatch):
+    calls = _counting_eval_W(monkeypatch)
+    assert check_bernstein((0.1, 1.0, 10.0), 15).passed
+    # three families walk n <= 15 at each of three points
+    assert len(calls) == 9
+
+
+def test_derivative_memo_is_never_stale():
+    rng = random.Random(7)
+    calls = [(rng.choice(BERNSTEIN_FAMILIES), rng.choice((0.05, 0.5, 2.0, 30.0)),
+              rng.randint(1, 12)) for _ in range(200)]
+    warm = [family_derivative(*call) for call in calls]
+    cold = []
+    for call in calls:
+        wfunc._solved_W.cache_clear()
+        cold.append(family_derivative(*call))
+    assert warm == cold
+
+
+def test_derivative_errors_are_not_cached(monkeypatch):
+    calls = _counting_eval_W(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="branch cut"):
+            family_derivative("W", -1.0, 2)
+    assert len(calls) == 3
+    # an accepted z between two rejected ones does not mask either
+    family_derivative("W", 1.0, 2)
+    with pytest.raises(ValueError, match="branch cut"):
+        family_derivative("W", -1.0, 2)
+    assert len(calls) == 5
 
 
 def test_bernstein_rejects_nonpositive_points():
