@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from .polys import FAMILIES, gen_F, gen_G, gen_H, gen_P, gen_Q
 from .series import series_T, series_W
-from .suite import CHECK_NAMES, SuiteConfig, run_suite
+from .suite import CHECK_NAMES, CHECKS, SuiteConfig, run_suite
 from .trees import VARIANTS, enumerate_greg, imp_polynomial, u_bound, unl_polynomial
-from .wfunc import eval_W, nth_derivative_W
+from .wfunc import _derivative_at, eval_W
 
 _VERTEX_CAP = 11          # trees work caps at 11 total vertices
 _IMP_CAP = 7              # walks n^(n-2) unrooted trees; 8 would be 262,144
@@ -31,21 +31,6 @@ CHECK_ALIASES = {
     "golden": "golden-tables",
     "reversion": "reversion-lemma",
 }
-
-# which budget --n-max tunes, per check
-_N_MAX_FIELD = {
-    "egf-theorem": "egf_n_max",
-    "bernstein-signs": "bernstein_n_max",
-    "def-identity-F": "series_n_max",
-    "def-identity-G": "series_n_max",
-    "def-identity-H": "series_n_max",
-    "def-identity-P": "series_n_max",
-    "interconversion": "poly_rows",
-    "reciprocity": "reciprocity_rows",
-    "shifted-positivity": "positivity_rows",
-    "q-specializations": "q_rows",
-}
-
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
@@ -194,41 +179,36 @@ def _run_series(args, parser) -> int:
 
 # ── check ─────────────────────────────────────────────────────────────────
 
+def rational(text: str) -> Fraction:
+    """The argparse type of --x; its name shows in the usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(text) from exc
+
+
 def _run_check(args, parser) -> int:
     config = SuiteConfig.quick() if args.quick else SuiteConfig()
     if args.corrupt is not None:
         config = replace(config, corrupt=args.corrupt)
 
-    target = args.name
-    if target in CHECK_ALIASES:
-        target = CHECK_ALIASES[target]
+    target = CHECK_ALIASES.get(args.name, args.name)
     if target != "all" and target not in CHECK_NAMES:
         parser.error(f"unknown check {target!r}; valid: all, "
                      + ", ".join(CHECK_NAMES) + "; aliases: " + ", ".join(CHECK_ALIASES))
 
+    # each option sets the budget field that the target's table entry names
+    options = {} if target == "all" else CHECKS[CHECK_NAMES.index(target)].options
     overrides = {}
-    if args.x:
-        if target != "egf-theorem":
-            parser.error("--x tunes the egf-theorem check")
-        try:
-            overrides["egf_x_samples"] = tuple(Fraction(v) for v in args.x)
-        except (ValueError, ZeroDivisionError):
-            parser.error(f"--x values must be rationals, got {args.x}")
-    if args.n_max is not None:
-        field = _N_MAX_FIELD.get(target)
-        if field is None:
-            parser.error(f"--n-max does not apply to {target!r}")
-        overrides[field] = args.n_max
-    if args.samples is not None:
-        if target != "halfplane":
-            parser.error("--samples tunes the halfplane check")
-        overrides["halfplane_samples"] = args.samples
-    if args.seed is not None:
-        if target != "halfplane":
-            parser.error("--seed tunes the halfplane check")
-        overrides["halfplane_seed"] = args.seed
-    if overrides:
-        config = replace(config, **overrides)
+    for flag in ("--x", "--n-max", "--samples", "--seed"):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if flag not in options:
+            parser.error(f"{flag} does not apply to {target!r}; it tunes "
+                         + ", ".join(c.name for c in CHECKS if flag in c.options))
+        overrides[options[flag]] = tuple(value) if isinstance(value, list) else value
+    config = replace(config, **overrides)
 
     try:
         result = run_suite(config, only=None if target == "all" else [target])
@@ -263,7 +243,7 @@ def _run_wfun(args, parser) -> int:
     real_positive = not isinstance(res.z, complex) and res.z > 0
     derivs = []
     if real_positive:
-        derivs = [nth_derivative_W(res.z, k) for k in range(1, args.n_max + 1)]
+        derivs = [_derivative_at("W", res.w, k) for k in range(1, args.n_max + 1)]
     if args.format == "text":
         lines = [f"W({res.z!r}) = {res.w!r}",
                  f"residual = {res.residual:.3e}",
@@ -324,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reduced budgets")
     p.add_argument("--corrupt", metavar="FAMILY:ROW", default=None,
                    help="bump one stored polynomial, to see the checks catch it")
-    p.add_argument("--x", action="append", metavar="RATIONAL",
+    p.add_argument("--x", action="append", type=rational, metavar="RATIONAL",
                    help="sample points for the egf-theorem check")
     p.add_argument("--n-max", type=int, default=None, help="depth override for one check")
     p.add_argument("--samples", type=int, default=None, help="halfplane sample count")

@@ -1,11 +1,14 @@
 """The verification suite: every identity the library exposes, as checks.
 
-``run_suite`` executes a fixed list of named checks and returns a
-``SuiteResult`` whose JSON and text renderings are byte-deterministic for
-a given configuration.  Budgets live in ``SuiteConfig``; the ``quick``
-profile trims them for smoke runs.  A check reads the configuration and
-the shared polynomial bundle, nothing else, so checks cannot mask each
-other's failures.
+Each check is declared once, as an entry of ``CHECKS``: its name, the
+``SuiteConfig`` budget that sizes it, the ``gregtrees check`` options that
+tune it, and its runner.  ``run_suite`` walks that table in order and
+``gregtrees check`` routes its options through it, so a new check is one
+entry.  ``run_suite`` returns a ``SuiteResult`` whose JSON and text
+renderings are byte-deterministic for a given configuration.  Budgets live
+in ``SuiteConfig``; the ``quick`` profile trims them for smoke runs.  A
+check reads the configuration and the shared polynomial bundle, nothing
+else, so checks cannot mask each other's failures.
 
 ``SuiteConfig.corrupt`` ("G:3" bumps the constant term of the stored G_3)
 exists to demonstrate sensitivity: a corrupted bundle must trip every
@@ -15,7 +18,7 @@ check that consumes the corrupted row and no check that does not.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -151,7 +154,7 @@ def _make_bundle(config: SuiteConfig) -> dict[str, list[Poly]]:
     rows = max(config.poly_rows, config.positivity_rows, config.reciprocity_rows,
                config.q_rows + 1, config.imp_rows, config.egf_n_max,
                config.series_n_max, config.gh_order, config.census_n_max,
-               config.census_birooted_n_max, 7)
+               config.census_birooted_n_max, *map(len, _GOLDEN.values()))
     # gen_* by name in this module, so wrappers placed on them see the calls
     bundle = {family: globals()[f"gen_{family}"](rows) for family in _BUNDLE_FAMILIES}
     if config.corrupt is not None:
@@ -316,20 +319,70 @@ def _check_imp_series(rooted: bool, depth: int, order: int) -> CheckReport:
     return _series.check_imp_census_series(censuses, rooted=rooted, order=order)
 
 
-# ── runner ────────────────────────────────────────────────────────────────
+# ── the check table ───────────────────────────────────────────────────────
 
-CHECK_NAMES = (
-    "golden-tables", "shifted-positivity", "interconversion", "reciprocity",
-    "q-specializations",
-    "def-identity-F", "def-identity-G", "def-identity-H", "def-identity-P",
-    "basic-identities", "reversion-lemma", "egf-theorem", "gh-functional",
-    "census-unl-unrooted", "census-unl-rooted", "census-unl-relaxed",
-    "census-unl-birooted", "census-imp-rooted", "census-imp-unrooted",
-    "restriction-fiber-unrooted", "restriction-fiber-rooted",
-    "imp-census-series-unrooted", "imp-census-series-rooted",
-    "bernstein-signs", "halfplane",
+@dataclass(frozen=True)
+class Check:
+    """One check of the suite.
+
+    `size` names the ``SuiteConfig`` budget that sizes it: zero skips the
+    check, and None runs it always.  `run(config, bundle)` looks its check
+    function up when called, so wrappers on module attributes see it.
+    `options` maps each ``gregtrees check`` option that tunes the check to
+    the field the option sets.
+    """
+
+    name: str
+    size: str | None
+    run: Callable[[SuiteConfig, dict[str, list[Poly]]], CheckReport]
+    options: dict[str, str] = field(default_factory=dict)
+
+
+_SIDES = (("unrooted", False), ("rooted", True))
+
+CHECKS: tuple[Check, ...] = (
+    Check("golden-tables", None, lambda c, b: _check_golden(b)),
+    Check("shifted-positivity", "positivity_rows",
+          lambda c, b: _check_positivity(b, c.positivity_rows), {"--n-max": "positivity_rows"}),
+    Check("interconversion", "poly_rows",
+          lambda c, b: _check_interconversion(b, c.poly_rows), {"--n-max": "poly_rows"}),
+    Check("reciprocity", "reciprocity_rows",
+          lambda c, b: _check_reciprocity(b, c.reciprocity_rows), {"--n-max": "reciprocity_rows"}),
+    Check("q-specializations", "q_rows",
+          lambda c, b: _check_q_specializations(b, c.q_rows), {"--n-max": "q_rows"}),
+    *(Check(f"def-identity-{f}", "series_n_max",
+            lambda c, b, f=f: _series.check_def_identity(f, c.series_n_max, c.series_order, polys=b[f]),
+            {"--n-max": "series_n_max"}) for f in _BUNDLE_FAMILIES),
+    Check("basic-identities", "series_order", lambda c, b: _series.check_basic_identities(c.series_order)),
+    Check("reversion-lemma", "series_order", lambda c, b: _series.check_reversion_lemma(c.series_order)),
+    Check("egf-theorem", "egf_n_max",
+          lambda c, b: _series.check_egf_theorem(c.egf_x_samples, c.egf_n_max, polys=b),
+          {"--n-max": "egf_n_max", "--x": "egf_x_samples"}),
+    Check("gh-functional", "gh_order",
+          lambda c, b: _series.check_gh_functional(c.egf_x_samples, c.gh_order, polys=b)),
+    *(Check(f"census-unl-{v}", "census_n_max", lambda c, b, v=v: _check_census_unl(b, v, c.census_n_max))
+      for v in ("unrooted", "rooted", "relaxed")),
+    Check("census-unl-birooted", "census_birooted_n_max",
+          lambda c, b: _check_census_unl(b, "birooted", c.census_birooted_n_max)),
+    *(Check(f"census-imp-{side}", "imp_rows", lambda c, b, r=r: _check_census_imp(b, r, c.imp_rows))
+      for side, r in reversed(_SIDES)),
+    *(Check(f"restriction-fiber-{side}", "restriction_n_max",
+            lambda c, b, r=r: _check_restriction(r, c.restriction_n_max, c.restriction_extra))
+      for side, r in _SIDES),
+    *(Check(f"imp-census-series-{side}", "beta_depth",
+            lambda c, b, r=r: _check_imp_series(r, c.beta_depth, c.beta_order)) for side, r in _SIDES),
+    Check("bernstein-signs", "bernstein_n_max",
+          lambda c, b: _wfunc.check_bernstein(c.bernstein_points, c.bernstein_n_max),
+          {"--n-max": "bernstein_n_max"}),
+    Check("halfplane", "halfplane_samples",
+          lambda c, b: _wfunc.check_halfplane(c.halfplane_samples, c.halfplane_seed),
+          {"--samples": "halfplane_samples", "--seed": "halfplane_seed"}),
 )
 
+CHECK_NAMES = tuple(c.name for c in CHECKS)
+
+
+# ── runner ────────────────────────────────────────────────────────────────
 
 def run_suite(config: SuiteConfig | None = None,
               only: Sequence[str] | None = None) -> SuiteResult:
@@ -344,55 +397,11 @@ def run_suite(config: SuiteConfig | None = None,
         if unknown:
             raise ValueError(f"unknown checks {unknown}; valid names: {', '.join(CHECK_NAMES)}")
     bundle = _make_bundle(config)
-    c = config
-
-    table: dict[str, tuple[int, Callable[[], CheckReport]]] = {
-        "golden-tables": (1, lambda: _check_golden(bundle)),
-        "shifted-positivity": (c.positivity_rows, lambda: _check_positivity(bundle, c.positivity_rows)),
-        "interconversion": (c.poly_rows, lambda: _check_interconversion(bundle, c.poly_rows)),
-        "reciprocity": (c.reciprocity_rows, lambda: _check_reciprocity(bundle, c.reciprocity_rows)),
-        "q-specializations": (c.q_rows, lambda: _check_q_specializations(bundle, c.q_rows)),
-        "def-identity-F": (c.series_n_max, lambda: _series.check_def_identity(
-            "F", c.series_n_max, c.series_order, polys=bundle["F"])),
-        "def-identity-G": (c.series_n_max, lambda: _series.check_def_identity(
-            "G", c.series_n_max, c.series_order, polys=bundle["G"])),
-        "def-identity-H": (c.series_n_max, lambda: _series.check_def_identity(
-            "H", c.series_n_max, c.series_order, polys=bundle["H"])),
-        "def-identity-P": (c.series_n_max, lambda: _series.check_def_identity(
-            "P", c.series_n_max, c.series_order, polys=bundle["P"])),
-        "basic-identities": (c.series_order, lambda: _series.check_basic_identities(c.series_order)),
-        "reversion-lemma": (c.series_order, lambda: _series.check_reversion_lemma(c.series_order)),
-        "egf-theorem": (c.egf_n_max, lambda: _series.check_egf_theorem(
-            c.egf_x_samples, c.egf_n_max, polys=bundle)),
-        "gh-functional": (c.gh_order, lambda: _series.check_gh_functional(
-            c.egf_x_samples, c.gh_order, polys=bundle)),
-        "census-unl-unrooted": (c.census_n_max, lambda: _check_census_unl(bundle, "unrooted", c.census_n_max)),
-        "census-unl-rooted": (c.census_n_max, lambda: _check_census_unl(bundle, "rooted", c.census_n_max)),
-        "census-unl-relaxed": (c.census_n_max, lambda: _check_census_unl(bundle, "relaxed", c.census_n_max)),
-        "census-unl-birooted": (c.census_birooted_n_max, lambda: _check_census_unl(
-            bundle, "birooted", c.census_birooted_n_max)),
-        "census-imp-rooted": (c.imp_rows, lambda: _check_census_imp(bundle, True, c.imp_rows)),
-        "census-imp-unrooted": (c.imp_rows, lambda: _check_census_imp(bundle, False, c.imp_rows)),
-        "restriction-fiber-unrooted": (c.restriction_n_max, lambda: _check_restriction(
-            False, c.restriction_n_max, c.restriction_extra)),
-        "restriction-fiber-rooted": (c.restriction_n_max, lambda: _check_restriction(
-            True, c.restriction_n_max, c.restriction_extra)),
-        "imp-census-series-unrooted": (c.beta_depth, lambda: _check_imp_series(
-            False, c.beta_depth, c.beta_order)),
-        "imp-census-series-rooted": (c.beta_depth, lambda: _check_imp_series(
-            True, c.beta_depth, c.beta_order)),
-        "bernstein-signs": (c.bernstein_n_max, lambda: _wfunc.check_bernstein(
-            c.bernstein_points, c.bernstein_n_max)),
-        "halfplane": (c.halfplane_samples, lambda: _wfunc.check_halfplane(
-            c.halfplane_samples, c.halfplane_seed)),
-    }
-    assert tuple(table) == CHECK_NAMES
-
     reports = []
-    for check_name in CHECK_NAMES:
-        budget, runner = table[check_name]
-        if budget <= 0 or (only is not None and check_name not in only):
-            reports.append(CheckReport.skip(check_name))
+    for check in CHECKS:
+        if ((only is not None and check.name not in only)
+                or (check.size is not None and getattr(config, check.size) <= 0)):
+            reports.append(CheckReport.skip(check.name))
         else:
-            reports.append(runner())
+            reports.append(check.run(config, bundle))
     return SuiteResult(reports=reports, budget=config.budget_dict())

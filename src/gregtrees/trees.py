@@ -344,6 +344,19 @@ def _constrained_prufer(n: int, u: int, slack: int, floor: int) -> Iterator[tupl
 
 # ── enumeration ───────────────────────────────────────────────────────────
 
+def _split_marks(pairs: list[tuple[int, int]], mark: list[int], full: int) -> list[int]:
+    """Per pair, the marks on its edge's side away from vertex 1 (label 1 is
+    bit 0).  The pairs hang leaves first, so a leaf's marks, OR-ed up into
+    `mark`, are complete when its edge comes up; the side away from vertex
+    1 is their complement within `full` whenever they hold label 1."""
+    below = []
+    for leaf, parent in pairs:
+        m = mark[leaf]
+        mark[parent] |= m
+        below.append(m ^ full if m & 1 else m)
+    return below
+
+
 def _cayley_pairs(n: int) -> Iterator[list[tuple[int, int]]]:
     """The `_prufer_pairs` list of every labeled tree on 1..n, in
     lexicographic Pruefer order: hung from vertex n, children first."""
@@ -457,16 +470,7 @@ def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
             mark = labels[:]
             for r, bit in zip(roots, slot_bits):
                 mark[r] |= bit
-            # pairs hang from vertex n + u, leaves first: a leaf's marks
-            # are complete when its edge comes up, and the side away from
-            # vertex 1 is the complement whenever that side holds label 1
-            below = []
-            for leaf, parent in pairs:
-                m = mark[leaf]
-                mark[parent] |= m
-                below.append(m ^ full if m & 1 else m)
-            below.sort()
-            key = tuple(below)
+            key = tuple(sorted(_split_marks(pairs, mark, full)))
             if key not in seen:
                 seen.add(key)
                 yield _build_canonical(n, u, pairs, roots)
@@ -726,15 +730,10 @@ def restriction_fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
             mark = base[:]
             for r in roots:
                 mark[r] |= root_bit
-            # pairs hang from vertex m, leaves first: a leaf's marks are
-            # complete when its edge comes up
-            splits = set()
-            for leaf, parent in pairs:
-                below = mark[leaf]
-                mark[parent] |= below
-                if 0 < below & labels < labels:
-                    splits.add(below ^ full if below & 1 else below)
-            key = frozenset(splits)
+            # an edge with labels on both sides keeps that after the
+            # complement, which exchanges the two sides' labels
+            key = frozenset(split for split in _split_marks(pairs, mark, full)
+                            if 0 < split & labels < labels)
             counts[key] += 1
             if key not in first:
                 first[key] = GregTree(n=m, u=0, edges=_normalize_edges(pairs), roots=roots)

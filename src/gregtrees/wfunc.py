@@ -144,7 +144,11 @@ def family_derivative(family: str, z: float, n: int) -> float:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("derivative index must be >= 1")
-    w = _solved_W(float(z))
+    return _derivative_at(family, _solved_W(float(z)), n)
+
+
+def _derivative_at(family: str, w: float, n: int) -> float:
+    """`family_derivative` at the z with W(z) = w, for callers holding the solve."""
     x = -w / (1.0 + w)
     poly, c = _family_row(family, n)
     value = poly(x) * math.exp(-n * w) / (1.0 + w) ** (n + c)

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import gregtrees
+from gregtrees import cli, wfunc
 from gregtrees.cli import _json_rows, main
 from gregtrees.polys import Poly
+from gregtrees.suite import CHECK_NAMES, SuiteConfig
 
 
 def run(capsys, *argv):
@@ -84,6 +86,30 @@ def test_wfun_text(capsys):
     assert lines[0] == "W(1.0) = 0.5671432904097838"
     assert lines[3] == "d^1 W = 0.36189625663488917"
     assert len(lines) == 5
+
+
+def test_wfun_solves_W_once(capsys, monkeypatch):
+    """The printed solve feeds the derivatives; output bytes stay put."""
+    calls = []
+
+    def counting(solve):
+        def counted(z):
+            calls.append(z)
+            return solve(z)
+        return counted
+    monkeypatch.setattr(wfunc, "eval_W", counting(wfunc.eval_W))
+    monkeypatch.setattr(cli, "eval_W", counting(cli.eval_W))
+    wfunc._solved_W.cache_clear()
+    code, _, _ = run(capsys, "wfun", "1.0", "--n-max", "5")
+    assert code == 0
+    assert len(calls) == 1
+    code, out, _ = run(capsys, "wfun", "1.0", "--n-max", "2")
+    assert code == 0
+    assert out == ("W(1.0) = 0.5671432904097838\n"
+                   "residual = 0.000e+00\n"
+                   "iterations = 4\n"
+                   "d^1 W = 0.36189625663488917\n"
+                   "d^2 W = -0.21454064628214373\n")
 
 
 def test_wfun_complex_json(capsys):
@@ -168,6 +194,40 @@ def test_check_n_max_override(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["budget"]["reciprocity_rows"] == 5
+
+
+# the SuiteConfig field each check option sets; every other (check, option)
+# pair, and any option with `all`, is a usage error
+OPTION_FIELDS = {
+    ("shifted-positivity", "--n-max"): "positivity_rows",
+    ("interconversion", "--n-max"): "poly_rows",
+    ("reciprocity", "--n-max"): "reciprocity_rows",
+    ("q-specializations", "--n-max"): "q_rows",
+    **{(f"def-identity-{family}", "--n-max"): "series_n_max" for family in "FGHP"},
+    ("egf-theorem", "--n-max"): "egf_n_max",
+    ("egf-theorem", "--x"): "egf_x_samples",
+    ("bernstein-signs", "--n-max"): "bernstein_n_max",
+    ("halfplane", "--samples"): "halfplane_samples",
+    ("halfplane", "--seed"): "halfplane_seed",
+}
+# option -> (argument, the value the JSON budget then shows)
+OPTION_VALUES = {"--n-max": ("3", 3), "--x": ("1/3", ["1/3"]),
+                 "--samples": ("7", 7), "--seed": ("5", 5)}
+
+
+@pytest.mark.parametrize("option", OPTION_VALUES)
+@pytest.mark.parametrize("name", ("all", *CHECK_NAMES))
+def test_check_option_routing(capsys, name, option):
+    argument, shown = OPTION_VALUES[option]
+    code, out, err = run(capsys, "check", name, "--quick", option, argument,
+                         "--format", "json")
+    field = OPTION_FIELDS.get((name, option))
+    if field is None:
+        assert (code, out) == (2, "")
+        assert err != ""
+        return
+    assert code == 0
+    assert json.loads(out)["budget"] == {**SuiteConfig.quick().budget_dict(), field: shown}
 
 
 def test_check_corruption_fails_with_exit_1(capsys):

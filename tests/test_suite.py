@@ -116,6 +116,47 @@ def test_zero_budget_skips():
     assert result.counts["skip"] == 1
 
 
+# the SuiteConfig field whose budget sizes each check; golden-tables has none
+SIZING_FIELDS = {
+    "shifted-positivity": "positivity_rows",
+    "interconversion": "poly_rows",
+    "reciprocity": "reciprocity_rows",
+    "q-specializations": "q_rows",
+    **{f"def-identity-{family}": "series_n_max" for family in "FGHP"},
+    "basic-identities": "series_order",
+    "reversion-lemma": "series_order",
+    "egf-theorem": "egf_n_max",
+    "gh-functional": "gh_order",
+    **{f"census-unl-{v}": "census_n_max" for v in ("unrooted", "rooted", "relaxed")},
+    "census-unl-birooted": "census_birooted_n_max",
+    "census-imp-rooted": "imp_rows",
+    "census-imp-unrooted": "imp_rows",
+    "restriction-fiber-unrooted": "restriction_n_max",
+    "restriction-fiber-rooted": "restriction_n_max",
+    "imp-census-series-unrooted": "beta_depth",
+    "imp-census-series-rooted": "beta_depth",
+    "bernstein-signs": "bernstein_n_max",
+    "halfplane": "halfplane_samples",
+}
+
+
+def test_sizing_fields_cover_every_check_but_golden():
+    assert set(SIZING_FIELDS) == set(CHECK_NAMES) - {"golden-tables"}
+
+
+@pytest.mark.parametrize("name", sorted(SIZING_FIELDS))
+def test_zero_sizing_budget_skips_the_check(name):
+    result = run_suite(replace(SuiteConfig.quick(), **{SIZING_FIELDS[name]: 0}), only=[name])
+    assert result.counts == {"pass": 0, "fail": 0, "skip": 25, "total": 25}
+
+
+def test_golden_tables_run_with_every_budget_zero():
+    zero = {field: 0 for field in set(SIZING_FIELDS.values())}
+    result = run_suite(replace(SuiteConfig.quick(), **zero))
+    assert [r.name for r in result.reports if not r.skipped] == ["golden-tables"]
+    assert result.ok
+
+
 def test_default_config_all_pass():
     result = run_suite()
     assert result.ok, result.failed_names()
