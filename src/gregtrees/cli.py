@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -187,6 +188,13 @@ def rational(text: str) -> Fraction:
         raise ValueError(text) from exc
 
 
+def count(text: str) -> int:
+    """The argparse type of --n-max and --samples: an int >= 0."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def _run_check(args, parser) -> int:
     config = SuiteConfig.quick() if args.quick else SuiteConfig()
     if args.corrupt is not None:
@@ -221,23 +229,17 @@ def _run_check(args, parser) -> int:
 
 # ── wfun ──────────────────────────────────────────────────────────────────
 
-def _parse_z(value: str, parser):
+def number(text: str) -> float | complex:
+    """The argparse type of Z: a float where one parses, else a complex."""
     try:
-        return float(value)
+        return float(text)
     except ValueError:
-        pass
-    try:
-        return complex(value)
-    except ValueError:
-        parser.error(f"cannot parse z from {value!r}")
+        return complex(text)
 
 
 def _run_wfun(args, parser) -> int:
-    z = _parse_z(args.z, parser)
-    if args.n_max < 0:
-        parser.error("--n-max must be >= 0")
     try:
-        res = eval_W(z)
+        res = eval_W(args.z)
     except (ValueError, ArithmeticError) as exc:
         parser.error(str(exc))
     real_positive = not isinstance(res.z, complex) and res.z > 0
@@ -266,8 +268,17 @@ def _run_wfun(args, parser) -> int:
 
 # ── parser ────────────────────────────────────────────────────────────────
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token starting -digit or -.digit as a value, where argparse
+    takes -1/2, -1e-3 and -0.3+0.1j for options; subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gregtrees",
         description="Tree-function derivative polynomials, Greg tree enumeration, "
                     "and the identity verification suite.")
@@ -306,15 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bump one stored polynomial, to see the checks catch it")
     p.add_argument("--x", action="append", type=rational, metavar="RATIONAL",
                    help="sample points for the egf-theorem check")
-    p.add_argument("--n-max", type=int, default=None, help="depth override for one check")
-    p.add_argument("--samples", type=int, default=None, help="halfplane sample count")
+    p.add_argument("--n-max", type=count, default=None, help="depth override for one check")
+    p.add_argument("--samples", type=count, default=None, help="halfplane sample count")
     p.add_argument("--seed", type=int, default=None, help="halfplane sampler seed")
     add_common(p, formats=("text", "json"))
     p.set_defaults(run=_run_check)
 
     p = sub.add_parser("wfun", help="evaluate W and its derivatives")
-    p.add_argument("z", metavar="Z", help="real or complex, e.g. 0.5 or 1+2j")
-    p.add_argument("--n-max", type=int, default=4,
+    p.add_argument("z", type=number, metavar="Z", help="real or complex, e.g. 0.5 or 1+2j")
+    p.add_argument("--n-max", type=count, default=4,
                    help="derivatives to print for real z > 0 (default 4)")
     add_common(p, formats=("text", "json"))
     p.set_defaults(run=_run_wfun)

@@ -12,9 +12,9 @@ integer EGF vector instead: the closed-form derivative displays
 (``rhs_series``) and both sides of ``check_def_identity`` and
 ``check_imp_census_series`` are built and compared on ints.  The
 ``egf-theorem`` and ``reversion-lemma`` checks stay on ``RatSeries``, since
-their series are the statements under test; ``exp`` and ``reciprocal`` run
-their recurrences on integers over one common denominator.  The rows of
-``egf-theorem`` and ``gh-functional`` are evaluated on integers at x = p/q.
+their series are the statements under test; ``exp`` and ``reciprocal``
+scale into the same integer EGF kernels.  The rows of ``egf-theorem`` and
+``gh-functional`` are evaluated on integers at x = p/q.
 
 The checks at the bottom compare independently computed expansions of the
 tree function T (T = z e^T, T(z) = -W(-z)) and its relatives
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .polys import FAMILIES, Poly, gen_F, gen_G, gen_H, gen_P, imp_family, power, shift
@@ -201,54 +202,30 @@ class RatSeries:
         """exp(self); requires constant term 0.
 
         With self = sum F_j z^j / D over one common denominator D, the
-        recurrence m e_m = sum_j j f_j e_{m-j} runs on the integers
-        E_m = m! D^m e_m:
-
-            E_m = sum_{j=1}^m j F_j E_{m-j} (m-1)!/(m-j)! D^{j-1},   E_0 = 1,
-
-        and each coefficient is reduced once.
+        integer EGF vector j! F_j D^{j-1} stands for self(Dz), and entry m
+        of its exponential is m! D^m [z^m] exp(self).
         """
         if self.coeffs[0] != 0:
             raise ValueError("exp requires a series vanishing at 0")
         f, d = _common_denominator(self.coeffs)
-        g = [0] + [(j + 1) * c * d ** j for j, c in enumerate(f[1:])]   # g[j] = j F_j D^{j-1}
-        e, out, scale = [1], [Fraction(1)], 1   # scale = m! D^m
-        for m in range(1, len(f)):
-            acc, falling = 0, 1   # falling = (m-1)!/(m-j)!
-            for j in range(1, m + 1):
-                if g[j]:
-                    acc += g[j] * e[m - j] * falling
-                falling *= m - j
-            e.append(acc)
-            scale *= m * d
-            out.append(Fraction(acc, scale))
-        return RatSeries(out)
+        scale = list(accumulate(range(1, len(f)), lambda s, m: s * m * d, initial=1))   # m! D^m
+        e = _egf_exp([c * s // d for c, s in zip(f, scale)])
+        return RatSeries([Fraction(c, s) for c, s in zip(e, scale)])
 
     def reciprocal(self) -> "RatSeries":
         """1/self; requires a nonzero constant term.
 
-        With self = sum F_j z^j / D, the recurrence f_0 r_m = -sum_j f_j r_{m-j}
-        runs on the integers R_m = r_m F_0^{m+1} / D:
-
-            R_m = -sum_{j=1}^m F_j R_{m-j} F_0^{j-1},   R_0 = 1,
-
-        and each coefficient is reduced once.
+        With self = sum F_j z^j / D, the integer EGF vector j! F_j F_0^{j-1}
+        stands for self(F_0 z) D / F_0 and has leading entry 1.  Entry m of
+        its inverse is m! F_0^m r_m, and 1/self = (D/F_0) sum r_m z^m.
         """
         if self.coeffs[0] == 0:
             raise ValueError("reciprocal requires a unit constant term")
         f, d = _common_denominator(self.coeffs)
         f0 = f[0]
-        g = [0] + [c * f0 ** j for j, c in enumerate(f[1:])]   # g[j] = F_j F_0^{j-1}
-        r, out, scale = [1], [Fraction(d, f0)], f0   # scale = F_0^{m+1}
-        for m in range(1, len(f)):
-            acc = 0
-            for j in range(1, m + 1):
-                if g[j]:
-                    acc -= g[j] * r[m - j]
-            r.append(acc)
-            scale *= f0
-            out.append(Fraction(acc * d, scale))
-        return RatSeries(out)
+        scale = list(accumulate(range(1, len(f)), lambda s, m: s * m * f0, initial=1))   # m! F_0^m
+        r = _egf_inverse([c * s // f0 for c, s in zip(f, scale)])
+        return RatSeries([Fraction(d * c, f0 * s) for c, s in zip(r, scale)])
 
     def geom_inverse(self) -> "RatSeries":
         """1/(1 - self); requires constant term 0."""
@@ -339,6 +316,15 @@ def _egf_exp(f: Sequence[int]) -> list[int]:
     return e
 
 
+def _egf_inverse(f: Sequence[int]) -> list[int]:
+    """1/f for f[0] = 1; f g = 1 gives g[m] = -sum_{k>=1} C(m,k) f[k] g[m-k]."""
+    g = [1]
+    for m in range(1, len(f)):
+        g.append(0)   # so the sum leaves out the unknown f[0] g[m]
+        g[m] = -_binomial_sum(f, g, m)
+    return g
+
+
 def _egf_pow(f: Sequence[int], a: int) -> list[int]:
     """f^a for f[0] = 1 and any integer a; g'f = a f'g gives
     g[m+1] = a sum_k C(m,k) f[k+1] g[m-k] - sum_{k<m} C(m,k) g[k+1] f[m-k]."""
@@ -398,7 +384,7 @@ def _rhs_egf(family: str, n: int, order: int, poly: Poly) -> list[int]:
         t = _base_egf("G", order)   # T
         unit = [1] + [-c for c in t[1:]]   # 1 - T
         head, exponent = [n * c for c in t], -(n + FAMILIES[family].c)
-        arg = _egf_mul(t, _egf_pow(unit, -1))   # T/(1-T)
+        arg = _egf_mul(t, _egf_inverse(unit))   # T/(1-T)
     return _egf_mul(_egf_mul(_egf_exp(head), _egf_pow(unit, exponent)), _egf_horner(poly, arg))
 
 
@@ -644,7 +630,7 @@ def check_gh_functional(
         qe = q ** extra
         g = [0] + [_scaled_value(gr, p, q, n - 1 + extra) for n, (gr, _) in enumerate(rows, start=1)]
         for n in range(1, order + 1):
-            conv = sum(math.comb(n, k) * g[k] * g[n - k] for k in range(1, n))
+            conv = _binomial_sum(g, g, n)   # the k = 0 and k = n terms vanish: g[0] = 0
             h = _scaled_value(rows[n - 1][1], p, q, n - 1 + extra)
             rhs = 2 * qe * g[n] - (p + q) * conv
             if 2 * qe * h != rhs:

@@ -196,6 +196,33 @@ def test_check_n_max_override(capsys):
     assert json.loads(out)["budget"]["reciprocity_rows"] == 5
 
 
+def test_check_n_max_zero_skips(capsys):
+    code, out, _ = run(capsys, "check", "reciprocity", "--n-max", "0")
+    assert code == 0
+    lines = out.splitlines()
+    assert "SKIP reciprocity" in lines
+    assert lines[-1] == "0 passed, 0 failed, 25 skipped"
+
+
+# a negative number is a value wherever it stands, as it is after `=` or `--`
+NEGATIVE_VALUES = [
+    (("check", "egf", "--quick", "--x", "-1/2", "--format", "json"),
+     ("check", "egf", "--quick", "--x=-1/2", "--format", "json")),
+    (("check", "egf", "--quick", "--x", "1", "--x", "-2/3"),
+     ("check", "egf", "--quick", "--x", "1", "--x=-2/3")),
+    (("wfun", "-1e-3"), ("wfun", "--", "-1e-3")),
+    (("wfun", "-0.3+0.1j", "--format", "json"), ("wfun", "--format", "json", "--", "-0.3+0.1j")),
+    (("wfun", "-0.001"), ("wfun", "--", "-0.001")),
+]
+
+
+@pytest.mark.parametrize("argv, spelled", NEGATIVE_VALUES, ids=[" ".join(a) for a, _ in NEGATIVE_VALUES])
+def test_negative_number_is_a_value(capsys, argv, spelled):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *spelled)
+
+
 # the SuiteConfig field each check option sets; every other (check, option)
 # pair, and any option with `all`, is a usage error
 OPTION_FIELDS = {
@@ -269,6 +296,11 @@ USAGE_ERRORS = [
     ("wfun", "-1"),
     ("wfun", "abc"),
     ("wfun", "1.0", "--n-max", "-1"),
+    ("check", "reciprocity", "--n-max", "-5"),   # depths are counts
+    ("check", "halfplane", "--samples", "-3"),
+    ("check", "egf", "--x", "-q"),              # not a number: an option, so --x has no value
+    ("check", "all", "--bogus"),
+    ("--bogus",),
     ("wfun", "1e308"),                           # w e^w overflows: ArithmeticError
     ("wfun", "nan"),
 ]

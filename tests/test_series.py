@@ -17,6 +17,9 @@ from gregtrees.series import (
     check_gh_functional,
     check_imp_census_series,
     check_reversion_lemma,
+    _egf_inverse,
+    _egf_mul,
+    _egf_pow,
     _shifted_tree_series,
     reversion,
     rhs_series,
@@ -35,8 +38,18 @@ def test_tree_series_coefficients():
     assert t0.coeffs == (0, 1, 2, F(9, 2), F(32, 3))
     t2 = series_T(2, 4)
     assert t2.coeffs == (0, 1, F(1, 2), F(1, 2), F(2, 3))
+    assert series_T(3, 4).coeffs == (0, 1, F(1, 4), F(1, 6), F(1, 6))
+    assert series_T(-1, 3).coeffs == (0, 1, 4, F(27, 2))
     w = series_W(5)
     assert w.coeffs == (0, 1, -1, F(3, 2), -F(8, 3), F(125, 24))
+
+
+@pytest.mark.parametrize("alpha", (-1, 3, 4))
+def test_tree_series_outside_the_families(alpha):
+    """series_T sums n^{n-alpha} z^n/n! for every integer alpha, where the
+    exponent goes negative (alpha >= 3) or exceeds n (alpha < 0)."""
+    want = (0,) + tuple(F(n) ** (n - alpha) / math.factorial(n) for n in range(1, 7))
+    assert series_T(alpha, 6).coeffs == want
 
 
 def test_series_equality_and_construction():
@@ -484,8 +497,8 @@ def test_mul_by_scalar_matches_schoolbook_product(a, c):
 
 
 def _fraction_exp(s):
-    """exp by one Fraction operation per term: an oracle for the
-    common-denominator recurrence of `RatSeries.exp`."""
+    """exp by one Fraction operation per term: an oracle for
+    `RatSeries.exp`."""
     n = s.order
     out = [F(0)] * (n + 1)
     out[0] = F(1)
@@ -541,6 +554,15 @@ def test_reciprocal_matches_fraction_oracle(c0, tail):
     assert got.order == s.order
     assert all(type(c) is F for c in got.coeffs)
     assert (s * got) == RatSeries.const(1, s.order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6), max_size=15))
+def test_egf_inverse_inverts(tail):
+    f = [1] + tail
+    g = _egf_inverse(f)
+    assert _egf_mul(f, g) == [1] + [0] * len(tail)
+    assert g == _egf_pow(f, -1)
 
 
 @settings(max_examples=30, deadline=None)
