@@ -71,8 +71,6 @@ def _json_rows(rows) -> str:
 
 def _run_polys(args, parser) -> int:
     family, n = args.family, args.n
-    if n < 1:
-        parser.error("N must be >= 1")
     if family == "Q":
         if args.format == "bfile":
             parser.error("the Q triangle holds polynomials, not integers; no b-file form")
@@ -126,8 +124,6 @@ def _census_output(args, parser, counts: list[int], column: str, meta: dict) -> 
 
 def _run_trees(args, parser) -> int:
     n, variant = args.n, args.variant
-    if n < 1:
-        parser.error("N must be >= 1")
     if args.action == "census-imp":
         if variant not in {f.imp for f in FAMILIES.values()}:
             parser.error("census-imp applies to rooted or unrooted trees")
@@ -161,8 +157,6 @@ def _run_trees(args, parser) -> int:
 
 def _run_series(args, parser) -> int:
     order = args.order
-    if order < 0:
-        parser.error("ORDER must be >= 0")
     which = args.which
     s = series_W(order) if which == "W" else series_T(int(which[1]), order)
     coeffs = s.to_json()
@@ -189,8 +183,15 @@ def rational(text: str) -> Fraction:
 
 
 def count(text: str) -> int:
-    """The argparse type of --n-max and --samples: an int >= 0."""
+    """The argparse type of --n-max, --samples and ORDER: an int >= 0."""
     if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
+def positive(text: str) -> int:
+    """The argparse type of the row and label count N: an int >= 1."""
+    if int(text) < 1:
         raise ValueError(text)
     return int(text)
 
@@ -254,14 +255,12 @@ def _run_wfun(args, parser) -> int:
         if args.n_max > 0 and not real_positive:
             lines.append("derivatives: printed for real z > 0 only")
         text = "\n".join(lines) + "\n"
-    elif args.format == "json":
+    else:
         def num(c):
             return [c.real, c.imag] if isinstance(c, complex) else c
         text = _json_text({"z": num(res.z), "w": num(res.w),
                            "residual": res.residual, "iterations": res.iterations,
                            "derivatives": derivs})
-    else:
-        parser.error("wfun output comes as text or json")
     _emit(text, args.out)
     return 0
 
@@ -291,20 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polys", help="polynomial family tables, rows 1..N")
     p.add_argument("family", choices=(*FAMILIES, "P", "Q", *(f"{f}-shift" for f in FAMILIES)))
-    p.add_argument("n", type=int, metavar="N")
+    p.add_argument("n", type=positive, metavar="N")
     add_common(p)
     p.set_defaults(run=_run_polys)
 
     p = sub.add_parser("trees", help="enumerate Greg trees or print censuses")
     p.add_argument("variant", choices=tuple(VARIANTS))
-    p.add_argument("n", type=int, metavar="N")
+    p.add_argument("n", type=positive, metavar="N")
     p.add_argument("action", choices=("list", "census-unl", "census-imp"))
     add_common(p)
     p.set_defaults(run=_run_trees)
 
     p = sub.add_parser("series", help="exact Taylor coefficients through ORDER")
     p.add_argument("which", choices=("T0", "T1", "T2", "W"))
-    p.add_argument("order", type=int, metavar="ORDER")
+    p.add_argument("order", type=count, metavar="ORDER")
     add_common(p)
     p.set_defaults(run=_run_series)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from . import series as _series
@@ -282,30 +283,24 @@ def _check_census_imp(bundle, rooted: bool, rows: int) -> CheckReport:
     return CheckReport.ok(name, rows=rows, rooted=rooted)
 
 
-def _restriction_expected(n: int, u: int, variant: str, m: int) -> int:
-    """Series prediction for the fiber count over a census class."""
+@cache
+def _restriction_expected(variant: str, n: int, u: int, m: int) -> int:
+    """Series prediction for the fiber count at size m over a census class:
+    entry m - n of the closed-form display with X^u in place of row n."""
     family = census_family(variant)[0].name
-    value = _series.rhs_series(family, n, m - n + 1, poly=X ** u).egf_coefficient(m - n)
-    assert value.denominator == 1
-    return int(value)
+    return _series._rhs_egf(family, n, m - n, X ** u)[m - n]
 
 
 def _check_restriction(rooted: bool, n_max: int, extra: int) -> CheckReport:
     name = f"restriction-fiber-{'rooted' if rooted else 'unrooted'}"
     variant = "rooted" if rooted else "unrooted"
     trees_checked = 0
-    expected: dict[tuple[int, int, int], int] = {}   # (n, u, m) -> series prediction
     for n in range(1, n_max + 1):
-        # m = n is left out: restriction to all labels is the identity
-        fibers = {m: _trees.restriction_fibers(m, n, rooted)
-                  for m in range(n + 1, n + extra + 1)}
         for t in _trees.enumerate_greg(n, variant):
-            for m, fiber in fibers.items():
-                got = fiber.get(t, 0)
-                key = (n, t.u, m)
-                if key not in expected:
-                    expected[key] = _restriction_expected(n, t.u, variant, m)
-                want = expected[key]
+            # entry m = n is left out: restriction to all labels is the identity
+            census = _trees.restriction_census(t, n + extra)[1:]
+            for m, got in enumerate(census, start=n + 1):
+                want = _restriction_expected(variant, n, t.u, m)
                 if got != want:
                     return CheckReport.fail(
                         name, f"tree {t}: {got} preimages at m={m}, series expects {want}",

@@ -21,9 +21,9 @@ Census polynomials by number of unlabeled vertices: H_n (unrooted),
 G_n (rooted), (1+x) G_n (relaxed), (1+x)^3 F_n (bi-rooted).
 
 Two Greg trees are equal when some relabeling of the unlabeled ids maps
-one edge set (and root slots) onto the other; ``GregTree.build`` stores a
-canonical form, so dataclass equality is exactly this isomorphism.  The
-canonical form takes one walk of the tree: the sorted encoding it builds
+one edge set (and root slots) onto the other; ``GregTree.build``,
+``enumerate_greg`` and ``restrict`` store a canonical form (``_canonical``),
+so dataclass equality is exactly this isomorphism.  The canonical form takes one walk of the tree: the sorted encoding it builds
 lists every vertex in the order that numbers the unlabeled ones.
 
 The census ``unl_polynomial`` walks label insertion: every tree on n+1
@@ -41,7 +41,8 @@ The improper-edge census and the restriction fibers walk the Cayley trees
 as Pruefer (leaf, parent) pair lists (`_cayley_pairs`) and build no
 per-tree object.  The census reroots each unrooted tree to get every
 root's value.  The fibers key each tree on the split system of its
-restriction, so `restrict` runs once per distinct result.
+restriction, so `restrict` runs once per distinct result, and each
+(m, n, rooted) is walked once (`_fibers`).
 """
 
 from __future__ import annotations
@@ -131,8 +132,7 @@ class GregTree:
         for r in roots:
             if r not in ids:
                 raise ValueError(f"root {r} is not a vertex")
-        ces, croots = _canonical_form(n, ids, es, roots)
-        return cls(n=n, u=u, edges=ces, roots=croots)
+        return _canonical(n, ids, es, roots)
 
     def degrees(self) -> dict[int, int]:
         d = {v: 0 for v in range(1, self.n + self.u + 1)}
@@ -199,8 +199,9 @@ class GregTree:
 
 # ── canonical form ────────────────────────────────────────────────────────
 
-def _canonical_form(n, ids, edges, roots):
-    """Deterministic relabeling of the unlabeled ids, anchored at vertex 1.
+def _canonical(n, ids, edges, roots) -> GregTree:
+    """The tree on `ids` with labels 1..n, in canonical form: a
+    deterministic relabeling of the unlabeled ids, anchored at vertex 1.
 
     Vertices are colored (label for ids <= n, a shared color above) plus
     root marks, and each subtree hanging off the anchor is encoded as a
@@ -209,7 +210,7 @@ def _canonical_form(n, ids, edges, roots):
     non-root leaves are forbidden), so sibling encodings never tie.  The
     encoding's preorder is the canonical order: labels keep their ids,
     unlabeled vertices take n+1, n+2, ... in turn, and mark bit i names
-    root slot i.  Returns the edges and the root slots.
+    root slot i.  The tree is not checked.
     """
     adj: dict[int, list[int]] = {v: [] for v in ids}
     for a, b in edges:
@@ -236,7 +237,8 @@ def _canonical_form(n, ids, edges, roots):
             second = v
         stack.extend((sub, v) for sub in reversed(subs))
     new_edges.sort()
-    return tuple(new_edges), (first, second)[:len(roots)]
+    return GregTree(n=n, u=len(ids) - n, edges=tuple(new_edges),
+                    roots=(first, second)[:len(roots)])
 
 
 def _encode(v: int, parent: int | None, n: int, adj, mark) -> tuple:
@@ -395,13 +397,6 @@ def u_bound(n: int, variant: str) -> int:
     return max(n - 2 + rules.roots * (3 - rules.root_degree), 0)
 
 
-def _build_canonical(n: int, u: int, edges, roots=()) -> GregTree:
-    # for Pruefer-decoded candidates: skip the structural check, keep the
-    # canonical relabeling
-    ces, croots = _canonical_form(n, set(range(1, n + u + 1)), edges, roots)
-    return GregTree(n=n, u=u, edges=ces, roots=croots)
-
-
 def _greg_configs(n: int, u: int, rules: Variant):
     """Degree-valid (edges, roots) configurations, before dedup.
 
@@ -473,7 +468,7 @@ def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
             key = tuple(sorted(_split_marks(pairs, mark, full)))
             if key not in seen:
                 seen.add(key)
-                yield _build_canonical(n, u, pairs, roots)
+                yield _canonical(n, range(1, n + u + 1), pairs, roots)
 
 
 def degree_filtered_count(n: int, u: int, variant: str) -> int:
@@ -698,15 +693,20 @@ def restrict(x: GregTree, n: int) -> GregTree:
         adj[b].add(a)
     # the canonical form renumbers the surviving unlabeled ids
     edges = [(a, b) for a in adj for b in adj[a] if a < b]
-    ces, croots = _canonical_form(n, adj, edges, (root,) if root else ())
-    return GregTree(n=n, u=len(adj) - n, edges=ces, roots=croots)
+    return _canonical(n, adj, edges, (root,) if root else ())
 
 
 def restriction_fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
     """How many Cayley trees of size m (rooted or not) restrict to each
-    Greg tree on the labels 1..n, for 1 <= n < m.
+    Greg tree on the labels 1..n, for 1 <= n < m.  A fresh Counter each
+    call; the walk behind it is made once per (m, n, rooted)."""
+    return Counter(_fibers(m, n, rooted))
 
-    Trees are counted by the split system of their restriction, and
+
+@cache
+def _fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
+    """The fibers of `restriction_fibers`, shared by all callers, who must
+    not mutate them.  Bounds are checked before the walk.  Trees are counted by the split system of their restriction, and
     `restrict` runs once per distinct system.  Marks are bits: label i <= n
     is bit i - 1, the root bit n.  An edge of the Cayley tree lies on the
     restriction exactly when both of its sides hold a label, and then
@@ -751,6 +751,5 @@ def restriction_census(t: GregTree, m_max: int) -> list[int]:
     if len(t.roots) > 1:
         raise ValueError("restriction fibers are defined for unrooted and rooted trees")
     t.validate("rooted" if t.roots else "unrooted")
-    rooted = bool(t.roots)
-    return [int(t.u == 0)] + [restriction_fibers(m, t.n, rooted).get(t, 0)
+    return [int(t.u == 0)] + [_fibers(m, t.n, bool(t.roots)).get(t, 0)
                               for m in range(t.n + 1, m_max + 1)]

@@ -56,8 +56,10 @@ class WEval:
 
 def _seed(z: complex | float) -> complex | float:
     is_real = not isinstance(z, complex)
-    if abs(z + _INV_E) <= 0.3:
-        # branch-point series in p = sqrt(2(ez+1))
+    near = abs(z + _INV_E)
+    if near <= 0.3 or (not is_real and z.real < -_INV_E and near <= 0.6):
+        # branch-point series in p = sqrt(2(ez+1)); left of -1/e out to 0.6,
+        # where a log seed can wander or cross the cut to a conjugate branch
         s = 2.0 * (math.e * z + 1.0)
         p = math.sqrt(s) if is_real else cmath.sqrt(s)
         return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))

@@ -281,6 +281,7 @@ USAGE_ERRORS = [
     ("polys", "Q", "3", "--format", "bfile"),
     ("polys", "P", "3", "--format", "bfile"),
     ("polys", "G", "0"),
+    ("trees", "unrooted", "0", "list"),
     ("series", "T0", "5", "--format", "bfile"),
     ("series", "T0", "-1"),
     ("trees", "unrooted", "3", "list", "--format", "csv"),

@@ -6,8 +6,10 @@ from dataclasses import replace
 import pytest
 
 import gregtrees.trees as trees_module
-from gregtrees.polys import Poly
-from gregtrees.suite import CHECK_NAMES, SuiteConfig, run_suite
+from gregtrees.polys import Poly, X, census_family
+from gregtrees.series import rhs_series
+from gregtrees.suite import (CHECK_NAMES, SuiteConfig, _check_restriction, _restriction_expected,
+                             run_suite)
 
 # per corrupted row, the checks that consume it somewhere in their work
 # (quick profile)
@@ -181,3 +183,53 @@ def test_census_unl_checks_the_insertion_walk_against_pruefer_below_n_max(
     assert report.passed is False
     assert report.witness == witness
     assert report.params == {"n": bad_n, "variant": "relaxed"}
+
+
+# ── restriction fibers ───────────────────────────────────────────────────
+
+def _rhs_series_prediction(variant, n, u, m):
+    """The prediction as first written: the rational display, read back as
+    an EGF coefficient that must be an integer."""
+    family = census_family(variant)[0].name
+    value = rhs_series(family, n, m - n + 1, poly=X ** u).egf_coefficient(m - n)
+    assert value.denominator == 1
+    return int(value)
+
+
+@pytest.mark.parametrize("variant", ["unrooted", "rooted"])
+def test_restriction_prediction_matches_rhs_series(variant):
+    for n in range(1, 5):
+        for u in range(trees_module.u_bound(n, variant) + 1):
+            for m in range(n, n + 5):
+                assert _restriction_expected(variant, n, u, m) == \
+                    _rhs_series_prediction(variant, n, u, m), (n, u, m)
+
+
+def test_restriction_check_walks_each_size_once_per_n(monkeypatch):
+    walks = []
+    real = trees_module._cayley_pairs
+
+    def counted(m):
+        walks.append(m)
+        return real(m)
+    monkeypatch.setattr(trees_module, "_cayley_pairs", counted)
+    trees_module._fibers.cache_clear()
+    try:
+        assert _check_restriction(True, 3, 3).passed
+    finally:
+        trees_module._fibers.cache_clear()
+    # one walk per (m, n) with n <= 3 < m <= n + 3
+    assert sorted(walks) == [2, 3, 3, 4, 4, 4, 5, 5, 6]
+
+
+def test_restriction_check_reads_restriction_census(monkeypatch):
+    census = trees_module.restriction_census
+
+    def bumped(t, m_max):
+        got = census(t, m_max)
+        return got[:-1] + [got[-1] + 1] if t.n == 2 else got
+    monkeypatch.setattr(trees_module, "restriction_census", bumped)
+    report = _check_restriction(False, 3, 3)
+    assert report.passed is False
+    assert report.params == {"n": 2, "m": 5}
+    assert report.witness.endswith("preimages at m=5, series expects 125")

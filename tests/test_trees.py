@@ -13,8 +13,7 @@ from gregtrees.trees import (
     VARIANTS,
     GregTree,
     Variant,
-    _build_canonical,
-    _canonical_form,
+    _canonical,
     _children,
     _constrained_prufer,
     _greg_configs,
@@ -259,8 +258,9 @@ def test_degree_filtered_counts_are_factorial_multiples():
 
 def _greg_candidates(n, u, variant):
     """Every degree-valid configuration, put into canonical form."""
+    ids = set(range(1, n + u + 1))
     for edges, roots in _greg_configs(n, u, VARIANTS[variant]):
-        yield _build_canonical(n, u, edges, roots)
+        yield _canonical(n, ids, edges, roots)
 
 
 SMALL_CASES = [("unrooted", 5), ("rooted", 4), ("relaxed", 4), ("birooted", 3)]
@@ -457,8 +457,9 @@ def test_canonical_form_matches_two_pass_form(variant, n_max):
         for u in range(u_bound(n, variant) + 1):
             ids = set(range(1, n + u + 1))
             for edges, roots in _greg_configs(n, u, VARIANTS[variant]):
-                assert _canonical_form(n, ids, edges, roots) == \
-                    _two_pass_slots(n, ids, edges, roots), (edges, roots)
+                want_edges, want_roots = _two_pass_slots(n, ids, edges, roots)
+                assert _canonical(n, ids, edges, roots) == \
+                    GregTree(n=n, u=u, edges=want_edges, roots=want_roots), (edges, roots)
 
 
 def test_build_leaves_no_reference_cycles():
@@ -730,6 +731,16 @@ def test_restriction_fibers_reject_bad_bounds_before_walking(monkeypatch, m, n):
     for rooted in (False, True):
         with pytest.raises(ValueError, match="1 <= n < m"):
             restriction_fibers(m, n, rooted)
+
+
+def test_restriction_fibers_are_fresh_counters():
+    want = restriction_fibers(4, 2, True)
+    edge = GregTree.build(2, 0, [(1, 2)], roots=(1,))
+    got = restriction_fibers(4, 2, True)
+    got[edge] += 7
+    got.clear()
+    assert restriction_fibers(4, 2, True) == want
+    assert restriction_census(edge, 4)[2] == want[edge]
 
 
 def test_restrict_rejects_bad_index():

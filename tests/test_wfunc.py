@@ -121,6 +121,19 @@ def test_branch_point_stops_at_rounding_floor():
         _assert_accurate(z, res)
 
 
+def test_left_of_branch_point_stays_on_principal_branch():
+    # just above and below the cut, up to 0.6 left of -1/e: a log seed
+    # there can take tens of steps or land on the conjugate branch
+    for k in range(24):
+        d = 0.6 * (k + 0.5) / 24 - 0.01
+        for j in range(16):
+            for sign in (1.0, -1.0):
+                z = complex(-INV_E - d, sign * 10.0 ** (-16 + j))
+                res = eval_W(z)
+                assert res.iterations <= 8, (z, res)
+                _assert_accurate(z, res)
+
+
 def test_real_outputs_match_step_test_loop():
     points = [10.0 ** (-300.0 + 607.0 * k / 1500) for k in range(1501)]
     points += [-INV_E + 0.1 + (INV_E - 0.1) * k / 300 for k in range(1, 300)]
