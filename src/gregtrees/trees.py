@@ -23,8 +23,10 @@ G_n (rooted), (1+x) G_n (relaxed), (1+x)^3 F_n (bi-rooted).
 Two Greg trees are equal when some relabeling of the unlabeled ids maps
 one edge set (and root slots) onto the other; ``GregTree.build``,
 ``enumerate_greg`` and ``restrict`` store a canonical form (``_canonical``),
-so dataclass equality is exactly this isomorphism.  The canonical form takes one walk of the tree: the sorted encoding it builds
-lists every vertex in the order that numbers the unlabeled ones.
+so dataclass equality is exactly this isomorphism.  The canonical form
+takes one walk of the tree: the sorted encoding it builds lists every
+vertex in the order that numbers the unlabeled ones.  With at most one
+unlabeled vertex the relabeling is forced, and no encoding is built.
 
 The census ``unl_polynomial`` walks label insertion: every tree on n+1
 labels comes from exactly one tree on n labels by one local move of label
@@ -39,10 +41,13 @@ form.
 
 The improper-edge census and the restriction fibers walk the Cayley trees
 as Pruefer (leaf, parent) pair lists (`_cayley_pairs`) and build no
-per-tree object.  The census reroots each unrooted tree to get every
-root's value.  The fibers key each tree on the split system of its
-restriction, so `restrict` runs once per distinct result, and each
-(m, n, rooted) is walked once (`_fibers`).
+per-tree object.  The census counts the pairs as decoded, hung from
+vertex n, in mirrored order: as the tree relabeled i -> n+1-i, a
+bijection of the labeled trees that leaves the census unchanged.  It
+reroots each unrooted tree to get every root's value.  The fibers key
+each tree on the split system of its restriction, so `restrict` runs
+once per distinct result, and each (m, n, rooted) is walked once
+(`_fibers`).
 """
 
 from __future__ import annotations
@@ -211,7 +216,16 @@ def _canonical(n, ids, edges, roots) -> GregTree:
     encoding's preorder is the canonical order: labels keep their ids,
     unlabeled vertices take n+1, n+2, ... in turn, and mark bit i names
     root slot i.  The tree is not checked.
+
+    With at most one unlabeled vertex the relabeling is forced: the lone
+    unlabeled id, the only one above n, becomes n+1, and no encoding is
+    built.
     """
+    if len(ids) - n <= 1:
+        top = n + 1
+        new_edges = sorted([(a, min(b, top)) if a < b else (b, min(a, top)) for a, b in edges])
+        return GregTree(n=n, u=len(ids) - n, edges=tuple(new_edges),
+                        roots=tuple(min(r, top) for r in roots))
     adj: dict[int, list[int]] = {v: [] for v in ids}
     for a, b in edges:
         adj[a].append(b)
@@ -588,40 +602,53 @@ def imp(t: GregTree) -> int:
 
 
 def _imp_by_root(t: GregTree) -> list[int]:
-    """imp of the tree rooted at each vertex: entry r - 1 for root r."""
-    adj: list[list[int]] = [[] for _ in range(t.n + 1)]
+    """imp of the tree rooted at each vertex: entry r - 1 for root r.
+
+    The breadth-first pairs from vertex 1, relabeled i -> n + 1 - i,
+    hang the mirrored tree from vertex n.  `_imp_hung` counts that tree
+    mirrored back, which is this one, with the entries in reverse order."""
+    n = t.n
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
     for a, b in t.edges:
         adj[a].append(b)
         adj[b].append(a)
-    parent = [0] * (t.n + 1)
+    parent = [0] * (n + 1)
     order = [1]
     for v in order:
         for w in adj[v]:
             if w != parent[v]:
                 parent[w] = v
                 order.append(w)
-    return _imp_hung(t.n, [(v, parent[v]) for v in reversed(order[1:])])
+    return _imp_hung(n, [(n + 1 - v, n + 1 - parent[v]) for v in reversed(order[1:])])[::-1]
 
 
 def _imp_hung(n: int, pairs: list[tuple[int, int]]) -> list[int]:
-    """imp at each root r (entry r - 1) of the tree on 1..n whose edges
-    are the (child, parent) `pairs` of it hung from vertex 1, every child
-    listed after its own children.
+    """imp at each root of the tree on 1..n relabeled i -> n + 1 - i:
+    entry v - 1 for the root that vertex v becomes.  The (child, parent)
+    `pairs` hang the tree from vertex n, every child listed after its own
+    children, as `_prufer_pairs` decodes them.
 
-    One pass gives the subtree minima below every edge; across an edge the
-    other side holds vertex 1, so its minimum is 1.  Moving the root from
-    a parent p to its child v flips only the edge p-v: p -> v (improper
-    when p > min below v) becomes v -> p, which is improper since v > 1.
+    The relabeling reverses the order of the labels, so an edge p -> v is
+    improper when p is below high[v], the largest vertex in v's subtree.
+    Children come first, so high[v] is complete when v's pair comes up,
+    and it can raise high[p] >= p only when the edge is improper.  Across
+    an edge the other side holds vertex n.  Moving the root from a parent
+    p to its child v flips only the edge p-v: p -> v (improper when
+    p < high[v]) becomes v -> p, which is improper since v < n.
     """
-    low = list(range(n + 1))
+    high = list(range(n + 1))
+    improper = 0
     for v, p in pairs:
-        if low[v] < low[p]:
-            low[p] = low[v]
+        h = high[v]
+        if p < h:
+            improper += 1
+            if high[p] < h:
+                high[p] = h
     out = [0] * (n + 1)
-    out[1] = sum(p > low[v] for v, p in pairs)
-    # parents before children; p is outside v's subtree, so p != low[v]
+    out[n] = improper
+    # parents before children; p is outside v's subtree, so p != high[v]
     for v, p in reversed(pairs):
-        out[v] = out[p] + (p < low[v])
+        out[v] = out[p] + (p > high[v])
     return out[1:]
 
 
@@ -629,22 +656,24 @@ def _imp_hung(n: int, pairs: list[tuple[int, int]]) -> list[int]:
 def _imp_polynomials(n: int) -> tuple[Poly, Poly]:
     """The unrooted and the rooted improper-edge census, from one walk of
     the unrooted trees' Pruefer pairs: the rooted census takes imp at every
-    root, the unrooted one at root 1 only.  Relabeling i -> n + 1 - i is a
-    bijection of the labeled trees on 1..n, so the censuses are those of
-    the relabeled trees, which hang from vertex 1."""
-    flip = list(range(n + 1, 0, -1))   # flip[i] = n + 1 - i
-    unrooted: Counter[int] = Counter()
-    rooted: Counter[int] = Counter()
+    root, the unrooted one at root 1 only.  `_imp_hung` counts each tree
+    relabeled i -> n + 1 - i, a bijection of the labeled trees on 1..n, so
+    the censuses are unchanged, and root 1 is the entry at vertex n."""
+    unrooted = [0] * n
+    rooted = [0] * n
     for pairs in _cayley_pairs(n):
-        by_root = _imp_hung(n, [(flip[v], flip[p]) for v, p in pairs])
-        unrooted[by_root[0]] += 1
-        rooted.update(by_root)
-    return _census(unrooted), _census(rooted)
+        by_root = _imp_hung(n, pairs)
+        unrooted[by_root[-1]] += 1
+        for j in by_root:
+            rooted[j] += 1
+    return Poly(unrooted), Poly(rooted)
 
 
 def imp_polynomial(n: int, rooted: bool = True) -> Poly:
     """Improper-edge census: sum of x^imp over rooted Cayley trees, or over
     unrooted trees rooted at label 1.  Equals G_n(x-1) resp. H_n(x-1)."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
     return _imp_polynomials(n)[bool(rooted)]
 
 
@@ -706,7 +735,9 @@ def restriction_fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
 @cache
 def _fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
     """The fibers of `restriction_fibers`, shared by all callers, who must
-    not mutate them.  Bounds are checked before the walk.  Trees are counted by the split system of their restriction, and
+    not mutate them.  Bounds are checked before the walk.
+
+    Trees are counted by the split system of their restriction, and
     `restrict` runs once per distinct system.  Marks are bits: label i <= n
     is bit i - 1, the root bit n.  An edge of the Cayley tree lies on the
     restriction exactly when both of its sides hold a label, and then

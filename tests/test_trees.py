@@ -630,6 +630,30 @@ def test_imp_censuses_share_one_walk(monkeypatch):
         _imp_polynomials.cache_clear()
 
 
+def test_imp_walk_matches_oracle_census():
+    """The walk's censuses against `_imp_from_root` summed over the listed
+    Cayley trees: every root for the rooted census, root 1 for the other."""
+    for n in range(1, 7):
+        rooted, unrooted = Counter(), Counter()
+        for t in enumerate_cayley(n):
+            rooted.update(_imp_from_root(t, r) for r in range(1, n + 1))
+            unrooted[_imp_from_root(t, 1)] += 1
+        want = [Poly([c[j] for j in range(n)]) for c in (unrooted, rooted)]
+        assert list(_imp_polynomials(n)) == want, n
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_imp_census_rejects_no_vertices_before_walking(monkeypatch, n):
+    def walk(*args):
+        raise AssertionError("walk started")
+    monkeypatch.setattr(trees_module, "_cayley_pairs", walk)
+    for rooted in (False, True):
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            imp_polynomial(n, rooted)
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            imp_census(n, rooted)
+
+
 # ── restriction ──────────────────────────────────────────────────────────
 
 def test_restrict_ten_vertex_example():
