@@ -39,15 +39,18 @@ in linear time.  The labeled candidates are deduplicated by their split
 systems, and only the first candidate of each tree is put into canonical
 form.
 
-The improper-edge census and the restriction fibers walk the Cayley trees
-as Pruefer (leaf, parent) pair lists (`_cayley_pairs`) and build no
-per-tree object.  The census counts the pairs as decoded, hung from
-vertex n, in mirrored order: as the tree relabeled i -> n+1-i, a
-bijection of the labeled trees that leaves the census unchanged.  It
-reroots each unrooted tree to get every root's value.  The fibers key
-each tree on the split system of its restriction, so `restrict` runs
-once per distinct result, and each (m, n, rooted) is walked once
-(`_fibers`).
+The improper-edge census and the restriction fibers make one pass per
+Cayley tree and build no per-tree object.  The census (`_imp_walk`)
+decodes each Pruefer sequence, counts improper edges as the leaves come
+off and reroots, all in one loop body, with no pair list; it counts the
+tree relabeled i -> n+1-i, a bijection of the labeled trees that leaves
+the census unchanged.  The fibers (`_fibers`) read each tree's Pruefer
+(leaf, parent) pairs once (`_cayley_pairs`, `_split_marks`) and key the
+tree on the split system U of its restriction.  Rooted, the roots that
+pruning moves to one anchor vertex count together, under (U, the
+anchor's split, whether the anchor lies inside a smoothed edge).
+`restrict` runs once per distinct key, and each (m, n, rooted) is walked
+once.
 """
 
 from __future__ import annotations
@@ -360,17 +363,30 @@ def _constrained_prufer(n: int, u: int, slack: int, floor: int) -> Iterator[tupl
 
 # ── enumeration ───────────────────────────────────────────────────────────
 
-def _split_marks(pairs: list[tuple[int, int]], mark: list[int], full: int) -> list[int]:
-    """Per pair, the marks on its edge's side away from vertex 1 (label 1 is
-    bit 0).  The pairs hang leaves first, so a leaf's marks, OR-ed up into
-    `mark`, are complete when its edge comes up; the side away from vertex
-    1 is their complement within `full` whenever they hold label 1."""
-    below = []
+def _split_marks(pairs: list[tuple[int, int]], mark: list[int], full: int,
+                 split: list[int], up: list[int]) -> None:
+    """For each vertex v != 1 of the tree `pairs` hang: split[v], the marks
+    on v's side of its edge toward vertex 1 (label 1 is bit 0), and up[v],
+    that edge's other end.  The pairs hang leaves first, so a leaf's marks,
+    OR-ed up into `mark`, are complete when its edge comes up; when they
+    hold label 1 the parent is the far end, and its side's marks are their
+    complement within `full`.  Every entry but those of ids 0 and 1 is
+    written anew, so the lists can serve tree after tree of one size."""
     for leaf, parent in pairs:
         m = mark[leaf]
         mark[parent] |= m
-        below.append(m ^ full if m & 1 else m)
-    return below
+        if m & 1:
+            split[parent] = m ^ full
+            up[parent] = leaf
+        else:
+            split[leaf] = m
+            up[leaf] = parent
+
+
+def _prufer_sequences(n: int) -> Iterator[tuple[int, ...]]:
+    """The Pruefer sequence of every labeled tree on 1..n, in lexicographic
+    order (the one tree on a single vertex has the empty sequence)."""
+    return product(range(1, n + 1), repeat=max(n - 2, 0))
 
 
 def _cayley_pairs(n: int) -> Iterator[list[tuple[int, int]]]:
@@ -379,7 +395,7 @@ def _cayley_pairs(n: int) -> Iterator[list[tuple[int, int]]]:
     if n == 1:
         yield []
         return
-    for seq in product(range(1, n + 1), repeat=n - 2):
+    for seq in _prufer_sequences(n):
         yield _prufer_pairs(seq, n)
 
 
@@ -462,7 +478,8 @@ def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
     A configuration is kept on the first occurrence of its split system,
     and only then canonicalized.  Marks are bits: label i is bit i - 1, root
     slot i bit n + i.  The key is the sorted tuple of the marks on the side
-    of each edge away from vertex 1.
+    of each edge away from vertex 1 (`_split_marks`, with the 0 of ids 0
+    and 1).
     Every vertex of degree <= 2 carries a mark (an unlabeled one is a
     root), and such a tree is fixed up to isomorphism by its splits
     (Buneman 1971; Semple & Steel, Phylogenetics, 2003, ch. 3).
@@ -474,12 +491,15 @@ def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
     full = (1 << (n + rules.roots)) - 1   # every mark the variant's trees carry
     for u in range(u_bound(n, variant) + 1):
         labels = [0] + [1 << i for i in range(n)] + [0] * u
+        split = [0] * (n + u + 1)
+        up = split[:]
         seen: set[tuple[int, ...]] = set()
         for pairs, roots in _greg_configs(n, u, rules):
             mark = labels[:]
             for r, bit in zip(roots, slot_bits):
                 mark[r] |= bit
-            key = tuple(sorted(_split_marks(pairs, mark, full)))
+            _split_marks(pairs, mark, full, split, up)
+            key = tuple(sorted(split))
             if key not in seen:
                 seen.add(key)
                 yield _canonical(n, range(1, n + u + 1), pairs, roots)
@@ -604,68 +624,103 @@ def imp(t: GregTree) -> int:
 def _imp_by_root(t: GregTree) -> list[int]:
     """imp of the tree rooted at each vertex: entry r - 1 for root r.
 
-    The breadth-first pairs from vertex 1, relabeled i -> n + 1 - i,
-    hang the mirrored tree from vertex n.  `_imp_hung` counts that tree
-    mirrored back, which is this one, with the entries in reverse order."""
+    `_imp_walk` counts the tree whose Pruefer sequence it reads relabeled
+    i -> n + 1 - i, so it reads the sequence of this tree so relabeled,
+    and its values come out in reverse order."""
     n = t.n
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in t.edges:
+    seq = _prufer_encode([(n + 1 - a, n + 1 - b) for a, b in t.edges], n)
+    return _imp_walk(n, [seq])[2][:0:-1]
+
+
+def _prufer_encode(edges, k: int) -> list[int]:
+    """The Pruefer sequence of the tree on 1..k with these edges: k - 2
+    times, remove the smallest leaf and list its neighbour.  Quadratic,
+    for single trees; `_prufer_pairs` inverts it."""
+    adj: list[list[int]] = [[] for _ in range(k + 1)]
+    for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    parent = [0] * (n + 1)
-    order = [1]
-    for v in order:
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    return _imp_hung(n, [(n + 1 - v, n + 1 - parent[v]) for v in reversed(order[1:])])[::-1]
+    degree = [len(ws) for ws in adj]   # 0 once removed
+    seq = []
+    for _ in range(k - 2):
+        leaf = degree.index(1)
+        degree[leaf] = 0
+        (v,) = (w for w in adj[leaf] if degree[w])
+        degree[v] -= 1
+        seq.append(v)
+    return seq
 
 
-def _imp_hung(n: int, pairs: list[tuple[int, int]]) -> list[int]:
-    """imp at each root of the tree on 1..n relabeled i -> n + 1 - i:
-    entry v - 1 for the root that vertex v becomes.  The (child, parent)
-    `pairs` hang the tree from vertex n, every child listed after its own
-    children, as `_prufer_pairs` decodes them.
+def _imp_walk(n: int, seqs) -> tuple[list[int], list[int], list[int]]:
+    """The improper-edge census over the trees on 1..n whose Pruefer
+    sequences are `seqs`, each tree relabeled i -> n + 1 - i: the counts
+    by imp at root 1 (unrooted) and at every root (rooted), and `out`,
+    where entry v is imp at the root that vertex v of the last tree
+    becomes.  The relabeling is a bijection of the labeled trees on 1..n,
+    so over all sequences the censuses are unchanged.
 
-    The relabeling reverses the order of the labels, so an edge p -> v is
-    improper when p is below high[v], the largest vertex in v's subtree.
-    Children come first, so high[v] is complete when v's pair comes up,
-    and it can raise high[p] >= p only when the edge is improper.  Across
-    an edge the other side holds vertex n.  Moving the root from a parent
-    p to its child v flips only the edge p-v: p -> v (improper when
-    p < high[v]) becomes v -> p, which is improper since v < n.
+    One loop body per tree decodes the sequence as `_prufer_pairs` does,
+    hanging the tree from vertex n with every leaf coming off after its
+    children, and counts as the leaves come off.  The relabeling reverses
+    the order of the labels, so an edge p -> v is improper when p is
+    below high[v], the largest vertex in v's subtree; high[v] is complete
+    when v comes off, and it can raise high[p] >= p only when the edge is
+    improper.  Across an edge the other side holds vertex n.  Moving the
+    root from p to its child v flips only the edge p-v: p -> v (improper
+    when p < high[v]) becomes v -> p, which is improper since v < n.  So
+    the reroot runs in reverse removal order, parents before children.
     """
-    high = list(range(n + 1))
-    improper = 0
-    for v, p in pairs:
-        h = high[v]
-        if p < h:
-            improper += 1
-            if high[p] < h:
-                high[p] = h
+    if n == 1:
+        return [1], [1], [0, 0]
+    unrooted = [0] * n
+    rooted = [0] * n
     out = [0] * (n + 1)
-    out[n] = improper
-    # parents before children; p is outside v's subtree, so p != high[v]
-    for v, p in reversed(pairs):
-        out[v] = out[p] + (p > high[v])
-    return out[1:]
+    up = [0] * (n + 1)       # each vertex's parent, rewritten for each tree
+    ones = [1] * (n + 1)
+    top = list(range(n + 1))
+    for seq in seqs:
+        degree = ones[:]
+        for p in seq:
+            degree[p] += 1
+        high = top[:]
+        improper = 0
+        ptr = leaf = degree.index(1, 1)
+        leaves = []
+        for p in seq:
+            leaves.append(leaf)
+            up[leaf] = p
+            h = high[leaf]
+            if p < h:
+                improper += 1
+                if high[p] < h:
+                    high[p] = h
+            degree[p] -= 1
+            if p < ptr and degree[p] == 1:
+                leaf = p
+            else:
+                ptr = leaf = degree.index(1, ptr + 1)
+        # the last leaf hangs from n, which is above everything in its
+        # subtree, so that edge is proper
+        unrooted[improper] += 1
+        rooted[improper] += 1
+        out[n] = improper
+        out[leaf] = j = improper + 1
+        rooted[j] += 1
+        for v in reversed(leaves):
+            p = up[v]
+            out[v] = j = out[p] + (p > high[v])
+            rooted[j] += 1
+    return unrooted, rooted, out
 
 
 @cache
 def _imp_polynomials(n: int) -> tuple[Poly, Poly]:
-    """The unrooted and the rooted improper-edge census, from one walk of
-    the unrooted trees' Pruefer pairs: the rooted census takes imp at every
-    root, the unrooted one at root 1 only.  `_imp_hung` counts each tree
-    relabeled i -> n + 1 - i, a bijection of the labeled trees on 1..n, so
-    the censuses are unchanged, and root 1 is the entry at vertex n."""
-    unrooted = [0] * n
-    rooted = [0] * n
-    for pairs in _cayley_pairs(n):
-        by_root = _imp_hung(n, pairs)
-        unrooted[by_root[-1]] += 1
-        for j in by_root:
-            rooted[j] += 1
+    """The unrooted and the rooted improper-edge census, from one pass of
+    `_imp_walk` over the Pruefer sequences: each tree is decoded, counted
+    and rerooted in one loop body, with no per-tree pair list; the rooted
+    census takes imp at every root, the unrooted one at root 1, which is
+    the entry at vertex n under the walk's relabeling."""
+    unrooted, rooted, _ = _imp_walk(n, _prufer_sequences(n))
     return Poly(unrooted), Poly(rooted)
 
 
@@ -737,38 +792,58 @@ def _fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
     """The fibers of `restriction_fibers`, shared by all callers, who must
     not mutate them.  Bounds are checked before the walk.
 
-    Trees are counted by the split system of their restriction, and
-    `restrict` runs once per distinct system.  Marks are bits: label i <= n
-    is bit i - 1, the root bit n.  An edge of the Cayley tree lies on the
+    One `_split_marks` pass per Cayley tree keys it on its restriction,
+    and `restrict` runs once per distinct key.  Marks are bits: label
+    i <= n is bit i - 1.  An edge of the Cayley tree lies on the
     restriction exactly when both of its sides hold a label, and then
-    splits the marks as the restricted edge it lies on does; the root's
-    side is kept, since pruning moves the root only along edges with no
-    label beyond them.  The key is the set of the marks on the side of
-    each such edge away from label 1.  The restriction has no unmarked
-    vertex of degree <= 2, so its splits fix it (see `enumerate_greg`).
+    splits the labels as the restricted edge it lies on does.  The
+    unrooted key U is the set of the nonzero splits, the labels on the
+    side of each edge away from label 1.  The restriction has no unlabeled
+    vertex of degree <= 2 outside its root slot, so its splits fix it (see
+    `enumerate_greg`).
+
+    Rooted, pruning moves a root r to its anchor: the first vertex on the
+    path from r toward label 1 that is a label or has a nonzero split,
+    since exactly the unlabeled vertices with no label beyond them are
+    pruned.  An unlabeled anchor with one child on the restriction, which
+    then has the anchor's split, is kept as a degree-2 root inside the
+    smoothed edge with that split.  Any other anchor is a kept vertex, and
+    kept vertices have distinct splits (label 1 the empty one).  So the
+    key is (U, anchor split, inside), and each anchor adds the number of
+    roots it takes to its key.
     """
     if not 1 <= n < m:
         raise ValueError(f"need 1 <= n < m = {m}, got n = {n}")
     labels = (1 << n) - 1
-    root_bit = 1 << n if rooted else 0
-    full = labels | root_bit
     base = [0] + [1 << i for i in range(n)] + [0] * (m - n)
-    choices = [(r,) for r in range(1, m + 1)] if rooted else [()]
-    counts: Counter[frozenset[int]] = Counter()
-    first: dict[frozenset[int], GregTree] = {}
+    split = [0] * (m + 1)
+    up = split[:]
+    below = range(2, m + 1)
+    unlabeled = range(n + 1, m + 1)
+    own = [0] + [1] * n + [0] * (m - n)   # each label is its own anchor
+    counts: Counter = Counter()
+    first: dict = {}    # key -> (pairs, roots) of its first tree
     for pairs in _cayley_pairs(m):
-        for roots in choices:
-            mark = base[:]
-            for r in roots:
-                mark[r] |= root_bit
-            # an edge with labels on both sides keeps that after the
-            # complement, which exchanges the two sides' labels
-            key = frozenset(split for split in _split_marks(pairs, mark, full)
-                            if 0 < split & labels < labels)
-            counts[key] += 1
-            if key not in first:
-                first[key] = GregTree(n=m, u=0, edges=_normalize_edges(pairs), roots=roots)
-    return Counter({restrict(first[key], n): count for key, count in counts.items()})
+        _split_marks(pairs, base[:], labels, split, up)
+        cell = frozenset(split)   # U, and the 0 of ids 0 and 1
+        if not rooted:
+            counts[cell] += 1
+            first.setdefault(cell, (pairs, ()))
+            continue
+        roots = own[:]
+        for r in unlabeled:
+            a = r
+            while a > n and not split[a]:
+                a = up[a]
+            roots[a] += 1
+        for a in range(1, m + 1):
+            if roots[a]:
+                s = split[a]
+                key = (cell, s, a > n and any(up[v] == a and split[v] == s for v in below))
+                counts[key] += roots[a]
+                first.setdefault(key, (pairs, (a,)))
+    return Counter({restrict(GregTree(n=m, u=0, edges=_normalize_edges(pairs), roots=roots), n):
+                    counts[key] for key, (pairs, roots) in first.items()})
 
 
 def restriction_census(t: GregTree, m_max: int) -> list[int]:

@@ -9,6 +9,7 @@ import pytest
 
 import gregtrees.trees as trees_module
 from gregtrees.polys import FAMILIES, Poly, gen_F, gen_G, gen_H, shift
+from gregtrees.suite import _restriction_expected
 from gregtrees.trees import (
     VARIANTS,
     GregTree,
@@ -21,7 +22,9 @@ from gregtrees.trees import (
     _imp_polynomials,
     _inserted,
     _normalize_edges,
+    _prufer_encode,
     _prufer_pairs,
+    _prufer_sequences,
     degree_filtered_count,
     enumerate_cayley,
     enumerate_greg,
@@ -75,8 +78,12 @@ def _quadratic_prufer_decode(seq, k):
 
 def test_prufer_decode_matches_quadratic_reference():
     for k in range(1, 8):
-        for seq in itertools.product(range(1, k + 1), repeat=max(k - 2, 0)):
-            assert prufer_decode(seq, k) == _quadratic_prufer_decode(seq, k), (seq, k)
+        seqs = list(itertools.product(range(1, k + 1), repeat=max(k - 2, 0)))
+        assert list(_prufer_sequences(k)) == seqs
+        for seq in seqs:
+            edges = prufer_decode(seq, k)
+            assert edges == _quadratic_prufer_decode(seq, k), (seq, k)
+            assert tuple(_prufer_encode(edges, k)) == seq, (seq, k)
 
 
 def test_cayley_counts():
@@ -613,13 +620,13 @@ def test_imp_censuses_share_one_walk(monkeypatch):
     """The rooted and the unrooted census come from one pass over the
     unrooted Cayley trees, and each is still its shifted family row."""
     calls = []
-    real = trees_module._cayley_pairs
+    real = trees_module._prufer_sequences
 
     def counted(n):
         calls.append(n)
         return real(n)
 
-    monkeypatch.setattr(trees_module, "_cayley_pairs", counted)
+    monkeypatch.setattr(trees_module, "_prufer_sequences", counted)
     _imp_polynomials.cache_clear()
     try:
         rooted, unrooted = imp_polynomial(5, True), imp_polynomial(5, False)
@@ -646,7 +653,7 @@ def test_imp_walk_matches_oracle_census():
 def test_imp_census_rejects_no_vertices_before_walking(monkeypatch, n):
     def walk(*args):
         raise AssertionError("walk started")
-    monkeypatch.setattr(trees_module, "_cayley_pairs", walk)
+    monkeypatch.setattr(trees_module, "_prufer_sequences", walk)
     for rooted in (False, True):
         with pytest.raises(ValueError, match="need at least one vertex"):
             imp_polynomial(n, rooted)
@@ -830,6 +837,18 @@ def test_rooted_restriction_fibers_cover_everything():
     assert fibers[GregTree.build(2, 0, [(1, 2)], roots=(1,))] == 4
     assert fibers[GregTree.build(2, 0, [(1, 2)], roots=(2,))] == 4
     assert fibers[GregTree.build(2, 1, [(1, 3), (2, 3)], roots=(3,))] == 1
+
+
+def test_rooted_root_cells_match_prediction_past_the_oracles():
+    """n = 3 rooted at m = 7, past the rescanning oracle (m <= 6) and the
+    suite's default reach (m <= n + 3): each fiber is the series'
+    prediction, and the fibers cover all 7**6 rooted Cayley trees."""
+    trees = list(enumerate_greg(3, "rooted"))
+    for t in trees:
+        assert restriction_census(t, 7)[-1] == _restriction_expected("rooted", 3, t.u, 7), t
+    fibers = restriction_fibers(7, 3, True)
+    assert set(fibers) == set(trees)
+    assert sum(fibers.values()) == 7 ** 6 == 117_649
 
 
 # ── serialization ────────────────────────────────────────────────────────
