@@ -9,7 +9,9 @@ rounding floor, |w e^w - z| <= 8 eps |z|, or at a step |dw| <= 1e-15
 (1 + |w|), whichever comes first, with 50 steps as the backstop.  The
 residual test is what ends it next to -1/e, where w e^w is flat and w is
 fixed only to about sqrt(eps), so the step test alone would spin to the
-backstop.  Derivatives at one real z share a single solve.
+backstop.  Real z > 1e307, where w e^w overflows, is solved on
+w + log w = log z instead (see `_solve_log_form`).  Derivatives at one
+real z share a single solve.
 
 Derivatives come from closed forms in the census polynomials:
 
@@ -17,8 +19,20 @@ Derivatives come from closed forms in the census polynomials:
     d^n (W^2/2 + W) = (-1)^{n-1} e^{-nw} (1+w)^{-(n-1)} H_n(-w/(1+w))
     d^n (W/(1+W))   = (-1)^{n-1} e^{-nw} (1+w)^{-(n+2)} F_n(-w/(1+w))
 
-so on z > 0 each n-th derivative has sign (-1)^{n-1}: the three
-functions are Bernstein functions (derivatives completely monotone).
+They are evaluated in the shifted form: X_n(-w/(1+w)) = Y_n(y) with
+y = 1/(1+w) and Y_n(y) = X_n(y-1) the shifted row
+(``gen_*(n, shifted=True)``), whose coefficients are all >= 0 with
+Y_n(0) > 0.  Every real z > -1/e has w > -1, so y > 0, every term of
+Y_n(y) is positive and nothing cancels.  The magnitude is
+
+    exp(log Y_n(y) - n w - (n+c) log1p(w)),
+
+with c = 0, -1, 2 the family's offset, and the sign is (-1)^{n-1} by
+construction on all of (-1/e, inf): the three functions are Bernstein
+functions (derivatives completely monotone), and their derivatives keep
+alternating down to the branch point.  A derivative beyond the float range
+raises OverflowError; one below it returns a zero or subnormal of the
+right sign, never inf or NaN.
 """
 
 from __future__ import annotations
@@ -26,11 +40,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .polys import FAMILIES, Poly, gen_F, gen_G, gen_H
+from .polys import FAMILIES, gen_F, gen_G, gen_H
 from .report import CheckReport
 
 _INV_E = math.exp(-1.0)
@@ -40,12 +53,17 @@ _STEP_TOL = 1e-15
 _FLOOR_TOL = 8.0 * sys.float_info.epsilon
 _RESIDUAL_TOL = 1e-13
 
+# past this real z, w e^w can overflow and the solve runs on w + log w = log z
+_LOG_FORM_MIN = 1e307
+# ln 2 = _LN2_HI + _LN2_LO, with k * _LN2_HI exact for |k| < 2^20
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
 # W itself first, then W^2/2 + W, then W/(1+W)
 BERNSTEIN_FAMILIES = tuple(FAMILIES[name].bernstein for name in "GHF")
 
 
-@dataclass(frozen=True)
-class WEval:
+class WEval(NamedTuple):
     """One Lambert W evaluation with its convergence record."""
 
     z: complex | float
@@ -90,8 +108,7 @@ def eval_W(z: complex | float) -> WEval:
 
     Real z on the cut (z <= -1/e) and non-finite z (an infinite or NaN
     part) raise ValueError.  A result violating the residual contract
-    raises ArithmeticError.  Known defect: real z >= 3e307 raises it
-    (w e^w overflows).
+    raises ArithmeticError.
     """
     if isinstance(z, complex) and z.imag == 0.0:
         z = z.real
@@ -102,26 +119,58 @@ def eval_W(z: complex | float) -> WEval:
     if not isinstance(z, complex) and z <= -_INV_E:
         raise ValueError(f"z={z!r} lies on the branch cut (-inf, -1/e]")
     if z == 0:
-        return WEval(z=z, w=0.0, residual=0.0, iterations=0)
-    exp = cmath.exp if isinstance(z, complex) else math.exp
-    w = _seed(z)
-    floor = _FLOOR_TOL * abs(z)
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        ew = exp(w)
-        f = w * ew - z
-        w1 = w + 1.0
-        if w1 == 0:
-            w = w + 1e-6
-            continue
-        dw = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
-        w = w - dw
-        if abs(f) <= floor or abs(dw) <= _STEP_TOL * (1.0 + abs(w)):
-            break
-    residual = abs(w * exp(w) - z)
+        return WEval(z, 0.0, 0.0, 0)
+    if not isinstance(z, complex) and z > _LOG_FORM_MIN:
+        w, residual, iterations = _solve_log_form(z)
+    else:
+        exp = cmath.exp if isinstance(z, complex) else math.exp
+        w = _seed(z)
+        floor = _FLOOR_TOL * abs(z)
+        iterations = 0
+        for iterations in range(1, _MAX_ITER + 1):
+            ew = exp(w)
+            f = w * ew - z
+            w1 = w + 1.0
+            if w1 == 0:
+                w = w + 1e-6
+                continue
+            dw = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
+            w = w - dw
+            if abs(f) <= floor or abs(dw) <= _STEP_TOL * (1.0 + abs(w)):
+                break
+        residual = abs(w * exp(w) - z)
     if residual > _RESIDUAL_TOL * max(1.0, abs(z)):
         raise ArithmeticError(f"W({z!r}) did not converge: residual {residual:.3e}")
-    return WEval(z=z, w=w, residual=residual, iterations=iterations)
+    return WEval(z, w, residual, iterations)
+
+
+def _solve_log_form(z: float) -> tuple[float, float, int]:
+    """W(z), |w e^w - z| and the step count for real z > 1e307.
+
+    Newton on g(w) = w + log w - log z from the asymptotic series
+    L1 - L2 + L2/L1 + L2 (L2 - 2)/(2 L1^2), L1 = log z, L2 = log L1
+    (Corless et al., Adv. Comput. Math. 5, 1996), with the stopping tests
+    of the Halley loop.  The residual is z |expm1(g(w))|, which cannot
+    overflow.  log z is carried as hi + lo with z = m 2^e, hi = e _LN2_HI
+    and lo = log m + e _LN2_LO, and w - hi is exact.  A log z rounded to
+    one float (error up to 5.7e-14 near 700) breaks the contract at about
+    1.5% of these z.
+    """
+    m, e = math.frexp(z)
+    hi = e * _LN2_HI
+    lo = math.log(m) + e * _LN2_LO
+    l1 = hi + lo
+    l2 = math.log(l1)
+    w = l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1)
+    iterations = 0
+    for iterations in range(1, _MAX_ITER + 1):
+        g = (w - hi) + (math.log(w) - lo)
+        dw = g * w / (w + 1.0)
+        w = w - dw
+        if abs(g) <= _FLOOR_TOL or abs(dw) <= _STEP_TOL * (1.0 + w):
+            break
+    residual = z * abs(math.expm1((w - hi) + (math.log(w) - lo)))
+    return w, residual, iterations
 
 
 @lru_cache(maxsize=1)
@@ -133,15 +182,33 @@ def _solved_W(z: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _family_row(bernstein: str, n: int) -> tuple[Poly, int]:
-    """Row n of the family behind the Bernstein function, and its offset c."""
+def _family_row(bernstein: str, n: int) -> tuple[tuple[float, ...], float, int]:
+    """Shifted row Y_n of the family behind the Bernstein function, as the
+    floats a_k 2^-s from the top degree down, with s log 2 and the offset c.
+
+    One power of two scales the row: the largest coefficient lands far
+    enough below the float limit that no Horner sum over the row
+    overflows.  A row whose smallest coefficient would then fall below the
+    normal range (past n of about 1400) raises OverflowError."""
     family = next(f for f in FAMILIES.values() if f.bernstein == bernstein)
-    rows = globals()[f"gen_{family.name}"](n)  # by name: wrappers on gen_* see it
-    return rows[n - 1], family.c
+    # by name: wrappers on gen_* see it
+    coeffs = globals()[f"gen_{family.name}"](n, shifted=True)[n - 1].coeffs
+    top = max(coeffs).bit_length()
+    s = max(0, top - (sys.float_info.max_exp - 1 - len(coeffs).bit_length()))
+    if min(coeffs).bit_length() - s < sys.float_info.min_exp:
+        raise OverflowError(f"row {n} of {family.name} spans more than one float scale")
+    scale = 1 << s
+    return tuple(a / scale for a in reversed(coeffs)), s * math.log(2.0), family.c
 
 
 def family_derivative(family: str, z: float, n: int) -> float:
-    """n-th derivative at real z > -1/e of W, W^2/2 + W, or W/(1+W)."""
+    """n-th derivative at real z > -1/e of W, W^2/2 + W, or W/(1+W).
+
+    Computed as (-1)^{n-1} exp(log Y_n(y) - n w - (n+c) log1p(w)) on the
+    shifted row Y_n at y = 1/(1+w) > 0, w = W(z), so the sign is
+    (-1)^{n-1} for every real z > -1/e.  A value beyond the float range
+    raises OverflowError (d^n W(0) = (-n)^{n-1}, so from n = 144 on at
+    z = 0); one below it returns a zero or subnormal of that sign."""
     if family not in BERNSTEIN_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
@@ -150,10 +217,24 @@ def family_derivative(family: str, z: float, n: int) -> float:
 
 
 def _derivative_at(family: str, w: float, n: int) -> float:
-    """`family_derivative` at the z with W(z) = w, for callers holding the solve."""
-    x = -w / (1.0 + w)
-    poly, c = _family_row(family, n)
-    value = poly(x) * math.exp(-n * w) / (1.0 + w) ** (n + c)
+    """`family_derivative` at the z with W(z) = w, for callers holding the solve.
+
+    Horner in y = 1/(1+w) for y <= 1, and for y > 1 in 1/y = 1+w over the
+    reversed row, which divides Y_n(y) by y^deg: every partial sum stays
+    below the row's sum of coefficients."""
+    row, log_scale, c = _family_row(family, n)
+    acc = 0.0
+    if w >= 0.0:
+        y = 1.0 / (1.0 + w)
+        for a in row:
+            acc = acc * y + a
+        k = n + c
+    else:
+        t = 1.0 + w
+        for a in reversed(row):
+            acc = acc * t + a
+        k = n + c + len(row) - 1
+    value = math.exp(math.log(acc) + log_scale - n * w - k * math.log1p(w))
     return value if n % 2 == 1 else -value
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import gregtrees
@@ -84,7 +85,7 @@ def test_wfun_text(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "W(1.0) = 0.5671432904097838"
-    assert lines[3] == "d^1 W = 0.36189625663488917"
+    assert lines[3] == "d^1 W = 0.3618962566348892"
     assert len(lines) == 5
 
 
@@ -108,8 +109,8 @@ def test_wfun_solves_W_once(capsys, monkeypatch):
     assert out == ("W(1.0) = 0.5671432904097838\n"
                    "residual = 0.000e+00\n"
                    "iterations = 4\n"
-                   "d^1 W = 0.36189625663488917\n"
-                   "d^2 W = -0.21454064628214373\n")
+                   "d^1 W = 0.3618962566348892\n"
+                   "d^2 W = -0.21454064628214375\n")
 
 
 def test_wfun_complex_json(capsys):
@@ -119,6 +120,18 @@ def test_wfun_complex_json(capsys):
     assert payload["z"] == [1.0, 2.0]
     assert len(payload["w"]) == 2
     assert payload["derivatives"] == []  # not real positive
+
+
+@pytest.mark.parametrize("z", ["1e308", "1.7976931348623157e308"])
+def test_wfun_solves_largest_floats(capsys, z):
+    """w e^w overflows past 1e307; the solve there runs on w + log w = log z."""
+    code, out, err = run(capsys, "wfun", z, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    with mpmath.workdps(30):
+        want = mpmath.lambertw(mpmath.mpf(z))
+        assert abs(payload["w"] - want) <= 1e-15 * want
+    assert payload["residual"] <= 1e-13 * float(z)
 
 
 # ── json schemas ──────────────────────────────────────────────────────────
@@ -302,7 +315,6 @@ USAGE_ERRORS = [
     ("check", "egf", "--x", "-q"),              # not a number: an option, so --x has no value
     ("check", "all", "--bogus"),
     ("--bogus",),
-    ("wfun", "1e308"),                           # w e^w overflows: ArithmeticError
     ("wfun", "nan"),
 ]
 

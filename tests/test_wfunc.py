@@ -4,11 +4,15 @@ sign checks."""
 import cmath
 import math
 import random
+import sys
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gregtrees.wfunc as wfunc
+from gregtrees.polys import Poly, gen_F, gen_G, gen_H
 from gregtrees.wfunc import (
     BERNSTEIN_FAMILIES,
     WEval,
@@ -71,6 +75,11 @@ def _assert_accurate(z, res):
 
 def test_known_values():
     assert eval_W(0.0) == WEval(z=0.0, w=0.0, residual=0.0, iterations=0)
+    # a NamedTuple: unpacks, equals its 4-tuple, keeps the dataclass repr
+    assert eval_W(0.0) == (0.0, 0.0, 0.0, 0)
+    z, w, residual, iterations = eval_W(math.e)
+    assert (z, w, iterations) == (math.e, eval_W(math.e).w, eval_W(math.e).iterations)
+    assert repr(eval_W(0.0)) == "WEval(z=0.0, w=0.0, residual=0.0, iterations=0)"
     assert abs(eval_W(math.e).w - 1.0) < 1e-15
     assert abs(eval_W(1.0).w - 0.5671432904097838) < 1e-15
     # branch point: W(-1/e) = -1, approached from the right
@@ -142,6 +151,21 @@ def test_real_outputs_match_step_test_loop():
         assert (res.w, res.iterations) == _step_test_W(z), z
 
 
+def test_largest_floats_meet_residual_contract():
+    # past 1e307 w e^w can overflow, and the solve runs on w + log w = log z;
+    # a log z rounded to a float breaks the contract at about 1.5% of these
+    rng = random.Random(307)
+    top = math.log10(sys.float_info.max)
+    points = [min(10.0 ** rng.uniform(307.0, top), sys.float_info.max) for _ in range(2000)]
+    points += [math.nextafter(1e307, math.inf), sys.float_info.max]
+    for z in points:
+        res = eval_W(z)
+        assert res.iterations <= 3, (z, res)
+        w = mpmath.mpf(res.w)
+        assert abs(w * mpmath.exp(w) - z) <= 1e-13 * z, (z, res)
+        assert abs(w - mpmath.lambertw(z)) <= 2e-16 * w, (z, res)
+
+
 def test_complex_asymptotic_seed():
     # log z alone leaves the log log z term to the iteration: 5 to 7 steps
     for kr in range(40):
@@ -204,6 +228,81 @@ def test_family_first_derivatives():
         # d/dz (W/(1+W)) = W' / (1+W)^2
         want = w / (z * (1 + w) ** 3)
         assert abs(family_derivative("ratio", z, 1) - want) < 1e-14
+
+
+# family -> (generator of the unshifted rows X_n, exponent of 1/(1+w) minus n)
+_UNSHIFTED = {"W": (gen_G, 0), "half-square": (gen_H, -1), "ratio": (gen_F, 2)}
+_ORACLE_NS = (1, 2, 3, 5, 8, 13, 40, 100, 200, 400)
+_ORACLE_ZS = (-INV_E + 1e-12, -0.36, -0.3, -1e-3, -1e-300, 1e-300, 1e-100, 1e-10,
+              1e-3, 0.5, 1.0, 10.0, 1e3, 1e10, 1e100, 1e300)
+
+
+def test_derivatives_against_unshifted_rows():
+    """Every family, n <= 400, real z from next to -1/e out to 1e300, against
+    (-1)^{n-1} e^{-nw} (1+w)^{-(n+c)} X_n(-w/(1+w)) on the unshifted integer
+    rows, which shares no formula with the shifted float path.  For z > 0
+    those terms alternate and cancel by up to about 0.75 n digits, so they
+    are summed at 30 + n digits.  The oracle takes the program's own w, so
+    this measures the derivative layer and not the conditioning of W: next
+    to -1/e, 1+w has relative error near eps/(1+w), which (1+w)^{-(n+c)}
+    multiplies by n.
+
+    A true value in the normal float range must come back within 1e-10
+    relative; one past it must raise OverflowError; one below it must come
+    back as a zero or subnormal of the right sign.  So n = 400 is not finite
+    at every z from 1e-300 on: d^n W(0) = (-n)^{n-1} is past the float
+    range from n = 144."""
+    checked = {"normal": 0, "overflow": 0, "underflow": 0}
+    for family, (gen, c) in _UNSHIFTED.items():
+        rows = gen(max(_ORACLE_NS))
+        for z in _ORACLE_ZS:
+            w = eval_W(z).w
+            for n in _ORACLE_NS:
+                with mpmath.workdps(30 + n):
+                    mw = mpmath.mpf(w)
+                    x = -mw / (1 + mw)
+                    acc = mpmath.mpf(0)
+                    for a in reversed(rows[n - 1].coeffs):
+                        acc = acc * x + a
+                    want = acc * mpmath.exp(-n * mw) / (1 + mw) ** (n + c)
+                    want = want if n % 2 == 1 else -want
+                    size = abs(want)
+                    if size > sys.float_info.max:
+                        with pytest.raises(OverflowError):
+                            family_derivative(family, z, n)
+                        checked["overflow"] += 1
+                        continue
+                    got = family_derivative(family, z, n)
+                    if size >= sys.float_info.min:
+                        assert abs((got - want) / want) <= 1e-10, (family, z, n, got, want)
+                        checked["normal"] += 1
+                    else:
+                        assert abs(got) < sys.float_info.min, (family, z, n, got, want)
+                        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+                        checked["underflow"] += 1
+    assert min(checked.values()) > 0, checked
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BERNSTEIN_FAMILIES),
+       st.floats(min_value=-INV_E, max_value=1e300, exclude_min=True),
+       st.integers(min_value=1, max_value=60))
+def test_derivative_sign_on_the_whole_real_domain(family, z, n):
+    """(-1)^{n-1} for every real z > -1/e, not only z > 0, zeros included."""
+    try:
+        value = family_derivative(family, z, n)
+    except OverflowError:
+        return
+    assert not math.isnan(value) and not math.isinf(value)
+    assert math.copysign(1.0, value) == (1.0 if n % 2 == 1 else -1.0), value
+
+
+def test_row_past_one_float_scale_raises(monkeypatch):
+    # no power of two brings both 1 and 2^3000 into the normal range
+    monkeypatch.setattr(wfunc, "gen_G", lambda n, shifted: [Poly((1, 1 << 3000))] * n)
+    wfunc._family_row.cache_clear()
+    with pytest.raises(OverflowError, match="more than one float scale"):
+        family_derivative("W", 1.0, 2)
 
 
 def test_family_derivative_validation():
