@@ -246,7 +246,12 @@ def _run_wfun(args, parser) -> int:
     real_positive = not isinstance(res.z, complex) and res.z > 0
     derivs = []
     if real_positive:
-        derivs = [_derivative_at("W", res.w, k) for k in range(1, args.n_max + 1)]
+        for k in range(1, args.n_max + 1):
+            try:
+                derivs.append(_derivative_at("W", res.w, k))
+            except OverflowError as exc:
+                parser.exit(2, f"{parser.prog}: error: d^{k} W at z={res.z!r} "
+                               f"is past the float range ({exc})\n")
     if args.format == "text":
         lines = [f"W({res.z!r}) = {res.w!r}",
                  f"residual = {res.residual:.3e}",

@@ -202,30 +202,35 @@ class RatSeries:
         """exp(self); requires constant term 0.
 
         With self = sum F_j z^j / D over one common denominator D, the
-        integer EGF vector j! F_j D^{j-1} stands for self(Dz), and entry m
-        of its exponential is m! D^m [z^m] exp(self).
+        integer EGF vector j! F_j s^j / D stands for self(sz), and entry m
+        of its exponential is m! s^m [z^m] exp(self).  The scale s is
+        `_egf_scale(F, D)`: every entry is an integer, and s divides D, so
+        the kernel's operands are never wider than with s = D.
         """
         if self.coeffs[0] != 0:
             raise ValueError("exp requires a series vanishing at 0")
         f, d = _common_denominator(self.coeffs)
-        scale = list(accumulate(range(1, len(f)), lambda s, m: s * m * d, initial=1))   # m! D^m
-        e = _egf_exp([c * s // d for c, s in zip(f, scale)])
-        return RatSeries([Fraction(c, s) for c, s in zip(e, scale)])
+        s = _egf_scale(f, d)
+        scale = list(accumulate(range(1, len(f)), lambda t, m: t * m * s, initial=1))   # m! s^m
+        e = _egf_exp([c * t // d for c, t in zip(f, scale)])
+        return RatSeries([Fraction(c, t) for c, t in zip(e, scale)])
 
     def reciprocal(self) -> "RatSeries":
         """1/self; requires a nonzero constant term.
 
-        With self = sum F_j z^j / D, the integer EGF vector j! F_j F_0^{j-1}
-        stands for self(F_0 z) D / F_0 and has leading entry 1.  Entry m of
-        its inverse is m! F_0^m r_m, and 1/self = (D/F_0) sum r_m z^m.
+        With self = sum F_j z^j / D, the integer EGF vector j! F_j s^j / F_0
+        stands for self(sz) D / F_0 and has leading entry 1.  Entry m of
+        its inverse is m! s^m r_m, and 1/self = (D/F_0) sum r_m z^m.  The
+        scale s is `_egf_scale(F, F_0)`, so s divides F_0.
         """
         if self.coeffs[0] == 0:
             raise ValueError("reciprocal requires a unit constant term")
         f, d = _common_denominator(self.coeffs)
         f0 = f[0]
-        scale = list(accumulate(range(1, len(f)), lambda s, m: s * m * f0, initial=1))   # m! F_0^m
-        r = _egf_inverse([c * s // f0 for c, s in zip(f, scale)])
-        return RatSeries([Fraction(d * c, f0 * s) for c, s in zip(r, scale)])
+        s = _egf_scale(f, f0)
+        scale = list(accumulate(range(1, len(f)), lambda t, m: t * m * s, initial=1))   # m! s^m
+        r = _egf_inverse([c * t // f0 for c, t in zip(f, scale)])
+        return RatSeries([Fraction(d * c, f0 * t) for c, t in zip(r, scale)])
 
     def geom_inverse(self) -> "RatSeries":
         """1/(1 - self); requires constant term 0."""
@@ -243,6 +248,26 @@ def _common_denominator(cs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers m_k and d with cs[k] = m_k/d, d the lcm of the denominators."""
     d = math.lcm(*(c.denominator for c in cs))
     return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _egf_scale(f: Sequence[int], d: int) -> int:
+    """A scale s, grown only as needed, with every j! f_j s^j / d an integer.
+
+    Entry j needs g_j = d / gcd(d, j! f_j) to divide s^j; where it does
+    not, s is multiplied by g_j / gcd(g_j, s^j).  Prime by prime this keeps
+    the exponent of s at most that of d, so s divides d (s = 1 for d = 1).
+    g_j is computed as r_j / gcd(r_j, f_j) with r_j = d / gcd(d, j!), and
+    the pass ends once r_j = 1.
+    """
+    s, rest = 1, abs(d)
+    for j in range(1, len(f)):
+        rest //= math.gcd(rest, j)
+        if rest == 1:
+            break
+        g = rest // math.gcd(rest, f[j])
+        if g != 1:
+            s *= g // math.gcd(g, pow(s, j, g))
+    return s
 
 
 # ── the tree-function family ──────────────────────────────────────────────
@@ -300,6 +325,21 @@ def _binomial_sum(a: Sequence[int], b: Sequence[int], m: int) -> int:
         if a[k]:
             acc += binom * a[k] * b[m - k]
         binom = binom * (m - k) // (k + 1)
+    return acc
+
+
+def _binomial_square(a: Sequence[int], m: int) -> int:
+    """_binomial_sum(a, a, m), entry m of a^2, over half the range: the
+    terms k and m-k are equal, so k < m/2 is summed and doubled, and for
+    even m the centre C(m, m/2) a[m/2]^2 is added once."""
+    acc, binom = 0, 1
+    for k in range((m + 1) // 2):
+        if a[k]:
+            acc += binom * a[k] * a[m - k]
+        binom = binom * (m - k) // (k + 1)
+    acc *= 2
+    if m % 2 == 0:
+        acc += binom * a[m // 2] ** 2   # binom is C(m, m/2) here
     return acc
 
 
@@ -613,7 +653,9 @@ def check_gh_functional(
         2 q^E h_n = 2 q^E g_n - (p+q) sum_{k=1}^{n-1} C(n,k) g_k g_{n-k},
 
     where E = max(0, deg - (n-1)) over the given rows keeps every term an
-    integer (E = 0 for the generated rows).  A failure reports the first
+    integer (E = 0 for the generated rows).  The terms k and n-k of the
+    convolution are equal, so it is summed over k < n/2 and doubled, plus
+    the centre C(n, n/2) g_{n/2}^2 for even n.  A failure reports the first
     mismatching u^n coefficient as the two rationals H_n(x)/n! and
     [u^n](G~ - ((1+x)/2) G~^2).
     """
@@ -630,7 +672,7 @@ def check_gh_functional(
         qe = q ** extra
         g = [0] + [_scaled_value(gr, p, q, n - 1 + extra) for n, (gr, _) in enumerate(rows, start=1)]
         for n in range(1, order + 1):
-            conv = _binomial_sum(g, g, n)   # the k = 0 and k = n terms vanish: g[0] = 0
+            conv = _binomial_square(g, n)   # the k = 0 and k = n terms vanish: g[0] = 0
             h = _scaled_value(rows[n - 1][1], p, q, n - 1 + extra)
             rhs = 2 * qe * g[n] - (p + q) * conv
             if 2 * qe * h != rhs:

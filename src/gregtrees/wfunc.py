@@ -181,24 +181,48 @@ def _solved_W(z: float) -> float:
     return eval_W(z).w
 
 
-@lru_cache(maxsize=None)
-def _family_row(bernstein: str, n: int) -> tuple[tuple[float, ...], float, int]:
-    """Shifted row Y_n of the family behind the Bernstein function, as the
-    floats a_k 2^-s from the top degree down, with s log 2 and the offset c.
+def _float_row(coeffs: Sequence[int]) -> tuple[tuple[float, ...], float] | None:
+    """The floats a_k 2^-s from the top degree down, and s log 2.
 
     One power of two scales the row: the largest coefficient lands far
     enough below the float limit that no Horner sum over the row
-    overflows.  A row whose smallest coefficient would then fall below the
-    normal range (past n of about 1400) raises OverflowError."""
-    family = next(f for f in FAMILIES.values() if f.bernstein == bernstein)
-    # by name: wrappers on gen_* see it
-    coeffs = globals()[f"gen_{family.name}"](n, shifted=True)[n - 1].coeffs
+    overflows.  None where the smallest coefficient would then fall below
+    the normal range (past n of about 1400)."""
     top = max(coeffs).bit_length()
     s = max(0, top - (sys.float_info.max_exp - 1 - len(coeffs).bit_length()))
     if min(coeffs).bit_length() - s < sys.float_info.min_exp:
-        raise OverflowError(f"row {n} of {family.name} spans more than one float scale")
+        return None
     scale = 1 << s
-    return tuple(a / scale for a in reversed(coeffs)), s * math.log(2.0), family.c
+    return tuple(a / scale for a in reversed(coeffs)), s * math.log(2.0)
+
+
+@lru_cache(maxsize=None)
+def _rows_built_by(gen) -> list:
+    """The `_float_row`s of the shifted rows 1..N that the generator `gen`
+    has built so far; `_family_row` extends the list in place.  Keyed on
+    the generator, so rows built by one since replaced are not reused."""
+    return []
+
+
+@lru_cache(maxsize=None)
+def _family_row(bernstein: str, n: int) -> tuple[tuple[float, ...], float, int]:
+    """Shifted row Y_n of the family behind the Bernstein function, as
+    `_float_row` scales it, with the family's offset c; OverflowError for
+    a row that no one scale holds.
+
+    Each family's rows are kept as floats.  A row past those held calls
+    ``gen_*(N, shifted=True)`` for N = max(n, twice as many), so a walk
+    over n = 1..N calls the generator about log2 N times, not N times.
+    Cached, so that a derivative call finds its row by one hash."""
+    family = next(f for f in FAMILIES.values() if f.bernstein == bernstein)
+    gen = globals()[f"gen_{family.name}"]   # by name: wrappers on gen_* see it
+    rows = _rows_built_by(gen)
+    if n > len(rows):
+        polys = gen(max(n, 2 * len(rows)), shifted=True)
+        rows += [_float_row(p.coeffs) for p in polys[len(rows):]]
+    if rows[n - 1] is None:
+        raise OverflowError(f"row {n} of {family.name} spans more than one float scale")
+    return (*rows[n - 1], family.c)
 
 
 def family_derivative(family: str, z: float, n: int) -> float:

@@ -134,6 +134,17 @@ def test_wfun_solves_largest_floats(capsys, z):
     assert payload["residual"] <= 1e-13 * float(z)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_wfun_derivative_overflow_is_one_error_line(capsys, fmt):
+    """d^184 W(1) is past the float range: one stderr line, no traceback."""
+    code, out, err = run(capsys, "wfun", "1.0", "--n-max", "200", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == ("gregtrees: error: d^184 W at z=1.0 is past the float range "
+                   "(math range error)\n")
+    code, out, err = run(capsys, "wfun", "1.0", "--n-max", "183", "--format", fmt)
+    assert (code, err) == (0, "")
+
+
 # ── json schemas ──────────────────────────────────────────────────────────
 
 def test_polys_json(capsys):

@@ -1,7 +1,9 @@
 """Exact power-series arithmetic and the series-level identity checks."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,14 @@ from gregtrees.series import (
     check_gh_functional,
     check_imp_census_series,
     check_reversion_lemma,
+    _binomial_square,
+    _binomial_sum,
+    _common_denominator,
+    _egf_exp,
     _egf_inverse,
     _egf_mul,
     _egf_pow,
+    _egf_scale,
     _shifted_tree_series,
     reversion,
     rhs_series,
@@ -572,6 +579,96 @@ def test_exp_and_reciprocal_reject_their_bad_constants(c0, tail):
         RatSeries([c0] + tail).exp()
     with pytest.raises(ValueError):
         RatSeries([0] + tail).reciprocal()
+
+
+def _d_scaled_exp(s):
+    """exp with the integer EGF vector scaled by the full common
+    denominator D, entry j being j! F_j D^{j-1}: an oracle for the
+    right-sized scale of `RatSeries.exp`."""
+    f, d = _common_denominator(s.coeffs)
+    scale = list(accumulate(range(1, len(f)), lambda t, m: t * m * d, initial=1))   # m! D^m
+    e = _egf_exp([c * t // d for c, t in zip(f, scale)])
+    return RatSeries([F(c, t) for c, t in zip(e, scale)])
+
+
+def _d_scaled_reciprocal(s):
+    """1/s with the integer EGF vector j! F_j F_0^{j-1}: an oracle for the
+    right-sized scale of `RatSeries.reciprocal`."""
+    f, d = _common_denominator(s.coeffs)
+    f0 = f[0]
+    scale = list(accumulate(range(1, len(f)), lambda t, m: t * m * f0, initial=1))   # m! F_0^m
+    r = _egf_inverse([c * t // f0 for c, t in zip(f, scale)])
+    return RatSeries([F(d * c, f0 * t) for c, t in zip(r, scale)])
+
+
+def _random_tail(rng, order):
+    """Coefficients 1..order: a fifth of them zero, the rest either of any
+    sign over random denominators, or a/(j! b^j) and a/b^j for one base b,
+    the geometric denominators of the shifted tree series."""
+    b = rng.choice([2, 3, 6, 7, 12, 13])
+    geometric = rng.random() < 0.5
+    tail = []
+    for j in range(1, order + 1):
+        if rng.random() < 0.2:
+            tail.append(F(0))
+        elif geometric:
+            tail.append(F(rng.randint(-50, 50), rng.choice([1, math.factorial(j)]) * b ** j))
+        else:
+            tail.append(F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)))
+    return tail
+
+
+def _assert_scale(f, d):
+    """`_egf_scale(f, d)` divides d and makes every j! f_j s^j / d an integer."""
+    s = _egf_scale(f, d)
+    assert s >= 1 and d % s == 0
+    assert all(math.factorial(j) * f[j] * s ** j % d == 0 for j in range(1, len(f)))
+    return s
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_right_sized_scale_matches_d_scaled_oracle(seed):
+    """exp and reciprocal give what the D-scaled kernels give, orders 0..40."""
+    rng = random.Random(seed)
+    for order in range(41):
+        tail = _random_tail(rng, order)
+        s = RatSeries([0] + tail)
+        assert s.exp() == _d_scaled_exp(s)
+        _assert_scale(*_common_denominator(s.coeffs))
+        for c0 in (1, F(-3, 2), F(rng.randint(-99, 99) or 1, rng.randint(1, 99))):
+            s = RatSeries([c0] + tail)
+            assert s.reciprocal() == _d_scaled_reciprocal(s)
+            f, _ = _common_denominator(s.coeffs)
+            _assert_scale(f, f[0])
+
+
+def test_scale_of_the_shifted_tree_series_is_the_sample_denominator():
+    """At x = p/q the Newton iterate's scale is q (1 at integer x), far
+    below the common denominator D."""
+    for x in (1, 2, F(1, 2), F(3, 7), F(-2, 3), F(11, 13)):
+        s0 = F(x) / (1 + x)
+        f, d = _common_denominator(_shifted_tree_series(s0, 32).coeffs)
+        assert _assert_scale(f, d) == F(x).denominator
+        assert d > F(x).denominator ** 20
+
+
+def test_scale_small_cases():
+    assert _egf_scale([0, 5, -3, 0, 7], 1) == 1
+    assert _egf_scale([0, 5, -3, 0, 7], -1) == 1
+    assert _egf_scale([0, 0, 0], 6) == 1        # zero entries need no scale
+    assert _egf_scale([0, 1, 0, 0], 2) == 2     # 1! (1/2) s integer needs 2 | s
+    assert _egf_scale([0, 0, 1], 2) == 1        # 2! (1/2) = 1 already
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_binomial_square_is_the_self_convolution(seed):
+    rng = random.Random(seed)
+    a = [rng.choice([0, 0, 1, -1, rng.randint(-10 ** 30, 10 ** 30)]) for _ in range(61)]
+    a[seed] = 0
+    for m in range(61):
+        assert _binomial_square(a, m) == _binomial_sum(a, a, m), m
+    zeros = [0] * 61
+    assert all(_binomial_square(zeros, m) == 0 for m in range(61))
 
 
 def _horner_compose(outer, inner):

@@ -305,6 +305,29 @@ def test_row_past_one_float_scale_raises(monkeypatch):
         family_derivative("W", 1.0, 2)
 
 
+@pytest.mark.parametrize("family", BERNSTEIN_FAMILIES)
+def test_walk_over_n_builds_rows_a_few_times(monkeypatch, family):
+    """n = 1..200 at one z calls the family's generator at most 9 times
+    (rows 1, 2, 4, ..., 256), and every value equals the one from rows
+    built for that n alone."""
+    name = _UNSHIFTED[family][0].__name__
+    gen, calls = getattr(wfunc, name), []
+
+    def counted(n, shifted):
+        calls.append(n)
+        return gen(n, shifted=shifted)
+    monkeypatch.setattr(wfunc, name, counted)
+    wfunc._family_row.cache_clear()
+    walk = [family_derivative(family, 1e3, n) for n in range(1, 201)]
+    assert len(calls) <= 9 and max(calls) <= 256, calls
+    for n in range(1, 201, 7):
+        wfunc._family_row.cache_clear()
+        wfunc._rows_built_by.cache_clear()
+        calls.clear()
+        assert family_derivative(family, 1e3, n) == walk[n - 1], n
+        assert calls == [n]
+
+
 def test_family_derivative_validation():
     with pytest.raises(ValueError):
         family_derivative("nope", 1.0, 1)
