@@ -251,11 +251,14 @@ def _common_denominator(cs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _egf_scale(f: Sequence[int], d: int) -> int:
-    """A scale s, grown only as needed, with every j! f_j s^j / d an integer.
+    """A scale s with every j! f_j s^j / d an integer, grown greedily.
 
     Entry j needs g_j = d / gcd(d, j! f_j) to divide s^j; where it does
     not, s is multiplied by g_j / gcd(g_j, s^j).  Prime by prime this keeps
     the exponent of s at most that of d, so s divides d (s = 1 for d = 1).
+    Greedy is not always least: for f_j / d = a_j / (j! b^j) with b = 6,
+    a_1 = 2 and a_2 = 1, entry 1 sets s = 3 and entry 2 then makes it 12,
+    where 6 suffices.  s | d holds all the same.
     g_j is computed as r_j / gcd(r_j, f_j) with r_j = d / gcd(d, j!), and
     the pass ends once r_j = 1.
     """

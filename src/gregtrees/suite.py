@@ -8,7 +8,10 @@ entry.  ``run_suite`` returns a ``SuiteResult`` whose JSON and text
 renderings are byte-deterministic for a given configuration.  Budgets live
 in ``SuiteConfig``; the ``quick`` profile trims them for smoke runs.  A
 check reads the configuration and the shared polynomial bundle, nothing
-else, so checks cannot mask each other's failures.
+else, so checks cannot mask each other's failures.  The checks that
+compare rows shifted to x - 1 share one memo keyed by the row's value
+(``_shifted``), so each distinct row is shifted once however many checks
+read it.
 
 ``SuiteConfig.corrupt`` ("G:3" bumps the constant term of the stored G_3)
 exists to demonstrate sensitivity: a corrupted bundle must trip every
@@ -166,6 +169,15 @@ def _make_bundle(config: SuiteConfig) -> dict[str, list[Poly]]:
     return bundle
 
 
+@cache
+def _shifted(row: Poly) -> Poly:
+    """row(x - 1), computed once per row value for all the checks that
+    compare shifted rows.  A corrupted row is its own key, so it reaches
+    exactly the checks that read it.  `shift` is looked up in this module,
+    so wrappers placed on it see the calls."""
+    return shift(row, -1)
+
+
 # ── individual checks ─────────────────────────────────────────────────────
 
 def _check_golden(bundle) -> CheckReport:
@@ -177,7 +189,7 @@ def _check_golden(bundle) -> CheckReport:
                 return CheckReport.fail(name, f"{family}_{i + 1} = {got}", family=family, row=i + 1)
     for family, table in _GOLDEN_SHIFT.items():
         for i, coeffs in enumerate(table):
-            got = shift(bundle[family][i], -1)
+            got = _shifted(bundle[family][i])
             if list(got.coeffs) != coeffs:
                 return CheckReport.fail(name, f"{family}_{i + 1}(x-1) = {got}",
                                         family=family, row=i + 1, shifted=True)
@@ -188,7 +200,7 @@ def _check_positivity(bundle, rows: int) -> CheckReport:
     name = "shifted-positivity"
     for family in FAMILIES:
         for i in range(rows):
-            p = shift(bundle[family][i], -1)
+            p = _shifted(bundle[family][i])
             if any(c < 0 for c in p.coeffs):
                 return CheckReport.fail(name, f"{family}_{i + 1}(x-1) = {p}",
                                         family=family, row=i + 1)
@@ -219,8 +231,8 @@ def _check_interconversion(bundle, rows: int) -> CheckReport:
 def _check_reciprocity(bundle, rows: int) -> CheckReport:
     name = "reciprocity"
     for n in range(1, rows + 1):
-        g = shift(bundle["G"][n - 1], -1)
-        p = shift(bundle["P"][n - 1], -1)
+        g = _shifted(bundle["G"][n - 1])
+        p = _shifted(bundle["P"][n - 1])
         if n % 2 == 0:
             p = -p
         if tuple(reversed(g.coeffs)) != p.coeffs:
@@ -241,9 +253,9 @@ def _check_q_specializations(bundle, rows: int) -> CheckReport:
         for value, family, offset in ((-1, "F", -1), (0, "G", 0), (1, "H", 1)):
             got = Poly(q(value) for q in row)
             if family == "F":
-                want = Poly((1,)) if n == 1 else X * shift(bundle["F"][n - 2], -1)
+                want = Poly((1,)) if n == 1 else X * _shifted(bundle["F"][n - 2])
             else:
-                want = shift(bundle[family][n - 1 + offset], -1)
+                want = _shifted(bundle[family][n - 1 + offset])
             if got != want:
                 return CheckReport.fail(
                     name, f"n={n}, x={value}: row evaluates to {got}, want {want}",
@@ -276,7 +288,7 @@ def _check_census_imp(bundle, rooted: bool, rows: int) -> CheckReport:
     family = imp_family(rooted).name
     for n in range(1, rows + 1):
         got = _trees.imp_polynomial(n, rooted)
-        want = shift(bundle[family][n - 1], -1)
+        want = _shifted(bundle[family][n - 1])
         if got != want:
             return CheckReport.fail(name, f"n={n}: imp census {got}, expected {want}",
                                     n=n, rooted=rooted)

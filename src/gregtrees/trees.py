@@ -272,7 +272,11 @@ def _prufer_pairs(seq: Sequence[int], k: int) -> list[tuple[int, int]]:
     pairs in removal order: hung from vertex k, every vertex appears as a
     leaf after all of its children.  Linear: the pointer to the smallest
     leaf only moves forward, and a neighbour that just became a leaf below
-    the pointer is taken next.  Entries are not range-checked."""
+    the pointer is taken next.  Entries are not range-checked.  The one
+    tree on a single vertex has no edge: this is the only place the
+    Pruefer walks special-case it."""
+    if k == 1:
+        return []
     degree = [1] * (k + 1)
     for v in seq:
         degree[v] += 1
@@ -301,8 +305,6 @@ def prufer_decode(seq: Sequence[int], k: int) -> tuple[tuple[int, int], ...]:
     for v in seq:
         if not 1 <= v <= k:
             raise ValueError(f"sequence entry {v} out of range 1..{k}")
-    if k == 1:
-        return ()
     return _normalize_edges(_prufer_pairs(seq, k))
 
 
@@ -315,9 +317,7 @@ def _constrained_prufer(n: int, u: int, slack: int, floor: int) -> Iterator[tupl
     """
     k = n + u
     length = k - 2
-    if length < 0:
-        return
-    if length == 0:
+    if length <= 0:
         if u == 0 or (u <= slack and floor == 0):
             yield ()
         return
@@ -392,9 +392,6 @@ def _prufer_sequences(n: int) -> Iterator[tuple[int, ...]]:
 def _cayley_pairs(n: int) -> Iterator[list[tuple[int, int]]]:
     """The `_prufer_pairs` list of every labeled tree on 1..n, in
     lexicographic Pruefer order: hung from vertex n, children first."""
-    if n == 1:
-        yield []
-        return
     for seq in _prufer_sequences(n):
         yield _prufer_pairs(seq, n)
 
@@ -431,43 +428,24 @@ def _greg_configs(n: int, u: int, rules: Variant):
     """Degree-valid (edges, roots) configurations, before dedup.
 
     Edges are the (leaf, neighbour) pairs of `_prufer_pairs`.  Order:
-    lexicographic Pruefer, then root choices ascending (root pairs
-    lexicographic).
+    lexicographic Pruefer, then root tuples in lexicographic order.  The
+    slot rule picks the root tuples: an unlabeled vertex below degree 3
+    (one that appears fewer than twice in the sequence) must fill a root
+    slot, so a tuple is allowed iff it holds every such short vertex.  The
+    allowed tuples are listed once per distinct short set.
     """
     k = n + u
     slots = rules.roots
-    if k == 1:
-        yield (), (1,) * slots
-        return
-    everyone = range(1, k + 1)
+    allowed: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for seq in _constrained_prufer(n, u, slots, max(rules.root_degree - 1, 0)):
         pairs = _prufer_pairs(seq, k)
-        if slots == 0:
-            yield pairs, ()
-            continue
-        # unlabeled vertices below degree 3 must fill root slots; a vertex
-        # of degree d appears d - 1 times in the sequence, and the sequence
-        # already holds at most `slots` of them, each at the least degree
-        short = [v for v in range(n + 1, k + 1) if seq.count(v) < 2]
-        if slots == 1:
-            for r in short or everyone:
-                yield pairs, (r,)
-        elif not short:
-            for r1 in everyone:
-                for r2 in everyone:
-                    yield pairs, (r1, r2)
-        elif len(short) == 1:
-            (s,) = short
-            for r1 in everyone:
-                if r1 == s:
-                    for r2 in everyone:
-                        yield pairs, (s, r2)
-                else:
-                    yield pairs, (r1, s)
-        else:
-            s1, s2 = short
-            yield pairs, (s1, s2)
-            yield pairs, (s2, s1)
+        short = frozenset(v for v in range(n + 1, k + 1) if seq.count(v) < 2)
+        choices = allowed.get(short)
+        if choices is None:
+            choices = allowed[short] = [
+                r for r in product(range(1, k + 1), repeat=slots) if short <= set(r)]
+        for roots in choices:
+            yield pairs, roots
 
 
 def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:

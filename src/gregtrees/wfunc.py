@@ -10,8 +10,10 @@ rounding floor, |w e^w - z| <= 8 eps |z|, or at a step |dw| <= 1e-15
 residual test is what ends it next to -1/e, where w e^w is flat and w is
 fixed only to about sqrt(eps), so the step test alone would spin to the
 backstop.  Real z > 1e307, where w e^w overflows, is solved on
-w + log w = log z instead (see `_solve_log_form`).  Derivatives at one
-real z share a single solve.
+w + log w = log z instead (see `_solve_log_form`), and so is complex z
+once the Halley solve overflows or misses the contract (only past about
+1e307, where |z| or w e^w leaves the float range or w e^w - z cancels
+too far).  Derivatives at one real z share a single solve.
 
 Derivatives come from closed forms in the census polynomials:
 
@@ -107,8 +109,10 @@ def eval_W(z: complex | float) -> WEval:
     `residual` is |w e^w - z| of the returned w.
 
     Real z on the cut (z <= -1/e) and non-finite z (an infinite or NaN
-    part) raise ValueError.  A result violating the residual contract
-    raises ArithmeticError.
+    part) raise ValueError.  Complex z whose Halley solve overflows or
+    misses the residual contract is solved again on w + log w = log z
+    (`_solve_log_form`), which forms neither |z| nor w e^w.  A result
+    violating the residual contract raises ArithmeticError.
     """
     if isinstance(z, complex) and z.imag == 0.0:
         z = z.real
@@ -121,56 +125,81 @@ def eval_W(z: complex | float) -> WEval:
     if z == 0:
         return WEval(z, 0.0, 0.0, 0)
     if not isinstance(z, complex) and z > _LOG_FORM_MIN:
-        w, residual, iterations = _solve_log_form(z)
+        w, residual, iterations, relative = _solve_log_form(z)
     else:
         exp = cmath.exp if isinstance(z, complex) else math.exp
-        w = _seed(z)
-        floor = _FLOOR_TOL * abs(z)
-        iterations = 0
-        for iterations in range(1, _MAX_ITER + 1):
-            ew = exp(w)
-            f = w * ew - z
-            w1 = w + 1.0
-            if w1 == 0:
-                w = w + 1e-6
-                continue
-            dw = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
-            w = w - dw
-            if abs(f) <= floor or abs(dw) <= _STEP_TOL * (1.0 + abs(w)):
-                break
-        residual = abs(w * exp(w) - z)
-    if residual > _RESIDUAL_TOL * max(1.0, abs(z)):
+        try:
+            w = _seed(z)
+            floor = _FLOOR_TOL * abs(z)
+            iterations = 0
+            for iterations in range(1, _MAX_ITER + 1):
+                ew = exp(w)
+                f = w * ew - z
+                w1 = w + 1.0
+                if w1 == 0:
+                    w = w + 1e-6
+                    continue
+                dw = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
+                w = w - dw
+                if abs(f) <= floor or abs(dw) <= _STEP_TOL * (1.0 + abs(w)):
+                    break
+            residual = abs(w * exp(w) - z)
+            relative = residual / max(1.0, abs(z))
+        except OverflowError:
+            residual = relative = math.inf
+        if not relative <= _RESIDUAL_TOL and isinstance(z, complex):
+            # |z| or w e^w overflowed, or w e^w - z cancelled too far
+            w, residual, iterations, relative = _solve_log_form(z)
+    if not relative <= _RESIDUAL_TOL:
         raise ArithmeticError(f"W({z!r}) did not converge: residual {residual:.3e}")
     return WEval(z, w, residual, iterations)
 
 
-def _solve_log_form(z: float) -> tuple[float, float, int]:
-    """W(z), |w e^w - z| and the step count for real z > 1e307.
+def _solve_log_form(z: complex | float) -> tuple[complex | float, float, int, float]:
+    """W(z), |w e^w - z|, the step count and |w e^w - z| / |z|, for real
+    z > 1e307 and for complex z whose Halley solve overflows or misses the
+    residual contract.
 
     Newton on g(w) = w + log w - log z from the asymptotic series
     L1 - L2 + L2/L1 + L2 (L2 - 2)/(2 L1^2), L1 = log z, L2 = log L1
     (Corless et al., Adv. Comput. Math. 5, 1996), with the stopping tests
-    of the Halley loop.  The residual is z |expm1(g(w))|, which cannot
-    overflow.  log z is carried as hi + lo with z = m 2^e, hi = e _LN2_HI
-    and lo = log m + e _LN2_LO, and w - hi is exact.  A log z rounded to
-    one float (error up to 5.7e-14 near 700) breaks the contract at about
-    1.5% of these z.
+    of the Halley loop; principal logs keep w on the principal branch.
+    The relative residual is |expm1(g(w))|, which cannot overflow, and
+    neither |z| nor w e^w is ever formed.  log z is carried as hi + lo:
+    with z = m 2^e, |m| in [1/2, 2), hi = e _LN2_HI and lo = log |m| +
+    e _LN2_LO + i atan2(Im z, Re z), so w - hi is exact.  A log z rounded
+    to one float (error up to 5.7e-14 near 700) breaks the contract at
+    about 1.5% of the real z past 1e307.
     """
-    m, e = math.frexp(z)
+    if isinstance(z, complex):
+        e = max(math.frexp(z.real)[1], math.frexp(z.imag)[1])
+        m = abs(complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)))
+        log = cmath.log
+        lo = complex(math.log(m) + e * _LN2_LO, math.atan2(z.imag, z.real))
+    else:
+        m, e = math.frexp(z)
+        log = math.log
+        lo = math.log(m) + e * _LN2_LO
     hi = e * _LN2_HI
-    lo = math.log(m) + e * _LN2_LO
     l1 = hi + lo
-    l2 = math.log(l1)
+    l2 = log(l1)
     w = l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1)
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        g = (w - hi) + (math.log(w) - lo)
+        g = (w - hi) + (log(w) - lo)
         dw = g * w / (w + 1.0)
         w = w - dw
-        if abs(g) <= _FLOOR_TOL or abs(dw) <= _STEP_TOL * (1.0 + w):
+        if abs(g) <= _FLOOR_TOL or abs(dw) <= _STEP_TOL * (1.0 + abs(w)):
             break
-    residual = z * abs(math.expm1((w - hi) + (math.log(w) - lo)))
-    return w, residual, iterations
+    g = (w - hi) + (log(w) - lo)
+    if isinstance(g, complex):
+        # e^(x+iy) - 1 = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y
+        x, y = g.real, g.imag
+        relative = abs(complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
+                               math.exp(x) * math.sin(y)))
+    else:
+        relative = abs(math.expm1(g))
+    return w, math.ldexp(m * relative, e), iterations, relative
 
 
 @lru_cache(maxsize=1)

@@ -1,10 +1,12 @@
 """Suite runner behaviour: report shape, determinism, corruption sensitivity."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import gregtrees.suite as suite_module
 import gregtrees.trees as trees_module
 from gregtrees.polys import Poly, X, census_family
 from gregtrees.series import rhs_series
@@ -220,6 +222,23 @@ def test_restriction_check_walks_each_size_once_per_n(monkeypatch):
         trees_module._fibers.cache_clear()
     # one walk per (m, n) with n <= 3 < m <= n + 3
     assert sorted(walks) == [2, 3, 3, 4, 4, 4, 5, 5, 6]
+
+
+def test_each_row_value_is_shifted_once(monkeypatch):
+    shifted = Counter()
+    real = suite_module.shift
+
+    def counted(p, a):
+        shifted[p.coeffs, a] += 1
+        return real(p, a)
+    monkeypatch.setattr(suite_module, "shift", counted)
+    suite_module._shifted.cache_clear()
+    try:
+        assert run_suite().ok
+    finally:
+        suite_module._shifted.cache_clear()
+    assert len(shifted) == 176
+    assert set(shifted.values()) == {1}
 
 
 def test_restriction_check_reads_restriction_census(monkeypatch):

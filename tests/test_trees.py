@@ -263,6 +263,74 @@ def test_degree_filtered_counts_are_factorial_multiples():
                     math.factorial(u) * census.get(u, 0), (variant, n, u)
 
 
+def _branched_greg_configs(n, u, rules):
+    """`_greg_configs` as it stood with one hand-written root-choice branch
+    per slot count and short-vertex count, kept as the oracle."""
+    k = n + u
+    slots = rules.roots
+    if k == 1:
+        yield (), (1,) * slots
+        return
+    everyone = range(1, k + 1)
+    for seq in _constrained_prufer(n, u, slots, max(rules.root_degree - 1, 0)):
+        pairs = _prufer_pairs(seq, k)
+        if slots == 0:
+            yield pairs, ()
+            continue
+        short = [v for v in range(n + 1, k + 1) if seq.count(v) < 2]
+        if slots == 1:
+            for r in short or everyone:
+                yield pairs, (r,)
+        elif not short:
+            for r1 in everyone:
+                for r2 in everyone:
+                    yield pairs, (r1, r2)
+        elif len(short) == 1:
+            (s,) = short
+            for r1 in everyone:
+                if r1 == s:
+                    for r2 in everyone:
+                        yield pairs, (s, r2)
+                else:
+                    yield pairs, (r1, s)
+        else:
+            s1, s2 = short
+            yield pairs, (s1, s2)
+            yield pairs, (s2, s1)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_slot_rule_root_choices_match_branched_oracle(variant):
+    """Root tuples read off the slot rule come out yield for yield, order
+    included, as the per-case branches produced them."""
+    rules = VARIANTS[variant]
+    for n in range(1, (3 if variant == "birooted" else 5) + 1):
+        for u in range(u_bound(n, variant) + 1):
+            got = [(tuple(p), r) for p, r in _greg_configs(n, u, rules)]
+            want = [(tuple(p), r) for p, r in _branched_greg_configs(n, u, rules)]
+            assert got == want, (variant, n, u)
+
+
+def test_one_vertex_tree_has_no_edges():
+    assert _prufer_pairs((), 1) == []
+    assert prufer_decode((), 1) == ()
+    assert list(enumerate_cayley(1)) == [GregTree(n=1, u=0, edges=())]
+    assert list(enumerate_cayley(1, rooted=True)) == [GregTree(n=1, u=0, edges=(), roots=(1,))]
+    assert list(_constrained_prufer(1, 0, 0, 0)) == [()]
+    for rules in VARIANTS.values():
+        assert list(_greg_configs(1, 0, rules)) == [([], (1,) * rules.roots)]
+    listed = {v: [(t.u, t.edges, t.roots) for t in enumerate_greg(1, v)] for v in VARIANTS}
+    assert listed == {
+        "unrooted": [(0, (), ())],
+        "rooted": [(0, (), (1,))],
+        "relaxed": [(0, (), (1,)), (1, ((1, 2),), (2,))],
+        "birooted": [(0, (), (1, 1)), (1, ((1, 2),), (1, 2)), (1, ((1, 2),), (2, 1)),
+                     (1, ((1, 2),), (2, 2)), (2, ((1, 2), (1, 3)), (2, 3)),
+                     (2, ((1, 2), (2, 3)), (2, 3)), (2, ((1, 2), (2, 3)), (3, 2)),
+                     (3, ((1, 2), (2, 3), (2, 4)), (3, 4))],
+    }
+
+
 def _greg_candidates(n, u, variant):
     """Every degree-valid configuration, put into canonical form."""
     ids = set(range(1, n + u + 1))

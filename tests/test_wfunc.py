@@ -166,6 +166,31 @@ def test_largest_floats_meet_residual_contract():
         assert abs(w - mpmath.lambertw(z)) <= 2e-16 * w, (z, res)
 
 
+def test_largest_complex_meet_residual_contract():
+    # past about 1e307 |z| or w e^w can overflow, or w e^w - z cancel past
+    # the contract; the solve then runs on w + log w = log z.  |z| is taken
+    # in mpmath only: as a float it overflows past the largest float.
+    rng = random.Random(308)
+    top = math.log10(sys.float_info.max)
+    biggest = sys.float_info.max
+    points = [complex(1e308, 1e308), complex(-1.7e308, 1.7e308),
+              complex(-biggest, -biggest), complex(-biggest, 1e-300), complex(1e-300, biggest)]
+    for _ in range(400):
+        big = min(10.0 ** rng.uniform(307.0, top), biggest)
+        other = rng.choice([1e-300, 10.0 ** rng.uniform(-5.0, 300.0), big * rng.random()])
+        x, y = (big, other) if rng.random() < 0.5 else (other, big)
+        points.append(complex(rng.choice((-1, 1)) * x, rng.choice((-1, 1)) * y))
+    for z in points:
+        res = eval_W(z)
+        assert res.iterations <= 3, (z, res)
+        w, zm = mpmath.mpc(res.w), mpmath.mpc(z)
+        size = abs(zm)
+        residual = abs(w * mpmath.exp(w) - zm)
+        assert residual <= 1e-13 * size, (z, res)
+        assert abs(residual - res.residual) <= 1e-15 * size, (z, res)
+        assert abs(w - mpmath.lambertw(zm)) <= 2e-16 * abs(w), (z, res)
+
+
 def test_complex_asymptotic_seed():
     # log z alone leaves the log log z term to the iteration: 5 to 7 steps
     for kr in range(40):
