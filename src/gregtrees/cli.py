@@ -109,7 +109,7 @@ def _run_polys(args, parser) -> int:
 
 # ── trees ─────────────────────────────────────────────────────────────────
 
-def _census_output(args, parser, counts: list[int], column: str, meta: dict) -> int:
+def _census_output(args, counts: list[int], column: str, meta: dict) -> int:
     if args.format == "text":
         text = "\n".join(f"{i} {c}" for i, c in enumerate(counts)) + "\n"
     elif args.format == "json":
@@ -130,7 +130,7 @@ def _run_trees(args, parser) -> int:
         if n > _IMP_CAP:
             parser.error(f"census-imp caps at n = {_IMP_CAP}")
         counts = list(imp_polynomial(n, rooted=VARIANTS[variant].roots > 0).coeffs)
-        return _census_output(args, parser, counts, "imp",
+        return _census_output(args, counts, "imp",
                               {"n": n, "variant": variant, "statistic": "imp"})
     if n + u_bound(n, variant) > _VERTEX_CAP:
         parser.error(f"{variant} trees at n = {n} can reach "
@@ -140,7 +140,7 @@ def _run_trees(args, parser) -> int:
         counts = [0] * (u_bound(n, variant) + 1)
         for u, c in enumerate(poly.coeffs):
             counts[u] = c
-        return _census_output(args, parser, counts, "u",
+        return _census_output(args, counts, "u",
                               {"n": n, "variant": variant, "statistic": "unl"})
     # list
     if args.format == "text":

@@ -1,11 +1,11 @@
 """Truncated formal power series, exact over the rationals and the integers.
 
 A ``RatSeries`` holds the coefficients of z^0..z^N for an explicit
-truncation order N.  Binary operations truncate to the smaller operand
-order; composition-style operations (compose, exp, geometric inverse,
-reversion) require the inner series to vanish at 0 and raise ValueError
-otherwise.  A product is one integer convolution over a common denominator.
-No floating point anywhere.
+truncation order N, as integer numerators over one positive denominator in
+lowest terms, and every operation stays on ints.  Binary operations
+truncate to the smaller operand order; composition-style operations
+(compose, exp, geometric inverse, reversion) require the inner series to
+vanish at 0 and raise ValueError otherwise.  No floating point anywhere.
 
 Where every coefficient is an integer after scaling by k!, the series is an
 integer EGF vector instead: the closed-form derivative displays
@@ -39,19 +39,33 @@ from .report import CheckReport
 
 
 class RatSeries:
-    """Series truncated at an explicit order, coefficients in Q."""
+    """Series truncated at an explicit order: coefficient k is nums[k] / den,
+    with den > 0 and gcd(den, *nums) = 1, so equal series have equal fields."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int], order: int | None = None):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("negative truncation order")
-            cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
+            cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        self.coeffs = tuple(cs)
+        # over the lcm of denominators in lowest terms, the numerators are coprime to it
+        den = math.lcm(*(c.denominator for c in cs))
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den = den
+
+    @classmethod
+    def _make(cls, nums: Iterable[int], den: int) -> "RatSeries":
+        """The series nums[k] / den for any den != 0, in lowest terms."""
+        nums = tuple(nums)
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        s = cls.__new__(cls)
+        s.nums = nums if g == 1 else tuple([x // g for x in nums])
+        s.den = den // g
+        return s
 
     # ── construction helpers ──────────────────────────────────────────
 
@@ -71,28 +85,32 @@ class RatSeries:
     # ── basic accessors ───────────────────────────────────────────────
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k]
+        return Fraction(self.nums[k], self.den)
 
     def egf_coefficient(self, n: int) -> Fraction:
         """n! times the coefficient of z^n."""
-        return self.coeffs[n] * math.factorial(n)
+        return Fraction(self.nums[n] * math.factorial(n), self.den)
 
     def truncate(self, order: int) -> "RatSeries":
         if order > self.order:
             raise ValueError(f"cannot extend a series from order {self.order} to {order}")
-        return RatSeries(self.coeffs[: order + 1])
+        return RatSeries._make(self.nums[: order + 1], self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"RatSeries([{', '.join(str(c) for c in self.coeffs)}])"
@@ -110,13 +128,14 @@ class RatSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.order, o.order)
-        return RatSeries([self.coeffs[k] + o.coeffs[k] for k in range(n + 1)])
+        den = math.lcm(self.den, o.den)
+        a, b = den // self.den, den // o.den
+        return RatSeries._make([a * x + b * y for x, y in zip(self.nums, o.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatSeries":
-        return RatSeries([-c for c in self.coeffs])
+        return RatSeries._make([-x for x in self.nums], self.den)
 
     def __sub__(self, other) -> "RatSeries":
         o = self._coerce(other)
@@ -128,23 +147,22 @@ class RatSeries:
         return (-self) + other
 
     def __mul__(self, other) -> "RatSeries":
-        """Product over one common denominator: each operand is scaled to
-        integer numerators over the lcm of its denominators, the numerators
-        are convolved as ints, and each output coefficient is reduced once."""
+        """A scalar scales the numerators and the denominator; a product of
+        series is one integer convolution over the product of denominators."""
         if isinstance(other, (int, Fraction)):
-            return RatSeries([c * other for c in self.coeffs])
+            return RatSeries._make([x * other.numerator for x in self.nums],
+                                   self.den * other.denominator)
         if not isinstance(other, RatSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        a, da = _common_denominator(self.coeffs[: n + 1])
-        b, db = _common_denominator(other.coeffs[: n + 1])
-        out = [0] * (n + 1)
-        for i, x in enumerate(a):
+        a, b = self.nums, other.nums
+        n = min(len(a), len(b))
+        out = [0] * n
+        for i in range(n):
+            x = a[i]
             if x:
-                for j in range(n + 1 - i):
+                for j in range(n - i):
                     out[i + j] += x * b[j]
-        den = da * db
-        return RatSeries([Fraction(c, den) for c in out])
+        return RatSeries._make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -157,84 +175,64 @@ class RatSeries:
     def derive(self) -> "RatSeries":
         if self.order == 0:
             raise ValueError("derivative of an order-0 series has no coefficients")
-        return RatSeries([k * self.coeffs[k] for k in range(1, self.order + 1)])
+        return RatSeries._make([k * self.nums[k] for k in range(1, self.order + 1)], self.den)
 
     # ── composition-style operations ──────────────────────────────────
 
     def compose(self, inner: "RatSeries") -> "RatSeries":
         """self(inner); requires inner(0) = 0.
 
-        Horner on integers: inner = B / D over one common denominator, and
-        acc = S / E with S integers.  The step acc <- acc inner + c_k is
-        S <- S B over E D, with c_k added to the constant term only
-        (B(0) = 0); then S and E are divided by their gcd, so E stays the
-        accumulator's own denominator instead of growing as D^n."""
-        if inner.coeffs[0] != 0:
+        Horner over the integer numerators of self, acc <- acc inner + nums[k],
+        then one division by self's denominator."""
+        if inner.nums[0]:
             raise ValueError("composition requires the inner series to vanish at 0")
         n = min(self.order, inner.order)
-        b, d = _common_denominator(inner.coeffs[: n + 1])
-        top = self.coeffs[n]
-        acc, den = [top.numerator] + [0] * n, top.denominator
-        for k in range(n - 1, -1, -1):
-            out = [0] * (n + 1)
-            for i, x in enumerate(acc):
-                if x:
-                    for j in range(1, n + 1 - i):
-                        out[i + j] += x * b[j]
-            den *= d
-            c = self.coeffs[k]
-            if c:
-                q = c.denominator
-                lcm = den // math.gcd(den, q) * q
-                if lcm != den:
-                    up = lcm // den
-                    out = [x * up for x in out]
-                    den = lcm
-                out[0] = c.numerator * (den // q)
-            g = math.gcd(den, *out)
-            if g != 1:
-                out = [x // g for x in out]
-                den //= g
-            acc = out
-        return RatSeries([Fraction(c, den) for c in acc])
+        inner = inner.truncate(n)
+        acc = RatSeries.zero(n)
+        for c in reversed(self.nums[: n + 1]):
+            acc = acc * inner + c
+        return RatSeries._make(acc.nums, acc.den * self.den)
 
     def exp(self) -> "RatSeries":
         """exp(self); requires constant term 0.
 
-        With self = sum F_j z^j / D over one common denominator D, the
-        integer EGF vector j! F_j s^j / D stands for self(sz), and entry m
-        of its exponential is m! s^m [z^m] exp(self).  The scale s is
+        With self = sum F_j z^j / D (F = nums, D = den), the integer EGF
+        vector j! F_j s^j / D stands for self(sz), and entry m of its
+        exponential is m! s^m [z^m] exp(self).  The scale s is
         `_egf_scale(F, D)`: every entry is an integer, and s divides D, so
-        the kernel's operands are never wider than with s = D.
+        the kernel's operands are never wider than with s = D.  The result
+        is built over the last scale entry N! s^N, which every m! s^m divides.
         """
-        if self.coeffs[0] != 0:
+        if self.nums[0]:
             raise ValueError("exp requires a series vanishing at 0")
-        f, d = _common_denominator(self.coeffs)
+        f, d = self.nums, self.den
         s = _egf_scale(f, d)
         scale = list(accumulate(range(1, len(f)), lambda t, m: t * m * s, initial=1))   # m! s^m
         e = _egf_exp([c * t // d for c, t in zip(f, scale)])
-        return RatSeries([Fraction(c, t) for c, t in zip(e, scale)])
+        top = scale[-1]
+        return RatSeries._make([c * (top // t) for c, t in zip(e, scale)], top)
 
     def reciprocal(self) -> "RatSeries":
         """1/self; requires a nonzero constant term.
 
         With self = sum F_j z^j / D, the integer EGF vector j! F_j s^j / F_0
         stands for self(sz) D / F_0 and has leading entry 1.  Entry m of
-        its inverse is m! s^m r_m, and 1/self = (D/F_0) sum r_m z^m.  The
-        scale s is `_egf_scale(F, F_0)`, so s divides F_0.
+        its inverse is m! s^m r_m, and 1/self = (D/F_0) sum r_m z^m, built
+        over F_0 N! s^N.  The scale s is `_egf_scale(F, F_0)`, so s divides F_0.
         """
-        if self.coeffs[0] == 0:
-            raise ValueError("reciprocal requires a unit constant term")
-        f, d = _common_denominator(self.coeffs)
+        f, d = self.nums, self.den
         f0 = f[0]
+        if not f0:
+            raise ValueError("reciprocal requires a unit constant term")
         s = _egf_scale(f, f0)
         scale = list(accumulate(range(1, len(f)), lambda t, m: t * m * s, initial=1))   # m! s^m
         r = _egf_inverse([c * t // f0 for c, t in zip(f, scale)])
-        return RatSeries([Fraction(d * c, f0 * t) for c, t in zip(r, scale)])
+        top = scale[-1]
+        return RatSeries._make([d * c * (top // t) for c, t in zip(r, scale)], f0 * top)
 
     def geom_inverse(self) -> "RatSeries":
         """1/(1 - self); requires constant term 0."""
-        if self.coeffs[0] != 0:
+        if self.nums[0]:
             raise ValueError("geometric inverse requires a series vanishing at 0")
         return (1 - self).reciprocal()
 
@@ -244,10 +242,11 @@ class RatSeries:
         return [str(c) for c in self.coeffs]
 
 
-def _common_denominator(cs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers m_k and d with cs[k] = m_k/d, d the lcm of the denominators."""
-    d = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (d // c.denominator) for c in cs], d
+def _over_lcm(pairs: Iterable[tuple[int, int]]) -> RatSeries:
+    """The series with coefficients a_k / d_k (d_k > 0), over the lcm of the d_k."""
+    pairs = list(pairs)
+    den = math.lcm(*(d for _, d in pairs))
+    return RatSeries._make([a * (den // d) for a, d in pairs], den)
 
 
 def _egf_scale(f: Sequence[int], d: int) -> int:
@@ -277,18 +276,15 @@ def _egf_scale(f: Sequence[int], d: int) -> int:
 
 def series_T(alpha: int, order: int) -> RatSeries:
     """sum_{n>=1} n^{n-alpha} z^n / n! truncated at `order`."""
-    coeffs = [Fraction(0)] + [
-        Fraction(n) ** (n - alpha) / math.factorial(n) for n in range(1, order + 1)
-    ]
-    return RatSeries(coeffs)
+    return _over_lcm([(0, 1)] + [
+        (n ** max(n - alpha, 0), math.factorial(n) * n ** max(alpha - n, 0))
+        for n in range(1, order + 1)
+    ])
 
 
 def series_W(order: int) -> RatSeries:
     """Principal Lambert W branch: sum_{n>=1} (-n)^{n-1} z^n / n!."""
-    coeffs = [Fraction(0)] + [
-        Fraction((-n) ** (n - 1), math.factorial(n)) for n in range(1, order + 1)
-    ]
-    return RatSeries(coeffs)
+    return _from_egf(_base_egf("P", order))
 
 
 def reversion(f: RatSeries) -> RatSeries:
@@ -298,17 +294,17 @@ def reversion(f: RatSeries) -> RatSeries:
     [w^{k-1}] h^k / k (Flajolet & Sedgewick, Analytic Combinatorics, A.6);
     g has the order of f, and f(g) = z is verified exactly to that order.
     """
-    if f.coeffs[0] != 0:
+    if f.nums[0]:
         raise ValueError("reversion requires a series vanishing at 0")
-    if f.order < 1 or f.coeffs[1] == 0:
+    if f.order < 1 or not f.nums[1]:
         raise ValueError("reversion requires a nonzero linear coefficient")
     n = f.order
-    h = RatSeries(f.coeffs[1:]).reciprocal()  # w/f(w) through w^{n-1}
-    coeffs, hk = [Fraction(0)], h
+    h = RatSeries._make(f.nums[1:], f.den).reciprocal()  # w/f(w) through w^{n-1}
+    pairs, hk = [(0, 1)], h
     for k in range(1, n + 1):
-        coeffs.append(hk.coeffs[k - 1] / k)
+        pairs.append((hk.nums[k - 1], k * hk.den))
         hk = hk * h
-    g = RatSeries(coeffs)
+    g = _over_lcm(pairs)
     if f.compose(g) != RatSeries.var(n):
         raise ArithmeticError("reversion failed its check f(g) = z")  # unreachable for valid input
     return g
@@ -399,7 +395,7 @@ def _base_egf(family: str, order: int) -> list[int]:
 
 
 def _from_egf(e: Sequence[int]) -> RatSeries:
-    return RatSeries([Fraction(c, math.factorial(k)) for k, c in enumerate(e)])
+    return _over_lcm((c, math.factorial(k)) for k, c in enumerate(e))
 
 
 def _egf_text(e: Sequence[int], k: int) -> str:
@@ -507,12 +503,12 @@ def check_basic_identities(order: int) -> CheckReport:
     failures = []
     if t.geom_inverse() != 1 + t0:
         failures.append("1/(1-T) != 1 + T_0")
-    t_over_z = RatSeries(t.coeffs[1:])  # T/z, valid since T(0) = 0
+    t_over_z = RatSeries._make(t.nums[1:], t.den)  # T/z, valid since T(0) = 0
     if t2.derive() != t_over_z:
         failures.append("T_2' != T/z")
     if t - t * t * Fraction(1, 2) != t2:
         failures.append("T - T^2/2 != T_2")
-    minus_w_minus_z = RatSeries([-c if k % 2 == 0 else c for k, c in enumerate(w.coeffs)])
+    minus_w_minus_z = RatSeries._make([-c if k % 2 == 0 else c for k, c in enumerate(w.nums)], w.den)
     if minus_w_minus_z != t:
         failures.append("-W(-z) != T")
     if failures:
@@ -562,7 +558,7 @@ def _shifted_tree_series(s0: Fraction, order: int) -> RatSeries:
     sigma = RatSeries.zero(order)
     for p in reversed(precisions):
         a = RatSeries([s0, 1 - s0], p)
-        sigma = RatSeries(sigma.coeffs, p)
+        sigma = RatSeries._make(sigma.nums[: p + 1] + (0,) * (p - sigma.order), sigma.den)
         e = a * sigma.exp()
         sigma = sigma - (sigma + s0 - e) * (1 - e).reciprocal()
     if sigma + s0 != RatSeries([s0, 1 - s0], order) * sigma.exp():
@@ -613,20 +609,20 @@ def check_egf_theorem(
             "H": Fraction(x * (x + 2), 2) / (x + 1),
         }
         for fam in ("F", "G", "H"):
-            if series[fam].coeffs[0] != constants[fam]:
+            s = series[fam]
+            if s.coeff(0) != constants[fam]:
                 return CheckReport.fail(
-                    name, f"family {fam}, x={x}: constant term {series[fam].coeffs[0]} != {constants[fam]}",
+                    name, f"family {fam}, x={x}: constant term {s.coeff(0)} != {constants[fam]}",
                     x_samples=xs, n_max=n_max, order=order,
                 )
             for n in range(1, n_max + 1):
-                got = series[fam].egf_coefficient(n)
                 row = polys[fam][n - 1]
                 e = max(row.degree, 0)
                 qe = x.denominator ** e
                 want = _scaled_value(row, x.numerator, x.denominator, e)   # q^e X_n(p/q)
-                if got.numerator * qe != want * got.denominator:
+                if s.nums[n] * math.factorial(n) * qe != want * s.den:
                     return CheckReport.fail(
-                        name, f"family {fam}, x={x}, n={n}: series gives {got}, "
+                        name, f"family {fam}, x={x}, n={n}: series gives {s.egf_coefficient(n)}, "
                               f"polynomial gives {Fraction(want, qe)}",
                         x_samples=xs, n_max=n_max, order=order,
                     )

@@ -9,11 +9,10 @@ rounding floor, |w e^w - z| <= 8 eps |z|, or at a step |dw| <= 1e-15
 (1 + |w|), whichever comes first, with 50 steps as the backstop.  The
 residual test is what ends it next to -1/e, where w e^w is flat and w is
 fixed only to about sqrt(eps), so the step test alone would spin to the
-backstop.  Real z > 1e307, where w e^w overflows, is solved on
-w + log w = log z instead (see `_solve_log_form`), and so is complex z
-once the Halley solve overflows or misses the contract (only past about
-1e307, where |z| or w e^w leaves the float range or w e^w - z cancels
-too far).  Derivatives at one real z share a single solve.
+backstop.  Where the Halley solve overflows or misses the contract (only
+past about 1e307, where |z| or w e^w leaves the float range or w e^w - z
+cancels too far), z is solved again on w + log w = log z (see
+`_solve_log_form`).  Derivatives at one real z share a single solve.
 
 Derivatives come from closed forms in the census polynomials:
 
@@ -55,8 +54,6 @@ _STEP_TOL = 1e-15
 _FLOOR_TOL = 8.0 * sys.float_info.epsilon
 _RESIDUAL_TOL = 1e-13
 
-# past this real z, w e^w can overflow and the solve runs on w + log w = log z
-_LOG_FORM_MIN = 1e307
 # ln 2 = _LN2_HI + _LN2_LO, with k * _LN2_HI exact for |k| < 2^20
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
@@ -109,10 +106,11 @@ def eval_W(z: complex | float) -> WEval:
     `residual` is |w e^w - z| of the returned w.
 
     Real z on the cut (z <= -1/e) and non-finite z (an infinite or NaN
-    part) raise ValueError.  Complex z whose Halley solve overflows or
-    misses the residual contract is solved again on w + log w = log z
-    (`_solve_log_form`), which forms neither |z| nor w e^w.  A result
-    violating the residual contract raises ArithmeticError.
+    part) raise ValueError.  A z whose Halley solve overflows or misses
+    the residual contract is solved again on w + log w = log z
+    (`_solve_log_form`), which forms neither |z| nor w e^w; `iterations`
+    then counts that solve's steps.  A result violating the residual
+    contract raises ArithmeticError.
     """
     if isinstance(z, complex) and z.imag == 0.0:
         z = z.real
@@ -124,41 +122,37 @@ def eval_W(z: complex | float) -> WEval:
         raise ValueError(f"z={z!r} lies on the branch cut (-inf, -1/e]")
     if z == 0:
         return WEval(z, 0.0, 0.0, 0)
-    if not isinstance(z, complex) and z > _LOG_FORM_MIN:
+    exp = cmath.exp if isinstance(z, complex) else math.exp
+    try:
+        w = _seed(z)
+        floor = _FLOOR_TOL * abs(z)
+        iterations = 0
+        for iterations in range(1, _MAX_ITER + 1):
+            ew = exp(w)
+            f = w * ew - z
+            w1 = w + 1.0
+            if w1 == 0:
+                w = w + 1e-6
+                continue
+            dw = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
+            w = w - dw
+            if abs(f) <= floor or abs(dw) <= _STEP_TOL * (1.0 + abs(w)):
+                break
+        residual = abs(w * exp(w) - z)
+        relative = residual / max(1.0, abs(z))
+    except OverflowError:
+        residual = relative = math.inf
+    if not relative <= _RESIDUAL_TOL:
+        # |z| or w e^w overflowed, or w e^w - z cancelled too far
         w, residual, iterations, relative = _solve_log_form(z)
-    else:
-        exp = cmath.exp if isinstance(z, complex) else math.exp
-        try:
-            w = _seed(z)
-            floor = _FLOOR_TOL * abs(z)
-            iterations = 0
-            for iterations in range(1, _MAX_ITER + 1):
-                ew = exp(w)
-                f = w * ew - z
-                w1 = w + 1.0
-                if w1 == 0:
-                    w = w + 1e-6
-                    continue
-                dw = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
-                w = w - dw
-                if abs(f) <= floor or abs(dw) <= _STEP_TOL * (1.0 + abs(w)):
-                    break
-            residual = abs(w * exp(w) - z)
-            relative = residual / max(1.0, abs(z))
-        except OverflowError:
-            residual = relative = math.inf
-        if not relative <= _RESIDUAL_TOL and isinstance(z, complex):
-            # |z| or w e^w overflowed, or w e^w - z cancelled too far
-            w, residual, iterations, relative = _solve_log_form(z)
     if not relative <= _RESIDUAL_TOL:
         raise ArithmeticError(f"W({z!r}) did not converge: residual {residual:.3e}")
     return WEval(z, w, residual, iterations)
 
 
 def _solve_log_form(z: complex | float) -> tuple[complex | float, float, int, float]:
-    """W(z), |w e^w - z|, the step count and |w e^w - z| / |z|, for real
-    z > 1e307 and for complex z whose Halley solve overflows or misses the
-    residual contract.
+    """W(z), |w e^w - z|, the step count and |w e^w - z| / |z|, for z
+    whose Halley solve overflows or misses the residual contract.
 
     Newton on g(w) = w + log w - log z from the asymptotic series
     L1 - L2 + L2/L1 + L2 (L2 - 2)/(2 L1^2), L1 = log z, L2 = log L1

@@ -1,5 +1,6 @@
 """CLI contract tests: frozen outputs, exit codes, determinism, schemas."""
 
+import hashlib
 import json
 import os
 import re
@@ -78,6 +79,30 @@ def test_frozen_output(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == expected
+
+
+# SHA-256 of outputs too long to freeze inline, taken at commit 24d06fe;
+# the first is also the digest `perfbench` checks for suite-default
+PINNED = [
+    (("check", "all", "--format", "json"),
+     "51376f0060208d2caa245932aebf81a68ce0cad13ce98385005d28d7009ae1cc"),
+    (("check", "all"), "c64d01478da7d205395bbf3371e70e39591fcff83b4c22ff594e0712f58704ae"),
+    (("series", "T0", "40", "--format", "json"),
+     "dc2a341cf170bb89f66512b16cc9ad975240c19527fbdb522a7dffb9245eec97"),
+    (("series", "T1", "40", "--format", "json"),
+     "d4ff140f8d6eecdc4547b8c1f768586eaca40602f5d58df9431949963ebf5e95"),
+    (("series", "T2", "40", "--format", "json"),
+     "a8c3b4e7079ef0133859aa27acfdb96dc870d3a309ba5c1fd03182b97a1afb4a"),
+    (("series", "W", "40", "--format", "json"),
+     "914119513b9d5be43388572ae4f45029601f63fd14638c7f5775b0eaef7b6301"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED, ids=[" ".join(a) for a, _ in PINNED])
+def test_pinned_output_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_wfun_text(capsys):

@@ -21,7 +21,6 @@ from gregtrees.series import (
     check_reversion_lemma,
     _binomial_square,
     _binomial_sum,
-    _common_denominator,
     _egf_exp,
     _egf_inverse,
     _egf_mul,
@@ -503,6 +502,35 @@ def test_mul_by_scalar_matches_schoolbook_product(a, c):
     assert c * a == want
 
 
+def _assert_normal_form(s):
+    """Numerators over one positive denominator in lowest terms, so the
+    fields, and with them equality and hashing, are determined by the
+    coefficients."""
+    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
+    rebuilt = RatSeries(s.coeffs)
+    assert (rebuilt.nums, rebuilt.den) == (s.nums, s.den)
+    assert rebuilt == s and hash(rebuilt) == hash(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(coefficients, min_size=1, max_size=14), series_values,
+       st.one_of(st.integers(-50, 50), st.fractions(max_denominator=50)))
+def test_every_operation_keeps_the_normal_form(cs, b, c):
+    a = RatSeries(cs)
+    assert a.coeffs == tuple(cs)
+    inner = RatSeries((0,) + b.coeffs[1:])
+    results = [a, a + b, a - b, a * b, a * c, c * a, a.truncate(0),
+               a.compose(inner), inner.exp(), (a + b) - b]
+    if a.order:
+        results.append(a.derive())
+    if a.nums[0]:
+        results.append(a.reciprocal())
+    for s in results:
+        _assert_normal_form(s)
+    n = min(a.order, b.order)
+    assert (a + b) - b == a.truncate(n) and hash((a + b) - b) == hash(a.truncate(n))
+
+
 def _fraction_exp(s):
     """exp by one Fraction operation per term: an oracle for
     `RatSeries.exp`."""
@@ -585,7 +613,7 @@ def _d_scaled_exp(s):
     """exp with the integer EGF vector scaled by the full common
     denominator D, entry j being j! F_j D^{j-1}: an oracle for the
     right-sized scale of `RatSeries.exp`."""
-    f, d = _common_denominator(s.coeffs)
+    f, d = s.nums, s.den
     scale = list(accumulate(range(1, len(f)), lambda t, m: t * m * d, initial=1))   # m! D^m
     e = _egf_exp([c * t // d for c, t in zip(f, scale)])
     return RatSeries([F(c, t) for c, t in zip(e, scale)])
@@ -594,7 +622,7 @@ def _d_scaled_exp(s):
 def _d_scaled_reciprocal(s):
     """1/s with the integer EGF vector j! F_j F_0^{j-1}: an oracle for the
     right-sized scale of `RatSeries.reciprocal`."""
-    f, d = _common_denominator(s.coeffs)
+    f, d = s.nums, s.den
     f0 = f[0]
     scale = list(accumulate(range(1, len(f)), lambda t, m: t * m * f0, initial=1))   # m! F_0^m
     r = _egf_inverse([c * t // f0 for c, t in zip(f, scale)])
@@ -634,12 +662,11 @@ def test_right_sized_scale_matches_d_scaled_oracle(seed):
         tail = _random_tail(rng, order)
         s = RatSeries([0] + tail)
         assert s.exp() == _d_scaled_exp(s)
-        _assert_scale(*_common_denominator(s.coeffs))
+        _assert_scale(s.nums, s.den)
         for c0 in (1, F(-3, 2), F(rng.randint(-99, 99) or 1, rng.randint(1, 99))):
             s = RatSeries([c0] + tail)
             assert s.reciprocal() == _d_scaled_reciprocal(s)
-            f, _ = _common_denominator(s.coeffs)
-            _assert_scale(f, f[0])
+            _assert_scale(s.nums, s.nums[0])
 
 
 def test_scale_of_the_shifted_tree_series_is_the_sample_denominator():
@@ -647,9 +674,9 @@ def test_scale_of_the_shifted_tree_series_is_the_sample_denominator():
     below the common denominator D."""
     for x in (1, 2, F(1, 2), F(3, 7), F(-2, 3), F(11, 13)):
         s0 = F(x) / (1 + x)
-        f, d = _common_denominator(_shifted_tree_series(s0, 32).coeffs)
-        assert _assert_scale(f, d) == F(x).denominator
-        assert d > F(x).denominator ** 20
+        s = _shifted_tree_series(s0, 32)
+        assert _assert_scale(s.nums, s.den) == F(x).denominator
+        assert s.den > F(x).denominator ** 20
 
 
 def test_scale_small_cases():
