@@ -316,16 +316,17 @@ def shift(p: Poly, a: int) -> Poly:
     """The polynomial q with q(x) = p(x + a), computed exactly over Z.
 
     A Taylor shift by repeated synthetic division: the coefficients are
-    first scaled to those of p(ax), which is shifted by 1 in place (pass i
-    replaces c_i..c_d by their suffix sums), and the scaling is undone, as
+    first scaled to those of p(ax) and listed top degree first, so shifting
+    by 1 is d in-place prefix sums (for i = d..1 the first i + 1 entries,
+    c_d..c_{d-i}, become their running sums), and the scaling is undone, as
     q_k = [x^k] p(a(x + 1)) / a^k exactly.
     """
     if not a:
         return p
-    c = [ck * a ** k for k, ck in enumerate(p.coeffs)]   # p(ax)
-    for i in range(len(c) - 1):
-        c[i:] = reversed(list(accumulate(reversed(c[i:]))))
-    return Poly(ck // a ** k for k, ck in enumerate(c))
+    r = [ck * a ** k for k, ck in enumerate(p.coeffs)][::-1]   # p(ax), top first
+    for i in range(len(r) - 1, 0, -1):
+        r[:i + 1] = accumulate(r[:i + 1])
+    return Poly(ck // a ** k for k, ck in enumerate(reversed(r)))
 
 
 def double_factorial(k: int) -> int:

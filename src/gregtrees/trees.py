@@ -28,16 +28,15 @@ takes one walk of the tree: the sorted encoding it builds lists every
 vertex in the order that numbers the unlabeled ones.  With at most one
 unlabeled vertex the relabeling is forced, and no encoding is built.
 
-The census ``unl_polynomial`` walks label insertion: every tree on n+1
-labels comes from exactly one tree on n labels by one local move of label
-n+1, so a depth-first walk from the n = 1 trees meets each tree once and
-needs no dedup and no canonical form.  ``enumerate_greg`` stays the
-listing and the census oracle: it goes through Pruefer sequences generated
-under multiplicity constraints (a vertex of degree d appears d-1 times in
-the sequence), so only degree-feasible labeled trees are ever decoded, each
-in linear time.  The labeled candidates are deduplicated by their split
-systems, and only the first candidate of each tree is put into canonical
-form.
+The census ``unl_polynomial`` walks label insertion: every tree on k+1
+labels comes from exactly one tree on k labels by one local move of label
+k+1.  A depth-first walk to n-1 labels meets each tree once, and the trees
+on n labels are counted by move (``_child_classes``), not built.  The
+oracle ``prufer_census`` and the listing ``enumerate_greg`` go through
+Pruefer sequences generated under multiplicity constraints (a vertex of
+degree d appears d-1 times), so only degree-feasible labeled trees are
+decoded, each in linear time, and keep the first candidate of each split
+system (``_split_firsts``); only the listing puts it into canonical form.
 
 The improper-edge census and the restriction fibers make one pass per
 Cayley tree and build no per-tree object.  The census (`_imp_walk`)
@@ -88,6 +87,13 @@ def _variant(name: str) -> Variant:
         return VARIANTS[name]
     except KeyError:
         raise ValueError(f"unknown variant {name!r}") from None
+
+
+def _rules(n: int, variant: str) -> Variant:
+    """The variant's rules, once n is a valid number of labels."""
+    if n < 1:
+        raise ValueError("need at least one labeled vertex")
+    return _variant(variant)
 
 
 # ── data types ────────────────────────────────────────────────────────────
@@ -418,9 +424,7 @@ def u_bound(n: int, variant: str) -> int:
     The degree sum 2(n + u - 1) is at least n for the labels, 3 for each
     unlabeled vertex outside a root slot and `root_degree` for one in a
     slot."""
-    if n < 1:
-        raise ValueError("need at least one labeled vertex")
-    rules = _variant(variant)
+    rules = _rules(n, variant)
     return max(n - 2 + rules.roots * (3 - rules.root_degree), 0)
 
 
@@ -448,26 +452,22 @@ def _greg_configs(n: int, u: int, rules: Variant):
             yield pairs, roots
 
 
-def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
-    """All Greg trees of the variant, deduplicated to canonical forms.
+def _split_firsts(n: int, rules: Variant) -> Iterator[tuple[int, list, tuple]]:
+    """(u, pairs, roots) of the first configuration (`_greg_configs`) of
+    each Greg tree of the variant.  Order: u ascending, then lexicographic
+    Pruefer, then root choices.
 
-    Order: u ascending, then lexicographic Pruefer, then root choices.
-
-    A configuration is kept on the first occurrence of its split system,
-    and only then canonicalized.  Marks are bits: label i is bit i - 1, root
-    slot i bit n + i.  The key is the sorted tuple of the marks on the side
-    of each edge away from vertex 1 (`_split_marks`, with the 0 of ids 0
-    and 1).
+    A configuration is kept on the first occurrence of its split system.
+    Marks are bits: label i is bit i - 1, root slot i bit n + i.  The key is
+    the sorted tuple of the marks on the side of each edge away from
+    vertex 1 (`_split_marks`, with the 0 of ids 0 and 1).
     Every vertex of degree <= 2 carries a mark (an unlabeled one is a
     root), and such a tree is fixed up to isomorphism by its splits
     (Buneman 1971; Semple & Steel, Phylogenetics, 2003, ch. 3).
     """
-    if n < 1:
-        raise ValueError("need at least one labeled vertex")
-    rules = _variant(variant)
     slot_bits = [1 << (n + i) for i in range(rules.roots)]
     full = (1 << (n + rules.roots)) - 1   # every mark the variant's trees carry
-    for u in range(u_bound(n, variant) + 1):
+    for u in range(u_bound(n, rules.name) + 1):
         labels = [0] + [1 << i for i in range(n)] + [0] * u
         split = [0] * (n + u + 1)
         up = split[:]
@@ -480,7 +480,15 @@ def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
             key = tuple(sorted(split))
             if key not in seen:
                 seen.add(key)
-                yield _canonical(n, range(1, n + u + 1), pairs, roots)
+                yield u, pairs, roots
+
+
+def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
+    """All Greg trees of the variant: the configurations `_split_firsts`
+    yields, in its order, put into canonical form."""
+    rules = _rules(n, variant)
+    for u, pairs, roots in _split_firsts(n, rules):
+        yield _canonical(n, range(1, n + u + 1), pairs, roots)
 
 
 def degree_filtered_count(n: int, u: int, variant: str) -> int:
@@ -496,26 +504,32 @@ def unl_polynomial(n: int, variant: str = "unrooted") -> Poly:
     """Census polynomial: coefficient of x^u counts Greg trees with u
     unlabeled vertices.
 
-    Counts the label-insertion walk (`_inserted`), which builds each tree
-    once.  `enumerate_greg` stays the Pruefer listing, and `prufer_census`
-    counts it as this census's oracle."""
-    if n < 1:
-        raise ValueError("need at least one labeled vertex")
-    rules = _variant(variant)
-    return _census(Counter(len(unlabeled) for _, _, unlabeled in _inserted(n, rules)))
+    Walks label insertion (`_inserted`) to n - 1 labels only: the trees on
+    n labels are the children of those trees, and `_child_classes` counts
+    each parent's children by their u, so none of them is built.
+    `prufer_census` counts the same trees another way, as the oracle."""
+    rules = _rules(n, variant)
+    if n == 1:
+        return _census(Counter(len(unlabeled) for _, _, unlabeled in _inserted(1, rules)))
+    parents = Counter(len(unlabeled) for _, _, unlabeled in _inserted(n - 1, rules))
+    counts: Counter[int] = Counter()
+    for u, k in parents.items():
+        for du, c in _child_classes(n - 1, u, rules).items():
+            counts[u + du] += k * c
+    return _census(counts)
 
 
 def prufer_census(n: int, variant: str = "unrooted") -> Poly:
-    """The census of `unl_polynomial`, counted over `enumerate_greg`."""
-    return _census(Counter(t.u for t in enumerate_greg(n, variant)))
+    """The census of `unl_polynomial`, counted over the Pruefer
+    configurations `enumerate_greg` lists, one per tree, with no canonical
+    form built."""
+    rules = _rules(n, variant)
+    return _census(Counter(u for u, _, _ in _split_firsts(n, rules)))
 
 
 def _census(counts: Counter[int]) -> Poly:
-    """Polynomial with coefficient counts[j] at x^j."""
-    coeffs = [0] * (max(counts) + 1 if counts else 0)
-    for j, c in counts.items():
-        coeffs[j] = c
-    return Poly(coeffs)
+    """Polynomial with coefficient counts[j] at x^j, j >= 0."""
+    return Poly(counts[j] for j in range(max(counts, default=-1) + 1))
 
 
 # ── label insertion ───────────────────────────────────────────────────────
@@ -565,6 +579,18 @@ def _children(n: int, edges: tuple, roots: tuple, unlabeled: tuple,
         # (6) n+1 as a leaf on the root, taking the slot
         out.append((edges + ((r, m),), (m,), unlabeled))
     return out
+
+
+def _child_classes(n: int, u: int, rules: Variant) -> dict[int, int]:
+    """How many children `_children` lists for a tree on n labels with u
+    unlabeled vertices (so n + u - 1 edges), by the change in u: moves
+    (1), (2) and (6) keep u, moves (3) and (5) add one unlabeled vertex,
+    and move (4) removes one.  (1) takes any of the n + u vertices, (2)
+    and (3) any edge, (4) any unlabeled vertex, and (5) and (6) one child
+    each when they apply."""
+    edges = n + u - 1
+    slot = int(rules.roots and rules.root_degree >= 2)
+    return {-1: u, 0: n + u + edges + slot, 1: edges + slot}
 
 
 def _inserted(n: int, rules: Variant) -> Iterator[tuple]:

@@ -187,6 +187,29 @@ def test_census_unl_checks_the_insertion_walk_against_pruefer_below_n_max(
     assert report.params == {"n": bad_n, "variant": "relaxed"}
 
 
+def test_census_unl_checks_count_without_building(monkeypatch):
+    """Work count of the four census-unl checks at default budgets: the
+    only canonical forms are the n = 1 trees that seed each insertion
+    walk, and no tree on the walk's last level is built."""
+    work = Counter()
+    canonical, children = trees_module._canonical, trees_module._children
+
+    def counted_canonical(*args):
+        work["canonical"] += 1
+        return canonical(*args)
+
+    def counted_children(*args):
+        out = children(*args)
+        work["children"] += len(out)
+        return out
+    monkeypatch.setattr(trees_module, "_canonical", counted_canonical)
+    monkeypatch.setattr(trees_module, "_children", counted_children)
+    only = [name for name in CHECK_NAMES if name.startswith("census-unl-")]
+    assert len(only) == 4
+    assert run_suite(only=only).ok
+    assert work == {"canonical": 44, "children": 1044}
+
+
 # ── restriction fibers ───────────────────────────────────────────────────
 
 def _rhs_series_prediction(variant, n, u, m):

@@ -15,6 +15,8 @@ from gregtrees.trees import (
     GregTree,
     Variant,
     _canonical,
+    _census,
+    _child_classes,
     _children,
     _constrained_prufer,
     _greg_configs,
@@ -31,6 +33,7 @@ from gregtrees.trees import (
     imp,
     imp_census,
     imp_polynomial,
+    prufer_census,
     prufer_decode,
     restrict,
     restriction_census,
@@ -227,11 +230,13 @@ def test_unl_polynomial_rejects_bad_input_before_walking(monkeypatch):
         raise AssertionError("walk started")
     monkeypatch.setattr(trees_module, "_inserted", walk)
     monkeypatch.setattr(trees_module, "enumerate_greg", walk)
-    for variant in VARIANTS:
-        with pytest.raises(ValueError, match="labeled"):
-            unl_polynomial(0, variant)
-    with pytest.raises(ValueError, match="unknown variant"):
-        unl_polynomial(2, "bogus")
+    monkeypatch.setattr(trees_module, "_split_firsts", walk)
+    for census in (unl_polynomial, prufer_census):
+        for variant in VARIANTS:
+            with pytest.raises(ValueError, match="labeled"):
+                census(0, variant)
+        with pytest.raises(ValueError, match="unknown variant"):
+            census(2, "bogus")
 
 
 def test_variant_table():
@@ -422,6 +427,36 @@ def test_insertion_parent_map_inverts_every_move(variant, n_max):
             for child in _children(n, *tree, rules):
                 assert _walk_to_greg(n, _insertion_parent(n + 1, child, rules)) == parent, \
                     (variant, tree, child)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_child_classes_count_the_children_by_their_u(variant):
+    """The class-size rule against the children `_children` builds, for
+    every parent the walk reaches."""
+    rules = VARIANTS[variant]
+    for n in range(1, (2 if variant == "birooted" else 4) + 1):
+        for parent in _inserted(n, rules):
+            built = Counter(len(c[2]) - len(parent[2]) for c in _children(n, *parent, rules))
+            assert Counter(_child_classes(n, len(parent[2]), rules)) == built, (variant, parent)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_unl_polynomial_matches_the_full_insertion_walk(variant):
+    """The census counted from the parents on n - 1 labels, against the
+    census that builds every tree on n labels (the former body)."""
+    rules = VARIANTS[variant]
+    for n in range(1, (4 if variant == "birooted" else 6) + 1):
+        want = _census(Counter(len(unlabeled) for _, _, unlabeled in _inserted(n, rules)))
+        assert unl_polynomial(n, variant) == want, (variant, n)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_prufer_census_matches_the_canonical_listing(variant):
+    """The Pruefer census counts, without canonical forms, the trees
+    `enumerate_greg` lists (the former body)."""
+    for n in range(1, (2 if variant == "birooted" else 4) + 1):
+        want = _census(Counter(t.u for t in enumerate_greg(n, variant)))
+        assert prufer_census(n, variant) == want, (variant, n)
 
 
 def test_degree_filtered_count_rejects_bad_input():
