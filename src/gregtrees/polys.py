@@ -230,33 +230,40 @@ def imp_family(rooted: bool) -> Family:
 def _rows(n_max: int, lin: Callable[[int], tuple[int, int]],
           mult: tuple[int, int, int]) -> list[Poly]:
     """X_1 = 1 and X_{n+1} = (a0 + a1 x) X_n + (m0 + m1 x + m2 x^2) X_n',
-    rows 1..n_max, with (a0, a1) = lin(n) and (m0, m1, m2) = mult.
-
-    On coefficients a_u of X_n this is the three-term recurrence
-
-        [x^u] X_{n+1} = (a0 + m1 u) a_u + (a1 + m2 (u-1)) a_{u-1} + m0 (u+1) a_{u+1},
-
-    run on tuples of ints; each row is wrapped in ``Poly`` once.
-    """
-    m0, m1, m2 = mult
+    rows 1..n_max, with (a0, a1) = lin(n) and (m0, m1, m2) = mult, each
+    step taken by `_row_step` on tuples of ints and wrapped in ``Poly``
+    once."""
     out: list[Poly] = []
     if n_max >= 1:
         out.append(Poly((1,)))
     for n in range(1, n_max):
-        a0, a1 = lin(n)
-        row = out[-1].coeffs
-        out.append(Poly([(a0 + m1 * u) * a + (a1 + m2 * (u - 1)) * below + m0 * (u + 1) * above
-                         for u, (a, below, above)
-                         in enumerate(zip(row + (0,), (0,) + row, row[1:] + (0, 0)))]))
+        out.append(Poly(_row_step(out[-1].coeffs, *lin(n), mult)))
     return out
+
+
+def _row_step(row: tuple[int, ...], a0: int, a1: int,
+              mult: tuple[int, int, int]) -> list[int]:
+    """Coefficients of (a0 + a1 x) X + (m0 + m1 x + m2 x^2) X' for X with
+    coefficients `row`: the three-term recurrence
+
+        [x^u] = (a0 + m1 u) a_u + (a1 + m2 (u-1)) a_{u-1} + m0 (u+1) a_{u+1}.
+    """
+    m0, m1, m2 = mult
+    return [(a0 + m1 * u) * a + (a1 + m2 * (u - 1)) * below + m0 * (u + 1) * above
+            for u, (a, below, above) in enumerate(zip(row + (0,), (0,) + row, row[1:] + (0, 0)))]
+
+
+def _family_recurrence(c: int, shifted: bool):
+    """(lin, mult) of `_rows` for the family with recursion offset c, or
+    with `shifted` for its rows X_n(x-1)."""
+    if shifted:
+        return (lambda n: (n, n + c)), (0, 0, 1)
+    return (lambda n: (2 * n + c, n + c)), (1, 2, 1)
 
 
 def _family_rows(name: str, n_max: int, shifted: bool) -> list[Poly]:
     """Rows X_1..X_{n_max}, or with `shifted` the rows X_n(x-1) from their own recursion."""
-    c = FAMILIES[name].c
-    if shifted:
-        return _rows(n_max, lambda n: (n, n + c), (0, 0, 1))
-    return _rows(n_max, lambda n: (2 * n + c, n + c), (1, 2, 1))
+    return _rows(n_max, *_family_recurrence(FAMILIES[name].c, shifted))
 
 
 def gen_F(n_max: int, shifted: bool = False) -> list[Poly]:

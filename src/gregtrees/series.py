@@ -100,6 +100,8 @@ class RatSeries:
         return Fraction(self.nums[n] * math.factorial(n), self.den)
 
     def truncate(self, order: int) -> "RatSeries":
+        if order < 0:
+            raise ValueError("negative truncation order")
         if order > self.order:
             raise ValueError(f"cannot extend a series from order {self.order} to {order}")
         return RatSeries._make(self.nums[: order + 1], self.den)
@@ -276,6 +278,8 @@ def _egf_scale(f: Sequence[int], d: int) -> int:
 
 def series_T(alpha: int, order: int) -> RatSeries:
     """sum_{n>=1} n^{n-alpha} z^n / n! truncated at `order`."""
+    if order < 0:
+        raise ValueError("negative truncation order")
     return _over_lcm([(0, 1)] + [
         (n ** max(n - alpha, 0), math.factorial(n) * n ** max(alpha - n, 0))
         for n in range(1, order + 1)
@@ -284,6 +288,8 @@ def series_T(alpha: int, order: int) -> RatSeries:
 
 def series_W(order: int) -> RatSeries:
     """Principal Lambert W branch: sum_{n>=1} (-n)^{n-1} z^n / n!."""
+    if order < 0:
+        raise ValueError("negative truncation order")
     return _from_egf(_base_egf("P", order))
 
 
@@ -466,6 +472,8 @@ def check_def_identity(
     integer EGF vectors: the derivative is the base vector shifted by n.
     """
     _check_family(family)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if order < n_max + 5:
         raise ValueError(f"order {order} too small for n_max {n_max}; need order >= n_max + 5")
     if polys is None:
@@ -583,6 +591,8 @@ def check_egf_theorem(
     checked exactly at each sample, n = 0..n_max.  The row side is evaluated
     on integers, q^deg X_n(p/q) at x = p/q, and compared by cross-multiplying.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if order is None:
         order = n_max + 2
     if order < n_max:
@@ -658,6 +668,8 @@ def check_gh_functional(
     mismatching u^n coefficient as the two rationals H_n(x)/n! and
     [u^n](G~ - ((1+x)/2) G~^2).
     """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     g_rows = gen_G(order) if polys is None else polys["G"]
     h_rows = gen_H(order) if polys is None else polys["H"]
     if min(len(g_rows), len(h_rows)) < order:

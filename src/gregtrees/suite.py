@@ -264,8 +264,9 @@ def _check_q_specializations(bundle, rows: int) -> CheckReport:
 
 
 def _check_census_unl(bundle, variant: str, n_max: int) -> CheckReport:
-    """The label-insertion census against the family row; below n_max it
-    must also equal the census of the Pruefer listing."""
+    """The census by the move rule against the family row; below n_max it
+    must also equal the census of the Pruefer listing, an independent
+    route, so at n_max the check tests the rule against the row alone."""
     name = f"census-unl-{variant}"
     family, k = census_family(variant)
     factor = Poly((1, 1)) ** k

@@ -28,15 +28,17 @@ takes one walk of the tree: the sorted encoding it builds lists every
 vertex in the order that numbers the unlabeled ones.  With at most one
 unlabeled vertex the relabeling is forced, and no encoding is built.
 
-The census ``unl_polynomial`` walks label insertion: every tree on k+1
-labels comes from exactly one tree on k labels by one local move of label
-k+1.  A depth-first walk to n-1 labels meets each tree once, and the trees
-on n labels are counted by move (``_child_classes``), not built.  The
-oracle ``prufer_census`` and the listing ``enumerate_greg`` go through
-Pruefer sequences generated under multiplicity constraints (a vertex of
-degree d appears d-1 times), so only degree-feasible labeled trees are
-decoded, each in linear time, and keep the first candidate of each split
-system (``_split_firsts``); only the listing puts it into canonical form.
+The census ``unl_polynomial`` is the move rule of label insertion: every
+tree on k+1 labels comes from exactly one tree on k labels by one local
+move of label k+1, and ``_child_classes`` counts a tree's moves by the
+change in u from (k, u) alone.  So the census steps the u-counts of the
+n = 1 trees n-1 times and builds no larger tree; the walk that makes every
+move lives in the tests, as the rule's witness.  The oracle
+``prufer_census`` and the listing ``enumerate_greg`` go through Pruefer
+sequences generated under multiplicity constraints (a vertex of degree d
+appears d-1 times), so only degree-feasible labeled trees are decoded,
+each in linear time, and keep the first candidate of each split system
+(``_split_firsts``); only the listing puts it into canonical form.
 
 The improper-edge census and the restriction fibers make one pass per
 Cayley tree and build no per-tree object.  The census (`_imp_walk`)
@@ -504,18 +506,19 @@ def unl_polynomial(n: int, variant: str = "unrooted") -> Poly:
     """Census polynomial: coefficient of x^u counts Greg trees with u
     unlabeled vertices.
 
-    Walks label insertion (`_inserted`) to n - 1 labels only: the trees on
-    n labels are the children of those trees, and `_child_classes` counts
-    each parent's children by their u, so none of them is built.
-    `prufer_census` counts the same trees another way, as the oracle."""
+    The u-counts of the n = 1 trees of `enumerate_greg`, stepped n - 1
+    times by the move rule: a tree on k labels with u unlabeled vertices
+    has `_child_classes(k, u)` children on k + 1 labels, by their change
+    in u, so no tree past n = 1 is built.  `prufer_census` counts the same
+    trees another way, as the oracle."""
     rules = _rules(n, variant)
-    if n == 1:
-        return _census(Counter(len(unlabeled) for _, _, unlabeled in _inserted(1, rules)))
-    parents = Counter(len(unlabeled) for _, _, unlabeled in _inserted(n - 1, rules))
-    counts: Counter[int] = Counter()
-    for u, k in parents.items():
-        for du, c in _child_classes(n - 1, u, rules).items():
-            counts[u + du] += k * c
+    counts = Counter(t.u for t in enumerate_greg(1, rules.name))
+    for k in range(1, n):
+        step: Counter[int] = Counter()
+        for u, c in counts.items():
+            for du, m in _child_classes(k, u, rules).items():
+                step[u + du] += c * m
+        counts = step
     return _census(counts)
 
 
@@ -533,85 +536,25 @@ def _census(counts: Counter[int]) -> Poly:
 
 
 # ── label insertion ───────────────────────────────────────────────────────
-#
-# A tree in walk form is (edges, roots, unlabeled): labels keep their ids
-# 1..n, unlabeled vertices have negative ids listed in `unlabeled`, and
-# edges are unordered pairs in no particular order.  Inserting label n+1
-# renumbers nothing.
-#
-# The parent of a tree on n+1 labels: unlabel n+1, prune the unlabeled
-# leaves no slot allows (a pruned vertex hands its slots to its
-# neighbour), then smooth the unlabeled degree-2 vertices no slot
-# protects.  `_children` lists the inverse moves, one child per move and
-# place.  Each child's parent is unique, and a Greg tree has no nontrivial
-# automorphism fixing its labels and slots (every leaf is labeled or in a
-# slot), so distinct places give distinct children and the walk meets
-# every tree exactly once.
-
-def _children(n: int, edges: tuple, roots: tuple, unlabeled: tuple,
-              rules: Variant) -> list[tuple]:
-    """Walk-form trees on n+1 labels whose parent is the given tree on n.
-
-    Moves (5) and (6) apply when an unlabeled vertex in the (single) root
-    slot needs degree 2 or more: the parent map then prunes n+1 as a leaf
-    in the slot, or the degree-2 unlabeled root it hangs from, handing the
-    slot on."""
-    m = n + 1
-    fresh = min(unlabeled, default=0) - 1
-    grown = unlabeled + (fresh,)
-    # (1) n+1 as a leaf on any vertex
-    out = [(edges + ((w, m),), roots, unlabeled) for w in (*range(1, m), *unlabeled)]
-    for i, (a, b) in enumerate(edges):
-        rest = edges[:i] + edges[i + 1:]
-        # (2) n+1 subdivides the edge
-        out.append((rest + ((a, m), (m, b)), roots, unlabeled))
-        # (3) n+1 hangs from a new unlabeled vertex that subdivides it
-        out.append((rest + ((a, fresh), (fresh, b), (fresh, m)), roots, grown))
-    # (4) n+1 labels an unlabeled vertex, which keeps its slots
-    for x in unlabeled:
-        out.append((tuple((m if a == x else a, m if b == x else b) for a, b in edges),
-                    tuple(m if r == x else r for r in roots),
-                    tuple(y for y in unlabeled if y != x)))
-    if rules.roots and rules.root_degree >= 2:
-        (r,) = roots
-        # (5) a new unlabeled degree-2 root joined to the old root and n+1
-        out.append((edges + ((r, fresh), (fresh, m)), (fresh,), grown))
-        # (6) n+1 as a leaf on the root, taking the slot
-        out.append((edges + ((r, m),), (m,), unlabeled))
-    return out
-
 
 def _child_classes(n: int, u: int, rules: Variant) -> dict[int, int]:
-    """How many children `_children` lists for a tree on n labels with u
-    unlabeled vertices (so n + u - 1 edges), by the change in u: moves
-    (1), (2) and (6) keep u, moves (3) and (5) add one unlabeled vertex,
-    and move (4) removes one.  (1) takes any of the n + u vertices, (2)
-    and (3) any edge, (4) any unlabeled vertex, and (5) and (6) one child
-    each when they apply."""
+    """How many trees on n+1 labels a tree on n labels with u unlabeled
+    vertices (so n + u - 1 edges) is the parent of, by the change in u.
+
+    The parent map unlabels n+1, prunes the unlabeled leaves no slot
+    allows, then smooths the unlabeled degree-2 vertices no slot protects.
+    Its inverse moves, one child per move and place: (1) n+1 as a leaf on
+    any of the n + u vertices; (2) n+1 subdividing any edge; (3) n+1
+    hanging from a new unlabeled vertex that subdivides any edge; (4) n+1
+    labeling any unlabeled vertex, which keeps its slots; and, once each
+    when an unlabeled vertex in the (single) root slot needs degree 2 or
+    more, (5) a new unlabeled degree-2 root joined to the old root and
+    n+1, and (6) n+1 as a leaf on the root, taking the slot.  Moves (1),
+    (2) and (6) keep u, (3) and (5) add one unlabeled vertex, and (4)
+    removes one."""
     edges = n + u - 1
     slot = int(rules.roots and rules.root_degree >= 2)
     return {-1: u, 0: n + u + edges + slot, 1: edges + slot}
-
-
-def _inserted(n: int, rules: Variant) -> Iterator[tuple]:
-    """Every Greg tree of the variant on n labels, in walk form, once each:
-    depth first from the n = 1 trees of `enumerate_greg`, so only one
-    children list per level is held at a time."""
-
-    def walk_form(t: GregTree) -> tuple:
-        # label 1 keeps its id, unlabeled ids 2..u+1 become -1..-u
-        def vid(v: int) -> int:
-            return 1 if v == 1 else 1 - v
-        return (tuple((vid(a), vid(b)) for a, b in t.edges), tuple(map(vid, t.roots)),
-                tuple(range(-1, -t.u - 1, -1)))
-
-    stack = [(1, walk_form(t)) for t in enumerate_greg(1, rules.name)]
-    while stack:
-        k, tree = stack.pop()
-        if k == n:
-            yield tree
-        else:
-            stack += [(k + 1, child) for child in _children(k, *tree, rules)]
 
 
 # ── improper edges ────────────────────────────────────────────────────────

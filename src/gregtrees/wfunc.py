@@ -333,6 +333,8 @@ def check_bernstein(points: Sequence[float], n_max: int) -> CheckReport:
     params = {"points": list(points), "n_max": n_max, "families": list(BERNSTEIN_FAMILIES)}
     if any(p <= 0 for p in points):
         raise ValueError("sign checks need z > 0")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     checked = 0
     for family in BERNSTEIN_FAMILIES:
         for z in points:
@@ -378,6 +380,8 @@ def halfplane_sample(seed: int, i: int) -> complex:
 def check_halfplane(samples: int, seed: int) -> CheckReport:
     """W maps the open upper half-plane into itself: Im W(z) > 0 for
     Im z > 0 (checked as > 1e-12 on the sample grid)."""
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     name = "halfplane"
     passed = 0
     for i in range(samples):

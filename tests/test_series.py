@@ -830,6 +830,22 @@ def test_rhs_series_rejects_negative_order():
     assert rhs_series("G", 1, 0) == RatSeries([1])
 
 
+def test_truncate_rejects_negative_order():
+    s = RatSeries([1, 2, 3])
+    with pytest.raises(ValueError, match="negative truncation order"):
+        s.truncate(-1)
+    assert s.truncate(0) == RatSeries([1])
+
+
+@pytest.mark.parametrize("make", [lambda order: series_T(0, order), lambda order: series_T(2, order),
+                                  series_W])
+def test_base_series_reject_negative_order(make):
+    for order in (-1, -2):
+        with pytest.raises(ValueError, match="negative truncation order"):
+            make(order)
+    assert make(0) == RatSeries([0])
+
+
 def test_def_identity_rejects_short_rows():
     with pytest.raises(ValueError, match="rows"):
         check_def_identity("G", 6, 20, polys=gen_G(5))

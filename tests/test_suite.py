@@ -9,9 +9,10 @@ import pytest
 import gregtrees.suite as suite_module
 import gregtrees.trees as trees_module
 from gregtrees.polys import Poly, X, census_family
-from gregtrees.series import rhs_series
+from gregtrees.series import check_def_identity, check_egf_theorem, check_gh_functional, rhs_series
 from gregtrees.suite import (CHECK_NAMES, SuiteConfig, _check_restriction, _restriction_expected,
                              run_suite)
+from gregtrees.wfunc import check_bernstein, check_halfplane
 
 # per corrupted row, the checks that consume it somewhere in their work
 # (quick profile)
@@ -154,6 +155,29 @@ def test_zero_sizing_budget_skips_the_check(name):
     assert result.counts == {"pass": 0, "fail": 0, "skip": 25, "total": 25}
 
 
+# each public check with a size argument, called at that size
+SIZED_CHECKS = {
+    "halfplane": lambda size: check_halfplane(size, 1),
+    "def-identity-G": lambda size: check_def_identity("G", size, 5),
+    "egf-theorem": lambda size: check_egf_theorem([1], size),
+    "gh-functional": lambda size: check_gh_functional([1], size),
+    "bernstein-signs": lambda size: check_bernstein([1.0], size),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_CHECKS))
+def test_checks_reject_a_negative_size_and_pass_size_zero(name):
+    with pytest.raises(ValueError, match=">= 0"):
+        SIZED_CHECKS[name](-1)
+    assert SIZED_CHECKS[name](0).passed
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_CHECKS))
+def test_negative_sizing_budget_skips_the_check(name):
+    result = run_suite(replace(SuiteConfig.quick(), **{SIZING_FIELDS[name]: -3}), only=[name])
+    assert result.counts == {"pass": 0, "fail": 0, "skip": 25, "total": 25}
+
+
 def test_golden_tables_run_with_every_budget_zero():
     zero = {field: 0 for field in set(SIZING_FIELDS.values())}
     result = run_suite(replace(SuiteConfig.quick(), **zero))
@@ -174,10 +198,10 @@ def test_default_config_all_pass():
 ])
 def test_census_unl_checks_the_insertion_walk_against_pruefer_below_n_max(
         monkeypatch, bad_n, witness):
-    walk = trees_module.unl_polynomial
+    census = trees_module.unl_polynomial
 
     def bumped(n, variant):
-        got = walk(n, variant)
+        got = census(n, variant)
         return got + Poly((1,)) if n == bad_n else got
     monkeypatch.setattr(trees_module, "unl_polynomial", bumped)
     result = run_suite(SuiteConfig.quick(), only=["census-unl-relaxed"])
@@ -189,25 +213,20 @@ def test_census_unl_checks_the_insertion_walk_against_pruefer_below_n_max(
 
 def test_census_unl_checks_count_without_building(monkeypatch):
     """Work count of the four census-unl checks at default budgets: the
-    only canonical forms are the n = 1 trees that seed each insertion
-    walk, and no tree on the walk's last level is built."""
+    only canonical forms are the n = 1 trees that seed each census, and
+    the program has no insertion walk left to build larger trees."""
     work = Counter()
-    canonical, children = trees_module._canonical, trees_module._children
+    canonical = trees_module._canonical
 
     def counted_canonical(*args):
         work["canonical"] += 1
         return canonical(*args)
-
-    def counted_children(*args):
-        out = children(*args)
-        work["children"] += len(out)
-        return out
     monkeypatch.setattr(trees_module, "_canonical", counted_canonical)
-    monkeypatch.setattr(trees_module, "_children", counted_children)
     only = [name for name in CHECK_NAMES if name.startswith("census-unl-")]
     assert len(only) == 4
     assert run_suite(only=only).ok
-    assert work == {"canonical": 44, "children": 1044}
+    assert work == {"canonical": 44}
+    assert not {"_children", "_inserted"} & set(vars(trees_module))
 
 
 # ── restriction fibers ───────────────────────────────────────────────────

@@ -8,7 +8,17 @@ from collections import Counter
 import pytest
 
 import gregtrees.trees as trees_module
-from gregtrees.polys import FAMILIES, Poly, gen_F, gen_G, gen_H, shift
+from gregtrees.polys import (
+    FAMILIES,
+    Poly,
+    _family_recurrence,
+    _row_step,
+    census_family,
+    gen_F,
+    gen_G,
+    gen_H,
+    shift,
+)
 from gregtrees.suite import _restriction_expected
 from gregtrees.trees import (
     VARIANTS,
@@ -17,12 +27,10 @@ from gregtrees.trees import (
     _canonical,
     _census,
     _child_classes,
-    _children,
     _constrained_prufer,
     _greg_configs,
     _imp_by_root,
     _imp_polynomials,
-    _inserted,
     _normalize_edges,
     _prufer_encode,
     _prufer_pairs,
@@ -228,7 +236,6 @@ def test_u_bound_rejects_no_labels():
 def test_unl_polynomial_rejects_bad_input_before_walking(monkeypatch):
     def walk(*args):
         raise AssertionError("walk started")
-    monkeypatch.setattr(trees_module, "_inserted", walk)
     monkeypatch.setattr(trees_module, "enumerate_greg", walk)
     monkeypatch.setattr(trees_module, "_split_firsts", walk)
     for census in (unl_polynomial, prufer_census):
@@ -361,6 +368,74 @@ def test_split_key_dedup_matches_canonical_dedup(variant, n_max):
 
 
 # ── label insertion ──────────────────────────────────────────────────────
+#
+# The walk below is the witness of the move rule `_child_classes`, which
+# is all `unl_polynomial` runs.  A tree in walk form is (edges, roots,
+# unlabeled): labels keep their ids 1..n, unlabeled vertices have negative
+# ids listed in `unlabeled`, and edges are unordered pairs in no particular
+# order.  Inserting label n+1 renumbers nothing.
+#
+# The parent of a tree on n+1 labels: unlabel n+1, prune the unlabeled
+# leaves no slot allows (a pruned vertex hands its slots to its
+# neighbour), then smooth the unlabeled degree-2 vertices no slot
+# protects.  `_children` lists the inverse moves, one child per move and
+# place.  Each child's parent is unique, and a Greg tree has no nontrivial
+# automorphism fixing its labels and slots (every leaf is labeled or in a
+# slot), so distinct places give distinct children and the walk meets
+# every tree exactly once.
+
+def _children(n, edges, roots, unlabeled, rules):
+    """Walk-form trees on n+1 labels whose parent is the given tree on n.
+
+    Moves (5) and (6) apply when an unlabeled vertex in the (single) root
+    slot needs degree 2 or more: the parent map then prunes n+1 as a leaf
+    in the slot, or the degree-2 unlabeled root it hangs from, handing the
+    slot on."""
+    m = n + 1
+    fresh = min(unlabeled, default=0) - 1
+    grown = unlabeled + (fresh,)
+    # (1) n+1 as a leaf on any vertex
+    out = [(edges + ((w, m),), roots, unlabeled) for w in (*range(1, m), *unlabeled)]
+    for i, (a, b) in enumerate(edges):
+        rest = edges[:i] + edges[i + 1:]
+        # (2) n+1 subdivides the edge
+        out.append((rest + ((a, m), (m, b)), roots, unlabeled))
+        # (3) n+1 hangs from a new unlabeled vertex that subdivides it
+        out.append((rest + ((a, fresh), (fresh, b), (fresh, m)), roots, grown))
+    # (4) n+1 labels an unlabeled vertex, which keeps its slots
+    for x in unlabeled:
+        out.append((tuple((m if a == x else a, m if b == x else b) for a, b in edges),
+                    tuple(m if r == x else r for r in roots),
+                    tuple(y for y in unlabeled if y != x)))
+    if rules.roots and rules.root_degree >= 2:
+        (r,) = roots
+        # (5) a new unlabeled degree-2 root joined to the old root and n+1
+        out.append((edges + ((r, fresh), (fresh, m)), (fresh,), grown))
+        # (6) n+1 as a leaf on the root, taking the slot
+        out.append((edges + ((r, m),), (m,), unlabeled))
+    return out
+
+
+def _inserted(n, rules):
+    """Every Greg tree of the variant on n labels, in walk form, once each:
+    depth first from the n = 1 trees of `enumerate_greg`, so only one
+    children list per level is held at a time."""
+
+    def walk_form(t):
+        # label 1 keeps its id, unlabeled ids 2..u+1 become -1..-u
+        def vid(v):
+            return 1 if v == 1 else 1 - v
+        return (tuple((vid(a), vid(b)) for a, b in t.edges), tuple(map(vid, t.roots)),
+                tuple(range(-1, -t.u - 1, -1)))
+
+    stack = [(1, walk_form(t)) for t in enumerate_greg(1, rules.name)]
+    while stack:
+        k, tree = stack.pop()
+        if k == n:
+            yield tree
+        else:
+            stack += [(k + 1, child) for child in _children(k, *tree, rules)]
+
 
 def _walk_to_greg(n, tree):
     """A walk-form tree (negative unlabeled ids) as a `GregTree`."""
@@ -448,6 +523,55 @@ def test_unl_polynomial_matches_the_full_insertion_walk(variant):
     for n in range(1, (4 if variant == "birooted" else 6) + 1):
         want = _census(Counter(len(unlabeled) for _, _, unlabeled in _inserted(n, rules)))
         assert unl_polynomial(n, variant) == want, (variant, n)
+
+
+# ── the move rule is the row recurrence ─────────────────────────────────
+#
+# The census of each variant is (1+x)^a X_n, with (variant, a) read from
+# FAMILIES[..].census.  (1+x)^a X_n follows the row recurrence of X_n with
+# c replaced by c' = c - a, and the move rule is that recurrence with
+# c' = slot - 1, slot = 1 exactly when moves (5) and (6) apply.
+
+def _slot(rules):
+    """1 when an unlabeled vertex in the variant's single root slot needs
+    degree 2 or more, read off its VARIANTS entry; else 0."""
+    return int(rules.roots == 1 and rules.root_degree >= 2)
+
+
+def test_census_offsets_are_slot_minus_one():
+    entries = [(family.c, variant, a) for family in FAMILIES.values()
+               for variant, a in family.census]
+    assert len(entries) == len(VARIANTS)
+    for c, variant, a in entries:
+        assert c - a == _slot(VARIANTS[variant]) - 1, (variant, c, a)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_child_classes_are_the_row_recurrence(variant):
+    """The class sizes at (k, u) against the three coefficients one step
+    of `_rows` gives x^u at row k, with offset c' = slot - 1."""
+    rules = VARIANTS[variant]
+    lin, mult = _family_recurrence(_slot(rules) - 1, shifted=False)
+    for k in range(1, 60):
+        for u in range(60):
+            step = _row_step((0,) * u + (1,), *lin(k), mult)
+            want = {du: step[u + du] for du in (-1, 0, 1) if u + du >= 0}
+            got = _child_classes(k, u, rules)
+            assert {du: m for du, m in got.items() if u + du >= 0} == want, (variant, k, u)
+
+
+def test_seed_census_is_one_plus_x_to_the_a():
+    for family in FAMILIES.values():
+        for variant, a in family.census:
+            assert unl_polynomial(1, variant) == ONE_PLUS_X ** a, variant
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_unl_polynomial_is_the_family_row_to_n_40(variant):
+    family, a = census_family(variant)
+    rows = {"F": gen_F, "G": gen_G, "H": gen_H}[family.name](40)
+    for n in range(1, 41):
+        assert unl_polynomial(n, variant) == ONE_PLUS_X ** a * rows[n - 1], (variant, n)
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
