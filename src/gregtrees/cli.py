@@ -76,13 +76,13 @@ def _run_polys(args, parser) -> int:
             parser.error("the Q triangle holds polynomials, not integers; no b-file form")
         triangle = gen_Q(n)
         if args.format == "text":
-            text = "\n".join(" | ".join(str(q) for q in triangle[m]) for m in range(1, n + 1)) + "\n"
+            text = "\n".join(" | ".join(str(q) for q in row) for row in triangle) + "\n"
         elif args.format == "json":
-            text = _json_text([[q.to_json() for q in triangle[m]] for m in range(1, n + 1)])
+            text = _json_text([[q.to_json() for q in row] for row in triangle])
         else:
             lines = ["n,k,j,coefficient"]
-            for m in range(1, n + 1):
-                for k, q in enumerate(triangle[m]):
+            for m, row in enumerate(triangle, start=1):
+                for k, q in enumerate(row):
                     lines += [f"{m},{k},{j},{c}" for j, c in enumerate(q.coeffs)]
             text = "\n".join(lines) + "\n"
         _emit(text, args.out)
@@ -136,10 +136,7 @@ def _run_trees(args, parser) -> int:
         parser.error(f"{variant} trees at n = {n} can reach "
                      f"{n + u_bound(n, variant)} vertices; the cap is {_VERTEX_CAP}")
     if args.action == "census-unl":
-        poly = unl_polynomial(n, variant)
-        counts = [0] * (u_bound(n, variant) + 1)
-        for u, c in enumerate(poly.coeffs):
-            counts[u] = c
+        counts = list(unl_polynomial(n, variant).coeffs)
         return _census_output(args, counts, "u",
                               {"n": n, "variant": variant, "statistic": "unl"})
     # list

@@ -27,7 +27,10 @@ once each.
   generated by its own recursion P_{n+1} = (1+x) P_n' - ((3n-1) + nx) P_n
   from W' = e^{-W}/(1+W), not from G_n, so the G/P reciprocity stays a check.
 * ``Q_{n,k}`` is a Ramanujan-style refinement whose specializations at
-  x = -1, 0, 1 recover the shifted F, G and H rows.
+  x = -1, 0, 1 recover the shifted F, G and H rows.  Its rows
+  R_n(t) = sum_k Q_{n,k}(x) t^k follow the shifted G recursion with x added
+  to the constant term, R_{n+1} = (x + n + n t) R_n + t^2 R_n', R_1 = 1
+  (so R_n at x = 0 is G_n(t-1)), run by the same row step on ``Poly`` entries.
 
 Everything is exact: coefficients are Python ints, and the hot paths (the
 row recurrences and ``shift``) run on plain ints.  ``Poly.__call__`` is exact
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 
 def power(base, k: int, one):
@@ -171,25 +174,6 @@ class Poly:
 X = Poly((0, 1))
 
 
-@dataclass(frozen=True)
-class PolyTriangle:
-    """Triangle of polynomials; row n (1-based) has `row_length(n)` entries."""
-
-    rows: tuple[tuple[Poly, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, n: int) -> tuple[Poly, ...]:
-        """Row for index n, 1-based."""
-        if not 1 <= n <= len(self.rows):
-            raise IndexError(f"row {n} out of range 1..{len(self.rows)}")
-        return self.rows[n - 1]
-
-    def __iter__(self) -> Iterator[tuple[Poly, ...]]:
-        return iter(self.rows)
-
-
 # ── the families ──────────────────────────────────────────────────────────
 
 @dataclass(frozen=True)
@@ -233,20 +217,23 @@ def _rows(n_max: int, lin: Callable[[int], tuple[int, int]],
     rows 1..n_max, with (a0, a1) = lin(n) and (m0, m1, m2) = mult, each
     step taken by `_row_step` on tuples of ints and wrapped in ``Poly``
     once."""
-    out: list[Poly] = []
-    if n_max >= 1:
-        out.append(Poly((1,)))
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    out = [Poly((1,))][:n_max]
     for n in range(1, n_max):
         out.append(Poly(_row_step(out[-1].coeffs, *lin(n), mult)))
     return out
 
 
-def _row_step(row: tuple[int, ...], a0: int, a1: int,
-              mult: tuple[int, int, int]) -> list[int]:
+def _row_step(row: tuple, a0: int | Poly, a1: int,
+              mult: tuple[int, int, int]) -> list:
     """Coefficients of (a0 + a1 x) X + (m0 + m1 x + m2 x^2) X' for X with
     coefficients `row`: the three-term recurrence
 
         [x^u] = (a0 + m1 u) a_u + (a1 + m2 (u-1)) a_{u-1} + m0 (u+1) a_{u+1}.
+
+    The entries of `row` and a0 are ints, or ``Poly``s in a second variable
+    (the Q rows).
     """
     m0, m1, m2 = mult
     return [(a0 + m1 * u) * a + (a1 + m2 * (u - 1)) * below + m0 * (u + 1) * above
@@ -293,28 +280,22 @@ def gen_P(n_max: int) -> list[Poly]:
     return _rows(n_max, lambda n: (1 - 3 * n, -n), (1, 1, 0))
 
 
-def gen_Q(n_max: int) -> PolyTriangle:
-    """Refinement triangle: Q_{1,0} = 1 and
+def gen_Q(n_max: int) -> list[tuple[Poly, ...]]:
+    """Q rows 1..n_max: row n holds Q_{n,0}..Q_{n,n-1}, with Q_{1,0} = 1 and
 
         Q_{n,k} = (x + n - 1) Q_{n-1,k} + (n + k - 2) Q_{n-1,k-1}
 
-    with out-of-range entries zero; row n holds Q_{n,0}..Q_{n,n-1}.
+    (out-of-range entries zero).  In R_n(t) = sum_k Q_{n,k}(x) t^k this is
+    R_{n+1} = (x + n + n t) R_n + t^2 R_n', the shifted G recursion with x
+    added to its constant term, so each row is one `_row_step` on ``Poly``
+    entries.
     """
-    if n_max < 1:
-        return PolyTriangle(())
-    rows: list[tuple[Poly, ...]] = [(Poly((1,)),)]
-    for n in range(2, n_max + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(n):
-            acc = Poly()
-            if k <= n - 2:
-                acc = Poly((n - 1, 1)) * prev[k]
-            if k >= 1:
-                acc = acc + (n + k - 2) * prev[k - 1]
-            row.append(acc)
-        rows.append(tuple(row))
-    return PolyTriangle(tuple(rows))
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    rows = [(Poly((1,)),)][:n_max]
+    for n in range(1, n_max):
+        rows.append(tuple(_row_step(rows[-1], Poly((n, 1)), n, (0, 0, 1))))
+    return rows
 
 
 # ── operations ────────────────────────────────────────────────────────────
@@ -326,8 +307,11 @@ def shift(p: Poly, a: int) -> Poly:
     first scaled to those of p(ax) and listed top degree first, so shifting
     by 1 is d in-place prefix sums (for i = d..1 the first i + 1 entries,
     c_d..c_{d-i}, become their running sums), and the scaling is undone, as
-    q_k = [x^k] p(a(x + 1)) / a^k exactly.
+    q_k = [x^k] p(a(x + 1)) / a^k exactly.  `a` must be an int: p(x + 1/2)
+    need not have integer coefficients.
     """
+    if not isinstance(a, int):
+        raise TypeError(f"shift by an int only, got {type(a).__name__}")
     if not a:
         return p
     r = [ck * a ** k for k, ck in enumerate(p.coeffs)][::-1]   # p(ax), top first

@@ -710,6 +710,8 @@ def check_imp_census_series(
 
     compared exactly, as integer EGF vectors, to the shared truncation order.
     """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     name = f"imp-census-series-{'rooted' if rooted else 'unrooted'}"
     family = imp_family(rooted)
     base = _base_egf(family.name, order)

@@ -249,7 +249,7 @@ def _check_q_specializations(bundle, rows: int) -> CheckReport:
     name = "q-specializations"
     triangle = gen_Q(rows)
     for n in range(1, rows + 1):
-        row = triangle[n]
+        row = triangle[n - 1]
         for value, family, offset in ((-1, "F", -1), (0, "G", 0), (1, "H", 1)):
             got = Poly(q(value) for q in row)
             if family == "F":

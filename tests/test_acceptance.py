@@ -157,7 +157,7 @@ def test_criterion_09_bernstein_numerics():
 
 
 def q_specialization(triangle, n: int, value: int) -> Poly:
-    return Poly(q(value) for q in triangle[n])
+    return Poly(q(value) for q in triangle[n - 1])
 
 
 @pytest.mark.xfail(strict=True, reason="the x = 1 specialization of row n is "

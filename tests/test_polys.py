@@ -211,21 +211,73 @@ def test_P_G_coefficient_reciprocity():
 
 def test_Q_first_rows():
     t = gen_Q(4)
-    assert t[1] == (Poly((1,)),)
-    assert t[2] == (Poly((1, 1)), Poly((1,)))
-    assert t[3] == (Poly((2, 3, 1)), Poly((4, 3)), Poly((3,)))
-    assert t[4] == (Poly((6, 11, 6, 1)), Poly((18, 22, 6)), Poly((25, 15)), Poly((15,)))
+    assert t[0] == (Poly((1,)),)
+    assert t[1] == (Poly((1, 1)), Poly((1,)))
+    assert t[2] == (Poly((2, 3, 1)), Poly((4, 3)), Poly((3,)))
+    assert t[3] == (Poly((6, 11, 6, 1)), Poly((18, 22, 6)), Poly((25, 15)), Poly((15,)))
 
 
 def test_Q_triangle_shape_and_indexing():
     t = gen_Q(6)
     assert len(t) == 6
     for n in range(1, 7):
-        assert len(t[n]) == n
-    with pytest.raises(IndexError):
-        t[0]
+        assert len(t[n - 1]) == n
     with pytest.raises(IndexError):
         t[7]
+
+
+def _entrywise_Q(n_max):
+    """Q_{1,0} = 1 and Q_{n,k} = (x + n - 1) Q_{n-1,k} + (n + k - 2) Q_{n-1,k-1}
+    entry by entry in ``Poly`` arithmetic: an oracle for `gen_Q`."""
+    if n_max < 1:
+        return []
+    rows = [(Poly((1,)),)]
+    for n in range(2, n_max + 1):
+        prev = rows[-1]
+        row = []
+        for k in range(n):
+            acc = Poly()
+            if k <= n - 2:
+                acc = Poly((n - 1, 1)) * prev[k]
+            if k >= 1:
+                acc = acc + (n + k - 2) * prev[k - 1]
+            row.append(acc)
+        rows.append(tuple(row))
+    return rows
+
+
+def test_Q_matches_entrywise_oracle():
+    for n_max in (0, 1, 2, 40):
+        got = gen_Q(n_max)
+        assert got == _entrywise_Q(n_max), n_max
+        assert all(type(row) is tuple and all(type(q) is Poly for q in row) for row in got)
+
+
+@pytest.mark.parametrize("gen, row_one, row_two", [
+    (gen_F, Poly((1,)), Poly((4, 3))),
+    (gen_G, Poly((1,)), Poly((2, 1))),
+    (gen_H, Poly((1,)), Poly((1,))),
+    (gen_P, Poly((1,)), Poly((-2, -1))),
+    (gen_Q, (Poly((1,)),), (Poly((1, 1)), Poly((1,)))),
+])
+def test_every_generator_puts_row_n_at_index_n_minus_1(gen, row_one, row_two):
+    rows = gen(5)
+    assert type(rows) is list and len(rows) == 5
+    assert rows[0] == row_one and rows[1] == row_two
+    assert gen(0) == []
+
+
+@pytest.mark.parametrize("gen", [gen_F, gen_G, gen_H, gen_P, gen_Q])
+def test_generators_reject_a_negative_count(gen):
+    with pytest.raises(ValueError, match=">= 0"):
+        gen(-1)
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 2), 0.5, 1.0, Fraction(2)])
+def test_shift_rejects_a_non_int(a):
+    """x^2 shifted by 1/2 is x^2 + x + 1/4, which has no integer form."""
+    with pytest.raises(TypeError):
+        shift(Poly((0, 0, 1)), a)
 
 
 @pytest.mark.parametrize("x_value, family, row_offset", [(-1, "F", -1), (0, "G", 0), (1, "H", 1)])
@@ -240,7 +292,7 @@ def test_Q_specializations(x_value, family, row_offset):
     t = gen_Q(rows)
     table = GENERATORS[family](rows + 1)
     for n in range(1, rows + 1):
-        got = Poly(q(x_value) for q in t[n])
+        got = Poly(q(x_value) for q in t[n - 1])
         if family == "F":
             want = Poly((1,)) if n == 1 else X * shift(table[n - 2], -1)
         else:

@@ -9,7 +9,8 @@ import pytest
 import gregtrees.suite as suite_module
 import gregtrees.trees as trees_module
 from gregtrees.polys import Poly, X, census_family
-from gregtrees.series import check_def_identity, check_egf_theorem, check_gh_functional, rhs_series
+from gregtrees.series import (check_def_identity, check_egf_theorem, check_gh_functional,
+                              check_imp_census_series, rhs_series)
 from gregtrees.suite import (CHECK_NAMES, SuiteConfig, _check_restriction, _restriction_expected,
                              run_suite)
 from gregtrees.wfunc import check_bernstein, check_halfplane
@@ -162,6 +163,7 @@ SIZED_CHECKS = {
     "egf-theorem": lambda size: check_egf_theorem([1], size),
     "gh-functional": lambda size: check_gh_functional([1], size),
     "bernstein-signs": lambda size: check_bernstein([1.0], size),
+    "imp-census-series-rooted": lambda size: check_imp_census_series({}, True, size),
 }
 
 

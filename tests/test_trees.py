@@ -571,7 +571,9 @@ def test_unl_polynomial_is_the_family_row_to_n_40(variant):
     family, a = census_family(variant)
     rows = {"F": gen_F, "G": gen_G, "H": gen_H}[family.name](40)
     for n in range(1, 41):
-        assert unl_polynomial(n, variant) == ONE_PLUS_X ** a * rows[n - 1], (variant, n)
+        census = unl_polynomial(n, variant)
+        assert census == ONE_PLUS_X ** a * rows[n - 1], (variant, n)
+        assert census.degree == u_bound(n, variant), (variant, n)
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
