@@ -4,17 +4,21 @@ Subcommands: polys (polynomial tables), trees (enumeration and censuses),
 series (exact Taylor coefficients), check (the verification suite), wfun
 (Lambert W values and derivatives).  All output is byte-deterministic for
 a fixed invocation; --out writes the same bytes to a file instead of
-stdout.
+stdout.  The polys tables (all but Q as json) are formatted and written one
+row at a time, so the text in memory stays near one row, not the whole table.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .polys import FAMILIES, gen_F, gen_G, gen_H, gen_P, gen_Q
 from .series import series_T, series_W
@@ -33,77 +37,88 @@ CHECK_ALIASES = {
     "reversion": "reversion-lemma",
 }
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: str | Iterable[str], out: str | None) -> None:
+    """Write `chunks` in order to stdout, or to the file `out`; a str is one
+    chunk.  A generator is formatted as it is written, so a table streamed
+    row by row never sits in memory whole.  The file is opened before the
+    first chunk is made, and a path that cannot be written is one error
+    line and exit 2."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if out is None:
-        sys.stdout.write(text)
-    else:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()          # a closed pipe shows here, inside main
+        return
+    try:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+    except OSError as exc:
+        sys.stderr.write(f"gregtrees: error: cannot write {out}: {exc.strerror or exc}\n")
+        raise SystemExit(2) from None
 
 
-def _bfile(rows: list[list[int]]) -> str:
-    lines = []
+def _bfile(rows: Iterable[Sequence[int]]) -> Iterator[str]:
+    """b-file lines "index value", one chunk per row; the index runs on
+    across rows."""
     index = 0
     for row in rows:
-        for value in row:
-            index += 1
-            lines.append(f"{index} {value}")
-    return "\n".join(lines) + "\n"
+        yield "".join(f"{i} {value}\n" for i, value in enumerate(row, start=index + 1))
+        index += len(row)
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _json_rows(rows) -> str:
+def _json_rows(rows) -> Iterator[str]:
     """``_json_text([p.to_json() for p in rows])`` for a nonempty list of
-    rows, joined by hand: with ``indent`` the json module runs its
-    pure-Python encoder.  Decimal strings need no escaping, and the table
-    is built by one join over one string per row."""
-    lines = ['[\n    "' + '",\n    "'.join(map(str, p.coeffs)) + '"\n  ]' if p else "[]"
-             for p in rows]
-    lines[0] = "[\n  " + lines[0]
-    lines[-1] += "\n]\n"
-    return ",\n  ".join(lines)
+    rows, one chunk per row, laid out by hand: with ``indent`` the json
+    module runs its pure-Python encoder.  Decimal strings need no
+    escaping."""
+    sep = "[\n  "
+    for p in rows:
+        yield sep + ('[\n    "' + '",\n    "'.join(map(str, p.coeffs)) + '"\n  ]' if p else "[]")
+        sep = ",\n  "
+    yield "\n]\n"
 
 
 # ── polys ─────────────────────────────────────────────────────────────────
 
 def _run_polys(args, parser) -> int:
-    family, n = args.family, args.n
+    family, n, fmt = args.family, args.n, args.format
+    # every usage check comes before the first row is written
+    if family == "Q" and fmt == "bfile":
+        parser.error("the Q triangle holds polynomials, not integers; no b-file form")
+    if family == "P" and fmt == "bfile":
+        parser.error("P rows have mixed signs; b-file output is for the nonnegative tables")
+    # one chunk per row: no list of row strings and no joined table
     if family == "Q":
-        if args.format == "bfile":
-            parser.error("the Q triangle holds polynomials, not integers; no b-file form")
         triangle = gen_Q(n)
-        if args.format == "text":
-            text = "\n".join(" | ".join(str(q) for q in row) for row in triangle) + "\n"
-        elif args.format == "json":
-            text = _json_text([[q.to_json() for q in row] for row in triangle])
+        if fmt == "text":
+            chunks = (" | ".join(map(str, row)) + "\n" for row in triangle)
+        elif fmt == "json":
+            chunks = _json_text([[q.to_json() for q in row] for row in triangle])
         else:
-            lines = ["n,k,j,coefficient"]
-            for m, row in enumerate(triangle, start=1):
-                for k, q in enumerate(row):
-                    lines += [f"{m},{k},{j},{c}" for j, c in enumerate(q.coeffs)]
-            text = "\n".join(lines) + "\n"
-        _emit(text, args.out)
+            chunks = chain(["n,k,j,coefficient\n"], (
+                "".join(f"{m},{k},{j},{c}\n" for k, q in enumerate(row)
+                        for j, c in enumerate(q.coeffs))
+                for m, row in enumerate(triangle, start=1)))
+        _emit(chunks, args.out)
         return 0
     base = family.removesuffix("-shift")
     gen = globals()[f"gen_{base}"]  # by name: wrappers on gen_* see it
     rows = gen(n) if base == family else gen(n, shifted=True)
-    if args.format == "text":
-        text = "\n".join(str(p) for p in rows) + "\n"
-    elif args.format == "json":
-        text = _json_rows(rows)
-    elif args.format == "csv":
-        lines = ["n,k,coefficient"]
-        for m, p in enumerate(rows, start=1):
-            lines += [f"{m},{k},{c}" for k, c in enumerate(p.coeffs)]
-        text = "\n".join(lines) + "\n"
+    if fmt == "text":
+        chunks = (f"{p}\n" for p in rows)
+    elif fmt == "json":
+        chunks = _json_rows(rows)
+    elif fmt == "csv":
+        chunks = chain(["n,k,coefficient\n"], (
+            "".join(f"{m},{k},{c}\n" for k, c in enumerate(p.coeffs))
+            for m, p in enumerate(rows, start=1)))
     else:
-        if family == "P":
-            parser.error("P rows have mixed signs; b-file output is for the nonnegative tables")
-        text = _bfile([list(p.coeffs) for p in rows])
-    _emit(text, args.out)
+        chunks = _bfile(p.coeffs for p in rows)
+    _emit(chunks, args.out)
     return 0
 
 
@@ -341,6 +356,11 @@ def main(argv=None) -> int:
         return args.run(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except BrokenPipeError:
+        # the reader closed the pipe: the rest of the output has no reader,
+        # and stdout points at devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -233,9 +233,14 @@ def _row_step(row: tuple, a0: int | Poly, a1: int,
         [x^u] = (a0 + m1 u) a_u + (a1 + m2 (u-1)) a_{u-1} + m0 (u+1) a_{u+1}.
 
     The entries of `row` and a0 are ints, or ``Poly``s in a second variable
-    (the Q rows).
+    (the Q rows).  With m0 = 0 (the shifted rows and Q, where m1 = 0 too)
+    the last term is dropped and a0 taken as it stands, so ``Poly`` entries
+    build no zero terms.
     """
     m0, m1, m2 = mult
+    if not m0:
+        return [(a0 + m1 * u if m1 else a0) * a + (a1 + m2 * (u - 1)) * below
+                for u, (a, below) in enumerate(zip(row + (0,), (0,) + row))]
     return [(a0 + m1 * u) * a + (a1 + m2 * (u - 1)) * below + m0 * (u + 1) * above
             for u, (a, below, above) in enumerate(zip(row + (0,), (0,) + row, row[1:] + (0, 0)))]
 

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -192,7 +193,7 @@ def test_polys_json_matches_json_module(capsys, family, n):
 
 def test_json_rows_lays_out_zero_and_negative_rows():
     rows = [Poly(), Poly((1, -2)), Poly()]
-    assert _json_rows(rows) == _indented([p.to_json() for p in rows])
+    assert "".join(_json_rows(rows)) == _indented([p.to_json() for p in rows])
 
 
 def test_series_json(capsys):
@@ -366,14 +367,45 @@ def test_usage_error(capsys, argv):
 # ── determinism and --out ─────────────────────────────────────────────────
 
 def test_out_writes_same_bytes(capsys, tmp_path):
-    path = tmp_path / "rows.json"
-    code, out, _ = run(capsys, "polys", "F", "5", "--format", "json")
+    """Every polys family in every format it takes, at N = 40."""
+    path = tmp_path / "rows"
+    for family in ("F", "G", "H", "P", "Q", "F-shift", "G-shift", "H-shift"):
+        for fmt in ("text", "json", "csv", "bfile"):
+            if fmt == "bfile" and family in ("P", "Q"):
+                continue
+            argv = ("polys", family, "40", "--format", fmt)
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            code2, out2, _ = run(capsys, *argv, "--out", str(path))
+            assert code2 == 0, argv
+            assert out2 == "", argv  # everything went to the file
+            assert path.read_text() == out, argv
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "bfile"])
+def test_out_streams_rows(tmp_path, fmt):
+    """Tables are written one row at a time: the traced peak of writing one,
+    its rows of ints included, stays below the size of the file written."""
+    path = tmp_path / "rows"
+    tracemalloc.start()
+    try:
+        code = main(["polys", "F", "150", "--format", fmt, "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 0
-    code2, out2, _ = run(capsys, "polys", "F", "5", "--format", "json",
-                         "--out", str(path))
-    assert code2 == 0
-    assert out2 == ""  # everything went to the file
-    assert path.read_text() == out
+    assert peak < path.stat().st_size
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_out_unwritable_is_one_error_line(capsys, tmp_path, where):
+    path = tmp_path / "missing" / "rows" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "polys", "F", "3", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"gregtrees: error: cannot write {path}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_check_json_byte_deterministic(capsys):
@@ -401,7 +433,7 @@ def declared_script(name):
     return entry.groups()
 
 
-def run_console_script(tmp_path, *argv):
+def console_script(tmp_path, *argv, popen=subprocess.run, **kwargs):
     """Run the declared `gregtrees` target as a setuptools wrapper script does.
 
     The child imports the package from the directory this process imported it
@@ -412,8 +444,11 @@ def run_console_script(tmp_path, *argv):
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
     env = dict(os.environ,
                PYTHONPATH=str(Path(gregtrees.__file__).resolve().parent.parent))
-    return subprocess.run([sys.executable, "-c", wrapper, *argv], cwd=tmp_path,
-                          env=env, capture_output=True, text=True)
+    return popen([sys.executable, "-c", wrapper, *argv], cwd=tmp_path, env=env, **kwargs)
+
+
+def run_console_script(tmp_path, *argv):
+    return console_script(tmp_path, *argv, capture_output=True, text=True)
 
 
 def test_console_script(tmp_path):
@@ -425,6 +460,20 @@ def test_console_script(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr != ""
+
+
+def test_closed_pipe_is_quiet(tmp_path):
+    """A reader that stops early (``| head -c 20``) ends the run quietly: exit 0,
+    nothing on stderr, though the table is far larger than the pipe holds."""
+    proc = console_script(tmp_path, "polys", "F", "200", "--format", "json",
+                          popen=subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert head == b'[\n  [\n    "1"\n  ],\n '
+    assert err == b""
 
 
 @pytest.mark.skipif(shutil.which("gregtrees") is None,
