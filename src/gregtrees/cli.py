@@ -4,8 +4,9 @@ Subcommands: polys (polynomial tables), trees (enumeration and censuses),
 series (exact Taylor coefficients), check (the verification suite), wfun
 (Lambert W values and derivatives).  All output is byte-deterministic for
 a fixed invocation; --out writes the same bytes to a file instead of
-stdout.  The polys tables (all but Q as json) are formatted and written one
-row at a time, so the text in memory stays near one row, not the whole table.
+stdout.  The polys tables are formatted and written one row at a time, so
+the text in memory stays near one row, not the whole table.  A usage error
+names the subcommand it belongs to.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .polys import FAMILIES, gen_F, gen_G, gen_H, gen_P, gen_Q
+from .polys import FAMILIES, Poly, gen_F, gen_G, gen_H, gen_P, gen_Q
 from .series import series_T, series_W
 from .suite import CHECK_NAMES, CHECKS, SuiteConfig, run_suite
 from .trees import VARIANTS, enumerate_greg, imp_polynomial, u_bound, unl_polynomial
 from .wfunc import _derivative_at, eval_W
 
 _VERTEX_CAP = 11          # trees work caps at 11 total vertices
-_IMP_CAP = 7              # walks n^(n-2) unrooted trees; 8 would be 262,144
+_IMP_CAP = 7              # 6,497 Pruefer decodes at n = 7; 8 would take 91,817
 
 # aliases accepted by `check` beside full names
 CHECK_ALIASES = {
@@ -71,15 +72,29 @@ def _json_text(payload) -> str:
 
 
 def _json_rows(rows) -> Iterator[str]:
-    """``_json_text([p.to_json() for p in rows])`` for a nonempty list of
-    rows, one chunk per row, laid out by hand: with ``indent`` the json
-    module runs its pure-Python encoder.  Decimal strings need no
-    escaping."""
+    """``_json_text`` of the rows' json form for a nonempty list of rows,
+    one chunk per row, laid out by hand: with ``indent`` the json module
+    runs its pure-Python encoder.  A row is a Poly, or a tuple of them (a
+    Q row)."""
     sep = "[\n  "
-    for p in rows:
-        yield sep + ('[\n    "' + '",\n    "'.join(map(str, p.coeffs)) + '"\n  ]' if p else "[]")
+    for row in rows:
+        yield sep + _json_nested(row, 1)
         sep = ",\n  "
     yield "\n]\n"
+
+
+def _json_nested(row, depth: int) -> str:
+    """``json.dumps(.., indent=2)`` of a Poly's ``to_json()``, or of the
+    list of those of a tuple of Polys, `depth` levels into the document.
+    Decimal strings need no escaping."""
+    if not row:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth + "]"
+    # a row can hold 100 kB of digits: each + after the join copies it
+    if isinstance(row, Poly):
+        return "[" + pad + '"' + f'",{pad}"'.join(map(str, row.coeffs)) + ('"' + close)
+    return "[" + pad + f",{pad}".join(_json_nested(p, depth + 1) for p in row) + close
 
 
 # ── polys ─────────────────────────────────────────────────────────────────
@@ -97,7 +112,7 @@ def _run_polys(args, parser) -> int:
         if fmt == "text":
             chunks = (" | ".join(map(str, row)) + "\n" for row in triangle)
         elif fmt == "json":
-            chunks = _json_text([[q.to_json() for q in row] for row in triangle])
+            chunks = _json_rows(triangle)
         else:
             chunks = chain(["n,k,j,coefficient\n"], (
                 "".join(f"{m},{k},{j},{c}\n" for k, q in enumerate(row)
@@ -309,20 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=(*FAMILIES, "P", "Q", *(f"{f}-shift" for f in FAMILIES)))
     p.add_argument("n", type=positive, metavar="N")
     add_common(p)
-    p.set_defaults(run=_run_polys)
+    p.set_defaults(run=_run_polys, parser=p)
 
     p = sub.add_parser("trees", help="enumerate Greg trees or print censuses")
     p.add_argument("variant", choices=tuple(VARIANTS))
     p.add_argument("n", type=positive, metavar="N")
     p.add_argument("action", choices=("list", "census-unl", "census-imp"))
     add_common(p)
-    p.set_defaults(run=_run_trees)
+    p.set_defaults(run=_run_trees, parser=p)
 
     p = sub.add_parser("series", help="exact Taylor coefficients through ORDER")
     p.add_argument("which", choices=("T0", "T1", "T2", "W"))
     p.add_argument("order", type=count, metavar="ORDER")
     add_common(p)
-    p.set_defaults(run=_run_series)
+    p.set_defaults(run=_run_series, parser=p)
 
     p = sub.add_parser("check", help="run the verification suite")
     p.add_argument("name", nargs="?", default="all",
@@ -337,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=count, default=None, help="halfplane sample count")
     p.add_argument("--seed", type=int, default=None, help="halfplane sampler seed")
     add_common(p, formats=("text", "json"))
-    p.set_defaults(run=_run_check)
+    p.set_defaults(run=_run_check, parser=p)
 
     p = sub.add_parser("wfun", help="evaluate W and its derivatives")
     p.add_argument("z", type=number, metavar="Z", help="real or complex, e.g. 0.5 or 1+2j")
     p.add_argument("--n-max", type=count, default=4,
                    help="derivatives to print for real z > 0 (default 4)")
     add_common(p, formats=("text", "json"))
-    p.set_defaults(run=_run_wfun)
+    p.set_defaults(run=_run_wfun, parser=p)
 
     return parser
 
@@ -352,8 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.run(args, parser)
+        # each runner gets its own subparser, so its usage errors name it;
+        # unknown arguments are that subparser's error too
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.parser.error("unrecognized arguments: " + " ".join(unknown))
+        return args.run(args, args.parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except BrokenPipeError:

@@ -40,18 +40,17 @@ appears d-1 times), so only degree-feasible labeled trees are decoded,
 each in linear time, and keep the first candidate of each split system
 (``_split_firsts``); only the listing puts it into canonical form.
 
-The improper-edge census and the restriction fibers make one pass per
-Cayley tree and build no per-tree object.  The census (`_imp_walk`)
-decodes each Pruefer sequence, counts improper edges as the leaves come
-off and reroots, all in one loop body, with no pair list; it counts the
-tree relabeled i -> n+1-i, a bijection of the labeled trees that leaves
-the census unchanged.  The fibers (`_fibers`) read each tree's Pruefer
-(leaf, parent) pairs once (`_cayley_pairs`, `_split_marks`) and key the
-tree on the split system U of its restriction.  Rooted, the roots that
-pruning moves to one anchor vertex count together, under (U, the
-anchor's split, whether the anchor lies inside a smoothed edge).
-`restrict` runs once per distinct key, and each (m, n, rooted) is walked
-once.
+The improper-edge census and the restriction fibers build no per-tree
+object.  The census (`_imp_polynomials`) decodes each Pruefer suffix once
+for all first entries above its smallest missing label and folds each
+leaf into its parent as it comes off (`_imp_fold`), counting improper
+edges at every root with no reroot pass, on each tree relabeled
+i -> n+1-i.  The fibers (`_fibers`) read each tree's Pruefer (leaf,
+parent) pairs once (`_cayley_pairs`, `_split_marks`) and key the tree on
+the split system U of its restriction.  Rooted, the roots that pruning
+moves to one anchor vertex count together, under (U, the anchor's split,
+whether the anchor lies inside a smoothed edge).  `restrict` runs once
+per distinct key, and each (m, n, rooted) is walked once.
 """
 
 from __future__ import annotations
@@ -281,8 +280,8 @@ def _prufer_pairs(seq: Sequence[int], k: int) -> list[tuple[int, int]]:
     leaf after all of its children.  Linear: the pointer to the smallest
     leaf only moves forward, and a neighbour that just became a leaf below
     the pointer is taken next.  Entries are not range-checked.  The one
-    tree on a single vertex has no edge: this is the only place the
-    Pruefer walks special-case it."""
+    tree on a single vertex has no edge: only this walk and `_imp_fold`
+    special-case it."""
     if k == 1:
         return []
     degree = [1] * (k + 1)
@@ -391,10 +390,10 @@ def _split_marks(pairs: list[tuple[int, int]], mark: list[int], full: int,
             up[leaf] = parent
 
 
-def _prufer_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """The Pruefer sequence of every labeled tree on 1..n, in lexicographic
-    order (the one tree on a single vertex has the empty sequence)."""
-    return product(range(1, n + 1), repeat=max(n - 2, 0))
+def _prufer_sequences(n: int, skip: int = 0) -> Iterator[tuple[int, ...]]:
+    """The Pruefer sequence of every labeled tree on 1..n (the empty one on
+    one vertex), lexicographic, less its first `skip` entries, each once."""
+    return product(range(1, n + 1), repeat=max(n - 2 - skip, 0))
 
 
 def _cayley_pairs(n: int) -> Iterator[list[tuple[int, int]]]:
@@ -570,13 +569,12 @@ def imp(t: GregTree) -> int:
 
 def _imp_by_root(t: GregTree) -> list[int]:
     """imp of the tree rooted at each vertex: entry r - 1 for root r.
-
-    `_imp_walk` counts the tree whose Pruefer sequence it reads relabeled
-    i -> n + 1 - i, so it reads the sequence of this tree so relabeled,
-    and its values come out in reverse order."""
+    `_imp_fold` reads a tree relabeled i -> n + 1 - i, so it gets this
+    tree's sequence so relabeled, where root r is vertex n + 1 - r."""
     n = t.n
     seq = _prufer_encode([(n + 1 - a, n + 1 - b) for a, b in t.edges], n)
-    return _imp_walk(n, [seq])[2][:0:-1]
+    j, _, high, up = _imp_fold(seq, [1 + seq.count(v) for v in range(n + 1)], n, 0)
+    return [_rerooted(n + 1 - r, n, j, high, up) for r in range(1, n + 1)]
 
 
 def _prufer_encode(edges, k: int) -> list[int]:
@@ -598,77 +596,93 @@ def _prufer_encode(edges, k: int) -> list[int]:
     return seq
 
 
-def _imp_walk(n: int, seqs) -> tuple[list[int], list[int], list[int]]:
-    """The improper-edge census over the trees on 1..n whose Pruefer
-    sequences are `seqs`, each tree relabeled i -> n + 1 - i: the counts
-    by imp at root 1 (unrooted) and at every root (rooted), and `out`,
-    where entry v is imp at the root that vertex v of the last tree
-    becomes.  The relabeling is a bijection of the labeled trees on 1..n,
-    so over all sequences the censuses are unchanged.
+def _imp_fold(seq, degree: list[int], n: int, k: int) -> tuple[int, int, list[int], list[int]]:
+    """Decode `seq` as `_prufer_pairs` does, on the labels v with
+    degree[v] >= 1 (1 + its count in `seq`; used up), hung from n, folding
+    each leaf into its parent as it comes off.  Returns, for the tree read
+    relabeled i -> n + 1 - i: imp at root n; sum_r x^imp(r), packed k bits
+    a coefficient; high[v], the largest vertex in v's subtree; and up[v].
 
-    One loop body per tree decodes the sequence as `_prufer_pairs` does,
-    hanging the tree from vertex n with every leaf coming off after its
-    children, and counts as the leaves come off.  The relabeling reverses
-    the order of the labels, so an edge p -> v is improper when p is
-    below high[v], the largest vertex in v's subtree; high[v] is complete
-    when v comes off, and it can raise high[p] >= p only when the edge is
-    improper.  Across an edge the other side holds vertex n.  Moving the
-    root from p to its child v flips only the edge p-v: p -> v (improper
-    when p < high[v]) becomes v -> p, which is improper since v < n.  So
-    the reroot runs in reverse removal order, parents before children.
-    """
-    if n == 1:
-        return [1], [1], [0, 0]
-    unrooted = [0] * n
-    rooted = [0] * n
-    out = [0] * (n + 1)
-    up = [0] * (n + 1)       # each vertex's parent, rewritten for each tree
-    ones = [1] * (n + 1)
-    top = list(range(n + 1))
-    for seq in seqs:
-        degree = ones[:]
-        for p in seq:
-            degree[p] += 1
-        high = top[:]
-        improper = 0
-        ptr = leaf = degree.index(1, 1)
-        leaves = []
-        for p in seq:
-            leaves.append(leaf)
-            up[leaf] = p
-            h = high[leaf]
-            if p < h:
-                improper += 1
-                if high[p] < h:
-                    high[p] = h
-            degree[p] -= 1
-            if p < ptr and degree[p] == 1:
-                leaf = p
-            else:
-                ptr = leaf = degree.index(1, ptr + 1)
-        # the last leaf hangs from n, which is above everything in its
-        # subtree, so that edge is proper
-        unrooted[improper] += 1
-        rooted[improper] += 1
-        out[n] = improper
-        out[leaf] = j = improper + 1
-        rooted[j] += 1
-        for v in reversed(leaves):
-            p = up[v]
-            out[v] = j = out[p] + (p > high[v])
-            rooted[j] += 1
-    return unrooted, rooted, out
+    p -> v is improper when p < high[v], and only then can it raise
+    high[p] >= p.  Rerooting from p to its child v turns p -> v into
+    v -> p, improper as p's side holds n > v; so imp(r) - imp(n) counts the
+    proper edges from r up to n, and S[p] = 1 + sum_v S[v] x^[p -> v proper]."""
+    high = list(range(n + 1))
+    up = [0] * (n + 1)
+    S = [1] * (n + 1)
+    improper = 0
+    ptr = leaf = degree.index(1, 1)
+    for p in seq:
+        up[leaf] = p
+        h = high[leaf]
+        if p < h:
+            improper += 1
+            if high[p] < h:
+                high[p] = h
+            S[p] += S[leaf]
+        else:
+            S[p] += S[leaf] << k
+        degree[p] -= 1
+        if p < ptr and degree[p] == 1:
+            leaf = p
+        else:
+            ptr = leaf = degree.index(1, ptr + 1)
+    # the last leaf hangs from n, above its whole subtree: a proper edge,
+    # but for n = 1
+    up[leaf] = n
+    if leaf < n:
+        S[n] += S[leaf] << k
+    return improper, S[n] << k * improper, high, up
+
+
+def _rerooted(v: int, n: int, j: int, high: list[int], up: list[int]) -> int:
+    """imp at root v of the tree `_imp_fold` left in (high, up), imp j at n."""
+    while v != n:
+        p = up[v]
+        j += p > high[v]
+        v = p
+    return j
 
 
 @cache
 def _imp_polynomials(n: int) -> tuple[Poly, Poly]:
-    """The unrooted and the rooted improper-edge census, from one pass of
-    `_imp_walk` over the Pruefer sequences: each tree is decoded, counted
-    and rerooted in one loop body, with no per-tree pair list; the rooted
-    census takes imp at every root, the unrooted one at root 1, which is
-    the entry at vertex n under the walk's relabeling."""
-    unrooted, rooted, _ = _imp_walk(n, _prufer_sequences(n))
-    return Poly(unrooted), Poly(rooted)
+    """The unrooted and the rooted improper-edge census, from one walk of
+    `_imp_fold` over the Pruefer sequences (y, Q) on 1..n, which reads each
+    tree relabeled i -> n + 1 - i, a bijection of the labeled trees; the
+    unrooted census is imp at root n, the relabeled 1.  Both are packed k
+    bits a coefficient, as every coefficient is below n^(n-1) < 2^k.
+
+    Lemma (n >= 3).  Let a be the smallest label missing from Q.  If
+    y != a, a is the first leaf and hangs from y, and the rest decodes Q
+    on the other labels: a tree T_a that does not depend on y.  If y > a,
+    y -> a is proper (high[a] = a < y) and no high[] changes, as every
+    subtree that gains a holds y.  So imp at a root r != a is imp(T_a, r),
+    and at root a, whose edge a -> y is improper (high[y] = n > a), it is
+    1 + imp(T_a, y).  With R_a = sum_r x^imp(T_a, r), the n - a sequences
+    with y > a add (n - a) x^imp(T_a, n) unrooted and
+    (n - a) R_a + x (R_a - sum_{y < a} x^imp(T_a, y)) rooted.  So Q is
+    decoded once for them and once for each y <= a: sum_Q (a + 1) folds."""
+    k = (n ** (n - 1)).bit_length() + 1
+    if n < 3:     # one tree, imp 0 at n; its empty sequence has no first entry
+        unrooted, rooted = 1, _imp_fold((), [1] * (n + 1), n, k)[1]
+    else:
+        unrooted = rooted = 0
+        for q in _prufer_sequences(n, 1):
+            base = [1 + q.count(v) for v in range(n + 1)]
+            a = base.index(1, 1)
+            for y in range(1, a + 1):
+                degree = base[:]
+                degree[y] += 1
+                j, s, _, _ = _imp_fold((y, *q), degree, n, k)
+                unrooted += 1 << k * j
+                rooted += s
+            base[a] = 0
+            j, s, high, up = _imp_fold(q, base, n, k)
+            low = sum(1 << k * _rerooted(y, n, j, high, up) for y in range(1, a))
+            unrooted += (n - a) << k * j
+            rooted += (n - a) * s + ((s - low) << k)
+    mask = (1 << k) - 1
+    return tuple(Poly((c >> k * j) & mask for j in range(n)) for c in (unrooted, rooted))
 
 
 def imp_polynomial(n: int, rooted: bool = True) -> Poly:

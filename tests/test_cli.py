@@ -165,7 +165,7 @@ def test_wfun_derivative_overflow_is_one_error_line(capsys, fmt):
     """d^184 W(1) is past the float range: one stderr line, no traceback."""
     code, out, err = run(capsys, "wfun", "1.0", "--n-max", "200", "--format", fmt)
     assert (code, out) == (2, "")
-    assert err == ("gregtrees: error: d^184 W at z=1.0 is past the float range "
+    assert err == ("gregtrees wfun: error: d^184 W at z=1.0 is past the float range "
                    "(math range error)\n")
     code, out, err = run(capsys, "wfun", "1.0", "--n-max", "183", "--format", fmt)
     assert (code, err) == (0, "")
@@ -194,6 +194,34 @@ def test_polys_json_matches_json_module(capsys, family, n):
 def test_json_rows_lays_out_zero_and_negative_rows():
     rows = [Poly(), Poly((1, -2)), Poly()]
     assert "".join(_json_rows(rows)) == _indented([p.to_json() for p in rows])
+    triangle = [(Poly(),), (Poly((1, -2)), Poly(), Poly((3,)))]
+    assert "".join(_json_rows(triangle)) == _indented(
+        [[q.to_json() for q in row] for row in triangle])
+
+
+def test_q_json_matches_json_module(capsys):
+    """The Q triangle as json, rows 1..N for every N <= 40, against the json
+    module's indented layout of the same rows."""
+    triangle = gregtrees.gen_Q(40)
+    for n in range(1, 41):
+        code, out, _ = run(capsys, "polys", "Q", str(n), "--format", "json")
+        assert code == 0
+        assert out == _indented([[q.to_json() for q in row] for row in triangle[:n]]), n
+
+
+def test_q_json_streams_rows(tmp_path):
+    """The Q triangle as json is written one row at a time: the traced peak,
+    the triangle's Polys included, stays below twice the file (building the
+    whole text first took over five times)."""
+    path = tmp_path / "rows"
+    tracemalloc.start()
+    try:
+        code = main(["polys", "Q", "40", "--format", "json", "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * path.stat().st_size
 
 
 def test_series_json(capsys):
@@ -358,10 +386,15 @@ USAGE_ERRORS = [
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[" ".join(a) for a in USAGE_ERRORS])
 def test_usage_error(capsys, argv):
+    """Exit 2, nothing on stdout, and a usage line that names the subcommand
+    the error belongs to, whether argparse or the runner raised it."""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err != ""
+    command = argv[0] if argv[0] in {"polys", "trees", "series", "check", "wfun"} else None
+    prog = f"gregtrees {command}" if command else "gregtrees"
+    assert err.splitlines()[0].startswith(f"usage: {prog} [-h]"), err
+    assert f"\n{prog}: error: " in err, err
 
 
 # ── determinism and --out ─────────────────────────────────────────────────

@@ -30,11 +30,13 @@ from gregtrees.trees import (
     _constrained_prufer,
     _greg_configs,
     _imp_by_root,
+    _imp_fold,
     _imp_polynomials,
     _normalize_edges,
     _prufer_encode,
     _prufer_pairs,
     _prufer_sequences,
+    _rerooted,
     degree_filtered_count,
     enumerate_cayley,
     enumerate_greg,
@@ -91,6 +93,8 @@ def test_prufer_decode_matches_quadratic_reference():
     for k in range(1, 8):
         seqs = list(itertools.product(range(1, k + 1), repeat=max(k - 2, 0)))
         assert list(_prufer_sequences(k)) == seqs
+        if k >= 3:   # the suffixes after the first entry, each once
+            assert list(_prufer_sequences(k, 1)) == [s[1:] for s in seqs if s[0] == 1]
         for seq in seqs:
             edges = prufer_decode(seq, k)
             assert edges == _quadratic_prufer_decode(seq, k), (seq, k)
@@ -840,26 +844,26 @@ def test_imp_census_small():
 
 @pytest.mark.parametrize("rooted, family", [(True, gen_G), (False, gen_H)])
 def test_imp_polynomial_equals_shifted_family(rooted, family):
-    rows = family(7)
-    for n in range(1, 8):
+    rows = family(8)
+    for n in range(1, 9):
         assert imp_polynomial(n, rooted) == shift(rows[n - 1], -1), n
 
 
 def test_imp_censuses_share_one_walk(monkeypatch):
     """The rooted and the unrooted census come from one pass over the
-    unrooted Cayley trees, and each is still its shifted family row."""
+    Pruefer suffixes, and each is still its shifted family row."""
     calls = []
     real = trees_module._prufer_sequences
 
-    def counted(n):
-        calls.append(n)
-        return real(n)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(trees_module, "_prufer_sequences", counted)
     _imp_polynomials.cache_clear()
     try:
         rooted, unrooted = imp_polynomial(5, True), imp_polynomial(5, False)
-        assert calls == [5]
+        assert calls == [(5, 1)]
         assert imp_polynomial(5, rooted=1) == rooted and imp_polynomial(5, rooted=0) == unrooted
         assert rooted == shift(gen_G(5)[4], -1) and unrooted == shift(gen_H(5)[4], -1)
     finally:
@@ -878,11 +882,69 @@ def test_imp_walk_matches_oracle_census():
         assert list(_imp_polynomials(n)) == want, n
 
 
+def test_imp_census_folds_each_suffix_once_above_its_missing_label(monkeypatch):
+    """At n = 7 the fold runs sum_Q (a(Q) + 1) times, a(Q) the smallest
+    label missing from the suffix Q: once for each first entry y <= a, and
+    once for all the entries above a together."""
+    n = 7
+    want = sum(min(set(range(1, n + 1)) - set(q)) + 1
+               for q in itertools.product(range(1, n + 1), repeat=n - 3))
+    assert want == 6497 < n ** (n - 2)
+    calls = []
+    real = trees_module._imp_fold
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(trees_module, "_imp_fold", counted)
+    _imp_polynomials.cache_clear()
+    try:
+        assert imp_polynomial(n, True) == shift(gen_G(n)[n - 1], -1)
+        assert imp_polynomial(n, False) == shift(gen_H(n)[n - 1], -1)
+        assert calls == [n] * want
+    finally:
+        _imp_polynomials.cache_clear()
+
+
+def _relabeled(pairs, n):
+    """The Cayley tree of (leaf, parent) pairs on 1..n, relabeled i -> n + 1 - i."""
+    return GregTree(n=n, u=0, edges=_normalize_edges((n + 1 - a, n + 1 - b) for a, b in pairs))
+
+
+def test_imp_lemma_first_entries_above_the_missing_label():
+    """For (y, Q) with y > a, a the smallest label missing from Q: the
+    decode hangs a from y and then decodes Q on the other labels as the
+    tree T_a, and imp at every root is that of T_a, plus one at root a
+    taken from y.  imp is checked by `_imp_from_root` on the tree the walk
+    reads, relabeled i -> n + 1 - i; T_a is decoded on 1..n-1 and mapped
+    back to the labels other than a."""
+    for n in range(3, 7):
+        for q in itertools.product(range(1, n + 1), repeat=n - 3):
+            a = min(set(range(1, n + 1)) - set(q))
+            others = [v for v in range(1, n + 1) if v != a]
+            index = {v: i for i, v in enumerate(others, start=1)}
+            t_a = [(others[c - 1], others[p - 1])
+                   for c, p in _prufer_pairs([index[v] for v in q], n - 1)]
+            degree = [1 + q.count(v) for v in range(n + 1)]
+            degree[a] = 0
+            j, _, high, up = _imp_fold(q, degree, n, 0)
+            assert {c: up[c] for c, _ in t_a} == dict(t_a), (n, q)
+            for y in range(a + 1, n + 1):
+                pairs = _prufer_pairs((y, *q), n)
+                assert pairs == [(a, y)] + t_a, (n, y, q)
+                tree = _relabeled(pairs, n)
+                for r in range(1, n + 1):
+                    lemma = _rerooted(y if r == a else r, n, j, high, up)
+                    assert lemma + (r == a) == _imp_from_root(tree, n + 1 - r), (n, y, q, r)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_imp_census_rejects_no_vertices_before_walking(monkeypatch, n):
     def walk(*args):
         raise AssertionError("walk started")
     monkeypatch.setattr(trees_module, "_prufer_sequences", walk)
+    monkeypatch.setattr(trees_module, "_imp_fold", walk)
     for rooted in (False, True):
         with pytest.raises(ValueError, match="need at least one vertex"):
             imp_polynomial(n, rooted)
