@@ -327,6 +327,8 @@ def shift(p: Poly, a: int) -> Poly:
 
 def double_factorial(k: int) -> int:
     """k!! with the usual empty-product conventions ((-1)!! = 0!! = 1)."""
+    if not isinstance(k, int):
+        raise TypeError(f"double factorial of an int only, got {type(k).__name__}")
     if k < -1:
         raise ValueError("double factorial of an integer below -1")
     out = 1

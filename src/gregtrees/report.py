@@ -58,5 +58,5 @@ class CheckReport:
         return cls(name=name, params=params, passed=False, witness=witness)
 
     @classmethod
-    def skip(cls, name: str, **params) -> "CheckReport":
-        return cls(name=name, params=params, skipped=True)
+    def skip(cls, name: str) -> "CheckReport":
+        return cls(name=name, skipped=True)

@@ -198,39 +198,33 @@ class RatSeries:
     def exp(self) -> "RatSeries":
         """exp(self); requires constant term 0.
 
-        With self = sum F_j z^j / D (F = nums, D = den), the integer EGF
-        vector j! F_j s^j / D stands for self(sz), and entry m of its
-        exponential is m! s^m [z^m] exp(self).  The scale s is
-        `_egf_scale(F, D)`: every entry is an integer, and s divides D, so
-        the kernel's operands are never wider than with s = D.  The result
-        is built over the last scale entry N! s^N, which every m! s^m divides.
-        """
+        With self = sum F_j z^j / D, the integer EGF vector j! F_j s^j / D
+        stands for self(sz), and its exponential for exp(self)(sz)."""
         if self.nums[0]:
             raise ValueError("exp requires a series vanishing at 0")
-        f, d = self.nums, self.den
-        s = _egf_scale(f, d)
-        scale = list(accumulate(range(1, len(f)), lambda t, m: t * m * s, initial=1))   # m! s^m
-        e = _egf_exp([c * t // d for c, t in zip(f, scale)])
-        top = scale[-1]
-        return RatSeries._make([c * (top // t) for c, t in zip(e, scale)], top)
+        return self._through_egf(_egf_exp, self.den, 1, 1)
 
     def reciprocal(self) -> "RatSeries":
         """1/self; requires a nonzero constant term.
 
         With self = sum F_j z^j / D, the integer EGF vector j! F_j s^j / F_0
-        stands for self(sz) D / F_0 and has leading entry 1.  Entry m of
-        its inverse is m! s^m r_m, and 1/self = (D/F_0) sum r_m z^m, built
-        over F_0 N! s^N.  The scale s is `_egf_scale(F, F_0)`, so s divides F_0.
-        """
-        f, d = self.nums, self.den
-        f0 = f[0]
+        stands for self(sz) D / F_0 and has leading entry 1; its inverse
+        stands for F_0 / (D self(sz))."""
+        f0 = self.nums[0]
         if not f0:
             raise ValueError("reciprocal requires a unit constant term")
-        s = _egf_scale(f, f0)
+        return self._through_egf(_egf_inverse, f0, self.den, f0)
+
+    def _through_egf(self, kernel, d: int, num: int, den: int) -> "RatSeries":
+        """num/den times the series with coefficient m equal to k_m / (m! s^m),
+        for k = kernel(j! F_j s^j / d) and s = `_egf_scale(F, d)`; built
+        over den N! s^N, which every den m! s^m divides."""
+        f = self.nums
+        s = _egf_scale(f, d)
         scale = list(accumulate(range(1, len(f)), lambda t, m: t * m * s, initial=1))   # m! s^m
-        r = _egf_inverse([c * t // f0 for c, t in zip(f, scale)])
+        k = kernel([c * t // d for c, t in zip(f, scale)])
         top = scale[-1]
-        return RatSeries._make([d * c * (top // t) for c, t in zip(r, scale)], f0 * top)
+        return RatSeries._make([num * c * (top // t) for c, t in zip(k, scale)], den * top)
 
     def geom_inverse(self) -> "RatSeries":
         """1/(1 - self); requires constant term 0."""
@@ -577,7 +571,7 @@ def _shifted_tree_series(s0: Fraction, order: int) -> RatSeries:
 def check_egf_theorem(
     x_samples: Sequence[Fraction | int],
     n_max: int,
-    order: int | None = None,
+    *,
     polys: Mapping[str, Sequence[Poly]] | None = None,
 ) -> CheckReport:
     """The census polynomials are the u-Taylor coefficients of the tree series.
@@ -593,10 +587,7 @@ def check_egf_theorem(
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if order is None:
-        order = n_max + 2
-    if order < n_max:
-        raise ValueError(f"order {order} too small for n_max {n_max}; need order >= n_max")
+    order = n_max + 2   # the truncation order of S
     if polys is None:
         polys = {family: _gen(family, n_max) for family in FAMILIES}
     elif any(len(polys[family]) < n_max for family in FAMILIES):

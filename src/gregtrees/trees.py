@@ -92,6 +92,8 @@ def _variant(name: str) -> Variant:
 
 def _rules(n: int, variant: str) -> Variant:
     """The variant's rules, once n is a valid number of labels."""
+    if not isinstance(n, int):
+        raise TypeError(f"an int number of labels only, got {type(n).__name__}")
     if n < 1:
         raise ValueError("need at least one labeled vertex")
     return _variant(variant)
@@ -561,20 +563,16 @@ def _child_classes(n: int, u: int, rules: Variant) -> dict[int, int]:
 def imp(t: GregTree) -> int:
     """Number of improper edges of a rooted Cayley tree (u = 0, one root
     slot): parent -> child is improper when the parent's label exceeds the
-    smallest label in the child's subtree."""
+    smallest label in the child's subtree.
+
+    `_imp_fold` reads a tree relabeled i -> n + 1 - i, so it gets this
+    tree's sequence so relabeled, where the root r is vertex n + 1 - r."""
     if t.u or len(t.roots) != 1:
         raise ValueError("imp needs a Cayley tree (u = 0) with one root")
-    return _imp_by_root(t)[t.roots[0] - 1]
-
-
-def _imp_by_root(t: GregTree) -> list[int]:
-    """imp of the tree rooted at each vertex: entry r - 1 for root r.
-    `_imp_fold` reads a tree relabeled i -> n + 1 - i, so it gets this
-    tree's sequence so relabeled, where root r is vertex n + 1 - r."""
     n = t.n
     seq = _prufer_encode([(n + 1 - a, n + 1 - b) for a, b in t.edges], n)
     j, _, high, up = _imp_fold(seq, [1 + seq.count(v) for v in range(n + 1)], n, 0)
-    return [_rerooted(n + 1 - r, n, j, high, up) for r in range(1, n + 1)]
+    return _rerooted(n + 1 - t.roots[0], n, j, high, up)
 
 
 def _prufer_encode(edges, k: int) -> list[int]:
@@ -688,6 +686,8 @@ def _imp_polynomials(n: int) -> tuple[Poly, Poly]:
 def imp_polynomial(n: int, rooted: bool = True) -> Poly:
     """Improper-edge census: sum of x^imp over rooted Cayley trees, or over
     unrooted trees rooted at label 1.  Equals G_n(x-1) resp. H_n(x-1)."""
+    if not isinstance(n, int):
+        raise TypeError(f"an int number of vertices only, got {type(n).__name__}")
     if n < 1:
         raise ValueError("need at least one vertex")
     return _imp_polynomials(n)[bool(rooted)]

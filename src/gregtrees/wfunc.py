@@ -301,19 +301,18 @@ _FD_STENCILS: dict[int, tuple[tuple[int, float], ...]] = {
 _FD_STEP_BASE = {1: 1e-3, 2: 1e-3, 3: 2e-3, 4: 5e-3}
 
 
-def finite_difference_W(z: float, n: int, h: float | None = None) -> float:
+def finite_difference_W(z: float, n: int) -> float:
     """Order-4 central finite difference for d^n W, n <= 4.  Independent
     of the closed forms; used to cross-check them.
 
-    The default step scales with 1 + z: the high derivatives entering the
+    The step scales with 1 + z: the high derivatives entering the
     truncation error shrink like powers of 1/z, so a wider stencil at
     large z trades no accuracy there while taming roundoff in the tiny
     derivative values.
     """
     if n not in _FD_STENCILS:
         raise ValueError("stencils cover n = 1..4")
-    if h is None:
-        h = _FD_STEP_BASE[n] * (1.0 + abs(z))
+    h = _FD_STEP_BASE[n] * (1.0 + abs(z))
     total = 0.0
     for offset, c in _FD_STENCILS[n]:
         if offset == 0:

@@ -370,3 +370,9 @@ def test_double_factorial_values():
     assert [double_factorial(k) for k in (-1, 0, 1, 2, 3, 5, 7)] == [1, 1, 1, 2, 3, 15, 105]
     with pytest.raises(ValueError):
         double_factorial(-2)
+
+
+def test_double_factorial_rejects_non_int():
+    for k in (5.5, 5.0, "5"):
+        with pytest.raises(TypeError, match="int"):
+            double_factorial(k)

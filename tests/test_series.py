@@ -799,23 +799,24 @@ EGF_N_MAX, EGF_ORDER = 6, 8
 def test_egf_theorem_witness_matches_fraction_oracle(family, bump):
     clean = {fam: GENS[fam](EGF_N_MAX) for fam in ("F", "G", "H")}
     want = _fraction_egf_theorem(GH_SAMPLES[:-1], EGF_N_MAX, EGF_ORDER, clean)
-    _assert_same_report(check_egf_theorem(GH_SAMPLES[:-1], EGF_N_MAX, EGF_ORDER, polys=clean), want)
+    _assert_same_report(check_egf_theorem(GH_SAMPLES[:-1], EGF_N_MAX, polys=clean), want)
     assert want.passed
     for row in range(1, EGF_N_MAX + 1):
         polys = {fam: list(rows) for fam, rows in clean.items()}
         polys[family][row - 1] = bump(row, polys[family][row - 1])
         for samples in (GH_SAMPLES[:-1], [GH_SAMPLES[row]]):
-            got = check_egf_theorem(samples, EGF_N_MAX, EGF_ORDER, polys=polys)
+            got = check_egf_theorem(samples, EGF_N_MAX, polys=polys)
             _assert_same_report(got, _fraction_egf_theorem(samples, EGF_N_MAX, EGF_ORDER, polys))
             assert got.passed is False
 
 
 # ── inputs outside the domain ─────────────────────────────────────────────
 
-def test_egf_theorem_needs_order_at_least_n_max():
-    with pytest.raises(ValueError, match="order"):
-        check_egf_theorem([1], 5, order=4)
-    assert check_egf_theorem([1], 5, order=5).passed
+def test_egf_theorem_order_is_n_max_plus_two():
+    for n in range(7):
+        assert check_egf_theorem([1], n).params["order"] == n + 2
+    with pytest.raises(TypeError):
+        check_egf_theorem([1], 5, {fam: GENS[fam](5) for fam in ("F", "G", "H")})
 
 
 def test_egf_theorem_rejects_short_rows():

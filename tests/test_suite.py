@@ -119,6 +119,8 @@ def test_zero_budget_skips():
     result = run_suite(replace(SuiteConfig.quick(), halfplane_samples=0))
     by_name = {r.name: r for r in result.reports}
     assert by_name["halfplane"].skipped
+    assert by_name["halfplane"].to_json() == {
+        "name": "halfplane", "params": {}, "passed": None, "witness": None, "skipped": True}
     assert result.counts["skip"] == 1
 
 

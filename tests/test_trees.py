@@ -29,7 +29,6 @@ from gregtrees.trees import (
     _child_classes,
     _constrained_prufer,
     _greg_configs,
-    _imp_by_root,
     _imp_fold,
     _imp_polynomials,
     _normalize_edges,
@@ -248,6 +247,19 @@ def test_unl_polynomial_rejects_bad_input_before_walking(monkeypatch):
                 census(0, variant)
         with pytest.raises(ValueError, match="unknown variant"):
             census(2, "bogus")
+
+
+@pytest.mark.parametrize("count", [
+    lambda n: u_bound(n, "rooted"),
+    lambda n: list(enumerate_greg(n, "rooted")),
+    lambda n: unl_polynomial(n, "rooted"),
+    lambda n: prufer_census(n, "rooted"),
+    lambda n: imp_polynomial(n),
+], ids=["u_bound", "enumerate_greg", "unl_polynomial", "prufer_census", "imp_polynomial"])
+def test_non_int_counts_raise_type_error(count):
+    for n in (2.5, 3.0, "3"):
+        with pytest.raises(TypeError, match="int"):
+            count(n)
 
 
 def test_variant_table():
@@ -831,7 +843,6 @@ def test_rerooted_imp_matches_imp_at_every_root():
     for n in range(1, 7):
         for t in enumerate_cayley(n):
             want = [_imp_from_root(t, r) for r in range(1, n + 1)]
-            assert _imp_by_root(t) == want, t
             assert [imp(GregTree(n=n, u=0, edges=t.edges, roots=(r,)))
                     for r in range(1, n + 1)] == want, t
 

@@ -360,6 +360,8 @@ def test_family_derivative_validation():
         family_derivative("W", 1.0, 0)
     with pytest.raises(ValueError):
         finite_difference_W(1.0, 5)
+    with pytest.raises(TypeError):   # the step is fixed by z and n
+        finite_difference_W(1.0, 2, 1e-3)
 
 
 def test_bernstein_check_passes():
