@@ -22,7 +22,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .polys import FAMILIES, Poly, gen_F, gen_G, gen_H, gen_P, gen_Q
-from .series import series_T, series_W
+from .series import _egf_text, series_T, series_W
 from .suite import CHECK_NAMES, CHECKS, SuiteConfig, run_suite
 from .trees import VARIANTS, enumerate_greg, imp_polynomial, u_bound, unl_polynomial
 from .wfunc import _derivative_at, eval_W
@@ -185,8 +185,8 @@ def _run_trees(args, parser) -> int:
 def _run_series(args, parser) -> int:
     order = args.order
     which = args.which
-    s = series_W(order) if which == "W" else series_T(int(which[1]), order)
-    coeffs = s.to_json()
+    e = series_W(order) if which == "W" else series_T(int(which[1]), order)
+    coeffs = [_egf_text(e, k) for k in range(order + 1)]
     if args.format == "text":
         text = "\n".join(coeffs) + "\n"
     elif args.format == "json":

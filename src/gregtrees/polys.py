@@ -45,19 +45,6 @@ from itertools import accumulate
 from typing import Callable, Iterable
 
 
-def power(base, k: int, one):
-    """base**k by binary powering; `one` is the unit of base's ring."""
-    if k < 0:
-        raise ValueError(f"negative power {k}")
-    out = one
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
-
-
 class Poly:
     """Dense univariate polynomial with exact integer coefficients.
 
@@ -133,13 +120,22 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
-        return power(self, k, Poly((1,)))
+        """Nonnegative powers, by binary powering."""
+        if k < 0:
+            raise ValueError(f"negative power {k}")
+        out, base = Poly((1,)), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
 
     def derivative(self) -> "Poly":
         return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def __call__(self, x):
-        """Horner evaluation; exact for int/Fraction/Poly/RatSeries, works for float/complex."""
+        """Horner evaluation; exact for int/Fraction/Poly, works for float/complex."""
         acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -1,20 +1,14 @@
-"""Truncated formal power series, exact over the rationals and the integers.
+"""Truncated formal power series, exact on integer EGF vectors.
 
-A ``RatSeries`` holds the coefficients of z^0..z^N for an explicit
-truncation order N, as integer numerators over one positive denominator in
-lowest terms, and every operation stays on ints.  Binary operations
-truncate to the smaller operand order; composition-style operations
-(compose, exp, geometric inverse, reversion) require the inner series to
-vanish at 0 and raise ValueError otherwise.  No floating point anywhere.
-
-Where every coefficient is an integer after scaling by k!, the series is an
-integer EGF vector instead: the closed-form derivative displays
-(``rhs_series``) and both sides of ``check_def_identity`` and
-``check_imp_census_series`` are built and compared on ints.  The
-``egf-theorem`` and ``reversion-lemma`` checks stay on ``RatSeries``, since
-their series are the statements under test; ``exp`` and ``reciprocal``
-scale into the same integer EGF kernels.  The rows of ``egf-theorem`` and
-``gh-functional`` are evaluated on integers at x = p/q.
+A list e of ints stands for the series sum_k e[k] z^k/k!, truncated after
+entry len(e) - 1: the EGF vector, whose entry k is k! times the coefficient
+of z^k.  Every series the checks build has integer entries in this form:
+T, W, e^{nT}, (1-T)^{-k}, (1+W)^{-k}, T/(1-T), z/(1+z), and the tree series
+at x = p/q once entry n is scaled by q^n.  Products are binomial
+convolutions, and exp, inverse, powers, composition and reversion are
+integer recursions on those convolutions, so no floating point and no
+fraction arithmetic enters any series.  The n-th derivative of a series is
+its vector shifted by n.
 
 The checks at the bottom compare independently computed expansions of the
 tree function T (T = z e^T, T(z) = -W(-z)) and its relatives
@@ -31,291 +25,34 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .polys import FAMILIES, Poly, gen_F, gen_G, gen_H, gen_P, imp_family, power, shift
+from .polys import FAMILIES, Poly, gen_F, gen_G, gen_H, gen_P, imp_family, shift
 from .report import CheckReport
-
-
-class RatSeries:
-    """Series truncated at an explicit order: coefficient k is nums[k] / den,
-    with den > 0 and gcd(den, *nums) = 1, so equal series have equal fields."""
-
-    __slots__ = ("nums", "den")
-
-    def __init__(self, coeffs: Iterable[Fraction | int], order: int | None = None):
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
-        if order is not None:
-            if order < 0:
-                raise ValueError("negative truncation order")
-            cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
-        if not cs:
-            raise ValueError("a series needs at least the constant coefficient")
-        # over the lcm of denominators in lowest terms, the numerators are coprime to it
-        den = math.lcm(*(c.denominator for c in cs))
-        self.nums = tuple(c.numerator * (den // c.denominator) for c in cs)
-        self.den = den
-
-    @classmethod
-    def _make(cls, nums: Iterable[int], den: int) -> "RatSeries":
-        """The series nums[k] / den for any den != 0, in lowest terms."""
-        nums = tuple(nums)
-        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
-        s = cls.__new__(cls)
-        s.nums = nums if g == 1 else tuple([x // g for x in nums])
-        s.den = den // g
-        return s
-
-    # ── construction helpers ──────────────────────────────────────────
-
-    @classmethod
-    def zero(cls, order: int) -> "RatSeries":
-        return cls([0], order)
-
-    @classmethod
-    def const(cls, c: Fraction | int, order: int) -> "RatSeries":
-        return cls([c], order)
-
-    @classmethod
-    def var(cls, order: int) -> "RatSeries":
-        """The series z."""
-        return cls([0, 1], order)
-
-    # ── basic accessors ───────────────────────────────────────────────
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.nums)
-
-    @property
-    def order(self) -> int:
-        return len(self.nums) - 1
-
-    def coeff(self, k: int) -> Fraction:
-        return Fraction(self.nums[k], self.den)
-
-    def egf_coefficient(self, n: int) -> Fraction:
-        """n! times the coefficient of z^n."""
-        return Fraction(self.nums[n] * math.factorial(n), self.den)
-
-    def truncate(self, order: int) -> "RatSeries":
-        if order < 0:
-            raise ValueError("negative truncation order")
-        if order > self.order:
-            raise ValueError(f"cannot extend a series from order {self.order} to {order}")
-        return RatSeries._make(self.nums[: order + 1], self.den)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatSeries):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
-
-    def __repr__(self) -> str:
-        return f"RatSeries([{', '.join(str(c) for c in self.coeffs)}])"
-
-    # ── ring operations (result order = min of operand orders) ────────
-
-    def _coerce(self, other) -> "RatSeries | None":
-        if isinstance(other, RatSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatSeries([other], self.order)
-        return None
-
-    def __add__(self, other) -> "RatSeries":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        den = math.lcm(self.den, o.den)
-        a, b = den // self.den, den // o.den
-        return RatSeries._make([a * x + b * y for x, y in zip(self.nums, o.nums)], den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatSeries":
-        return RatSeries._make([-x for x in self.nums], self.den)
-
-    def __sub__(self, other) -> "RatSeries":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "RatSeries":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RatSeries":
-        """A scalar scales the numerators and the denominator; a product of
-        series is one integer convolution over the product of denominators."""
-        if isinstance(other, (int, Fraction)):
-            return RatSeries._make([x * other.numerator for x in self.nums],
-                                   self.den * other.denominator)
-        if not isinstance(other, RatSeries):
-            return NotImplemented
-        a, b = self.nums, other.nums
-        n = min(len(a), len(b))
-        out = [0] * n
-        for i in range(n):
-            x = a[i]
-            if x:
-                for j in range(n - i):
-                    out[i + j] += x * b[j]
-        return RatSeries._make(out, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "RatSeries":
-        """Nonnegative powers only; take reciprocal() first for negative ones."""
-        return power(self, k, RatSeries.const(1, self.order))
-
-    # ── calculus ──────────────────────────────────────────────────────
-
-    def derive(self) -> "RatSeries":
-        if self.order == 0:
-            raise ValueError("derivative of an order-0 series has no coefficients")
-        return RatSeries._make([k * self.nums[k] for k in range(1, self.order + 1)], self.den)
-
-    # ── composition-style operations ──────────────────────────────────
-
-    def compose(self, inner: "RatSeries") -> "RatSeries":
-        """self(inner); requires inner(0) = 0.
-
-        Horner over the integer numerators of self, acc <- acc inner + nums[k],
-        then one division by self's denominator."""
-        if inner.nums[0]:
-            raise ValueError("composition requires the inner series to vanish at 0")
-        n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        acc = RatSeries.zero(n)
-        for c in reversed(self.nums[: n + 1]):
-            acc = acc * inner + c
-        return RatSeries._make(acc.nums, acc.den * self.den)
-
-    def exp(self) -> "RatSeries":
-        """exp(self); requires constant term 0.
-
-        With self = sum F_j z^j / D, the integer EGF vector j! F_j s^j / D
-        stands for self(sz), and its exponential for exp(self)(sz)."""
-        if self.nums[0]:
-            raise ValueError("exp requires a series vanishing at 0")
-        return self._through_egf(_egf_exp, self.den, 1, 1)
-
-    def reciprocal(self) -> "RatSeries":
-        """1/self; requires a nonzero constant term.
-
-        With self = sum F_j z^j / D, the integer EGF vector j! F_j s^j / F_0
-        stands for self(sz) D / F_0 and has leading entry 1; its inverse
-        stands for F_0 / (D self(sz))."""
-        f0 = self.nums[0]
-        if not f0:
-            raise ValueError("reciprocal requires a unit constant term")
-        return self._through_egf(_egf_inverse, f0, self.den, f0)
-
-    def _through_egf(self, kernel, d: int, num: int, den: int) -> "RatSeries":
-        """num/den times the series with coefficient m equal to k_m / (m! s^m),
-        for k = kernel(j! F_j s^j / d) and s = `_egf_scale(F, d)`; built
-        over den N! s^N, which every den m! s^m divides."""
-        f = self.nums
-        s = _egf_scale(f, d)
-        scale = list(accumulate(range(1, len(f)), lambda t, m: t * m * s, initial=1))   # m! s^m
-        k = kernel([c * t // d for c, t in zip(f, scale)])
-        top = scale[-1]
-        return RatSeries._make([num * c * (top // t) for c, t in zip(k, scale)], den * top)
-
-    def geom_inverse(self) -> "RatSeries":
-        """1/(1 - self); requires constant term 0."""
-        if self.nums[0]:
-            raise ValueError("geometric inverse requires a series vanishing at 0")
-        return (1 - self).reciprocal()
-
-    # ── serialization ─────────────────────────────────────────────────
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
-
-def _over_lcm(pairs: Iterable[tuple[int, int]]) -> RatSeries:
-    """The series with coefficients a_k / d_k (d_k > 0), over the lcm of the d_k."""
-    pairs = list(pairs)
-    den = math.lcm(*(d for _, d in pairs))
-    return RatSeries._make([a * (den // d) for a, d in pairs], den)
-
-
-def _egf_scale(f: Sequence[int], d: int) -> int:
-    """A scale s with every j! f_j s^j / d an integer, grown greedily.
-
-    Entry j needs g_j = d / gcd(d, j! f_j) to divide s^j; where it does
-    not, s is multiplied by g_j / gcd(g_j, s^j).  Prime by prime this keeps
-    the exponent of s at most that of d, so s divides d (s = 1 for d = 1).
-    Greedy is not always least: for f_j / d = a_j / (j! b^j) with b = 6,
-    a_1 = 2 and a_2 = 1, entry 1 sets s = 3 and entry 2 then makes it 12,
-    where 6 suffices.  s | d holds all the same.
-    g_j is computed as r_j / gcd(r_j, f_j) with r_j = d / gcd(d, j!), and
-    the pass ends once r_j = 1.
-    """
-    s, rest = 1, abs(d)
-    for j in range(1, len(f)):
-        rest //= math.gcd(rest, j)
-        if rest == 1:
-            break
-        g = rest // math.gcd(rest, f[j])
-        if g != 1:
-            s *= g // math.gcd(g, pow(s, j, g))
-    return s
 
 
 # ── the tree-function family ──────────────────────────────────────────────
 
-def series_T(alpha: int, order: int) -> RatSeries:
-    """sum_{n>=1} n^{n-alpha} z^n / n! truncated at `order`."""
+def series_T(alpha: int, order: int) -> list[int]:
+    """EGF vector of T_alpha = sum_{n>=1} n^{n-alpha} z^n/n! through z^order,
+    for alpha in {0, 1, 2}: entry n is n^{n-alpha}, an integer (the one
+    negative exponent, 1^{-1}, is 1)."""
+    if alpha not in (0, 1, 2):
+        raise ValueError(f"alpha must be 0, 1 or 2, got {alpha}")
     if order < 0:
         raise ValueError("negative truncation order")
-    return _over_lcm([(0, 1)] + [
-        (n ** max(n - alpha, 0), math.factorial(n) * n ** max(alpha - n, 0))
-        for n in range(1, order + 1)
-    ])
+    return [0] + [n ** max(n - alpha, 0) for n in range(1, order + 1)]
 
 
-def series_W(order: int) -> RatSeries:
-    """Principal Lambert W branch: sum_{n>=1} (-n)^{n-1} z^n / n!."""
+def series_W(order: int) -> list[int]:
+    """EGF vector of the principal Lambert W branch through z^order: entry n
+    is (-n)^{n-1}."""
     if order < 0:
         raise ValueError("negative truncation order")
-    return _from_egf(_base_egf("P", order))
-
-
-def reversion(f: RatSeries) -> RatSeries:
-    """Compositional inverse g with f(g) = z, by Lagrange inversion.
-
-    Requires f(0) = 0 and f'(0) != 0.  With h = w/f(w), [z^k] g is
-    [w^{k-1}] h^k / k (Flajolet & Sedgewick, Analytic Combinatorics, A.6);
-    g has the order of f, and f(g) = z is verified exactly to that order.
-    """
-    if f.nums[0]:
-        raise ValueError("reversion requires a series vanishing at 0")
-    if f.order < 1 or not f.nums[1]:
-        raise ValueError("reversion requires a nonzero linear coefficient")
-    n = f.order
-    h = RatSeries._make(f.nums[1:], f.den).reciprocal()  # w/f(w) through w^{n-1}
-    pairs, hk = [(0, 1)], h
-    for k in range(1, n + 1):
-        pairs.append((hk.nums[k - 1], k * hk.den))
-        hk = hk * h
-    g = _over_lcm(pairs)
-    if f.compose(g) != RatSeries.var(n):
-        raise ArithmeticError("reversion failed its check f(g) = z")  # unreachable for valid input
-    return g
+    return [0] + [(-n) ** (n - 1) for n in range(1, order + 1)]
 
 
 # ── integer EGF vectors ───────────────────────────────────────────────────
-#
-# A list e of ints stands for the series sum_k e[k] z^k/k!.  T, W, e^{nT},
-# (1-T)^{-k}, (1+W)^{-k} and T/(1-T) all have integer entries, so the
-# derivative displays are built on ints by binomial convolution, and the
-# n-th derivative of such a series is its vector shifted by n.
 
 def _binomial_sum(a: Sequence[int], b: Sequence[int], m: int) -> int:
     """sum_k C(m,k) a[k] b[m-k]: entry m of the product of a and b."""
@@ -384,22 +121,42 @@ def _egf_horner(p: Poly, v: Sequence[int]) -> list[int]:
     return acc
 
 
-def _base_egf(family: str, order: int) -> list[int]:
-    """The series the family's n-th derivatives are taken of: W for P, else
-    T_alpha = sum_{m>=1} m^{m-alpha} z^m/m! (alpha <= 2, so only 1^{-1} = 1
-    has a negative exponent)."""
-    if family == "P":
-        return [0] + [(-m) ** (m - 1) for m in range(1, order + 1)]
-    alpha = FAMILIES[family].alpha
-    return [0] + [m ** max(m - alpha, 0) for m in range(1, order + 1)]
+def _egf_compose(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """f(g) for g[0] = 0, to the shorter length: the sum of f[k] g^k/k!.
+    g^k/k! is an integer vector (entry m sums, over the partitions of m
+    labels into k blocks, the product of g at the block sizes), stepped from
+    g^{k-1}/(k-1)! by one exact division by k."""
+    if g[0]:
+        raise ValueError("composition requires the inner series to vanish at 0")
+    n = min(len(f), len(g))
+    out, term = [0] * n, [1] + [0] * (n - 1)   # term = g^k/k!
+    for k in range(n):
+        if k:
+            term = [c // k for c in _egf_mul(term, g)]
+        out = [a + f[k] * c for a, c in zip(out, term)]
+    return out
 
 
-def _from_egf(e: Sequence[int]) -> RatSeries:
-    return _over_lcm((c, math.factorial(k)) for k, c in enumerate(e))
+def _egf_reversion(f: Sequence[int]) -> list[int]:
+    """The compositional inverse g, f(g) = z, by Lagrange inversion.
+
+    With h = w/f(w), [z^k] g is [w^{k-1}] h^k / k (Flajolet & Sedgewick,
+    Analytic Combinatorics, A.6), so entry k of g is entry k-1 of h^k.
+    f(w)/w has entries f[j]/j (j >= 1); they must be integers, with
+    f[1] = 1, for h to be an integer vector, and ValueError says otherwise.
+    """
+    if f[0] or (len(f) > 1 and f[1] != 1) or any(c % j for j, c in enumerate(f) if j):
+        raise ValueError("reversion requires f[0] = 0, f[1] = 1 and j | f[j]")
+    h = _egf_inverse([c // j for j, c in enumerate(f) if j])   # w/f(w)
+    g, hk = [0], h
+    for k in range(1, len(f)):
+        g.append(hk[k - 1])
+        hk = _egf_mul(hk, h)
+    return g
 
 
 def _egf_text(e: Sequence[int], k: int) -> str:
-    """Coefficient k of the series, as RatSeries prints it."""
+    """Coefficient k of the series, e[k]/k!, as a fraction in lowest terms."""
     return str(Fraction(e[k], math.factorial(k)))
 
 
@@ -410,33 +167,25 @@ def _check_family(family: str) -> None:
         raise ValueError(f"unknown family {family!r}")
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+
+
 def _gen(family: str, n_max: int) -> list[Poly]:
     return globals()[f"gen_{family}"](n_max)  # by name: wrappers on gen_* see it
 
 
-def _rhs_egf(family: str, n: int, order: int, poly: Poly) -> list[int]:
-    """Entries 0..order of the closed form of the n-th derivative (see rhs_series)."""
-    if family == "P":
-        w = _base_egf("P", order)
-        head, unit, exponent, arg = [-n * c for c in w], [1] + w[1:], 1 - 2 * n, w
-    else:
-        t = _base_egf("G", order)   # T
-        unit = [1] + [-c for c in t[1:]]   # 1 - T
-        head, exponent = [n * c for c in t], -(n + FAMILIES[family].c)
-        arg = _egf_mul(t, _egf_inverse(unit))   # T/(1-T)
-    return _egf_mul(_egf_mul(_egf_exp(head), _egf_pow(unit, exponent)), _egf_horner(poly, arg))
-
-
-def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> RatSeries:
-    """Closed form of the n-th derivative of the family's base series.
+def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> list[int]:
+    """EGF vector, through z^order, of the closed form of the n-th derivative
+    of the family's base series.
 
     F: e^{nT} (1-T)^{-(n+2)} F_n(T/(1-T))   for T_0 = 1/(1-T)
     G: e^{nT} (1-T)^{-n}     G_n(T/(1-T))   for T_1 = T
     H: e^{nT} (1-T)^{-(n-1)} H_n(T/(1-T))   for T_2 = T - T^2/2
     P: e^{-nW} (1+W)^{-(2n-1)} P_n(W)       for W itself
 
-    A given `poly` stands in for row n, and no row is generated.  The
-    display is built on integer EGF vectors.
+    A given `poly` stands in for row n, and no row is generated.
     """
     if n < 1:
         raise ValueError("derivative index must be >= 1")
@@ -445,7 +194,15 @@ def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> Rat
         raise ValueError("negative truncation order")
     if poly is None:
         poly = _gen(family, n)[n - 1]
-    return _from_egf(_rhs_egf(family, n, order, poly))
+    if family == "P":
+        w = series_W(order)
+        head, unit, exponent, arg = [-n * c for c in w], [1] + w[1:], 1 - 2 * n, w
+    else:
+        t = series_T(1, order)
+        unit = [1] + [-c for c in t[1:]]   # 1 - T
+        head, exponent = [n * c for c in t], -(n + FAMILIES[family].c)
+        arg = _egf_mul(t, _egf_inverse(unit))   # T/(1-T)
+    return _egf_mul(_egf_mul(_egf_exp(head), _egf_pow(unit, exponent)), _egf_horner(poly, arg))
 
 
 def _first_mismatch(a: Sequence, b: Sequence) -> int | None:
@@ -475,10 +232,10 @@ def check_def_identity(
     elif len(polys) < n_max:
         raise ValueError(f"{len(polys)} rows given for n_max {n_max}")
     name = f"def-identity-{family}"
-    base = _base_egf(family, order)
+    base = series_W(order) if family == "P" else series_T(FAMILIES[family].alpha, order)
     for n in range(1, n_max + 1):
         lhs = base[n:]
-        rhs = _rhs_egf(family, n, order - n, polys[n - 1])
+        rhs = rhs_series(family, n, order - n, polys[n - 1])
         k = _first_mismatch(lhs, rhs)
         if k is not None:
             return CheckReport.fail(
@@ -496,22 +253,23 @@ def check_basic_identities(order: int) -> CheckReport:
     """1 + T_0 = 1/(1-T), T_2' = T/z, T_2 = T - T^2/2, T(z) = -W(-z), exactly.
 
     The sums behind series_T start at n = 1, so the geometric identity
-    carries the explicit constant 1 on the T_0 side.
+    carries the explicit constant 1 on the T_0 side.  On EGF vectors,
+    T_2' = T/z reads k t2[k] = t[k] (z f' has entries k f[k]), and
+    2 T_2 = 2T - T^2 keeps the halving off the integers.
     """
+    _check_order(order)
     t = series_T(1, order)
     t0 = series_T(0, order)
     t2 = series_T(2, order)
     w = series_W(order)
     failures = []
-    if t.geom_inverse() != 1 + t0:
+    if _egf_inverse([1] + [-c for c in t[1:]]) != [1] + t0[1:]:
         failures.append("1/(1-T) != 1 + T_0")
-    t_over_z = RatSeries._make(t.nums[1:], t.den)  # T/z, valid since T(0) = 0
-    if t2.derive() != t_over_z:
+    if [k * c for k, c in enumerate(t2)] != t:
         failures.append("T_2' != T/z")
-    if t - t * t * Fraction(1, 2) != t2:
+    if [2 * c - _binomial_square(t, k) for k, c in enumerate(t)] != [2 * c for c in t2]:
         failures.append("T - T^2/2 != T_2")
-    minus_w_minus_z = RatSeries._make([-c if k % 2 == 0 else c for k, c in enumerate(w.nums)], w.den)
-    if minus_w_minus_z != t:
+    if [-c if k % 2 == 0 else c for k, c in enumerate(w)] != t:
         failures.append("-W(-z) != T")
     if failures:
         return CheckReport.fail("basic-identities", "; ".join(failures), order=order)
@@ -520,17 +278,22 @@ def check_basic_identities(order: int) -> CheckReport:
 
 def check_reversion_lemma(order: int) -> CheckReport:
     """The inverse of T/(1-T) is (z/(1+z)) e^{-z/(1+z)}; the inverse of z e^{-z} is T."""
+    _check_order(order)
     t = series_T(1, order)
-    z = RatSeries.var(order)
-    ratio = t * t.geom_inverse()
-    frac = z * (1 + z).reciprocal()  # z/(1+z)
-    target = frac * (-frac).exp()
+    z = [int(k == 1) for k in range(order + 1)]
+    ratio = _egf_mul(t, _egf_inverse([1] + [-c for c in t[1:]]))   # T/(1-T)
+    frac = _egf_mul(z, _egf_inverse([1] + z[1:]))   # z/(1+z)
+    target = _egf_mul(frac, _egf_exp([-c for c in frac]))
     failures = []
-    if reversion(ratio) != target:
+    try:
+        reverts = _egf_reversion(ratio) == target
+    except ValueError:   # only a wrong T gets here: w/f(w) of T/(1-T) has entries (m+1)^m
+        reverts = False
+    if not reverts:
         failures.append("reversion(T/(1-T)) != (z/(1+z))e^{-z/(1+z)}")
-    if ratio.compose(target) != z:
+    if _egf_compose(ratio, target) != z:
         failures.append("(T/(1-T)) o ((z/(1+z))e^{-z/(1+z)}) != z")
-    if reversion(z * (-z).exp()) != t:
+    if _egf_reversion(_egf_mul(z, _egf_exp([-c for c in z]))) != t:
         failures.append("reversion(z e^{-z}) != T")
     if failures:
         return CheckReport.fail("reversion-lemma", "; ".join(failures), order=order)
@@ -539,33 +302,30 @@ def check_reversion_lemma(order: int) -> CheckReport:
 
 # ── generating function in the census variable ────────────────────────────
 
-def _shifted_tree_series(s0: Fraction, order: int) -> RatSeries:
-    """u-series sigma with T(((u+x)/(1+x)) e^{-x/(1+x)}) = s0 + sigma, s0 = x/(1+x).
+def _shifted_tree_egf(p: int, q: int, n_max: int) -> list[int]:
+    """Sigma_n = q^n sigma_n for n = 0..n_max, where sigma is the u-series
+    with T(((u+x)/(1+x)) e^{-x/(1+x)}) = s0 + sigma at x = p/q, s0 = x/(1+x).
 
-    Substituting into T = z e^T and cancelling e^{-x/(1+x)} exactly leaves
+    Substituting into T = z e^T and cancelling e^{-x/(1+x)} leaves
 
-        s0 + sigma = (s0 + (1-s0) u) e^sigma,  sigma(0) = 0,
+        s0 + sigma = (s0 + (1-s0) u) e^sigma,  sigma(0) = 0.
 
-    a purely rational equation solved by series Newton; the derivative has
-    unit constant term 1 - s0 != 0 for every x != -1.  A step doubles the
-    number of correct coefficients, so the steps run at the precisions
-    order // 2^j in rising order (1, 3, 7, 15, 30 for order 30; 1, 2, 4,
-    ..., 32 for order 32), each at most twice the last plus one, and only
-    the last at full order.  The result is then checked at full order.
+    With e_n the EGF entries of e^sigma, E' = sigma' E gives
+    e_n = sigma_n + r_n, r_n = sum_{k<n} C(n-1,k-1) sigma_k e_{n-k}, and
+    entry n of the equation solves to sigma_n = x r_n + n e_{n-1}.  So
+    sigma_n and e_n are integer polynomials in x of degree at most n-1, and
+    r_n of degree at most n-2.  Scaled by q^n, as Sigma_n, E_n and R_n,
+    every term is an integer:
+
+        Sigma_n = n q E_{n-1} + p (R_n / q),   E_n = Sigma_n + R_n.
     """
-    precisions, p = [], order
-    while p:
-        precisions.append(p)
-        p //= 2
-    sigma = RatSeries.zero(order)
-    for p in reversed(precisions):
-        a = RatSeries([s0, 1 - s0], p)
-        sigma = RatSeries._make(sigma.nums[: p + 1] + (0,) * (p - sigma.order), sigma.den)
-        e = a * sigma.exp()
-        sigma = sigma - (sigma + s0 - e) * (1 - e).reciprocal()
-    if sigma + s0 != RatSeries([s0, 1 - s0], order) * sigma.exp():
-        raise ArithmeticError("shifted tree series failed to converge")  # unreachable
-    return sigma
+    ds, e = [], [1]   # ds[k] = Sigma_{k+1}, e[k] = E_k
+    for n in range(1, n_max + 1):
+        ds.append(0)   # so the sum leaves out the unknown Sigma_n E_0
+        r = _binomial_sum(ds, e, n - 1)
+        ds[-1] = n * q * e[-1] + p * (r // q)
+        e.append(ds[-1] + r)
+    return [0] + ds
 
 
 def check_egf_theorem(
@@ -582,12 +342,18 @@ def check_egf_theorem(
         sum u^n/n! F_n(x) = (1+x)^{-2} / (1 - S)      (F_0 = 1/(1+x))
         sum u^n/n! H_n(x) = (1+x) (S - S^2/2)         (H_0 = x(x+2)/(2(x+1)))
 
-    checked exactly at each sample, n = 0..n_max.  The row side is evaluated
-    on integers, q^deg X_n(p/q) at x = p/q, and compared by cross-multiplying.
+    checked exactly at each sample for n = 1..n_max; the constant terms hold
+    by construction, since sigma(0) = 0.  At x = p/q the tree series comes
+    from `_shifted_tree_egf` as Sigma_n = q^n G_n(x), and g_n = Sigma_n / q is
+    q^{n-1} G_n(x).  Then q^n (1+x) F_n(x) is entry n of the inverse of
+    1 - (1+x) sigma, whose scaled entries are -(p+q) g_n, and
+    2 q^{n-1} H_n(x) = 2 g_n - (p+q) sum_k C(n,k) g_k g_{n-k}, the form of
+    `check_gh_functional`.  The row side is evaluated on integers,
+    q^deg X_n(p/q), and the two are compared by cross-multiplying.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    order = n_max + 2   # the truncation order of S
+    order = n_max + 2   # the truncation order the report names
     if polys is None:
         polys = {family: _gen(family, n_max) for family in FAMILIES}
     elif any(len(polys[family]) < n_max for family in FAMILIES):
@@ -597,33 +363,23 @@ def check_egf_theorem(
     for x in xs:
         if x == -1:
             raise ValueError("x = -1 is outside the domain of the substitution")
-        s0 = x / (1 + x)
-        s = _shifted_tree_series(s0, order) + s0
-        series = {
-            "G": s,
-            "F": ((1 - s0) ** 2) * (1 - s).reciprocal(),
-            "H": (1 + x) * (s - s * s * Fraction(1, 2)),
-        }
-        constants = {
-            "G": x / (1 + x),
-            "F": Fraction(1) / (1 + x),
-            "H": Fraction(x * (x + 2), 2) / (x + 1),
-        }
+        p, q = x.numerator, x.denominator
+        g = [c // q for c in _shifted_tree_egf(p, q, n_max)]
+        f = _egf_inverse([1] + [-(p + q) * c for c in g[1:]])
+        h = [2 * c - (p + q) * _binomial_square(g, n) for n, c in enumerate(g)]
+        # family -> (numerators, c): X_n(x) on the series side is num[n] / (c q^{n-1})
+        series = {"F": (f, p + q), "G": (g, 1), "H": (h, 2)}
         for fam in ("F", "G", "H"):
-            s = series[fam]
-            if s.coeff(0) != constants[fam]:
-                return CheckReport.fail(
-                    name, f"family {fam}, x={x}: constant term {s.coeff(0)} != {constants[fam]}",
-                    x_samples=xs, n_max=n_max, order=order,
-                )
+            num, c = series[fam]
             for n in range(1, n_max + 1):
                 row = polys[fam][n - 1]
                 e = max(row.degree, 0)
-                qe = x.denominator ** e
-                want = _scaled_value(row, x.numerator, x.denominator, e)   # q^e X_n(p/q)
-                if s.nums[n] * math.factorial(n) * qe != want * s.den:
+                qe = q ** e
+                want = _scaled_value(row, p, q, e)   # q^e X_n(p/q)
+                den = c * q ** (n - 1)
+                if num[n] * qe != want * den:
                     return CheckReport.fail(
-                        name, f"family {fam}, x={x}, n={n}: series gives {s.egf_coefficient(n)}, "
+                        name, f"family {fam}, x={x}, n={n}: series gives {Fraction(num[n], den)}, "
                               f"polynomial gives {Fraction(want, qe)}",
                         x_samples=xs, n_max=n_max, order=order,
                     )
@@ -659,8 +415,7 @@ def check_gh_functional(
     mismatching u^n coefficient as the two rationals H_n(x)/n! and
     [u^n](G~ - ((1+x)/2) G~^2).
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _check_order(order)
     g_rows = gen_G(order) if polys is None else polys["G"]
     h_rows = gen_H(order) if polys is None else polys["H"]
     if min(len(g_rows), len(h_rows)) < order:
@@ -701,18 +456,17 @@ def check_imp_census_series(
 
     compared exactly, as integer EGF vectors, to the shared truncation order.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _check_order(order)
     name = f"imp-census-series-{'rooted' if rooted else 'unrooted'}"
     family = imp_family(rooted)
-    base = _base_egf(family.name, order)
+    base = series_T(family.alpha, order)
     for n in sorted(censuses):
         if n < 1:
             raise ValueError("derivative index must be >= 1")
         if n > order:
             raise ValueError(f"derivative order {n} exceeds truncation order {order}")
         # sum_j c_j (1-T)^{-j} is C(1 + T/(1-T)) for C(x) = sum_j c_j x^j
-        display = _rhs_egf(family.name, n, order - n, shift(Poly(censuses[n]), 1))
+        display = rhs_series(family.name, n, order - n, shift(Poly(censuses[n]), 1))
         lhs = base[n:]
         k = _first_mismatch(display, lhs)
         if k is not None:

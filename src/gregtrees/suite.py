@@ -301,7 +301,7 @@ def _restriction_expected(variant: str, n: int, u: int, m: int) -> int:
     """Series prediction for the fiber count at size m over a census class:
     entry m - n of the closed-form display with X^u in place of row n."""
     family = census_family(variant)[0].name
-    return _series._rhs_egf(family, n, m - n, X ** u)[m - n]
+    return _series.rhs_series(family, n, m - n, X ** u)[m - n]
 
 
 def _check_restriction(rooted: bool, n_max: int, extra: int) -> CheckReport:

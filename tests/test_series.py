@@ -1,18 +1,17 @@
-"""Exact power-series arithmetic and the series-level identity checks."""
+"""Exact series on integer EGF vectors and the series-level identity checks."""
 
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gregtrees.polys import FAMILIES, Poly, X, gen_F, gen_G, gen_H, gen_P, imp_family, shift
+from gregtrees import series as series_module
 from gregtrees.report import CheckReport
 from gregtrees.series import (
-    RatSeries,
     check_basic_identities,
     check_def_identity,
     check_egf_theorem,
@@ -21,13 +20,15 @@ from gregtrees.series import (
     check_reversion_lemma,
     _binomial_square,
     _binomial_sum,
+    _egf_compose,
     _egf_exp,
+    _egf_horner,
     _egf_inverse,
     _egf_mul,
     _egf_pow,
-    _egf_scale,
-    _shifted_tree_series,
-    reversion,
+    _egf_reversion,
+    _egf_text,
+    _shifted_tree_egf,
     rhs_series,
     series_T,
     series_W,
@@ -37,171 +38,226 @@ from gregtrees.trees import imp_census
 F = Fraction
 
 
+# ── a schoolbook oracle: ordinary coefficients as lists of Fraction ──────
+
+def _q(e):
+    """The ordinary coefficients e[k]/k! of an EGF vector."""
+    return [F(c, math.factorial(k)) for k, c in enumerate(e)]
+
+
+def _q_mul(a, b):
+    n = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(n)]
+
+
+def _q_exp(a):
+    """exp(a) for a[0] = 0, by E' = a'E: k E_k = sum_j j a_j E_{k-j}."""
+    e = [F(1)]
+    for k in range(1, len(a)):
+        e.append(sum((j * a[j] * e[k - j] for j in range(1, k + 1)), F(0)) / k)
+    return e
+
+
+def _q_inverse(a):
+    """1/a for a[0] != 0."""
+    g = [1 / F(a[0])]
+    for k in range(1, len(a)):
+        g.append(-sum((a[j] * g[k - j] for j in range(1, k + 1)), F(0)) / a[0])
+    return g
+
+
+def _q_compose(a, b):
+    """a(b) for b[0] = 0 by Horner, to the shorter length."""
+    n = min(len(a), len(b))
+    acc = [F(0)] * n
+    for c in reversed(a[:n]):
+        if any(acc):   # zero top coefficients cost nothing
+            acc = _q_mul(acc, b)
+        acc[0] += c
+    return acc
+
+
+def _q_pow(a, k):
+    out = [F(1)] + [F(0)] * (len(a) - 1)
+    for _ in range(k):
+        out = _q_mul(out, a)
+    return out
+
+
+def _q_derivative(a, n):
+    """The n-th derivative: coefficient k is a[k+n] (k+n)!/k!."""
+    return [a[k + n] * math.perm(k + n, n) for k in range(len(a) - n)]
+
+
+# ── the base series and the kernels ──────────────────────────────────────
+
 def test_tree_series_coefficients():
-    t = series_T(1, 6)
-    assert t.coeffs == (0, 1, 1, F(3, 2), F(8, 3), F(125, 24), F(54, 5))
-    t0 = series_T(0, 4)
-    assert t0.coeffs == (0, 1, 2, F(9, 2), F(32, 3))
-    t2 = series_T(2, 4)
-    assert t2.coeffs == (0, 1, F(1, 2), F(1, 2), F(2, 3))
-    assert series_T(3, 4).coeffs == (0, 1, F(1, 4), F(1, 6), F(1, 6))
-    assert series_T(-1, 3).coeffs == (0, 1, 4, F(27, 2))
-    w = series_W(5)
-    assert w.coeffs == (0, 1, -1, F(3, 2), -F(8, 3), F(125, 24))
+    assert series_T(1, 6) == [0, 1, 2, 9, 64, 625, 7776]
+    assert _q(series_T(1, 6)) == [0, 1, 1, F(3, 2), F(8, 3), F(125, 24), F(54, 5)]
+    assert series_T(0, 4) == [0, 1, 4, 27, 256]
+    assert series_T(2, 4) == [0, 1, 1, 3, 16]
+    assert series_W(5) == [0, 1, -2, 9, -64, 625]
+    assert _q(series_W(5)) == [0, 1, -1, F(3, 2), -F(8, 3), F(125, 24)]
 
 
 @pytest.mark.parametrize("alpha", (-1, 3, 4))
 def test_tree_series_outside_the_families(alpha):
-    """series_T sums n^{n-alpha} z^n/n! for every integer alpha, where the
-    exponent goes negative (alpha >= 3) or exceeds n (alpha < 0)."""
-    want = (0,) + tuple(F(n) ** (n - alpha) / math.factorial(n) for n in range(1, 7))
-    assert series_T(alpha, 6).coeffs == want
-
-
-def test_series_equality_and_construction():
-    s = RatSeries([1, 2, 3])
-    assert s.order == 2
-    assert s.coeff(1) == 2
-    assert RatSeries([1, 2, 3], order=4).coeffs == (1, 2, 3, 0, 0)
-    assert RatSeries([1, 2, 3], order=1).coeffs == (1, 2)
-    assert RatSeries.const(5, 3).coeffs == (5, 0, 0, 0)
-    assert RatSeries.var(2).coeffs == (0, 1, 0)
-    assert RatSeries.zero(0).coeffs == (0,)
+    """series_T covers the alphas of the three families, 0, 1 and 2; any
+    other alpha is an error, whether n^{n-alpha} would stay an integer
+    (alpha < 0) or not (alpha >= 3)."""
+    with pytest.raises(ValueError, match="alpha must be 0, 1 or 2"):
+        series_T(alpha, 6)
 
 
 def test_arithmetic_truncates_to_min_order():
-    a = RatSeries([1, 1, 1, 1])
-    b = RatSeries([1, 2])
-    assert (a + b).order == 1
-    assert (a * b).coeffs == (1, 3)
-    assert (a - b).coeffs == (0, -1)
-    assert (2 * a).coeffs == (2, 2, 2, 2)
-    assert (a * F(1, 2)).coeff(0) == F(1, 2)
-
-
-def _nth_derivative(s: RatSeries, n: int) -> RatSeries:
-    """The n-th derivative of a truncated series: the derivative side of the
-    closed-form oracles below."""
-    if n < 0:
-        raise ValueError("negative derivative order")
-    if n > s.order:
-        raise ValueError(f"derivative order {n} exceeds truncation order {s.order}")
-    if n == 0:
-        return s
-    out = [
-        s.coeffs[k + n] * Fraction(math.factorial(k + n), math.factorial(k))
-        for k in range(s.order - n + 1)
-    ]
-    return RatSeries(out)
-
-
-def test_derive_integrate_nth():
-    s = RatSeries([5, 1, 3, 7])
-    assert s.derive().coeffs == (1, 6, 21)
-    # the antiderivative with constant 0 gives back s less its constant term
-    antiderivative = RatSeries([0] + [c / (k + 1) for k, c in enumerate(s.derive().coeffs)])
-    assert antiderivative.coeffs == (0, 1, 3, 7)
-    assert _nth_derivative(s, 2).coeffs == (6, 42)
-    with pytest.raises(ValueError):
-        RatSeries([1]).derive().derive()
-    with pytest.raises(ValueError):
-        _nth_derivative(s, 4)
-    assert _nth_derivative(s, 3) == s.derive().derive().derive()
+    a, b = [1, 1, 1, 1], [1, 2]
+    assert _egf_mul(a, b) == [1, 3]
+    assert _egf_mul(b, a) == [1, 3]
+    assert len(_egf_compose(a, [0, 5])) == 2
+    assert len(_egf_compose([1, 2], [0, 1, 1, 1])) == 2
 
 
 def test_egf_coefficient():
     t = series_T(1, 8)
-    assert [t.egf_coefficient(n) for n in range(1, 9)] == [n ** (n - 1) for n in range(1, 9)]
+    assert [t[n] for n in range(1, 9)] == [n ** (n - 1) for n in range(1, 9)]
+
+
+def _z(order):
+    return [int(k == 1) for k in range(order + 1)]
 
 
 def test_compose_exp_reciprocal():
     order = 12
-    z = RatSeries.var(order)
-    e = z.exp()
-    assert e.coeff(0) == 1
-    assert e.coeff(5) == F(1, 120)
-    geom = (1 - z).reciprocal()
-    assert geom.coeffs == tuple([1] * (order + 1))
-    assert z.geom_inverse() == geom
+    z = _z(order)
+    e = _egf_exp(z)
+    assert e == [1] * (order + 1)
+    assert _q(e)[5] == F(1, 120)
+    assert _egf_inverse([1, -1] + [0] * (order - 1)) == [math.factorial(k) for k in range(order + 1)]
     # exp(z) o (z + z^2) == exp(z + z^2)
-    inner = z + z * z
-    assert e.compose(inner) == inner.exp()
+    inner = [0, 1, 2] + [0] * (order - 2)
+    assert _egf_compose(e, inner) == _egf_exp(inner)
     with pytest.raises(ValueError):
-        e.compose(RatSeries.const(1, order))  # inner constant term must vanish
-    with pytest.raises(ValueError):
-        (z + 0).reciprocal()  # constant term must be a unit
-    with pytest.raises(ValueError):
-        (1 + z).geom_inverse()  # geometric form needs constant 0
+        _egf_compose(e, [1] + inner[1:])   # the inner constant term must vanish
 
 
 def test_poly_at_series():
-    order = 8
-    t = series_T(1, order)
-    p = Poly((2, 0, 3))  # 3x^2 + 2
-    assert p(t) == 3 * t * t + RatSeries.const(2, order)
+    t = series_T(1, 8)
+    assert _egf_horner(Poly((2, 0, 3)), t) == [3 * c + 2 * (k == 0) for k, c in enumerate(_egf_mul(t, t))]
 
 
 def test_reversion_against_known_inverse():
     order = 10
-    z = RatSeries.var(order)
-    f = z * (-z).exp()  # z e^{-z}
-    g = reversion(f)
+    z = _z(order)
+    f = _egf_mul(z, _egf_exp([-c for c in z]))   # z e^{-z}
+    g = _egf_reversion(f)
     assert g == series_T(1, order)
-    assert f.compose(g) == z
-    assert g.compose(f) == z
+    assert _egf_compose(f, g) == z
+    assert _egf_compose(g, f) == z
 
 
-def _newton_reversion(f: RatSeries) -> RatSeries:
-    """Series Newton iteration g <- g - (f(g) - z) / f'(g), which doubles
-    the number of correct coefficients each step: an oracle for `reversion`
-    that shares nothing with Lagrange inversion."""
-    n = f.order
-    fprime = RatSeries([k * f.coeffs[k] for k in range(1, n + 1)] + [0])
-    z = RatSeries.var(n)
-    g = RatSeries([0, 1 / f.coeffs[1]], n)
+def _newton_reversion(f):
+    """Series Newton iteration g <- g - (f(g) - z) / f'(g) over Fractions,
+    which doubles the number of correct coefficients each step: an oracle
+    for `_egf_reversion` that shares nothing with Lagrange inversion."""
+    n = len(f) - 1
+    fprime = [k * f[k] for k in range(1, n + 1)] + [F(0)]
+    z = _q(_z(n))
+    g = z
     for _ in range(max(1, n).bit_length() + 1):
-        g = g - (f.compose(g) - z) * fprime.compose(g).reciprocal()
+        step = _q_mul([a - b for a, b in zip(_q_compose(f, g), z)], _q_inverse(_q_compose(fprime, g)))
+        g = [a - b for a, b in zip(g, step)]
     return g
 
 
+def _ratio(order):
+    """T/(1-T) as an EGF vector."""
+    t = series_T(1, order)
+    return _egf_mul(t, _egf_inverse([1] + [-c for c in t[1:]]))
+
+
 @pytest.mark.parametrize("make", [
-    lambda z: series_T(1, z.order) * series_T(1, z.order).geom_inverse(),  # T/(1-T)
-    lambda z: z * (-z).exp(),
-    lambda z: z + 3 * z * z + RatSeries([0, 0, 0, F(1, 3)], z.order),
-    lambda z: 2 * z - z * z * F(1, 5),                                     # non-unit linear term
-], ids=["T/(1-T)", "z*exp(-z)", "z+3z^2+z^3/3", "2z-z^2/5"])
+    _ratio,
+    lambda order: _egf_mul(_z(order), _egf_exp([-c for c in _z(order)])),
+], ids=["T/(1-T)", "z*exp(-z)"])
 def test_reversion_matches_newton_iteration(make):
     for order in range(1, 16):
-        f = make(RatSeries.var(order))
-        assert reversion(f) == _newton_reversion(f), order
+        f = make(order)
+        assert _q(_egf_reversion(f)) == _newton_reversion(_q(f)), order
 
 
 def test_reversion_lagrange_inversion_oracle():
     """Coefficients of the inverse from the Lagrange formula
-    [z^n] g = (1/n) [w^{n-1}] (w/f(w))^n, computed independently."""
+    [z^n] g = (1/n) [w^{n-1}] (w/f(w))^n, computed over Fractions."""
     order = 9
-    z = RatSeries.var(order)
-    f = z + 3 * z * z + RatSeries([0, 0, 0, F(1, 3)], order)
-    g = reversion(f)
-    # w/f(w) as a series: divide out one factor of w
-    base = RatSeries(f.coeffs[1:]).reciprocal()
+    f = [0, 1, 6, 6] + [0] * (order - 3)   # z + 3z^2 + z^3
+    g = _q(_egf_reversion(f))
+    base = _q_inverse(_q(f)[1:])   # w/f(w): divide out one factor of w
     for n in range(1, order + 1):
-        power = base
-        for _ in range(n - 1):
-            power = power * base
-        assert g.coeff(n) == power.coeff(n - 1) / n
+        assert g[n] == _q_pow(base, n)[n - 1] / n
 
 
 def test_reversion_rejects_bad_input():
     with pytest.raises(ValueError):
-        reversion(RatSeries([1, 1]))  # nonzero constant
+        _egf_reversion([1, 1])   # nonzero constant
     with pytest.raises(ValueError):
-        reversion(RatSeries([0, 0, 1]))  # vanishing linear term
+        _egf_reversion([0, 0, 2])   # vanishing linear term
+    with pytest.raises(ValueError):
+        _egf_reversion([0, 2, 0])   # 2z: a non-unit linear term
+    with pytest.raises(ValueError):
+        _egf_reversion([0, 1, 6, 2])   # z + 3z^2 + z^3/3: w/f(w) has entry 2/3
+    assert _egf_reversion([0]) == [0]
 
 
 def test_basic_identities_and_reversion_checks():
     assert check_basic_identities(25).passed
     assert check_reversion_lemma(25).passed
+
+
+@pytest.mark.parametrize("check", [check_basic_identities, check_reversion_lemma])
+def test_fixed_series_checks_hold_from_order_zero(check):
+    """Both identities hold at every truncation, order 0 included; a
+    negative order is an error worded as in the other checks."""
+    with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+        check(-1)
+    for order in (0, 1, 2, 3):
+        report = check(order)
+        assert report.passed, (order, report.witness)
+        assert report.params == {"order": order}
+
+
+def _with_entry_bumped(make, k):
+    def bumped(*args):
+        e = make(*args)
+        e[k] += 1
+        return e
+    return bumped
+
+
+@pytest.mark.parametrize("alpha, want", [
+    (0, "1/(1-T) != 1 + T_0"),
+    (2, "T_2' != T/z; T - T^2/2 != T_2"),
+    ("W", "-W(-z) != T"),
+    (1, "1/(1-T) != 1 + T_0; T_2' != T/z; T - T^2/2 != T_2; -W(-z) != T"),
+])
+def test_basic_identities_name_each_broken_identity(monkeypatch, alpha, want):
+    """One wrong entry in one base series fails exactly the identities that
+    read that series."""
+    if alpha == "W":
+        monkeypatch.setattr(series_module, "series_W", _with_entry_bumped(series_W, 3))
+    else:
+        wrong = _with_entry_bumped(series_T, 3)
+        monkeypatch.setattr(series_module, "series_T",
+                            lambda a, order: (wrong if a == alpha else series_T)(a, order))
+    report = check_basic_identities(6)
+    assert (report.passed, report.witness) == (False, want)
+
+
+def test_reversion_lemma_names_each_broken_statement(monkeypatch):
+    monkeypatch.setattr(series_module, "series_T", _with_entry_bumped(series_T, 4))
+    report = check_reversion_lemma(6)
+    assert report.passed is False
+    assert report.witness == ("reversion(T/(1-T)) != (z/(1+z))e^{-z/(1+z)}; "
+                              "(T/(1-T)) o ((z/(1+z))e^{-z/(1+z)}) != z; reversion(z e^{-z}) != T")
 
 
 @pytest.mark.parametrize("family", ["F", "G", "H", "P"])
@@ -225,10 +281,9 @@ def test_def_identity_rejects_unknown_family(family):
 
 def test_rhs_series_first_derivatives():
     order = 10
-    # T' equals the G display at n = 1
-    assert _nth_derivative(series_T(1, order), 1) == rhs_series("G", 1, order).truncate(order - 1)
-    # W' equals the P display at n = 1
-    assert _nth_derivative(series_W(order), 1) == rhs_series("P", 1, order).truncate(order - 1)
+    # T' equals the G display at n = 1, and W' the P display
+    assert series_T(1, order)[1:] == rhs_series("G", 1, order)[:order]
+    assert series_W(order)[1:] == rhs_series("P", 1, order)[:order]
 
 
 def test_egf_theorem_samples():
@@ -257,20 +312,20 @@ def test_gh_functional():
 
 
 def _fraction_gh_functional(x_samples, order, polys=None):
-    """The check as RatSeries products over Q, with no integer scaling: an
-    oracle for the integer form of `check_gh_functional`."""
+    """The check as Fraction-list products over Q, with no integer scaling:
+    an oracle for the integer form of `check_gh_functional`."""
     g_rows = gen_G(order) if polys is None else polys["G"]
     h_rows = gen_H(order) if polys is None else polys["H"]
     xs = [F(x) for x in x_samples]
     for x in xs:
-        gt = RatSeries([0] + [g_rows[n - 1](x) / math.factorial(n) for n in range(1, order + 1)])
-        ht = RatSeries([0] + [h_rows[n - 1](x) / math.factorial(n) for n in range(1, order + 1)])
-        want = gt - gt * gt * F(1 + x, 2)
-        k = next((i for i, (a, b) in enumerate(zip(ht.coeffs, want.coeffs)) if a != b), None)
+        gt = [F(0)] + [g_rows[n - 1](x) / math.factorial(n) for n in range(1, order + 1)]
+        ht = [F(0)] + [h_rows[n - 1](x) / math.factorial(n) for n in range(1, order + 1)]
+        want = [a - b * F(1 + x, 2) for a, b in zip(gt, _q_mul(gt, gt))]
+        k = next((i for i, (a, b) in enumerate(zip(ht, want)) if a != b), None)
         if k is not None:
             return CheckReport.fail(
                 "gh-functional",
-                f"x={x}: coefficient of u^{k}: H side {ht.coeffs[k]}, G side {want.coeffs[k]}",
+                f"x={x}: coefficient of u^{k}: H side {ht[k]}, G side {want[k]}",
                 x_samples=xs, order=order,
             )
     return CheckReport.ok("gh-functional", x_samples=xs, order=order)
@@ -359,62 +414,64 @@ def test_imp_census_series_detects_bad_census(rooted):
 
 
 def test_series_json_round_trip():
-    t = series_T(1, 6)
-    data = t.to_json()
-    assert data[3] == "3/2"
-    assert RatSeries([F(c) for c in data]) == t
-    assert F(RatSeries([1, F(-2, 7)]).to_json()[1]) == F(-2, 7)
+    """The printed coefficients e[k]/k! read back into the EGF vector."""
+    assert _egf_text(series_T(1, 6), 3) == "3/2"
+    assert _egf_text(series_W(4), 4) == "-8/3"
+    for e in (series_T(0, 12), series_T(1, 12), series_T(2, 12), series_W(12)):
+        assert [F(_egf_text(e, k)) * math.factorial(k) for k in range(13)] == e
 
 
-# ── the integer paths against the RatSeries bodies they replaced ─────────
+# ── the integer paths against rational-series oracles over Fraction lists ─
 
 GENS = {"F": gen_F, "G": gen_G, "H": gen_H, "P": gen_P}
 
 
 def _ratseries_rhs(family, n, order, poly=None):
-    """The closed form built from RatSeries products over Q: an oracle for
-    the integer EGF display behind `rhs_series`."""
+    """The closed form built from Fraction-list products over Q: an oracle
+    for the integer EGF display behind `rhs_series`."""
     if poly is None:
         poly = GENS[family](n)[n - 1]
+    as_series = [F(c) for c in poly.coeffs] + [F(0)] * (order + 1)
     if family == "P":
-        w = series_W(order)
-        inv = (-w).geom_inverse()  # 1/(1+W)
-        return (-n * w).exp() * inv ** (2 * n - 1) * poly(w)
-    t = series_T(1, order)
-    inv = t.geom_inverse()  # 1/(1-T)
-    ratio = t * inv  # T/(1-T)
-    return (n * t).exp() * inv ** (n + FAMILIES[family].c) * poly(ratio)
+        w = _q(series_W(order))
+        inv = _q_inverse([F(1)] + w[1:])   # 1/(1+W)
+        return _q_mul(_q_mul(_q_exp([-n * c for c in w]), _q_pow(inv, 2 * n - 1)), _q_compose(as_series, w))
+    t = _q(series_T(1, order))
+    inv = _q_inverse([F(1)] + [-c for c in t[1:]])   # 1/(1-T)
+    ratio = _q_mul(t, inv)   # T/(1-T)
+    return _q_mul(_q_mul(_q_exp([n * c for c in t]), _q_pow(inv, n + FAMILIES[family].c)),
+                  _q_compose(as_series, ratio))
 
 
 def _ratseries_def_identity(family, n_max, order, polys):
-    """`check_def_identity` with both sides as RatSeries."""
+    """`check_def_identity` with both sides as Fraction lists."""
     name = f"def-identity-{family}"
-    base = series_W(order) if family == "P" else series_T(FAMILIES[family].alpha, order)
+    base = _q(series_W(order) if family == "P" else series_T(FAMILIES[family].alpha, order))
     for n in range(1, n_max + 1):
-        lhs = _nth_derivative(base, n)
+        lhs = _q_derivative(base, n)
         rhs = _ratseries_rhs(family, n, order, poly=polys[n - 1])
-        k = next((i for i, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if x != y), None)
+        k = next((i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
         if k is not None:
             return CheckReport.fail(
                 name,
-                f"n={n}: coefficient of z^{k} differs: derivative {lhs.coeffs[k]}, closed form {rhs.coeffs[k]}",
+                f"n={n}: coefficient of z^{k} differs: derivative {lhs[k]}, closed form {rhs[k]}",
                 family=family, n_max=n_max, order=order,
             )
     return CheckReport.ok(name, family=family, n_max=n_max, order=order)
 
 
 def _ratseries_imp_census_series(censuses, rooted, order):
-    """`check_imp_census_series` with both sides as RatSeries."""
+    """`check_imp_census_series` with both sides as Fraction lists."""
     name = f"imp-census-series-{'rooted' if rooted else 'unrooted'}"
     family = imp_family(rooted)
-    base = series_T(family.alpha, order)
+    base = _q(series_T(family.alpha, order))
     for n in sorted(censuses):
         display = _ratseries_rhs(family.name, n, order, poly=shift(Poly(censuses[n]), 1))
-        lhs = _nth_derivative(base, n)
-        k = next((i for i, (x, y) in enumerate(zip(display.coeffs, lhs.coeffs)) if x != y), None)
+        lhs = _q_derivative(base, n)
+        k = next((i for i, (x, y) in enumerate(zip(display, lhs)) if x != y), None)
         if k is not None:
             return CheckReport.fail(
-                name, f"n={n}: coefficient of z^{k}: census side {display.coeffs[k]}, derivative {lhs.coeffs[k]}",
+                name, f"n={n}: coefficient of z^{k}: census side {display[k]}, derivative {lhs[k]}",
                 n_values=sorted(censuses), order=order, rooted=rooted,
             )
     return CheckReport.ok(name, n_values=sorted(censuses), order=order, rooted=rooted)
@@ -428,12 +485,12 @@ def _assert_same_report(got, want):
 @pytest.mark.parametrize("family", ["F", "G", "H", "P"])
 def test_rhs_series_matches_ratseries_oracle(family):
     for n in range(1, 9):
-        assert rhs_series(family, n, 25) == _ratseries_rhs(family, n, 25), n
+        assert _q(rhs_series(family, n, 25)) == _ratseries_rhs(family, n, 25), n
     for poly in (shift(Poly((3, -1, 2)), 1), shift(Poly((0, 0, 5)), 1), X ** 0, X ** 3, Poly()):
         for n in (1, 2, 5):
-            assert rhs_series(family, n, 25, poly=poly) == _ratseries_rhs(family, n, 25, poly=poly)
+            assert _q(rhs_series(family, n, 25, poly=poly)) == _ratseries_rhs(family, n, 25, poly=poly)
     for order in (0, 1, 2):
-        assert rhs_series(family, 3, order) == _ratseries_rhs(family, 3, order)
+        assert _q(rhs_series(family, 3, order)) == _ratseries_rhs(family, 3, order)
 
 
 DEF_N_MAX, DEF_ORDER = 8, 13
@@ -465,130 +522,44 @@ def test_imp_census_series_matches_ratseries_oracle(rooted):
         assert got.passed is (bumped is None)
 
 
-def _schoolbook_mul(a, b):
-    """The product as one Fraction product per pair of coefficients."""
-    n = min(a.order, b.order)
-    out = [F(0)] * (n + 1)
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            out[i + j] += a.coeffs[i] * b.coeffs[j]
-    return RatSeries(out)
-
-
-coefficients = st.one_of(
-    st.just(0),
-    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
-    st.fractions(max_denominator=10 ** 4),
-    st.fractions(min_value=-3, max_value=3, max_denominator=40),
-)
-series_values = st.lists(coefficients, min_size=1, max_size=14).map(RatSeries)
+integers = st.one_of(st.just(0), st.integers(-3, 3), st.integers(min_value=-10 ** 6, max_value=10 ** 6))
+vectors = st.lists(integers, min_size=1, max_size=14)
+tails = st.lists(integers, min_size=0, max_size=15)   # orders 0..15
 
 
 @settings(max_examples=100, deadline=None)
-@given(series_values, series_values)
+@given(vectors, vectors)
 def test_mul_matches_schoolbook_product(a, b):
-    got = a * b
-    assert got == _schoolbook_mul(a, b)
-    assert got.order == min(a.order, b.order)
-    assert all(type(c) is F for c in got.coeffs)
-    assert b * a == got
+    got = _egf_mul(a, b)
+    assert _q(got) == _q_mul(_q(a), _q(b))
+    assert len(got) == min(len(a), len(b))
+    assert _egf_mul(b, a) == got
 
 
 @settings(max_examples=50, deadline=None)
-@given(series_values, st.one_of(st.integers(-50, 50), st.fractions(max_denominator=50)))
+@given(vectors, st.integers(-50, 50))
 def test_mul_by_scalar_matches_schoolbook_product(a, c):
-    want = _schoolbook_mul(a, RatSeries([c], a.order))
-    assert a * c == want
-    assert c * a == want
-
-
-def _assert_normal_form(s):
-    """Numerators over one positive denominator in lowest terms, so the
-    fields, and with them equality and hashing, are determined by the
-    coefficients."""
-    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
-    rebuilt = RatSeries(s.coeffs)
-    assert (rebuilt.nums, rebuilt.den) == (s.nums, s.den)
-    assert rebuilt == s and hash(rebuilt) == hash(s)
+    constant = [c] + [0] * (len(a) - 1)
+    assert _egf_mul(a, constant) == [c * x for x in a]
+    assert _q(_egf_mul(constant, a)) == _q_mul(_q(constant), _q(a))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(coefficients, min_size=1, max_size=14), series_values,
-       st.one_of(st.integers(-50, 50), st.fractions(max_denominator=50)))
-def test_every_operation_keeps_the_normal_form(cs, b, c):
-    a = RatSeries(cs)
-    assert a.coeffs == tuple(cs)
-    inner = RatSeries((0,) + b.coeffs[1:])
-    results = [a, a + b, a - b, a * b, a * c, c * a, a.truncate(0),
-               a.compose(inner), inner.exp(), (a + b) - b]
-    if a.order:
-        results.append(a.derive())
-    if a.nums[0]:
-        results.append(a.reciprocal())
-    for s in results:
-        _assert_normal_form(s)
-    n = min(a.order, b.order)
-    assert (a + b) - b == a.truncate(n) and hash((a + b) - b) == hash(a.truncate(n))
-
-
-def _fraction_exp(s):
-    """exp by one Fraction operation per term: an oracle for
-    `RatSeries.exp`."""
-    n = s.order
-    out = [F(0)] * (n + 1)
-    out[0] = F(1)
-    for m in range(1, n + 1):
-        acc = F(0)
-        for j in range(1, m + 1):
-            if s.coeffs[j]:
-                acc += j * s.coeffs[j] * out[m - j]
-        out[m] = acc / m
-    return RatSeries(out)
-
-
-def _fraction_reciprocal(s):
-    """1/s by one Fraction operation per term: an oracle for
-    `RatSeries.reciprocal`."""
-    n = s.order
-    out = [F(0)] * (n + 1)
-    out[0] = 1 / s.coeffs[0]
-    for m in range(1, n + 1):
-        acc = F(0)
-        for j in range(1, m + 1):
-            if s.coeffs[j]:
-                acc += s.coeffs[j] * out[m - j]
-        out[m] = -acc / s.coeffs[0]
-    return RatSeries(out)
-
-
-# orders 0..15, with zero terms; constant terms negative, non-unit or fractional
-series_tails = st.lists(coefficients, min_size=0, max_size=15)
-constant_terms = st.one_of(
-    st.sampled_from([1, -1, 2, -3, F(1, 2), F(-5, 7)]),
-    st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(bool),
-    st.fractions(max_denominator=10 ** 4).filter(bool),
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(series_tails)
+@given(tails)
 def test_exp_matches_fraction_oracle(tail):
-    s = RatSeries([0] + tail)
-    got = s.exp()
-    assert got == _fraction_exp(s)
-    assert got.order == s.order
-    assert all(type(c) is F for c in got.coeffs)
+    f = [0] + tail
+    got = _egf_exp(f)
+    assert _q(got) == _q_exp(_q(f))
+    assert len(got) == len(f)
 
 
 @settings(max_examples=100, deadline=None)
-@given(constant_terms, series_tails)
-def test_reciprocal_matches_fraction_oracle(c0, tail):
-    s = RatSeries([c0] + tail)
-    got = s.reciprocal()
-    assert got == _fraction_reciprocal(s)
-    assert got.order == s.order
-    assert all(type(c) is F for c in got.coeffs)
-    assert (s * got) == RatSeries.const(1, s.order)
+@given(tails)
+def test_reciprocal_matches_fraction_oracle(tail):
+    f = [1] + tail
+    got = _egf_inverse(f)
+    assert _q(got) == _q_inverse(_q(f))
+    assert _egf_mul(f, got) == [1] + [0] * len(tail)
 
 
 @settings(max_examples=100, deadline=None)
@@ -598,93 +569,6 @@ def test_egf_inverse_inverts(tail):
     g = _egf_inverse(f)
     assert _egf_mul(f, g) == [1] + [0] * len(tail)
     assert g == _egf_pow(f, -1)
-
-
-@settings(max_examples=30, deadline=None)
-@given(constant_terms, series_tails)
-def test_exp_and_reciprocal_reject_their_bad_constants(c0, tail):
-    with pytest.raises(ValueError):
-        RatSeries([c0] + tail).exp()
-    with pytest.raises(ValueError):
-        RatSeries([0] + tail).reciprocal()
-
-
-def _d_scaled_exp(s):
-    """exp with the integer EGF vector scaled by the full common
-    denominator D, entry j being j! F_j D^{j-1}: an oracle for the
-    right-sized scale of `RatSeries.exp`."""
-    f, d = s.nums, s.den
-    scale = list(accumulate(range(1, len(f)), lambda t, m: t * m * d, initial=1))   # m! D^m
-    e = _egf_exp([c * t // d for c, t in zip(f, scale)])
-    return RatSeries([F(c, t) for c, t in zip(e, scale)])
-
-
-def _d_scaled_reciprocal(s):
-    """1/s with the integer EGF vector j! F_j F_0^{j-1}: an oracle for the
-    right-sized scale of `RatSeries.reciprocal`."""
-    f, d = s.nums, s.den
-    f0 = f[0]
-    scale = list(accumulate(range(1, len(f)), lambda t, m: t * m * f0, initial=1))   # m! F_0^m
-    r = _egf_inverse([c * t // f0 for c, t in zip(f, scale)])
-    return RatSeries([F(d * c, f0 * t) for c, t in zip(r, scale)])
-
-
-def _random_tail(rng, order):
-    """Coefficients 1..order: a fifth of them zero, the rest either of any
-    sign over random denominators, or a/(j! b^j) and a/b^j for one base b,
-    the geometric denominators of the shifted tree series."""
-    b = rng.choice([2, 3, 6, 7, 12, 13])
-    geometric = rng.random() < 0.5
-    tail = []
-    for j in range(1, order + 1):
-        if rng.random() < 0.2:
-            tail.append(F(0))
-        elif geometric:
-            tail.append(F(rng.randint(-50, 50), rng.choice([1, math.factorial(j)]) * b ** j))
-        else:
-            tail.append(F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)))
-    return tail
-
-
-def _assert_scale(f, d):
-    """`_egf_scale(f, d)` divides d and makes every j! f_j s^j / d an integer."""
-    s = _egf_scale(f, d)
-    assert s >= 1 and d % s == 0
-    assert all(math.factorial(j) * f[j] * s ** j % d == 0 for j in range(1, len(f)))
-    return s
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_right_sized_scale_matches_d_scaled_oracle(seed):
-    """exp and reciprocal give what the D-scaled kernels give, orders 0..40."""
-    rng = random.Random(seed)
-    for order in range(41):
-        tail = _random_tail(rng, order)
-        s = RatSeries([0] + tail)
-        assert s.exp() == _d_scaled_exp(s)
-        _assert_scale(s.nums, s.den)
-        for c0 in (1, F(-3, 2), F(rng.randint(-99, 99) or 1, rng.randint(1, 99))):
-            s = RatSeries([c0] + tail)
-            assert s.reciprocal() == _d_scaled_reciprocal(s)
-            _assert_scale(s.nums, s.nums[0])
-
-
-def test_scale_of_the_shifted_tree_series_is_the_sample_denominator():
-    """At x = p/q the Newton iterate's scale is q (1 at integer x), far
-    below the common denominator D."""
-    for x in (1, 2, F(1, 2), F(3, 7), F(-2, 3), F(11, 13)):
-        s0 = F(x) / (1 + x)
-        s = _shifted_tree_series(s0, 32)
-        assert _assert_scale(s.nums, s.den) == F(x).denominator
-        assert s.den > F(x).denominator ** 20
-
-
-def test_scale_small_cases():
-    assert _egf_scale([0, 5, -3, 0, 7], 1) == 1
-    assert _egf_scale([0, 5, -3, 0, 7], -1) == 1
-    assert _egf_scale([0, 0, 0], 6) == 1        # zero entries need no scale
-    assert _egf_scale([0, 1, 0, 0], 2) == 2     # 1! (1/2) s integer needs 2 | s
-    assert _egf_scale([0, 0, 1], 2) == 1        # 2! (1/2) = 1 already
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -698,86 +582,94 @@ def test_binomial_square_is_the_self_convolution(seed):
     assert all(_binomial_square(zeros, m) == 0 for m in range(61))
 
 
-def _horner_compose(outer, inner):
-    """The Horner loop over `RatSeries` products and padded constant
-    series: an oracle for the integer Horner of `RatSeries.compose`."""
-    n = min(outer.order, inner.order)
-    inner = inner.truncate(n)
-    acc = RatSeries.const(outer.coeffs[n], n)
-    for k in range(n - 1, -1, -1):
-        acc = acc * inner + outer.coeffs[k]
-    return acc
-
-
 @settings(max_examples=50, deadline=None)
-@given(series_values, series_tails)
+@given(vectors, tails)
 def test_compose_matches_horner_oracle(outer, tail):
-    inner = RatSeries([0] + tail)
-    got = outer.compose(inner)
-    assert got == _horner_compose(outer, inner)
-    assert got.order == min(outer.order, inner.order)
-    assert all(type(c) is F for c in got.coeffs)
+    inner = [0] + tail
+    got = _egf_compose(outer, inner)
+    assert _q(got) == _q_compose(_q(outer), _q(inner))
+    assert len(got) == min(len(outer), len(inner))
 
 
 def test_compose_matches_horner_oracle_on_the_reversion_lemma_series():
+    """The four pairs of the reversion lemma, both ways round."""
     order = 30
-    t, z = series_T(1, order), RatSeries.var(order)
-    ratio = t * t.geom_inverse()
-    frac = z * (1 + z).reciprocal()
-    target = frac * (-frac).exp()
-    for outer, inner in ((ratio, target), (z * (-z).exp(), t), (target, ratio), (t, target)):
-        assert outer.compose(inner) == _horner_compose(outer, inner)
+    t, z = series_T(1, order), _z(order)
+    ratio = _ratio(order)
+    frac = _egf_mul(z, _egf_inverse([1] + z[1:]))   # z/(1+z)
+    target = _egf_mul(frac, _egf_exp([-c for c in frac]))
+    z_exp = _egf_mul(z, _egf_exp([-c for c in z]))   # z e^{-z}
+    for outer, inner in ((ratio, target), (z_exp, t), (target, ratio), (t, z_exp)):
+        got = _egf_compose(outer, inner)
+        assert _q(got) == _q_compose(_q(outer), _q(inner))
+        assert got == z
+    assert _egf_reversion(ratio) == target
+    assert _egf_reversion(z_exp) == t
 
 
 def test_compose_at_differing_orders():
-    outer = RatSeries([1, 2, F(1, 3), -4, 5])
-    inner = RatSeries([0, 1, F(-1, 2)])
-    assert outer.compose(inner) == 1 + 2 * inner + F(1, 3) * inner * inner
-    wide = RatSeries([0, 1, F(-1, 2), 7, 8, 9])
-    assert RatSeries([1, 2, F(1, 3)]).compose(wide) == 1 + 2 * inner + F(1, 3) * inner * inner
-    assert outer.compose(wide).order == 4
+    outer = [1, 2, 2, -24, 120]   # 1 + 2z + z^2 - 4z^3 + 5z^4
+    inner = [0, 1, -1]            # z - z^2/2
+    want = [int(k == 0) + 2 * a + b for k, (a, b) in enumerate(zip(inner, _egf_mul(inner, inner)))]
+    assert _egf_compose(outer, inner) == want
+    wide = [0, 1, -1, 42, 192, 1080]
+    assert _egf_compose(outer[:3], wide) == want
+    assert len(_egf_compose(outer, wide)) == 5
+    assert _q(_egf_compose(outer, wide)) == _q_compose(_q(outer), _q(wide))
 
 
-def _full_order_shifted_tree_series(s0, order):
-    """Series Newton run for bit_length(order) + 1 steps, every one at full
-    order: an oracle for the precision-doubling schedule."""
-    a = RatSeries([s0, 1 - s0], order)
-    sigma = RatSeries.zero(order)
+def _full_order_newton(s0, order):
+    """sigma from s0 + sigma = (s0 + (1-s0) u) e^sigma by series Newton over
+    Fractions, run for bit_length(order) + 1 steps at full order: an oracle
+    for the integer recursion of `_shifted_tree_egf`."""
+    a = [s0, 1 - s0] + [F(0)] * (order - 1)
+    sigma = [F(0)] * (order + 1)
     for _ in range(max(1, order).bit_length() + 1):
-        e = sigma.exp()
-        sigma = sigma - (sigma + s0 - a * e) * (1 - a * e).reciprocal()
-    return sigma
+        ae = _q_mul(a, _q_exp(sigma))
+        residual = [c + d - e for c, d, e in zip(sigma, [s0] + [0] * order, ae)]
+        step = _q_mul(residual, _q_inverse([int(k == 0) - c for k, c in enumerate(ae)]))
+        sigma = [c - d for c, d in zip(sigma, step)]
+    return sigma[: order + 1]
 
 
 @pytest.mark.parametrize("x", GH_SAMPLES[:-1], ids=str)
 def test_shifted_tree_series_matches_full_order_newton(x):
-    """Every order 0..40 against the oracle at order 40, whose solution is
-    unique and so truncates to the oracle at each lower order; that is
-    checked directly where the doubling schedule changes length."""
-    s0 = F(x) / (1 + x)
-    want = _full_order_shifted_tree_series(s0, 40)
-    for order in range(41):
-        assert _shifted_tree_series(s0, order) == want.truncate(order), order
-    for order in (0, 1, 2, 3, 4, 7, 8, 15, 16):
-        assert _full_order_shifted_tree_series(s0, order) == want.truncate(order), order
+    """Sigma_n = q^n n! [u^n] sigma at x = p/q, through n = 40, and each
+    shorter run is a prefix of the longest."""
+    x = F(x)
+    p, q = x.numerator, x.denominator
+    want = _full_order_newton(x / (1 + x), 40)
+    got = _shifted_tree_egf(p, q, 40)
+    assert got == [q ** n * math.factorial(n) * c for n, c in enumerate(want)]
+    for n_max in (0, 1, 2, 3, 7, 8, 15, 16):
+        assert _shifted_tree_egf(p, q, n_max) == got[: n_max + 1], n_max
 
 
 def _fraction_egf_theorem(x_samples, n_max, order, polys):
-    """`check_egf_theorem` with every row evaluated by Poly Horner over
-    Fractions: an oracle for its integer row side and its witness text."""
+    """`check_egf_theorem` over Fraction lists, with every row evaluated by
+    Poly Horner: an oracle for its integer sides and its witness text.
+    sigma comes from n_max + 1 fixed-point passes of
+    sigma <- sigma - ((s0 + sigma) e^{-sigma} - s0 - (1-s0) u) / (1-s0),
+    whose linear part vanishes at u = 0, so each pass fixes one more
+    coefficient; nothing is shared with the integer recursion."""
     name = "egf-theorem"
     xs = [F(x) for x in x_samples]
     for x in xs:
         s0 = x / (1 + x)
-        s = _shifted_tree_series(s0, order) + s0
+        a = [s0, 1 - s0] + [F(0)] * n_max
+        sigma = [F(0)] * (n_max + 1)
+        for _ in range(n_max + 1):
+            lhs = _q_mul([s0 + sigma[0]] + sigma[1:], _q_exp([-c for c in sigma]))
+            sigma = [c - (d - e) / (1 - s0) for c, d, e in zip(sigma, lhs, a)]
+        s = [s0 + sigma[0]] + sigma[1:]
         series = {
             "G": s,
-            "F": ((1 - s0) ** 2) * (1 - s).reciprocal(),
-            "H": (1 + x) * (s - s * s * F(1, 2)),
+            "F": [(1 - s0) ** 2 * c for c in _q_inverse([1 - c for c in s[:1]] + [-c for c in s[1:]])],
+            "H": [(1 + x) * (c - d / 2) for c, d in zip(s, _q_mul(s, s))],
         }
         for fam in ("F", "G", "H"):
             for n in range(1, n_max + 1):
-                got = series[fam].egf_coefficient(n)
+                got = series[fam][n] * math.factorial(n)
                 want = polys[fam][n - 1](x)
                 if got != want:
                     return CheckReport.fail(
@@ -828,14 +720,7 @@ def test_egf_theorem_rejects_short_rows():
 def test_rhs_series_rejects_negative_order():
     with pytest.raises(ValueError, match="negative"):
         rhs_series("G", 1, -1)
-    assert rhs_series("G", 1, 0) == RatSeries([1])
-
-
-def test_truncate_rejects_negative_order():
-    s = RatSeries([1, 2, 3])
-    with pytest.raises(ValueError, match="negative truncation order"):
-        s.truncate(-1)
-    assert s.truncate(0) == RatSeries([1])
+    assert rhs_series("G", 1, 0) == [1]
 
 
 @pytest.mark.parametrize("make", [lambda order: series_T(0, order), lambda order: series_T(2, order),
@@ -844,7 +729,7 @@ def test_base_series_reject_negative_order(make):
     for order in (-1, -2):
         with pytest.raises(ValueError, match="negative truncation order"):
             make(order)
-    assert make(0) == RatSeries([0])
+    assert make(0) == [0]
 
 
 def test_def_identity_rejects_short_rows():
