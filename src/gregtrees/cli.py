@@ -28,7 +28,7 @@ from .trees import VARIANTS, enumerate_greg, imp_polynomial, u_bound, unl_polyno
 from .wfunc import _derivative_at, eval_W
 
 _VERTEX_CAP = 11          # trees work caps at 11 total vertices
-_IMP_CAP = 7              # 6,497 Pruefer decodes at n = 7; 8 would take 91,817
+_IMP_CAP = 7              # 2,401 Pruefer folds at n = 7; 8 would take 32,768
 
 # aliases accepted by `check` beside full names
 CHECK_ALIASES = {
@@ -252,6 +252,8 @@ def _run_check(args, parser) -> int:
         parser.error(str(exc))
     text = result.to_json() if args.format == "json" else result.to_text()
     _emit(text, args.out)
+    if args.timings:
+        sys.stderr.writelines(f"{r.name} {r.seconds:.6f}\n" for r in result.reports)
     return 0 if result.ok else 1
 
 
@@ -351,6 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=count, default=None, help="depth override for one check")
     p.add_argument("--samples", type=count, default=None, help="halfplane sample count")
     p.add_argument("--seed", type=int, default=None, help="halfplane sampler seed")
+    p.add_argument("--timings", action="store_true",
+                   help="write each check's wall time to stderr, one 'name seconds' line")
     add_common(p, formats=("text", "json"))
     p.set_defaults(run=_run_check, parser=p)
 

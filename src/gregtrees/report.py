@@ -25,7 +25,9 @@ class CheckReport:
 
     ``passed`` is None when the check was skipped by budget; a witness (a
     human-readable description of the first failure) is present exactly
-    when the check failed.
+    when the check failed.  ``seconds``, the wall time `run_suite` measured
+    for the check, stays out of equality and of both report forms, which
+    are byte-deterministic.
     """
 
     name: str
@@ -33,6 +35,7 @@ class CheckReport:
     passed: bool | None = True
     witness: str | None = None
     skipped: bool = False
+    seconds: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.skipped:

@@ -21,6 +21,7 @@ check that consumes the corrupted row and no check that does not.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
@@ -398,6 +399,7 @@ def run_suite(config: SuiteConfig | None = None,
 
     `only` restricts execution to the named checks; the rest appear in the
     result as skipped, so the report shape does not depend on the filter.
+    Each report's `seconds` is the wall time of its check.
     """
     config = config or SuiteConfig()
     if only is not None:
@@ -407,9 +409,12 @@ def run_suite(config: SuiteConfig | None = None,
     bundle = _make_bundle(config)
     reports = []
     for check in CHECKS:
+        start = time.perf_counter()
         if ((only is not None and check.name not in only)
                 or (check.size is not None and getattr(config, check.size) <= 0)):
-            reports.append(CheckReport.skip(check.name))
+            report = CheckReport.skip(check.name)
         else:
-            reports.append(check.run(config, bundle))
+            report = check.run(config, bundle)
+        report.seconds = time.perf_counter() - start
+        reports.append(report)
     return SuiteResult(reports=reports, budget=config.budget_dict())

@@ -42,7 +42,7 @@ each in linear time, and keep the first candidate of each split system
 
 The improper-edge census and the restriction fibers build no per-tree
 object.  The census (`_imp_polynomials`) decodes each Pruefer suffix once
-for all first entries above its smallest missing label and folds each
+for all n first entries that can precede it and folds each
 leaf into its parent as it comes off (`_imp_fold`), counting improper
 edges at every root with no reroot pass, on each tree relabeled
 i -> n+1-i.  The fibers (`_fibers`) read each tree's Pruefer (leaf,
@@ -182,36 +182,12 @@ class GregTree:
         out["edges"] = [list(e) for e in self.edges]
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GregTree":
-        try:
-            n, u, edges = data["n"], data["u"], data["edges"]
-        except KeyError as exc:
-            raise ValueError(f"tree record lacks {exc.args[0]!r}") from None
-        root, pair = data.get("root"), data.get("roots")
-        roots = () if root is None else (root,)
-        if pair is not None:
-            if roots or len(pair) != 2:
-                raise ValueError('a tree record gives one "root" or a "roots" pair')
-            roots = tuple(pair)
-        return cls.build(n, u, edges, roots=roots)
-
     def to_text(self) -> str:
         """Header line "n u roots" (slots joined by commas, "-" for none)
         followed by one "a b" line per edge."""
         lines = [f"{self.n} {self.u} {','.join(map(str, self.roots)) or '-'}"]
         lines += [f"{a} {b}" for a, b in self.edges]
         return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str) -> "GregTree":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("tree text has no header line")
-        n_s, u_s, r_s = lines[0].split()
-        roots = () if r_s == "-" else tuple(map(int, r_s.split(",")))
-        edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
-        return cls.build(int(n_s), int(u_s), edges, roots=roots)
 
 
 # ── canonical form ────────────────────────────────────────────────────────
@@ -650,35 +626,40 @@ def _imp_polynomials(n: int) -> tuple[Poly, Poly]:
     unrooted census is imp at root n, the relabeled 1.  Both are packed k
     bits a coefficient, as every coefficient is below n^(n-1) < 2^k.
 
-    Lemma (n >= 3).  Let a be the smallest label missing from Q.  If
-    y != a, a is the first leaf and hangs from y, and the rest decodes Q
-    on the other labels: a tree T_a that does not depend on y.  If y > a,
-    y -> a is proper (high[a] = a < y) and no high[] changes, as every
-    subtree that gains a holds y.  So imp at a root r != a is imp(T_a, r),
-    and at root a, whose edge a -> y is improper (high[y] = n > a), it is
-    1 + imp(T_a, y).  With R_a = sum_r x^imp(T_a, r), the n - a sequences
-    with y > a add (n - a) x^imp(T_a, n) unrooted and
-    (n - a) R_a + x (R_a - sum_{y < a} x^imp(T_a, y)) rooted.  So Q is
-    decoded once for them and once for each y <= a: sum_Q (a + 1) folds."""
+    Lemma (n >= 3).  Let a < a' be the two smallest labels missing from Q,
+    and T_a the tree Q decodes on the labels other than a, with
+    j = imp(T_a, n) and R_a = sum_r x^imp(T_a, r).  Below n, every subtree
+    of T_a holds a leaf, a label missing from Q other than a, so
+    high[v] >= a' > a at every vertex v of T_a: a hung anywhere in T_a
+    changes no high[], and no edge of T_a changes kind.
+    * y != a: a is the first leaf, as every label below a is in Q, and
+      hangs from y; the rest decodes T_a.  y -> a is improper iff y < a,
+      so imp at r != a is imp(T_a, r) + [y < a].  At a, a -> y is
+      improper (high[y] = n > a) and the path on from y is T_a's, so imp
+      is 1 + imp(T_a, y).
+    * y = a: a' is the first leaf, hung from a, which is then the smallest
+      leaf and hangs where a' hangs in T_a (from q_1, or from n if Q is
+      empty); the rest decodes T_a past a'.  So a sits on T_a's edge to
+      a', with high[a] = high[a'] > a: a -> a' is improper and the edge
+      above a keeps its kind, so imp is 1 + imp(T_a, a' if r = a else r).
+    The roots y != a run over T_a once, so Q adds (n - a) x^j + a x^(j+1)
+    unrooted and (n - a) R_a + x ((a + 1) R_a + x^imp(T_a, a')) rooted: one
+    fold and one walk up from a', n^(n-3) folds in all.  Every packed term
+    is a sum of counts, with no subtraction, so no coefficient borrows."""
     k = (n ** (n - 1)).bit_length() + 1
     if n < 3:     # one tree, imp 0 at n; its empty sequence has no first entry
         unrooted, rooted = 1, _imp_fold((), [1] * (n + 1), n, k)[1]
     else:
         unrooted = rooted = 0
         for q in _prufer_sequences(n, 1):
-            base = [1 + q.count(v) for v in range(n + 1)]
-            a = base.index(1, 1)
-            for y in range(1, a + 1):
-                degree = base[:]
-                degree[y] += 1
-                j, s, _, _ = _imp_fold((y, *q), degree, n, k)
-                unrooted += 1 << k * j
-                rooted += s
-            base[a] = 0
-            j, s, high, up = _imp_fold(q, base, n, k)
-            low = sum(1 << k * _rerooted(y, n, j, high, up) for y in range(1, a))
-            unrooted += (n - a) << k * j
-            rooted += (n - a) * s + ((s - low) << k)
+            degree = [1 + q.count(v) for v in range(n + 1)]
+            a = degree.index(1, 1)
+            second = degree.index(1, a + 1)
+            degree[a] = 0
+            j, s, high, up = _imp_fold(q, degree, n, k)
+            top = 1 << k * _rerooted(second, n, j, high, up)
+            unrooted += ((n - a) << k * j) + (a << k * (j + 1))
+            rooted += (n - a) * s + (((a + 1) * s + top) << k)
     mask = (1 << k) - 1
     return tuple(Poly((c >> k * j) & mask for j in range(n)) for c in (unrooted, rooted))
 

@@ -106,6 +106,22 @@ def test_pinned_output_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [("check", "all"), ("check", "all", "--format", "json")],
+                         ids=["text", "json"])
+def test_timings_leave_stdout_alone(capsys, argv):
+    """--timings writes one 'name seconds' line per check to stderr, each
+    check of CHECK_NAMES once, and stdout keeps its pinned bytes."""
+    digest = dict(PINNED)[argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    code, timed, err = run(capsys, *argv, "--timings")
+    assert code == 0 and timed == out
+    lines = [line.split(" ") for line in err.splitlines()]
+    assert [name for name, _ in lines] == list(CHECK_NAMES)
+    assert all(float(seconds) >= 0 for _, seconds in lines)
+
+
 def test_wfun_text(capsys):
     code, out, _ = run(capsys, "wfun", "1.0", "--n-max", "2")
     assert code == 0

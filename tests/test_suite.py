@@ -110,6 +110,16 @@ def test_only_filter_skips_the_rest():
     assert result.ok  # skips do not count as failures
 
 
+def test_each_check_is_timed_outside_the_report():
+    """run_suite times every check, skipped ones too; the seconds stay out
+    of equality and of the JSON form."""
+    result = run_suite(SuiteConfig.quick(), only=["reciprocity"])
+    assert all(isinstance(r.seconds, float) and r.seconds >= 0 for r in result.reports)
+    report = next(r for r in result.reports if r.name == "reciprocity")
+    assert "seconds" not in report.to_json()
+    assert report == replace(report, seconds=None)
+
+
 def test_only_filter_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown checks"):
         run_suite(SuiteConfig.quick(), only=["reciprocity", "nope"])

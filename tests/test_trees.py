@@ -893,14 +893,12 @@ def test_imp_walk_matches_oracle_census():
         assert list(_imp_polynomials(n)) == want, n
 
 
-def test_imp_census_folds_each_suffix_once_above_its_missing_label(monkeypatch):
-    """At n = 7 the fold runs sum_Q (a(Q) + 1) times, a(Q) the smallest
-    label missing from the suffix Q: once for each first entry y <= a, and
-    once for all the entries above a together."""
+def test_imp_census_folds_each_suffix_once(monkeypatch):
+    """At n = 7 the fold runs once for each suffix Q, n^(n-3) times: every
+    first entry's tree is an edit of that one fold."""
     n = 7
-    want = sum(min(set(range(1, n + 1)) - set(q)) + 1
-               for q in itertools.product(range(1, n + 1), repeat=n - 3))
-    assert want == 6497 < n ** (n - 2)
+    want = n ** (n - 3)
+    assert want == 2401
     calls = []
     real = trees_module._imp_fold
 
@@ -923,6 +921,22 @@ def _relabeled(pairs, n):
     return GregTree(n=n, u=0, edges=_normalize_edges((n + 1 - a, n + 1 - b) for a, b in pairs))
 
 
+def _lemma_trees(n):
+    """For each suffix Q on 1..n: Q, a, the pairs of T_a (Q decoded on
+    1..n-1, mapped back to the labels other than a) and the fold of T_a."""
+    for q in itertools.product(range(1, n + 1), repeat=n - 3):
+        a = min(set(range(1, n + 1)) - set(q))
+        others = [v for v in range(1, n + 1) if v != a]
+        index = {v: i for i, v in enumerate(others, start=1)}
+        t_a = [(others[c - 1], others[p - 1])
+               for c, p in _prufer_pairs([index[v] for v in q], n - 1)]
+        degree = [1 + q.count(v) for v in range(n + 1)]
+        degree[a] = 0
+        fold = _imp_fold(q, degree, n, 0)
+        assert {c: fold[3][c] for c, _ in t_a} == dict(t_a), (n, q)
+        yield q, a, t_a, fold
+
+
 def test_imp_lemma_first_entries_above_the_missing_label():
     """For (y, Q) with y > a, a the smallest label missing from Q: the
     decode hangs a from y and then decodes Q on the other labels as the
@@ -931,16 +945,7 @@ def test_imp_lemma_first_entries_above_the_missing_label():
     reads, relabeled i -> n + 1 - i; T_a is decoded on 1..n-1 and mapped
     back to the labels other than a."""
     for n in range(3, 7):
-        for q in itertools.product(range(1, n + 1), repeat=n - 3):
-            a = min(set(range(1, n + 1)) - set(q))
-            others = [v for v in range(1, n + 1) if v != a]
-            index = {v: i for i, v in enumerate(others, start=1)}
-            t_a = [(others[c - 1], others[p - 1])
-                   for c, p in _prufer_pairs([index[v] for v in q], n - 1)]
-            degree = [1 + q.count(v) for v in range(n + 1)]
-            degree[a] = 0
-            j, _, high, up = _imp_fold(q, degree, n, 0)
-            assert {c: up[c] for c, _ in t_a} == dict(t_a), (n, q)
+        for q, a, t_a, (j, _, high, up) in _lemma_trees(n):
             for y in range(a + 1, n + 1):
                 pairs = _prufer_pairs((y, *q), n)
                 assert pairs == [(a, y)] + t_a, (n, y, q)
@@ -948,6 +953,32 @@ def test_imp_lemma_first_entries_above_the_missing_label():
                 for r in range(1, n + 1):
                     lemma = _rerooted(y if r == a else r, n, j, high, up)
                     assert lemma + (r == a) == _imp_from_root(tree, n + 1 - r), (n, y, q, r)
+
+
+def test_imp_lemma_first_entries_up_to_the_missing_label():
+    """For (y, Q) with y <= a, n = 3..6 (at n = 3, Q is empty): below n,
+    every subtree of T_a holds a label above a, so high[v] > a, and
+    * y < a: the decode hangs a from y and then decodes T_a, and imp is
+      1 + imp(T_a, r) at r != a and 1 + imp(T_a, y) at a;
+    * y = a: a', the second missing label, hangs from a, and a from the
+      parent of a' in T_a; imp is 1 + imp(T_a, r), or 1 + imp(T_a, a') at a.
+    imp is checked by `_imp_from_root` as above."""
+    for n in range(3, 7):
+        for q, a, t_a, (j, _, high, up) in _lemma_trees(n):
+            second = min(set(range(1, n + 1)) - set(q) - {a})
+            assert all(high[v] > a for v in range(1, n + 1) if v != a), (n, q)
+            for y in range(1, a + 1):
+                pairs = _prufer_pairs((y, *q), n)
+                if y < a:
+                    assert pairs == [(a, y)] + t_a, (n, y, q)
+                else:
+                    (c, p), *rest = t_a
+                    assert c == second and pairs == [(second, a), (a, p)] + rest, (n, q)
+                tree = _relabeled(pairs, n)
+                below = y if y < a else second
+                for r in range(1, n + 1):
+                    lemma = 1 + _rerooted(below if r == a else r, n, j, high, up)
+                    assert lemma == _imp_from_root(tree, n + 1 - r), (n, y, q, r)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -1155,25 +1186,51 @@ def test_rooted_root_cells_match_prediction_past_the_oracles():
 
 # ── serialization ────────────────────────────────────────────────────────
 
+def _from_json_dict(data: dict) -> GregTree:
+    """The tree of a `GregTree.to_json_dict` record."""
+    try:
+        n, u, edges = data["n"], data["u"], data["edges"]
+    except KeyError as exc:
+        raise ValueError(f"tree record lacks {exc.args[0]!r}") from None
+    root, pair = data.get("root"), data.get("roots")
+    roots = () if root is None else (root,)
+    if pair is not None:
+        if roots or len(pair) != 2:
+            raise ValueError('a tree record gives one "root" or a "roots" pair')
+        roots = tuple(pair)
+    return GregTree.build(n, u, edges, roots=roots)
+
+
+def _from_text(text: str) -> GregTree:
+    """The tree of a `GregTree.to_text` text."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("tree text has no header line")
+    n_s, u_s, r_s = lines[0].split()
+    roots = () if r_s == "-" else tuple(map(int, r_s.split(",")))
+    edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
+    return GregTree.build(int(n_s), int(u_s), edges, roots=roots)
+
+
 def test_tree_text_round_trip():
     for t in enumerate_greg(3, "rooted"):
-        assert GregTree.from_text(t.to_text()) == t
+        assert _from_text(t.to_text()) == t
     for variant, rules in VARIANTS.items():
         for t in enumerate_greg(2, variant):
             slots = t.to_text().splitlines()[0].split()[2]
             assert slots.count(",") == max(rules.roots - 1, 0), slots
-            assert GregTree.from_text(t.to_text()) == t
+            assert _from_text(t.to_text()) == t
     unrooted = GregTree.build(3, 1, [(1, 4), (2, 4), (3, 4)])
     assert unrooted.to_text() == "3 1 -\n1 4\n2 4\n3 4"
     birooted = GregTree.build(1, 1, [(1, 2)], roots=(1, 2))
     assert birooted.to_text().splitlines()[0] == "1 1 1,2"
-    assert GregTree.from_text(birooted.to_text()) == birooted
+    assert _from_text(birooted.to_text()) == birooted
 
 
 def test_tree_json_round_trip():
     for variant in VARIANTS:
         for t in enumerate_greg(2, variant):
-            assert GregTree.from_json_dict(t.to_json_dict()) == t
+            assert _from_json_dict(t.to_json_dict()) == t
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n", "2 0\n1 2", "2 0 1 2\n1 2",
@@ -1181,7 +1238,7 @@ def test_tree_json_round_trip():
                                   "2 0 -\n1 2 3"])
 def test_from_text_rejects_malformed_input(text):
     with pytest.raises(ValueError):
-        GregTree.from_text(text)
+        _from_text(text)
 
 
 @pytest.mark.parametrize("data", [
@@ -1195,14 +1252,14 @@ def test_from_text_rejects_malformed_input(text):
         "short-pair", "long-pair"])
 def test_from_json_dict_rejects_malformed_input(data):
     with pytest.raises(ValueError):
-        GregTree.from_json_dict(data)
+        _from_json_dict(data)
 
 
 def test_from_json_dict_reads_null_roots_as_absent():
     edge = GregTree.build(2, 0, [(1, 2)])
-    assert GregTree.from_json_dict({"n": 2, "u": 0, "root": None, "roots": None,
-                                    "edges": [[1, 2]]}) == edge
-    assert GregTree.from_json_dict({"n": 2, "u": 0, "edges": [[1, 2]]}) == edge
+    assert _from_json_dict({"n": 2, "u": 0, "root": None, "roots": None,
+                            "edges": [[1, 2]]}) == edge
+    assert _from_json_dict({"n": 2, "u": 0, "edges": [[1, 2]]}) == edge
 
 
 def test_cayley_json_shape():
