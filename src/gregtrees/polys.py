@@ -320,15 +320,3 @@ def shift(p: Poly, a: int) -> Poly:
         r[:i + 1] = accumulate(r[:i + 1])
     return Poly(ck // a ** k for k, ck in enumerate(reversed(r)))
 
-
-def double_factorial(k: int) -> int:
-    """k!! with the usual empty-product conventions ((-1)!! = 0!! = 1)."""
-    if not isinstance(k, int):
-        raise TypeError(f"double factorial of an int only, got {type(k).__name__}")
-    if k < -1:
-        raise ValueError("double factorial of an integer below -1")
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out

@@ -324,7 +324,7 @@ def _check_restriction(rooted: bool, n_max: int, extra: int) -> CheckReport:
 
 
 def _check_imp_series(rooted: bool, depth: int, order: int) -> CheckReport:
-    censuses = {n: _trees.imp_census(n, rooted) for n in range(1, depth + 1)}
+    censuses = {n: _trees.imp_polynomial(n, rooted).coeffs for n in range(1, depth + 1)}
     return _series.check_imp_census_series(censuses, rooted=rooted, order=order)
 
 

@@ -14,8 +14,7 @@ least degree of an unlabeled vertex in a slot:
 
 A tree's ``roots`` tuple has its variant's number of root slots: entry i
 is the vertex in slot i.  A Cayley (labeled) tree is a Greg tree with
-u = 0 and roots () or (r,); ``enumerate_cayley``, ``imp`` and ``restrict``
-deal in such trees.
+u = 0 and roots () or (r,); ``imp`` and ``restrict`` take such trees.
 
 Census polynomials by number of unlabeled vertices: H_n (unrooted),
 G_n (rooted), (1+x) G_n (relaxed), (1+x)^3 F_n (bi-rooted).
@@ -41,11 +40,12 @@ each in linear time, and keep the first candidate of each split system
 (``_split_firsts``); only the listing puts it into canonical form.
 
 The improper-edge census and the restriction fibers build no per-tree
-object.  The census (`_imp_polynomials`) decodes each Pruefer suffix once
-for all n first entries that can precede it and folds each
-leaf into its parent as it comes off (`_imp_fold`), counting improper
-edges at every root with no reroot pass, on each tree relabeled
-i -> n+1-i.  The fibers (`_fibers`) read each tree's Pruefer (leaf,
+object.  `_prufer_pairs` is the one Pruefer decoder.  The census
+(`_imp_polynomials`) decodes each Pruefer suffix once for all n first
+entries that can precede it, and `_imp_fold` folds the (leaf, parent)
+pairs, each leaf into its parent, counting improper edges at every root
+with no reroot pass, on each tree relabeled i -> n+1-i; `imp` folds one
+tree's pairs, listed by a walk from its relabeled root.  The fibers (`_fibers`) read each tree's Pruefer (leaf,
 parent) pairs once (`_cayley_pairs`, `_split_marks`) and key the tree on
 the split system U of its restriction.  Rooted, the roots that pruning
 moves to one anchor vertex count together, under (U, the anchor's split,
@@ -252,19 +252,24 @@ def _encode(v: int, parent: int | None, n: int, adj, mark) -> tuple:
 
 # ── Pruefer machinery ─────────────────────────────────────────────────────
 
-def _prufer_pairs(seq: Sequence[int], k: int) -> list[tuple[int, int]]:
+def _prufer_pairs(seq: Sequence[int], k: int,
+                  degree: list[int] | None = None) -> list[tuple[int, int]]:
     """Edges of the tree on 1..k encoded by `seq`, as (leaf, neighbour)
     pairs in removal order: hung from vertex k, every vertex appears as a
     leaf after all of its children.  Linear: the pointer to the smallest
     leaf only moves forward, and a neighbour that just became a leaf below
     the pointer is taken next.  Entries are not range-checked.  The one
-    tree on a single vertex has no edge: only this walk and `_imp_fold`
-    special-case it."""
+    tree on a single vertex has no edge.
+
+    `degree`, if given, is 1 + the count in `seq` of each label v that the
+    tree holds and 0 for the others, so `seq` decodes on those labels
+    alone; the walk uses it up."""
     if k == 1:
         return []
-    degree = [1] * (k + 1)
-    for v in seq:
-        degree[v] += 1
+    if degree is None:
+        degree = [1] * (k + 1)
+        for v in seq:
+            degree[v] += 1
     ptr = degree.index(1, 1)
     leaf = ptr
     pairs = []
@@ -278,19 +283,6 @@ def _prufer_pairs(seq: Sequence[int], k: int) -> list[tuple[int, int]]:
             leaf = ptr
     pairs.append((leaf, k))
     return pairs
-
-
-def prufer_decode(seq: Sequence[int], k: int) -> tuple[tuple[int, int], ...]:
-    """Edges of the labeled tree on 1..k encoded by `seq` (length k-2,
-    entries in 1..k)."""
-    if k < 1:
-        raise ValueError("need at least one vertex")
-    if len(seq) != max(k - 2, 0):
-        raise ValueError(f"sequence length {len(seq)} != {max(k - 2, 0)}")
-    for v in seq:
-        if not 1 <= v <= k:
-            raise ValueError(f"sequence entry {v} out of range 1..{k}")
-    return _normalize_edges(_prufer_pairs(seq, k))
 
 
 def _constrained_prufer(n: int, u: int, slack: int, floor: int) -> Iterator[tuple[int, ...]]:
@@ -379,22 +371,6 @@ def _cayley_pairs(n: int) -> Iterator[list[tuple[int, int]]]:
     lexicographic Pruefer order: hung from vertex n, children first."""
     for seq in _prufer_sequences(n):
         yield _prufer_pairs(seq, n)
-
-
-def enumerate_cayley(n: int, rooted: bool = False) -> Iterator[GregTree]:
-    """All labeled trees on 1..n as Greg trees with u = 0 and roots ()
-    or (r,), lexicographic Pruefer order; rooted variants cycle roots in
-    ascending order within each tree.  With no unlabeled vertex the sorted
-    edges and the root are already the canonical form."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    for pairs in _cayley_pairs(n):
-        edges = _normalize_edges(pairs)
-        if rooted:
-            for r in range(1, n + 1):
-                yield GregTree(n=n, u=0, edges=edges, roots=(r,))
-        else:
-            yield GregTree(n=n, u=0, edges=edges)
 
 
 def u_bound(n: int, variant: str) -> int:
@@ -541,52 +517,45 @@ def imp(t: GregTree) -> int:
     slot): parent -> child is improper when the parent's label exceeds the
     smallest label in the child's subtree.
 
-    `_imp_fold` reads a tree relabeled i -> n + 1 - i, so it gets this
-    tree's sequence so relabeled, where the root r is vertex n + 1 - r."""
+    `_imp_fold` reads a tree relabeled i -> n + 1 - i and hung from n, so
+    one breadth-first walk from n lists this tree so relabeled, children
+    last; reversed, that is a (leaf, parent) list to fold, and the root r
+    is vertex n + 1 - r."""
     if t.u or len(t.roots) != 1:
         raise ValueError("imp needs a Cayley tree (u = 0) with one root")
     n = t.n
-    seq = _prufer_encode([(n + 1 - a, n + 1 - b) for a, b in t.edges], n)
-    j, _, high, up = _imp_fold(seq, [1 + seq.count(v) for v in range(n + 1)], n, 0)
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for a, b in t.edges:
+        adj[n + 1 - a].append(n + 1 - b)
+        adj[n + 1 - b].append(n + 1 - a)
+    parent = [0] * (n + 1)
+    order = [n]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    j, _, high, up = _imp_fold([(v, parent[v]) for v in reversed(order[1:])], n, 0)
     return _rerooted(n + 1 - t.roots[0], n, j, high, up)
 
 
-def _prufer_encode(edges, k: int) -> list[int]:
-    """The Pruefer sequence of the tree on 1..k with these edges: k - 2
-    times, remove the smallest leaf and list its neighbour.  Quadratic,
-    for single trees; `_prufer_pairs` inverts it."""
-    adj: list[list[int]] = [[] for _ in range(k + 1)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    degree = [len(ws) for ws in adj]   # 0 once removed
-    seq = []
-    for _ in range(k - 2):
-        leaf = degree.index(1)
-        degree[leaf] = 0
-        (v,) = (w for w in adj[leaf] if degree[w])
-        degree[v] -= 1
-        seq.append(v)
-    return seq
-
-
-def _imp_fold(seq, degree: list[int], n: int, k: int) -> tuple[int, int, list[int], list[int]]:
-    """Decode `seq` as `_prufer_pairs` does, on the labels v with
-    degree[v] >= 1 (1 + its count in `seq`; used up), hung from n, folding
-    each leaf into its parent as it comes off.  Returns, for the tree read
-    relabeled i -> n + 1 - i: imp at root n; sum_r x^imp(r), packed k bits
-    a coefficient; high[v], the largest vertex in v's subtree; and up[v].
+def _imp_fold(pairs, n: int, k: int) -> tuple[int, int, list[int], list[int]]:
+    """Fold the tree that the (leaf, parent) `pairs` hang from n, children
+    first as `_prufer_pairs` lists them, on some or all of the labels 1..n:
+    each leaf goes into its parent as its pair comes.  Returns, for the
+    tree read relabeled i -> n + 1 - i: imp at root n; sum_r x^imp(r),
+    packed k bits a coefficient; high[v], the largest vertex in v's
+    subtree; and up[v].
 
     p -> v is improper when p < high[v], and only then can it raise
-    high[p] >= p.  Rerooting from p to its child v turns p -> v into
+    high[p] >= p; an edge onto n is always proper.  Rerooting from p to its child v turns p -> v into
     v -> p, improper as p's side holds n > v; so imp(r) - imp(n) counts the
     proper edges from r up to n, and S[p] = 1 + sum_v S[v] x^[p -> v proper]."""
     high = list(range(n + 1))
     up = [0] * (n + 1)
     S = [1] * (n + 1)
     improper = 0
-    ptr = leaf = degree.index(1, 1)
-    for p in seq:
+    for leaf, p in pairs:
         up[leaf] = p
         h = high[leaf]
         if p < h:
@@ -596,16 +565,6 @@ def _imp_fold(seq, degree: list[int], n: int, k: int) -> tuple[int, int, list[in
             S[p] += S[leaf]
         else:
             S[p] += S[leaf] << k
-        degree[p] -= 1
-        if p < ptr and degree[p] == 1:
-            leaf = p
-        else:
-            ptr = leaf = degree.index(1, ptr + 1)
-    # the last leaf hangs from n, above its whole subtree: a proper edge,
-    # but for n = 1
-    up[leaf] = n
-    if leaf < n:
-        S[n] += S[leaf] << k
     return improper, S[n] << k * improper, high, up
 
 
@@ -627,7 +586,8 @@ def _imp_polynomials(n: int) -> tuple[Poly, Poly]:
     bits a coefficient, as every coefficient is below n^(n-1) < 2^k.
 
     Lemma (n >= 3).  Let a < a' be the two smallest labels missing from Q,
-    and T_a the tree Q decodes on the labels other than a, with
+    and T_a the tree Q decodes on the labels other than a (`_prufer_pairs`
+    given Q's degree list with degree[a] = 0), with
     j = imp(T_a, n) and R_a = sum_r x^imp(T_a, r).  Below n, every subtree
     of T_a holds a leaf, a label missing from Q other than a, so
     high[v] >= a' > a at every vertex v of T_a: a hung anywhere in T_a
@@ -648,15 +608,18 @@ def _imp_polynomials(n: int) -> tuple[Poly, Poly]:
     is a sum of counts, with no subtraction, so no coefficient borrows."""
     k = (n ** (n - 1)).bit_length() + 1
     if n < 3:     # one tree, imp 0 at n; its empty sequence has no first entry
-        unrooted, rooted = 1, _imp_fold((), [1] * (n + 1), n, k)[1]
+        unrooted, rooted = 1, _imp_fold(_prufer_pairs((), n), n, k)[1]
     else:
         unrooted = rooted = 0
+        ones = [1] * (n + 1)
         for q in _prufer_sequences(n, 1):
-            degree = [1 + q.count(v) for v in range(n + 1)]
+            degree = ones[:]
+            for v in q:
+                degree[v] += 1
             a = degree.index(1, 1)
             second = degree.index(1, a + 1)
             degree[a] = 0
-            j, s, high, up = _imp_fold(q, degree, n, k)
+            j, s, high, up = _imp_fold(_prufer_pairs(q, n, degree), n, k)
             top = 1 << k * _rerooted(second, n, j, high, up)
             unrooted += ((n - a) << k * j) + (a << k * (j + 1))
             rooted += (n - a) * s + (((a + 1) * s + top) << k)
@@ -672,11 +635,6 @@ def imp_polynomial(n: int, rooted: bool = True) -> Poly:
     if n < 1:
         raise ValueError("need at least one vertex")
     return _imp_polynomials(n)[bool(rooted)]
-
-
-def imp_census(n: int, rooted: bool) -> tuple[int, ...]:
-    """Counts by improper-edge value, index j = imp."""
-    return tuple(imp_polynomial(n, rooted).coeffs)
 
 
 # ── restriction ───────────────────────────────────────────────────────────
@@ -722,17 +680,11 @@ def restrict(x: GregTree, n: int) -> GregTree:
     return _canonical(n, adj, edges, (root,) if root else ())
 
 
-def restriction_fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
-    """How many Cayley trees of size m (rooted or not) restrict to each
-    Greg tree on the labels 1..n, for 1 <= n < m.  A fresh Counter each
-    call; the walk behind it is made once per (m, n, rooted)."""
-    return Counter(_fibers(m, n, rooted))
-
-
 @cache
 def _fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
-    """The fibers of `restriction_fibers`, shared by all callers, who must
-    not mutate them.  Bounds are checked before the walk.
+    """How many Cayley trees of size m (rooted or not) restrict to each
+    Greg tree on the labels 1..n, for 1 <= n < m.  Cached, so shared by all
+    callers, who must not mutate it; bounds are checked before the walk.
 
     One `_split_marks` pass per Cayley tree keys it on its restriction,
     and `restrict` runs once per distinct key.  Marks are bits: label

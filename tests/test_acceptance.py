@@ -22,7 +22,7 @@ from gregtrees.series import (
     check_reversion_lemma,
 )
 from gregtrees.suite import SuiteConfig, run_suite
-from gregtrees.trees import enumerate_greg, imp_census, imp_polynomial, unl_polynomial
+from gregtrees.trees import enumerate_greg, imp_polynomial, unl_polynomial
 from gregtrees.wfunc import (
     check_bernstein,
     check_halfplane,
@@ -125,7 +125,7 @@ def test_criterion_06_restriction_fibers():
 
 def test_criterion_07_imp_census_series():
     with budget(60):
-        censuses = {n: imp_census(n, rooted=False) for n in range(1, 7)}
+        censuses = {n: imp_polynomial(n, rooted=False).coeffs for n in range(1, 7)}
         report = check_imp_census_series(censuses, rooted=False, order=20)
         assert report.passed, report.witness
 

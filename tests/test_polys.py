@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gregtrees.polys import (
     Poly,
     X,
-    double_factorial,
     gen_F,
     gen_G,
     gen_H,
@@ -54,6 +53,19 @@ def test_golden_rows(family):
 def test_golden_rows_shifted(family):
     rows = GENERATORS[family](len(GOLDEN_SHIFTED[family]))
     assert [list(shift(p, -1).coeffs) for p in rows] == GOLDEN_SHIFTED[family]
+
+
+def double_factorial(k: int) -> int:
+    """k!! with the usual empty-product conventions ((-1)!! = 0!! = 1)."""
+    if not isinstance(k, int):
+        raise TypeError(f"double factorial of an int only, got {type(k).__name__}")
+    if k < -1:
+        raise ValueError("double factorial of an integer below -1")
+    out = 1
+    while k > 1:
+        out *= k
+        k -= 2
+    return out
 
 
 def test_degrees_and_leading_coefficients():

@@ -26,27 +26,24 @@ from gregtrees.trees import (
     Variant,
     _canonical,
     _census,
+    _cayley_pairs,
     _child_classes,
     _constrained_prufer,
+    _fibers,
     _greg_configs,
     _imp_fold,
     _imp_polynomials,
     _normalize_edges,
-    _prufer_encode,
     _prufer_pairs,
     _prufer_sequences,
     _rerooted,
     degree_filtered_count,
-    enumerate_cayley,
     enumerate_greg,
     imp,
-    imp_census,
     imp_polynomial,
     prufer_census,
-    prufer_decode,
     restrict,
     restriction_census,
-    restriction_fibers,
     u_bound,
     unl_polynomial,
 )
@@ -57,15 +54,10 @@ ONE_PLUS_X = Poly((1, 1))
 # ── Pruefer and Cayley enumeration ───────────────────────────────────────
 
 def test_prufer_decode_basics():
-    assert prufer_decode((), 1) == ()
-    assert prufer_decode((), 2) == ((1, 2),)
-    assert prufer_decode((1, 1), 4) == ((1, 2), (1, 3), (1, 4))
-    assert prufer_decode((2, 3), 4) == ((1, 2), (2, 3), (3, 4))
-    with pytest.raises(ValueError):
-        prufer_decode((1,), 4)
-    for bad in ((0, 0), (-1, 2), (5, 5), (1, 5)):
-        with pytest.raises(ValueError, match="out of range"):
-            prufer_decode(bad, 4)
+    assert _prufer_pairs((), 1) == []
+    assert _prufer_pairs((), 2) == [(1, 2)]
+    assert _prufer_pairs((1, 1), 4) == [(2, 1), (3, 1), (1, 4)]
+    assert _prufer_pairs((2, 3), 4) == [(1, 2), (2, 3), (3, 4)]
 
 
 def _quadratic_prufer_decode(seq, k):
@@ -95,9 +87,25 @@ def test_prufer_decode_matches_quadratic_reference():
         if k >= 3:   # the suffixes after the first entry, each once
             assert list(_prufer_sequences(k, 1)) == [s[1:] for s in seqs if s[0] == 1]
         for seq in seqs:
-            edges = prufer_decode(seq, k)
-            assert edges == _quadratic_prufer_decode(seq, k), (seq, k)
-            assert tuple(_prufer_encode(edges, k)) == seq, (seq, k)
+            pairs = _prufer_pairs(seq, k)
+            assert _normalize_edges(pairs) == _quadratic_prufer_decode(seq, k), (seq, k)
+            degree = [1 + seq.count(v) for v in range(k + 1)]
+            assert _prufer_pairs(seq, k, degree) == pairs, (seq, k)
+
+
+def enumerate_cayley(n, rooted=False):
+    """All labeled trees on 1..n as Greg trees with u = 0 and roots ()
+    or (r,), in the lexicographic Pruefer order of `_cayley_pairs`; rooted,
+    the roots cycle in ascending order within each tree.  With no
+    unlabeled vertex the sorted edges and the root are already the
+    canonical form."""
+    for pairs in _cayley_pairs(n):
+        edges = _normalize_edges(pairs)
+        if rooted:
+            for r in range(1, n + 1):
+                yield GregTree(n=n, u=0, edges=edges, roots=(r,))
+        else:
+            yield GregTree(n=n, u=0, edges=edges)
 
 
 def test_cayley_counts():
@@ -341,7 +349,6 @@ def test_slot_rule_root_choices_match_branched_oracle(variant):
 
 def test_one_vertex_tree_has_no_edges():
     assert _prufer_pairs((), 1) == []
-    assert prufer_decode((), 1) == ()
     assert list(enumerate_cayley(1)) == [GregTree(n=1, u=0, edges=())]
     assert list(enumerate_cayley(1, rooted=True)) == [GregTree(n=1, u=0, edges=(), roots=(1,))]
     assert list(_constrained_prufer(1, 0, 0, 0)) == [()]
@@ -848,9 +855,9 @@ def test_rerooted_imp_matches_imp_at_every_root():
 
 
 def test_imp_census_small():
-    assert imp_census(2, True) == (1, 1)
-    assert imp_census(3, True) == (2, 4, 3)
-    assert imp_census(3, False) == (2, 1)
+    assert imp_polynomial(2, True).coeffs == (1, 1)
+    assert imp_polynomial(3, True).coeffs == (2, 4, 3)
+    assert imp_polynomial(3, False).coeffs == (2, 1)
 
 
 @pytest.mark.parametrize("rooted, family", [(True, gen_G), (False, gen_H)])
@@ -903,7 +910,7 @@ def test_imp_census_folds_each_suffix_once(monkeypatch):
     real = trees_module._imp_fold
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return real(*args)
 
     monkeypatch.setattr(trees_module, "_imp_fold", counted)
@@ -923,7 +930,8 @@ def _relabeled(pairs, n):
 
 def _lemma_trees(n):
     """For each suffix Q on 1..n: Q, a, the pairs of T_a (Q decoded on
-    1..n-1, mapped back to the labels other than a) and the fold of T_a."""
+    1..n-1, mapped back to the labels other than a) and the fold of T_a.
+    The census's decode of Q, with degree[a] = 0, must list those pairs."""
     for q in itertools.product(range(1, n + 1), repeat=n - 3):
         a = min(set(range(1, n + 1)) - set(q))
         others = [v for v in range(1, n + 1) if v != a]
@@ -932,9 +940,9 @@ def _lemma_trees(n):
                for c, p in _prufer_pairs([index[v] for v in q], n - 1)]
         degree = [1 + q.count(v) for v in range(n + 1)]
         degree[a] = 0
-        fold = _imp_fold(q, degree, n, 0)
-        assert {c: fold[3][c] for c, _ in t_a} == dict(t_a), (n, q)
-        yield q, a, t_a, fold
+        pairs = _prufer_pairs(q, n, degree)
+        assert pairs == t_a, (n, q)
+        yield q, a, t_a, _imp_fold(pairs, n, 0)
 
 
 def test_imp_lemma_first_entries_above_the_missing_label():
@@ -990,8 +998,6 @@ def test_imp_census_rejects_no_vertices_before_walking(monkeypatch, n):
     for rooted in (False, True):
         with pytest.raises(ValueError, match="need at least one vertex"):
             imp_polynomial(n, rooted)
-        with pytest.raises(ValueError, match="need at least one vertex"):
-            imp_census(n, rooted)
 
 
 # ── restriction ──────────────────────────────────────────────────────────
@@ -1075,7 +1081,7 @@ def _rescanning_restrict(x, n):
 
 @pytest.mark.parametrize("rooted, m_max", [(False, 7), (True, 6)])
 def test_restrict_matches_rescanning_restrict(rooted, m_max):
-    """Each restriction, and each fiber count of `restriction_fibers`."""
+    """Each restriction, and each fiber count of `_fibers`."""
     for m in range(2, m_max + 1):
         fibers = {n: Counter() for n in range(1, m)}
         for x in enumerate_cayley(m, rooted=rooted):
@@ -1084,7 +1090,7 @@ def test_restrict_matches_rescanning_restrict(rooted, m_max):
                 assert restrict(x, n) == want, (x, n)
                 fiber[want] += 1
         for n, fiber in fibers.items():
-            assert restriction_fibers(m, n, rooted) == fiber, (m, n)
+            assert _fibers(m, n, rooted) == fiber, (m, n)
 
 
 @pytest.mark.parametrize("m, n", [(4, 4), (4, 0), (1, 1)], ids=["n=m", "n=0", "m=1"])
@@ -1094,17 +1100,7 @@ def test_restriction_fibers_reject_bad_bounds_before_walking(monkeypatch, m, n):
     monkeypatch.setattr(trees_module, "_cayley_pairs", walk)
     for rooted in (False, True):
         with pytest.raises(ValueError, match="1 <= n < m"):
-            restriction_fibers(m, n, rooted)
-
-
-def test_restriction_fibers_are_fresh_counters():
-    want = restriction_fibers(4, 2, True)
-    edge = GregTree.build(2, 0, [(1, 2)], roots=(1,))
-    got = restriction_fibers(4, 2, True)
-    got[edge] += 7
-    got.clear()
-    assert restriction_fibers(4, 2, True) == want
-    assert restriction_census(edge, 4)[2] == want[edge]
+            _fibers(m, n, rooted)
 
 
 def test_restrict_rejects_bad_index():
@@ -1179,7 +1175,7 @@ def test_rooted_root_cells_match_prediction_past_the_oracles():
     trees = list(enumerate_greg(3, "rooted"))
     for t in trees:
         assert restriction_census(t, 7)[-1] == _restriction_expected("rooted", 3, t.u, 7), t
-    fibers = restriction_fibers(7, 3, True)
+    fibers = _fibers(7, 3, True)
     assert set(fibers) == set(trees)
     assert sum(fibers.values()) == 7 ** 6 == 117_649
 
