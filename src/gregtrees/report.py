@@ -23,7 +23,8 @@ def jsonable(value):
 class CheckReport:
     """Outcome of one named check.
 
-    ``passed`` is None when the check was skipped by budget; a witness (a
+    ``passed`` is None exactly when the check was skipped, by budget or
+    filter, and ``skipped`` reads that one field; a witness (a
     human-readable description of the first failure) is present exactly
     when the check failed.  ``seconds``, the wall time `run_suite` measured
     for the check, stays out of equality and of both report forms, which
@@ -34,14 +35,15 @@ class CheckReport:
     params: dict = field(default_factory=dict)
     passed: bool | None = True
     witness: str | None = None
-    skipped: bool = False
     seconds: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.skipped:
-            self.passed = None
         if (self.witness is not None) != (self.passed is False):
             raise ValueError(f"check {self.name}: witness present iff failed")
+
+    @property
+    def skipped(self) -> bool:
+        return self.passed is None
 
     def to_json(self) -> dict:
         return {
@@ -62,4 +64,4 @@ class CheckReport:
 
     @classmethod
     def skip(cls, name: str) -> "CheckReport":
-        return cls(name=name, skipped=True)
+        return cls(name=name, passed=None)

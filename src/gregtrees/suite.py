@@ -63,7 +63,8 @@ _GOLDEN_SHIFT: dict[str, list[list[int]]] = {
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Budgets for one suite run.  A budget of zero skips its check."""
+    """Budgets for one suite run.  A budget of zero skips its check; a
+    negative one is an error."""
 
     poly_rows: int = 40                 # recursion-level polynomial identities
     positivity_rows: int = 50
@@ -399,6 +400,7 @@ def run_suite(config: SuiteConfig | None = None,
 
     `only` restricts execution to the named checks; the rest appear in the
     result as skipped, so the report shape does not depend on the filter.
+    A negative sizing budget raises ValueError before any work; zero skips.
     Each report's `seconds` is the wall time of its check.
     """
     config = config or SuiteConfig()
@@ -406,12 +408,16 @@ def run_suite(config: SuiteConfig | None = None,
         unknown = sorted(set(only) - set(CHECK_NAMES))
         if unknown:
             raise ValueError(f"unknown checks {unknown}; valid names: {', '.join(CHECK_NAMES)}")
+    for check in CHECKS:
+        if check.size is not None and getattr(config, check.size) < 0:
+            raise ValueError(f"SuiteConfig.{check.size} = {getattr(config, check.size)}; "
+                             "a sizing budget must be >= 0")
     bundle = _make_bundle(config)
     reports = []
     for check in CHECKS:
         start = time.perf_counter()
         if ((only is not None and check.name not in only)
-                or (check.size is not None and getattr(config, check.size) <= 0)):
+                or (check.size is not None and getattr(config, check.size) == 0)):
             report = CheckReport.skip(check.name)
         else:
             report = check.run(config, bundle)

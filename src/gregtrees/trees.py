@@ -45,12 +45,12 @@ object.  `_prufer_pairs` is the one Pruefer decoder.  The census
 entries that can precede it, and `_imp_fold` folds the (leaf, parent)
 pairs, each leaf into its parent, counting improper edges at every root
 with no reroot pass, on each tree relabeled i -> n+1-i; `imp` folds one
-tree's pairs, listed by a walk from its relabeled root.  The fibers (`_fibers`) read each tree's Pruefer (leaf,
-parent) pairs once (`_cayley_pairs`, `_split_marks`) and key the tree on
-the split system U of its restriction.  Rooted, the roots that pruning
-moves to one anchor vertex count together, under (U, the anchor's split,
-whether the anchor lies inside a smoothed edge).  `restrict` runs once
-per distinct key, and each (m, n, rooted) is walked once.
+tree's pairs, listed by a walk from its relabeled root.  The fibers
+(`_fibers`) read each tree's Pruefer (leaf, parent) pairs once
+(`_cayley_pairs`, `_split_marks`) and key the tree, at each root, on the
+split system of its restriction with the root as one more mark, the key
+`_split_firsts` gives a Greg configuration.  `restrict` runs once per
+key, so once per restricted tree, and each (m, n, rooted) is walked once.
 """
 
 from __future__ import annotations
@@ -414,11 +414,14 @@ def _split_firsts(n: int, rules: Variant) -> Iterator[tuple[int, list, tuple]]:
 
     A configuration is kept on the first occurrence of its split system.
     Marks are bits: label i is bit i - 1, root slot i bit n + i.  The key is
-    the sorted tuple of the marks on the side of each edge away from
-    vertex 1 (`_split_marks`, with the 0 of ids 0 and 1).
-    Every vertex of degree <= 2 carries a mark (an unlabeled one is a
-    root), and such a tree is fixed up to isomorphism by its splits
-    (Buneman 1971; Semple & Steel, Phylogenetics, 2003, ch. 3).
+    the set of the marks on the side of each edge away from vertex 1
+    (`_split_marks`, with the 0 of ids 0 and 1).  Every vertex of degree
+    <= 2 carries a mark (an unlabeled one is a root), and such a tree is
+    fixed up to isomorphism by its splits (Buneman 1971; Semple & Steel,
+    Phylogenetics, 2003, ch. 3).  The set loses nothing: every side of an
+    edge holds a leaf, so a mark, and no edge has split 0; two edges with
+    one split would fence in a part with no mark, which holds an unmarked
+    vertex of degree <= 2.
     """
     slot_bits = [1 << (n + i) for i in range(rules.roots)]
     full = (1 << (n + rules.roots)) - 1   # every mark the variant's trees carry
@@ -426,13 +429,13 @@ def _split_firsts(n: int, rules: Variant) -> Iterator[tuple[int, list, tuple]]:
         labels = [0] + [1 << i for i in range(n)] + [0] * u
         split = [0] * (n + u + 1)
         up = split[:]
-        seen: set[tuple[int, ...]] = set()
+        seen: set[frozenset[int]] = set()
         for pairs, roots in _greg_configs(n, u, rules):
             mark = labels[:]
             for r, bit in zip(roots, slot_bits):
                 mark[r] |= bit
             _split_marks(pairs, mark, full, split, up)
-            key = tuple(sorted(split))
+            key = frozenset(split)
             if key not in seen:
                 seen.add(key)
                 yield u, pairs, roots
@@ -686,56 +689,47 @@ def _fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
     Greg tree on the labels 1..n, for 1 <= n < m.  Cached, so shared by all
     callers, who must not mutate it; bounds are checked before the walk.
 
-    One `_split_marks` pass per Cayley tree keys it on its restriction,
-    and `restrict` runs once per distinct key.  Marks are bits: label
-    i <= n is bit i - 1.  An edge of the Cayley tree lies on the
-    restriction exactly when both of its sides hold a label, and then
-    splits the labels as the restricted edge it lies on does.  The
-    unrooted key U is the set of the nonzero splits, the labels on the
-    side of each edge away from label 1.  The restriction has no unlabeled
-    vertex of degree <= 2 outside its root slot, so its splits fix it (see
-    `enumerate_greg`).
+    A tree X with root r is keyed as `_split_firsts` keys a configuration:
+    label i <= n is bit i - 1, the root is one more mark, bit n, and the
+    key is the set of the marks on the side of each edge away from label 1.
+    One `_split_marks` pass over the labels serves every root, which adds
+    bit n to each split on its path to label 1 that holds a label
+    (unrooted, r = 1: no path).
 
-    Rooted, pruning moves a root r to its anchor: the first vertex on the
-    path from r toward label 1 that is a label or has a nonzero split,
-    since exactly the unlabeled vertices with no label beyond them are
-    pruned.  An unlabeled anchor with one child on the restriction, which
-    then has the anchor's split, is kept as a degree-2 root inside the
-    smoothed edge with that split.  Any other anchor is a kept vertex, and
-    kept vertices have distinct splits (label 1 the empty one).  So the
-    key is (U, anchor split, inside), and each anchor adds the number of
-    roots it takes to its key.
+    The key is the split system of restrict(X, n), its root (if any)
+    marked, so keys and restrictions are one to one and `restrict` runs
+    once per key.
+    Pruning removes exactly the edges of split 0, with no label on their
+    far side, and hands r up its path past them to the first vertex with
+    a label beyond it: the edges above that vertex, the ones that got
+    bit n, are those with the root on their far side.  Smoothing joins
+    edges of one split and keeps the root, so each edge of X with a
+    nonzero split has the split of the restricted edge it lies in.  Every
+    vertex of the restriction of degree <= 2 is a label or its root, so
+    its splits fix it (see `_split_firsts`).
     """
     if not 1 <= n < m:
         raise ValueError(f"need 1 <= n < m = {m}, got n = {n}")
     labels = (1 << n) - 1
+    root_bit = 1 << n
     base = [0] + [1 << i for i in range(n)] + [0] * (m - n)
     split = [0] * (m + 1)
     up = split[:]
-    below = range(2, m + 1)
-    unlabeled = range(n + 1, m + 1)
-    own = [0] + [1] * n + [0] * (m - n)   # each label is its own anchor
     counts: Counter = Counter()
     first: dict = {}    # key -> (pairs, roots) of its first tree
     for pairs in _cayley_pairs(m):
         _split_marks(pairs, base[:], labels, split, up)
-        cell = frozenset(split)   # U, and the 0 of ids 0 and 1
-        if not rooted:
-            counts[cell] += 1
-            first.setdefault(cell, (pairs, ()))
-            continue
-        roots = own[:]
-        for r in unlabeled:
-            a = r
-            while a > n and not split[a]:
-                a = up[a]
-            roots[a] += 1
-        for a in range(1, m + 1):
-            if roots[a]:
-                s = split[a]
-                key = (cell, s, a > n and any(up[v] == a and split[v] == s for v in below))
-                counts[key] += roots[a]
-                first.setdefault(key, (pairs, (a,)))
+        for r in range(1, m + 1) if rooted else (1,):
+            marks = split[:]
+            v = r
+            while v != 1:
+                if marks[v]:
+                    marks[v] |= root_bit
+                v = up[v]
+            key = frozenset(marks)
+            counts[key] += 1
+            if key not in first:
+                first[key] = (pairs, (r,) if rooted else ())
     return Counter({restrict(GregTree(n=m, u=0, edges=_normalize_edges(pairs), roots=roots), n):
                     counts[key] for key, (pairs, roots) in first.items()})
 

@@ -9,6 +9,7 @@ import pytest
 import gregtrees.suite as suite_module
 import gregtrees.trees as trees_module
 from gregtrees.polys import Poly, X, census_family
+from gregtrees.report import CheckReport
 from gregtrees.series import (check_def_identity, check_egf_theorem, check_gh_functional,
                               check_imp_census_series, rhs_series)
 from gregtrees.suite import (CHECK_NAMES, SuiteConfig, _check_restriction, _restriction_expected,
@@ -134,6 +135,14 @@ def test_zero_budget_skips():
     assert result.counts["skip"] == 1
 
 
+def test_a_skip_is_passed_none():
+    """`skipped` reads the one outcome field and is not a constructor field."""
+    assert CheckReport.skip("x") == CheckReport("x", passed=None)
+    assert CheckReport.skip("x").skipped and not CheckReport.ok("x").skipped
+    with pytest.raises(TypeError):
+        CheckReport("x", skipped=True)
+
+
 # the SuiteConfig field whose budget sizes each check; golden-tables has none
 SIZING_FIELDS = {
     "shifted-positivity": "positivity_rows",
@@ -186,10 +195,17 @@ def test_checks_reject_a_negative_size_and_pass_size_zero(name):
     assert SIZED_CHECKS[name](0).passed
 
 
-@pytest.mark.parametrize("name", sorted(SIZED_CHECKS))
-def test_negative_sizing_budget_skips_the_check(name):
-    result = run_suite(replace(SuiteConfig.quick(), **{SIZING_FIELDS[name]: -3}), only=[name])
-    assert result.counts == {"pass": 0, "fail": 0, "skip": 25, "total": 25}
+@pytest.mark.parametrize("name", sorted(SIZING_FIELDS))
+def test_negative_sizing_budget_raises_naming_the_field(monkeypatch, name):
+    """A negative budget is an error before the bundle is built, whether
+    or not its check is selected (zero skips the check, as above)."""
+    def no_bundle(config):
+        raise AssertionError("bundle built")
+    monkeypatch.setattr(suite_module, "_make_bundle", no_bundle)
+    field = SIZING_FIELDS[name]
+    for only in ([name], ["golden-tables"], None):
+        with pytest.raises(ValueError, match=rf"SuiteConfig\.{field} = -3; .* >= 0"):
+            run_suite(replace(SuiteConfig.quick(), **{field: -3}), only=only)
 
 
 def test_golden_tables_run_with_every_budget_zero():

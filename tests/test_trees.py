@@ -37,6 +37,7 @@ from gregtrees.trees import (
     _prufer_pairs,
     _prufer_sequences,
     _rerooted,
+    _split_marks,
     degree_filtered_count,
     enumerate_greg,
     imp,
@@ -374,6 +375,28 @@ def _greg_candidates(n, u, variant):
 
 
 SMALL_CASES = [("unrooted", 5), ("rooted", 4), ("relaxed", 4), ("birooted", 3)]
+
+
+@pytest.mark.parametrize("variant, n_max", [("unrooted", 4), ("rooted", 4), ("relaxed", 4),
+                                            ("birooted", 3)])
+def test_split_lists_hold_no_zero_edge_and_no_repeat(variant, n_max):
+    """`_split_firsts` keys on the set of a configuration's splits, which
+    loses nothing: in every degree-valid configuration the split list holds
+    the 0s of ids 0 and 1 and no other repeat, so no edge has split 0."""
+    rules = VARIANTS[variant]
+    for n in range(1, n_max + 1):
+        full = (1 << (n + rules.roots)) - 1
+        for u in range(u_bound(n, variant) + 1):
+            labels = [0] + [1 << i for i in range(n)] + [0] * u
+            split = [0] * (n + u + 1)
+            up = split[:]
+            for pairs, roots in _greg_configs(n, u, rules):
+                mark = labels[:]
+                for i, r in enumerate(roots):
+                    mark[r] |= 1 << (n + i)
+                _split_marks(pairs, mark, full, split, up)
+                assert split[:2] == [0, 0] and 0 not in split[2:], (pairs, roots)
+                assert len(set(split)) == len(split) - 1, (pairs, roots)
 
 
 @pytest.mark.parametrize("variant, n_max", SMALL_CASES)
@@ -1093,6 +1116,29 @@ def test_restrict_matches_rescanning_restrict(rooted, m_max):
             assert _fibers(m, n, rooted) == fiber, (m, n)
 
 
+def test_fibers_restrict_once_per_restricted_tree(monkeypatch):
+    """A tree's key is the split system of its restriction, root marked,
+    so keys and restrictions are one to one: `restrict` runs once for
+    each tree of the fiber, rooted or not."""
+    calls = Counter()
+    real = trees_module.restrict
+
+    def counted(x, n):
+        calls[len(x.roots)] += 1
+        return real(x, n)
+    monkeypatch.setattr(trees_module, "restrict", counted)
+    _fibers.cache_clear()
+    try:
+        for rooted in (False, True):
+            for m in range(2, 7):
+                for n in range(1, m):
+                    calls.clear()
+                    fiber = _fibers(m, n, rooted)
+                    assert calls == {int(rooted): len(fiber)}, (m, n, rooted)
+    finally:
+        _fibers.cache_clear()
+
+
 @pytest.mark.parametrize("m, n", [(4, 4), (4, 0), (1, 1)], ids=["n=m", "n=0", "m=1"])
 def test_restriction_fibers_reject_bad_bounds_before_walking(monkeypatch, m, n):
     def walk(*args):
@@ -1168,15 +1214,17 @@ def test_rooted_restriction_fibers_cover_everything():
     assert fibers[GregTree.build(2, 1, [(1, 3), (2, 3)], roots=(3,))] == 1
 
 
-def test_rooted_root_cells_match_prediction_past_the_oracles():
-    """n = 3 rooted at m = 7, past the rescanning oracle (m <= 6) and the
-    suite's default reach (m <= n + 3): each fiber is the series'
-    prediction, and the fibers cover all 7**6 rooted Cayley trees."""
-    trees = list(enumerate_greg(3, "rooted"))
-    for t in trees:
-        assert restriction_census(t, 7)[-1] == _restriction_expected("rooted", 3, t.u, 7), t
-    fibers = _fibers(7, 3, True)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rooted_root_cells_match_prediction_past_the_oracles(n):
+    """Rooted at m = 7, past the rescanning oracle (m <= 6) and the suite's
+    default reach (m <= n + 3): each fiber is the series' prediction, the
+    fiber keys are the rooted trees on n labels with u <= m - n, and the
+    fibers cover all 7**6 rooted Cayley trees."""
+    trees = [t for t in enumerate_greg(n, "rooted") if t.u <= 7 - n]
+    fibers = _fibers(7, n, True)
     assert set(fibers) == set(trees)
+    for t in trees:
+        assert fibers[t] == _restriction_expected("rooted", n, t.u, 7), t
     assert sum(fibers.values()) == 7 ** 6 == 117_649
 
 
