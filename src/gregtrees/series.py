@@ -3,9 +3,9 @@
 A list e of ints stands for the series sum_k e[k] z^k/k!, truncated after
 entry len(e) - 1: the EGF vector, whose entry k is k! times the coefficient
 of z^k.  Every series the checks build has integer entries in this form:
-T, W, e^{nT}, (1-T)^{-k}, (1+W)^{-k}, T/(1-T), z/(1+z), and the tree series
-at x = p/q once entry n is scaled by q^n.  Products are binomial
-convolutions, and exp, inverse, powers, composition and reversion are
+T, W, log 1/(1-T), log 1/(1+W), e^{nT} (1-T)^{-k}, T/(1-T), z/(1+z), and
+the tree series at x = p/q once entry n is scaled by q^n.  Products are
+binomial convolutions, and exp, inverse, composition and reversion are
 integer recursions on those convolutions, so no floating point and no
 fraction arithmetic enters any series.  The n-th derivative of a series is
 its vector shifted by n.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 from .polys import FAMILIES, Poly, gen_F, gen_G, gen_H, gen_P, imp_family, shift
@@ -101,17 +102,6 @@ def _egf_inverse(f: Sequence[int]) -> list[int]:
     return g
 
 
-def _egf_pow(f: Sequence[int], a: int) -> list[int]:
-    """f^a for f[0] = 1 and any integer a; g'f = a f'g gives
-    g[m+1] = a sum_k C(m,k) f[k+1] g[m-k] - sum_{k<m} C(m,k) g[k+1] f[m-k]."""
-    df, g, dg = f[1:], [1], []   # dg[k] = g[k+1]
-    for m in range(len(df)):
-        dg.append(0)   # so the second sum leaves out the unknown g[m+1] f[0]
-        dg[m] = a * _binomial_sum(df, g, m) - _binomial_sum(dg, f, m)
-        g.append(dg[m])
-    return g
-
-
 def _egf_horner(p: Poly, v: Sequence[int]) -> list[int]:
     """p(v), to the length of v."""
     acc = [0] * len(v)
@@ -176,6 +166,18 @@ def _gen(family: str, n_max: int) -> list[Poly]:
     return globals()[f"gen_{family}"](n_max)  # by name: wrappers on gen_* see it
 
 
+@cache
+def _display_series(w: bool, order: int) -> tuple[tuple[int, ...], ...]:
+    """(T, log 1/(1-T), T/(1-T)), or for `w` (W, log 1/(1+W), W), through
+    z^order, as cached tuples.  Entry j of the log is entry j-1 of its
+    derivative, T'/(1-T) resp. -W'/(1+W), an integer vector."""
+    f = series_W(order) if w else series_T(1, order)
+    sign = -1 if w else 1
+    inverse = _egf_inverse([1] + [-sign * c for c in f[1:]])   # 1/(1-T), 1/(1+W)
+    log = [0] + [sign * c for c in _egf_mul(f[1:], inverse)]
+    return tuple(f), tuple(log), tuple(f if w else [0] + inverse[1:])
+
+
 def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> list[int]:
     """EGF vector, through z^order, of the closed form of the n-th derivative
     of the family's base series.
@@ -185,7 +187,8 @@ def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> lis
     H: e^{nT} (1-T)^{-(n-1)} H_n(T/(1-T))   for T_2 = T - T^2/2
     P: e^{-nW} (1+W)^{-(2n-1)} P_n(W)       for W itself
 
-    A given `poly` stands in for row n, and no row is generated.
+    The factor before X_n is one exp, of nT + k log 1/(1-T) or of
+    -nW + (2n-1) log 1/(1+W).  A given `poly` stands in for row n.
     """
     if n < 1:
         raise ValueError("derivative index must be >= 1")
@@ -194,15 +197,9 @@ def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> lis
         raise ValueError("negative truncation order")
     if poly is None:
         poly = _gen(family, n)[n - 1]
-    if family == "P":
-        w = series_W(order)
-        head, unit, exponent, arg = [-n * c for c in w], [1] + w[1:], 1 - 2 * n, w
-    else:
-        t = series_T(1, order)
-        unit = [1] + [-c for c in t[1:]]   # 1 - T
-        head, exponent = [n * c for c in t], -(n + FAMILIES[family].c)
-        arg = _egf_mul(t, _egf_inverse(unit))   # T/(1-T)
-    return _egf_mul(_egf_mul(_egf_exp(head), _egf_pow(unit, exponent)), _egf_horner(poly, arg))
+    a, k = (-n, 2 * n - 1) if family == "P" else (n, n + FAMILIES[family].c)
+    base, log, arg = _display_series(family == "P", order)
+    return _egf_mul(_egf_exp([a * b + k * c for b, c in zip(base, log)]), _egf_horner(poly, arg))
 
 
 def _first_mismatch(a: Sequence, b: Sequence) -> int | None:

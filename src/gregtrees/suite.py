@@ -1,7 +1,7 @@
 """The verification suite: every identity the library exposes, as checks.
 
 Each check is declared once, as an entry of ``CHECKS``: its name, the
-``SuiteConfig`` budget that sizes it, the ``gregtrees check`` options that
+``SuiteConfig`` budgets that size it, the ``gregtrees check`` options that
 tune it, and its runner.  ``run_suite`` walks that table in order and
 ``gregtrees check`` routes its options through it, so a new check is one
 entry.  ``run_suite`` returns a ``SuiteResult`` whose JSON and text
@@ -335,15 +335,16 @@ def _check_imp_series(rooted: bool, depth: int, order: int) -> CheckReport:
 class Check:
     """One check of the suite.
 
-    `size` names the ``SuiteConfig`` budget that sizes it: zero skips the
-    check, and None runs it always.  `run(config, bundle)` looks its check
-    function up when called, so wrappers on module attributes see it.
+    `sizes` names the ``SuiteConfig`` budgets that size it: any of them at
+    zero skips the check, and with none it runs always.  `run(config,
+    bundle)` looks its check function up when called, so wrappers on module
+    attributes see it.
     `options` maps each ``gregtrees check`` option that tunes the check to
     the field the option sets.
     """
 
     name: str
-    size: str | None
+    sizes: tuple[str, ...]
     run: Callable[[SuiteConfig, dict[str, list[Poly]]], CheckReport]
     options: dict[str, str] = field(default_factory=dict)
 
@@ -351,40 +352,43 @@ class Check:
 _SIDES = (("unrooted", False), ("rooted", True))
 
 CHECKS: tuple[Check, ...] = (
-    Check("golden-tables", None, lambda c, b: _check_golden(b)),
-    Check("shifted-positivity", "positivity_rows",
+    Check("golden-tables", (), lambda c, b: _check_golden(b)),
+    Check("shifted-positivity", ("positivity_rows",),
           lambda c, b: _check_positivity(b, c.positivity_rows), {"--n-max": "positivity_rows"}),
-    Check("interconversion", "poly_rows",
+    Check("interconversion", ("poly_rows",),
           lambda c, b: _check_interconversion(b, c.poly_rows), {"--n-max": "poly_rows"}),
-    Check("reciprocity", "reciprocity_rows",
+    Check("reciprocity", ("reciprocity_rows",),
           lambda c, b: _check_reciprocity(b, c.reciprocity_rows), {"--n-max": "reciprocity_rows"}),
-    Check("q-specializations", "q_rows",
+    Check("q-specializations", ("q_rows",),
           lambda c, b: _check_q_specializations(b, c.q_rows), {"--n-max": "q_rows"}),
-    *(Check(f"def-identity-{f}", "series_n_max",
+    *(Check(f"def-identity-{f}", ("series_n_max",),
             lambda c, b, f=f: _series.check_def_identity(f, c.series_n_max, c.series_order, polys=b[f]),
             {"--n-max": "series_n_max"}) for f in _BUNDLE_FAMILIES),
-    Check("basic-identities", "series_order", lambda c, b: _series.check_basic_identities(c.series_order)),
-    Check("reversion-lemma", "series_order", lambda c, b: _series.check_reversion_lemma(c.series_order)),
-    Check("egf-theorem", "egf_n_max",
+    Check("basic-identities", ("series_order",),
+          lambda c, b: _series.check_basic_identities(c.series_order)),
+    Check("reversion-lemma", ("series_order",),
+          lambda c, b: _series.check_reversion_lemma(c.series_order)),
+    Check("egf-theorem", ("egf_n_max",),
           lambda c, b: _series.check_egf_theorem(c.egf_x_samples, c.egf_n_max, polys=b),
           {"--n-max": "egf_n_max", "--x": "egf_x_samples"}),
-    Check("gh-functional", "gh_order",
+    Check("gh-functional", ("gh_order",),
           lambda c, b: _series.check_gh_functional(c.egf_x_samples, c.gh_order, polys=b)),
-    *(Check(f"census-unl-{v}", "census_n_max", lambda c, b, v=v: _check_census_unl(b, v, c.census_n_max))
+    *(Check(f"census-unl-{v}", ("census_n_max",),
+            lambda c, b, v=v: _check_census_unl(b, v, c.census_n_max))
       for v in ("unrooted", "rooted", "relaxed")),
-    Check("census-unl-birooted", "census_birooted_n_max",
+    Check("census-unl-birooted", ("census_birooted_n_max",),
           lambda c, b: _check_census_unl(b, "birooted", c.census_birooted_n_max)),
-    *(Check(f"census-imp-{side}", "imp_rows", lambda c, b, r=r: _check_census_imp(b, r, c.imp_rows))
-      for side, r in reversed(_SIDES)),
-    *(Check(f"restriction-fiber-{side}", "restriction_n_max",
+    *(Check(f"census-imp-{side}", ("imp_rows",),
+            lambda c, b, r=r: _check_census_imp(b, r, c.imp_rows)) for side, r in reversed(_SIDES)),
+    *(Check(f"restriction-fiber-{side}", ("restriction_n_max", "restriction_extra"),
             lambda c, b, r=r: _check_restriction(r, c.restriction_n_max, c.restriction_extra))
       for side, r in _SIDES),
-    *(Check(f"imp-census-series-{side}", "beta_depth",
+    *(Check(f"imp-census-series-{side}", ("beta_depth",),
             lambda c, b, r=r: _check_imp_series(r, c.beta_depth, c.beta_order)) for side, r in _SIDES),
-    Check("bernstein-signs", "bernstein_n_max",
+    Check("bernstein-signs", ("bernstein_n_max",),
           lambda c, b: _wfunc.check_bernstein(c.bernstein_points, c.bernstein_n_max),
           {"--n-max": "bernstein_n_max"}),
-    Check("halfplane", "halfplane_samples",
+    Check("halfplane", ("halfplane_samples",),
           lambda c, b: _wfunc.check_halfplane(c.halfplane_samples, c.halfplane_seed),
           {"--samples": "halfplane_samples", "--seed": "halfplane_seed"}),
 )
@@ -409,15 +413,16 @@ def run_suite(config: SuiteConfig | None = None,
         if unknown:
             raise ValueError(f"unknown checks {unknown}; valid names: {', '.join(CHECK_NAMES)}")
     for check in CHECKS:
-        if check.size is not None and getattr(config, check.size) < 0:
-            raise ValueError(f"SuiteConfig.{check.size} = {getattr(config, check.size)}; "
-                             "a sizing budget must be >= 0")
+        for size in check.sizes:
+            if getattr(config, size) < 0:
+                raise ValueError(f"SuiteConfig.{size} = {getattr(config, size)}; "
+                                 "a sizing budget must be >= 0")
     bundle = _make_bundle(config)
     reports = []
     for check in CHECKS:
         start = time.perf_counter()
         if ((only is not None and check.name not in only)
-                or (check.size is not None and getattr(config, check.size) == 0)):
+                or not all(getattr(config, size) for size in check.sizes)):
             report = CheckReport.skip(check.name)
         else:
             report = check.run(config, bundle)

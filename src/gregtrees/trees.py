@@ -45,12 +45,9 @@ object.  `_prufer_pairs` is the one Pruefer decoder.  The census
 entries that can precede it, and `_imp_fold` folds the (leaf, parent)
 pairs, each leaf into its parent, counting improper edges at every root
 with no reroot pass, on each tree relabeled i -> n+1-i; `imp` folds one
-tree's pairs, listed by a walk from its relabeled root.  The fibers
-(`_fibers`) read each tree's Pruefer (leaf, parent) pairs once
-(`_cayley_pairs`, `_split_marks`) and key the tree, at each root, on the
-split system of its restriction with the root as one more mark, the key
-`_split_firsts` gives a Greg configuration.  `restrict` runs once per
-key, so once per restricted tree, and each (m, n, rooted) is walked once.
+tree's pairs, listed by a walk from its relabeled root.  One walk per
+(m, n), `_fiber_keys`, keys each Cayley tree and each of its roots for
+`_fibers`, which runs `restrict` once per key of the side asked for.
 """
 
 from __future__ import annotations
@@ -684,52 +681,55 @@ def restrict(x: GregTree, n: int) -> GregTree:
 
 
 @cache
+def _fiber_keys(m: int, n: int) -> tuple[tuple[Counter, dict], tuple[Counter, dict]]:
+    """One walk of the Cayley trees of size m for both `_fibers` sides: trees
+    per key and (pairs, roots) of the first, (S, s, inner) packed as (S, 2s + inner)."""
+    base = [0] + [1 << i for i in range(n)] + [0] * (m - n)
+    split, up = [0] * (m + 1), [0] * (m + 1)
+    counts, first, cells, rooted_first = Counter(), {}, {}, {}   # cells[S]: Counter of 2s + inner
+    for pairs in _cayley_pairs(m):
+        _split_marks(pairs, base[:], (1 << n) - 1, split, up)
+        system = frozenset(split)
+        counts[system] += 1
+        if system not in cells:
+            first[system], cells[system] = (pairs, ()), Counter()
+        codes = cells[system]
+        for v in range(1, m + 1):   # v goes from the root r up to where pruning lands it
+            while not split[v] and v != 1:
+                v = up[v]
+            s = split[v]
+            code = 2 * s + (v > n and any(up[w] == v and split[w] == s for w in range(2, m + 1)))
+            if code not in codes:
+                rooted_first[system, code] = pairs, (v,)
+            codes[code] += 1
+    rooted = Counter({(system, code): k for system, codes in cells.items() for code, k in codes.items()})
+    return (counts, first), (rooted, rooted_first)
+
+
+@cache
 def _fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
     """How many Cayley trees of size m (rooted or not) restrict to each
     Greg tree on the labels 1..n, for 1 <= n < m.  Cached, so shared by all
     callers, who must not mutate it; bounds are checked before the walk.
-
-    A tree X with root r is keyed as `_split_firsts` keys a configuration:
-    label i <= n is bit i - 1, the root is one more mark, bit n, and the
-    key is the set of the marks on the side of each edge away from label 1.
-    One `_split_marks` pass over the labels serves every root, which adds
-    bit n to each split on its path to label 1 that holds a label
-    (unrooted, r = 1: no path).
-
-    The key is the split system of restrict(X, n), its root (if any)
-    marked, so keys and restrictions are one to one and `restrict` runs
-    once per key.
-    Pruning removes exactly the edges of split 0, with no label on their
-    far side, and hands r up its path past them to the first vertex with
-    a label beyond it: the edges above that vertex, the ones that got
-    bit n, are those with the root on their far side.  Smoothing joins
-    edges of one split and keeps the root, so each edge of X with a
-    nonzero split has the split of the restricted edge it lies in.  Every
-    vertex of the restriction of degree <= 2 is a label or its root, so
-    its splits fix it (see `_split_firsts`).
+    `_fiber_keys` keys a tree X on S, the set of the marks on the side of
+    each edge away from label 1 (label i <= n is bit i - 1), the key
+    `_split_firsts` gives a configuration, and X at root r on (S, s, inner):
+    v is the first vertex on r's path to label 1 with a nonzero split s,
+    else label 1 (s = 0), and inner says v is unlabeled with a child edge
+    of split s.  S is the split system of restrict(X, n): pruning removes
+    the edges of split 0, smoothing joins edges of one split, and every
+    vertex of degree <= 2 of the restriction is a label or its root, so
+    its splits fix it (see `_split_firsts`).  Pruning hands r up to v, so
+    with the root as one more mark R the rooted restriction's splits are S
+    if s = 0, else those of S not holding s, t|R for each t of S holding s
+    (s included), and s again if inner: only an inner v keeps a child edge
+    of split s, apart from v's own as v is the root.  The least marked
+    split gives s back and an unmarked s gives inner, so keys and
+    restrictions are one to one: `restrict` runs once per key.
     """
     if not 1 <= n < m:
         raise ValueError(f"need 1 <= n < m = {m}, got n = {n}")
-    labels = (1 << n) - 1
-    root_bit = 1 << n
-    base = [0] + [1 << i for i in range(n)] + [0] * (m - n)
-    split = [0] * (m + 1)
-    up = split[:]
-    counts: Counter = Counter()
-    first: dict = {}    # key -> (pairs, roots) of its first tree
-    for pairs in _cayley_pairs(m):
-        _split_marks(pairs, base[:], labels, split, up)
-        for r in range(1, m + 1) if rooted else (1,):
-            marks = split[:]
-            v = r
-            while v != 1:
-                if marks[v]:
-                    marks[v] |= root_bit
-                v = up[v]
-            key = frozenset(marks)
-            counts[key] += 1
-            if key not in first:
-                first[key] = (pairs, (r,) if rooted else ())
+    counts, first = _fiber_keys(m, n)[rooted]
     return Counter({restrict(GregTree(n=m, u=0, edges=_normalize_edges(pairs), roots=roots), n):
                     counts[key] for key, (pairs, roots) in first.items()})
 

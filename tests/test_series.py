@@ -20,12 +20,12 @@ from gregtrees.series import (
     check_reversion_lemma,
     _binomial_square,
     _binomial_sum,
+    _display_series,
     _egf_compose,
     _egf_exp,
     _egf_horner,
     _egf_inverse,
     _egf_mul,
-    _egf_pow,
     _egf_reversion,
     _egf_text,
     _shifted_tree_egf,
@@ -173,6 +173,18 @@ def _ratio(order):
     """T/(1-T) as an EGF vector."""
     t = series_T(1, order)
     return _egf_mul(t, _egf_inverse([1] + [-c for c in t[1:]]))
+
+
+def test_display_logs_exponentiate_to_the_reciprocals():
+    """The cached display series through orders 0..30: exp of each log is
+    the reciprocal it is the log of, and T's displays take T/(1-T)."""
+    for order in range(31):
+        t, log_t, ratio = _display_series(False, order)
+        w, log_w, arg = _display_series(True, order)
+        assert list(t) == series_T(1, order) and list(w) == list(arg) == series_W(order)
+        assert _egf_exp(log_t) == _egf_inverse([1] + [-c for c in t[1:]]), order
+        assert _egf_exp(log_w) == _egf_inverse([1] + list(w[1:])), order
+        assert list(ratio) == _ratio(order), order
 
 
 @pytest.mark.parametrize("make", [
@@ -568,7 +580,7 @@ def test_egf_inverse_inverts(tail):
     f = [1] + tail
     g = _egf_inverse(f)
     assert _egf_mul(f, g) == [1] + [0] * len(tail)
-    assert g == _egf_pow(f, -1)
+    assert _egf_inverse(g) == f
 
 
 @pytest.mark.parametrize("seed", range(3))

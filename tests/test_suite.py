@@ -143,7 +143,8 @@ def test_a_skip_is_passed_none():
         CheckReport("x", skipped=True)
 
 
-# the SuiteConfig field whose budget sizes each check; golden-tables has none
+# the SuiteConfig field whose budget sizes each check; golden-tables has none,
+# and the fiber checks also have restriction_extra (tested below)
 SIZING_FIELDS = {
     "shifted-positivity": "positivity_rows",
     "interconversion": "poly_rows",
@@ -206,6 +207,24 @@ def test_negative_sizing_budget_raises_naming_the_field(monkeypatch, name):
     for only in ([name], ["golden-tables"], None):
         with pytest.raises(ValueError, match=rf"SuiteConfig\.{field} = -3; .* >= 0"):
             run_suite(replace(SuiteConfig.quick(), **{field: -3}), only=only)
+
+
+FIBER_CHECKS = ["restriction-fiber-unrooted", "restriction-fiber-rooted"]
+
+
+def test_zero_restriction_extra_skips_both_fiber_checks():
+    """At zero the fiber checks would compare no fiber and still pass."""
+    result = run_suite(replace(SuiteConfig.quick(), restriction_extra=0), only=FIBER_CHECKS)
+    assert result.counts == {"pass": 0, "fail": 0, "skip": 25, "total": 25}
+
+
+def test_negative_restriction_extra_raises_naming_the_field(monkeypatch):
+    def no_bundle(config):
+        raise AssertionError("bundle built")
+    monkeypatch.setattr(suite_module, "_make_bundle", no_bundle)
+    for only in (FIBER_CHECKS, ["golden-tables"], None):
+        with pytest.raises(ValueError, match=r"SuiteConfig\.restriction_extra = -1; .* >= 0"):
+            run_suite(replace(SuiteConfig.quick(), restriction_extra=-1), only=only)
 
 
 def test_golden_tables_run_with_every_budget_zero():
@@ -285,12 +304,16 @@ def test_restriction_check_walks_each_size_once_per_n(monkeypatch):
         walks.append(m)
         return real(m)
     monkeypatch.setattr(trees_module, "_cayley_pairs", counted)
-    trees_module._fibers.cache_clear()
+    caches = trees_module._fibers, trees_module._fiber_keys
+    for cache in caches:
+        cache.cache_clear()
     try:
         assert _check_restriction(True, 3, 3).passed
+        assert _check_restriction(False, 3, 3).passed
     finally:
-        trees_module._fibers.cache_clear()
-    # one walk per (m, n) with n <= 3 < m <= n + 3
+        for cache in caches:
+            cache.cache_clear()
+    # one walk per (m, n) with n <= 3 < m <= n + 3 serves both sides
     assert sorted(walks) == [2, 3, 3, 4, 4, 4, 5, 5, 6]
 
 

@@ -1117,9 +1117,9 @@ def test_restrict_matches_rescanning_restrict(rooted, m_max):
 
 
 def test_fibers_restrict_once_per_restricted_tree(monkeypatch):
-    """A tree's key is the split system of its restriction, root marked,
-    so keys and restrictions are one to one: `restrict` runs once for
-    each tree of the fiber, rooted or not."""
+    """Keys and restrictions are one to one: `restrict` runs once for each
+    tree of the fiber, and only for the side asked for, though one walk
+    keys both sides."""
     calls = Counter()
     real = trees_module.restrict
 
