@@ -250,6 +250,8 @@ def _run_check(args, parser) -> int:
         result = run_suite(config, only=None if target == "all" else [target])
     except ValueError as exc:
         parser.error(str(exc))
+    except OverflowError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     text = result.to_json() if args.format == "json" else result.to_text()
     _emit(text, args.out)
     if args.timings:

@@ -2,7 +2,7 @@
 
 Each check is declared once, as an entry of ``CHECKS``: its name, the
 ``SuiteConfig`` budgets that size it, the ``gregtrees check`` options that
-tune it, and its runner.  ``run_suite`` walks that table in order and
+tune it, the budget pairs that must agree, and its runner.  ``run_suite`` walks that table in order and
 ``gregtrees check`` routes its options through it, so a new check is one
 entry.  ``run_suite`` returns a ``SuiteResult`` whose JSON and text
 renderings are byte-deterministic for a given configuration.  Budgets live
@@ -341,12 +341,15 @@ class Check:
     attributes see it.
     `options` maps each ``gregtrees check`` option that tunes the check to
     the field the option sets.
+    `needs` lists the budgets that must agree: each (a, b, k) states
+    ``a >= b + k`` and binds only when both budgets are nonzero.
     """
 
     name: str
     sizes: tuple[str, ...]
     run: Callable[[SuiteConfig, dict[str, list[Poly]]], CheckReport]
     options: dict[str, str] = field(default_factory=dict)
+    needs: tuple[tuple[str, str, int], ...] = ()
 
 
 _SIDES = (("unrooted", False), ("rooted", True))
@@ -363,7 +366,8 @@ CHECKS: tuple[Check, ...] = (
           lambda c, b: _check_q_specializations(b, c.q_rows), {"--n-max": "q_rows"}),
     *(Check(f"def-identity-{f}", ("series_n_max",),
             lambda c, b, f=f: _series.check_def_identity(f, c.series_n_max, c.series_order, polys=b[f]),
-            {"--n-max": "series_n_max"}) for f in _BUNDLE_FAMILIES),
+            {"--n-max": "series_n_max"}, needs=(("series_order", "series_n_max", 5),))
+      for f in _BUNDLE_FAMILIES),
     Check("basic-identities", ("series_order",),
           lambda c, b: _series.check_basic_identities(c.series_order)),
     Check("reversion-lemma", ("series_order",),
@@ -384,7 +388,8 @@ CHECKS: tuple[Check, ...] = (
             lambda c, b, r=r: _check_restriction(r, c.restriction_n_max, c.restriction_extra))
       for side, r in _SIDES),
     *(Check(f"imp-census-series-{side}", ("beta_depth",),
-            lambda c, b, r=r: _check_imp_series(r, c.beta_depth, c.beta_order)) for side, r in _SIDES),
+            lambda c, b, r=r: _check_imp_series(r, c.beta_depth, c.beta_order),
+            needs=(("beta_order", "beta_depth", 0),)) for side, r in _SIDES),
     Check("bernstein-signs", ("bernstein_n_max",),
           lambda c, b: _wfunc.check_bernstein(c.bernstein_points, c.bernstein_n_max),
           {"--n-max": "bernstein_n_max"}),
@@ -404,7 +409,8 @@ def run_suite(config: SuiteConfig | None = None,
 
     `only` restricts execution to the named checks; the rest appear in the
     result as skipped, so the report shape does not depend on the filter.
-    A negative sizing budget raises ValueError before any work; zero skips.
+    A negative sizing budget, or a pair of budgets that disagree (see
+    `Check.needs`), raises ValueError before any work; zero skips.
     Each report's `seconds` is the wall time of its check.
     """
     config = config or SuiteConfig()
@@ -417,6 +423,13 @@ def run_suite(config: SuiteConfig | None = None,
             if getattr(config, size) < 0:
                 raise ValueError(f"SuiteConfig.{size} = {getattr(config, size)}; "
                                  "a sizing budget must be >= 0")
+    for check in CHECKS:
+        for a, b, k in check.needs:
+            va, vb = getattr(config, a), getattr(config, b)
+            if va and vb and va < vb + k:
+                plus = f" + {k}" if k else ""
+                raise ValueError(f"SuiteConfig.{a} = {va} must be >= SuiteConfig.{b}{plus} "
+                                 f"= {vb + k} ({check.name})")
     bundle = _make_bundle(config)
     reports = []
     for check in CHECKS:

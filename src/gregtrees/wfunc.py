@@ -4,6 +4,9 @@ W solves w e^w = z.  The principal branch is real-analytic on
 (-1/e, inf), has a branch point at z = -1/e, and the cut (-inf, -1/e].
 Evaluation is Halley iteration from a regime-chosen seed; every returned
 value satisfies the residual contract |w e^w - z| <= 1e-13 max(1, |z|).
+Each call tests the type of z once: real and complex z have their own
+input checks and seeds, and share one Halley kernel (`_halley`), which
+computes the seed inside its overflow guard.
 The iteration stops one step after the residual first reaches the
 rounding floor, |w e^w - z| <= 8 eps |z|, or at a step |dw| <= 1e-15
 (1 + |w|), whichever comes first, with 50 steps as the backstop.  The
@@ -50,6 +53,7 @@ from .report import CheckReport
 _INV_E = math.exp(-1.0)
 
 _MAX_ITER = 50
+_STEPS = range(1, _MAX_ITER + 1)
 _STEP_TOL = 1e-15
 _FLOOR_TOL = 8.0 * sys.float_info.epsilon
 _RESIDUAL_TOL = 1e-13
@@ -71,24 +75,30 @@ class WEval(NamedTuple):
     iterations: int
 
 
-def _seed(z: complex | float) -> complex | float:
-    is_real = not isinstance(z, complex)
+def _seed_real(z: float) -> float:
+    """The seeds of `_seed_complex` on the real line, where left of -1/e is the cut."""
+    if abs(z + _INV_E) <= 0.3:
+        p = math.sqrt(2.0 * (math.e * z + 1.0))
+        return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+    if abs(z) <= 0.8:
+        return z
+    if z >= math.e:
+        return math.log(z) - math.log(math.log(z))
+    return math.log1p(z)
+
+
+def _seed_complex(z: complex) -> complex:
     near = abs(z + _INV_E)
-    if near <= 0.3 or (not is_real and z.real < -_INV_E and near <= 0.6):
+    if near <= 0.3 or (z.real < -_INV_E and near <= 0.6):
         # branch-point series in p = sqrt(2(ez+1)); left of -1/e out to 0.6,
         # where a log seed can wander or cross the cut to a conjugate branch
-        s = 2.0 * (math.e * z + 1.0)
-        p = math.sqrt(s) if is_real else cmath.sqrt(s)
+        p = cmath.sqrt(2.0 * (math.e * z + 1.0))
         return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
     if abs(z) <= 0.8:
         # W(z) = z + O(z^2); the identity seed also keeps the iteration on
         # the principal branch in the annulus past 1/e, where a log seed
         # can defect to an adjacent branch
         return z
-    if is_real:
-        if z >= math.e:
-            return math.log(z) - math.log(math.log(z))
-        return math.log1p(z)
     l1 = cmath.log(z)
     if abs(z) >= 3.0:
         # asymptotic series W = L1 - L2 + L2/L1 + ..., principal logs
@@ -112,22 +122,28 @@ def eval_W(z: complex | float) -> WEval:
     then counts that solve's steps.  A result violating the residual
     contract raises ArithmeticError.
     """
-    if isinstance(z, complex) and z.imag == 0.0:
+    if isinstance(z, complex):
+        if z.imag != 0.0:
+            if not cmath.isfinite(z):
+                raise ValueError(f"z={z!r} is not finite")
+            return _halley(z, _seed_complex, cmath.exp)
         z = z.real
-    if not isinstance(z, complex):
-        z = float(z)
-    if not cmath.isfinite(z):
+    z = float(z)
+    if not math.isfinite(z):
         raise ValueError(f"z={z!r} is not finite")
-    if not isinstance(z, complex) and z <= -_INV_E:
+    if z <= -_INV_E:
         raise ValueError(f"z={z!r} lies on the branch cut (-inf, -1/e]")
     if z == 0:
         return WEval(z, 0.0, 0.0, 0)
-    exp = cmath.exp if isinstance(z, complex) else math.exp
+    return _halley(z, _seed_real, math.exp)
+
+
+def _halley(z, seed, exp) -> WEval:
+    """`eval_W` past its input checks, in the float type of z and its `exp`."""
     try:
-        w = _seed(z)
+        w = seed(z)
         floor = _FLOOR_TOL * abs(z)
-        iterations = 0
-        for iterations in range(1, _MAX_ITER + 1):
+        for iterations in _STEPS:
             ew = exp(w)
             f = w * ew - z
             w1 = w + 1.0
@@ -147,7 +163,8 @@ def eval_W(z: complex | float) -> WEval:
         w, residual, iterations, relative = _solve_log_form(z)
     if not relative <= _RESIDUAL_TOL:
         raise ArithmeticError(f"W({z!r}) did not converge: residual {residual:.3e}")
-    return WEval(z, w, residual, iterations)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(WEval, (z, w, residual, iterations))
 
 
 def _solve_log_form(z: complex | float) -> tuple[complex | float, float, int, float]:
@@ -178,8 +195,7 @@ def _solve_log_form(z: complex | float) -> tuple[complex | float, float, int, fl
     l1 = hi + lo
     l2 = log(l1)
     w = l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1)
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
+    for iterations in _STEPS:
         g = (w - hi) + (log(w) - lo)
         dw = g * w / (w + 1.0)
         w = w - dw
@@ -327,7 +343,8 @@ def finite_difference_W(z: float, n: int) -> float:
 # ── checks ────────────────────────────────────────────────────────────────
 
 def check_bernstein(points: Sequence[float], n_max: int) -> CheckReport:
-    """Signs (-1)^{n-1} of the derivatives of all three families on z > 0."""
+    """Signs (-1)^{n-1} of the derivatives of all three families on z > 0;
+    a derivative past the float range raises OverflowError naming family, n, z."""
     name = "bernstein-signs"
     params = {"points": list(points), "n_max": n_max, "families": list(BERNSTEIN_FAMILIES)}
     if any(p <= 0 for p in points):
@@ -338,7 +355,11 @@ def check_bernstein(points: Sequence[float], n_max: int) -> CheckReport:
     for family in BERNSTEIN_FAMILIES:
         for z in points:
             for n in range(1, n_max + 1):
-                value = family_derivative(family, float(z), n)
+                try:
+                    value = family_derivative(family, float(z), n)
+                except OverflowError as exc:
+                    raise OverflowError(f"{family}: d^{n} at z={z} is past the float range "
+                                        f"({exc})") from exc
                 good = value > 0.0 if n % 2 == 1 else value < 0.0
                 if not good:
                     return CheckReport.fail(

@@ -187,6 +187,15 @@ def test_wfun_derivative_overflow_is_one_error_line(capsys, fmt):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_bernstein_overflow_is_one_error_line(capsys, fmt):
+    """d^150 W(0.1) is past the float range: one stderr line, no report."""
+    code, out, err = run(capsys, "check", "bernstein-signs", "--n-max", "150", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == ("gregtrees check: error: W: d^150 at z=0.1 is past the float range "
+                   "(math range error)\n")
+
+
 # ── json schemas ──────────────────────────────────────────────────────────
 
 def test_polys_json(capsys):
@@ -392,6 +401,7 @@ USAGE_ERRORS = [
     ("wfun", "abc"),
     ("wfun", "1.0", "--n-max", "-1"),
     ("check", "reciprocity", "--n-max", "-5"),   # depths are counts
+    ("check", "def-identity-F", "--n-max", "30"),   # series_order 20 is too low
     ("check", "halfplane", "--samples", "-3"),
     ("check", "egf", "--x", "-q"),              # not a number: an option, so --x has no value
     ("check", "all", "--bogus"),

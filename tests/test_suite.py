@@ -227,6 +227,50 @@ def test_negative_restriction_extra_raises_naming_the_field(monkeypatch):
             run_suite(replace(SuiteConfig.quick(), restriction_extra=-1), only=only)
 
 
+# a broken pair of budgets per constraint, at quick budgets (n_max 4, depth 4)
+BROKEN_PAIRS = {
+    ("series_order", "series_n_max", 5): ("def-identity-F", {"series_order": 8}),
+    ("beta_order", "beta_depth", 0): ("imp-census-series-rooted", {"beta_order": 3}),
+}
+
+
+def test_budget_pairs_are_the_table_constraints():
+    assert {need for check in suite_module.CHECKS for need in check.needs} == set(BROKEN_PAIRS)
+
+
+@pytest.mark.parametrize("need", sorted(BROKEN_PAIRS))
+def test_disagreeing_budgets_raise_naming_both_fields(monkeypatch, need):
+    """A broken pair is an error before the bundle is built, whether or not
+    its check is selected."""
+    def no_bundle(config):
+        raise AssertionError("bundle built")
+    monkeypatch.setattr(suite_module, "_make_bundle", no_bundle)
+    a, b, _ = need
+    name, broken = BROKEN_PAIRS[need]
+    for only in ([name], ["golden-tables"], None):
+        with pytest.raises(ValueError, match=rf"SuiteConfig\.{a} = \d+ must be >= SuiteConfig\.{b}"):
+            run_suite(replace(SuiteConfig.quick(), **broken), only=only)
+
+
+@pytest.mark.parametrize("need", sorted(BROKEN_PAIRS))
+def test_budget_pair_holds_at_its_edge_and_lapses_at_zero(need):
+    a, b, k = need
+    name, _ = BROKEN_PAIRS[need]
+    quick = SuiteConfig.quick()
+    edge = replace(quick, **{a: getattr(quick, b) + k})
+    assert run_suite(edge, only=[name]).ok
+    # a < b + k, but b = 0 skips the check and the pair does not bind
+    skipped = run_suite(replace(quick, **{a: k - 1, b: 0}), only=[name])
+    assert skipped.counts["skip"] == 25
+
+
+def test_check_functions_keep_their_own_budget_errors():
+    with pytest.raises(ValueError, match="order 8 too small for n_max 4"):
+        check_def_identity("G", 4, 8)
+    with pytest.raises(ValueError, match="derivative order 4 exceeds truncation order 3"):
+        check_imp_census_series({4: [1]}, True, 3)
+
+
 def test_golden_tables_run_with_every_budget_zero():
     zero = {field: 0 for field in set(SIZING_FIELDS.values())}
     result = run_suite(replace(SuiteConfig.quick(), **zero))

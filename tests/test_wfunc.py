@@ -2,9 +2,11 @@
 sign checks."""
 
 import cmath
+import hashlib
 import math
 import random
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -149,6 +151,59 @@ def test_real_outputs_match_step_test_loop():
     for z in points:
         res = eval_W(z)
         assert (res.w, res.iterations) == _step_test_W(z), z
+
+
+def _pin_grid() -> list:
+    """Inputs reaching every seed branch, real and complex, the band left
+    of -1/e, the log-form solve past 1e307, zero and non-float inputs, the
+    cut and non-finite values."""
+    top = math.log10(sys.float_info.max)
+    biggest = sys.float_info.max
+    zs = [-INV_E + 10.0 ** (-16.0 + 15.5 * k / 199) for k in range(200)]
+    zs += [k / 128 for k in range(-9, 103)]
+    zs += [0.8 + (math.e - 0.8) * k / 100 for k in range(1, 101)]
+    zs += [10.0 ** (0.5 + 306.5 * k / 400) for k in range(401)]
+    zs += [10.0 ** (307.0 + (top - 307.0) * k / 100) for k in range(100)]
+    zs += [biggest, 1e-300, 5e-324, -5e-324]
+    for j in range(40):
+        r = 10.0 ** (-16.0 + 15.8 * j / 39)
+        zs += [complex(-INV_E, 0.0) + cmath.rect(r, math.pi * (2 * k - 15) / 16) for k in range(16)]
+    for j in range(24):
+        d = 0.6 * (j + 0.5) / 24
+        zs += [complex(-INV_E - d, s * 10.0 ** -e) for e in (1, 4, 8, 12, 16) for s in (1.0, -1.0)]
+    for j in range(30):
+        r = 10.0 ** (-6.0 + 306.0 * j / 29)
+        zs += [cmath.rect(r, math.pi * (2 * k - 11) / 12) for k in range(12)]
+    zs += [cmath.rect(r, math.pi * (2 * k - 15) / 16)
+           for r in (0.1, 0.5, 0.79, 1.0, 2.0, 2.9) for k in range(16)]
+    zs += [cmath.rect(10.0 ** (307.0 + (top - 307.0) * j / 4), math.pi * (2 * k - 7) / 8)
+           for j in range(4) for k in range(8)]
+    zs += [complex(1e308, 1e308), complex(-1.7e308, 1.7e308), complex(-biggest, -biggest),
+           complex(-biggest, 1e-300), complex(1e-300, biggest), complex(3e307, -2e307)]
+    # zero, complex with zero imaginary part, int, bool and Fraction inputs
+    zs += [0.0, -0.0, 0, complex(0.0, 0.0), complex(-0.0, -0.0), complex(2.5, 0.0),
+           complex(2.5, -0.0), complex(-0.2, 0.0), 1, 7, 10**300, True, False,
+           Fraction(1, 3), Fraction(-1, 3), Fraction(10**400, 3**600)]
+    # on the cut, or past the float range
+    zs += [-INV_E, -0.5, -1.0, -1e300, -10**400 // 3, 10**400, Fraction(-1, 2),
+           complex(-1.0, 0.0), complex(-2.0, -0.0), complex(-INV_E, 0.0)]
+    zs += [math.inf, -math.inf, math.nan, complex(math.nan, 1.0), complex(1.0, math.inf),
+           complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, math.nan),
+           complex(-math.inf, -0.0)]
+    return zs
+
+
+def test_eval_W_outputs_are_pinned_bit_for_bit():
+    # digest of each result's repr, or each exception's type and message
+    lines = []
+    for z in _pin_grid():
+        try:
+            lines.append(repr(eval_W(z)))
+        except Exception as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    assert len(lines) == 2326
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ee275e63110f7084609ab30d5b69170c9a11de2c143b8f8c403b429092ee44f2"
 
 
 def test_largest_floats_meet_residual_contract():
@@ -369,6 +424,13 @@ def test_bernstein_check_passes():
     assert report.passed, report.witness
     assert report.params["evaluations"] == 3 * 3 * 15
     assert set(report.params["families"]) == set(BERNSTEIN_FAMILIES)
+
+
+def test_bernstein_overflow_names_family_n_and_z():
+    # d^150 W(0.1) is the first derivative of the default points past the float range
+    with pytest.raises(OverflowError, match=r"^W: d\^150 at z=0\.1 is past the float range"):
+        check_bernstein([0.1, 1.0, 10.0], 150)
+    assert check_bernstein([0.1, 1.0, 10.0], 149).passed
 
 
 def _counting_eval_W(monkeypatch) -> list:
