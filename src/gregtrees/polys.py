@@ -30,7 +30,7 @@ once each.
   x = -1, 0, 1 recover the shifted F, G and H rows.  Its rows
   R_n(t) = sum_k Q_{n,k}(x) t^k follow the shifted G recursion with x added
   to the constant term, R_{n+1} = (x + n + n t) R_n + t^2 R_n', R_1 = 1
-  (so R_n at x = 0 is G_n(t-1)), run by the same row step on ``Poly`` entries.
+  (so R_n at x = 0 is G_n(t-1)), built by the same loop on ``Poly`` entries.
 
 Everything is exact: coefficients are Python ints, and the hot paths (the
 row recurrences and ``shift``) run on plain ints.  ``Poly.__call__`` is exact
@@ -207,38 +207,32 @@ def imp_family(rooted: bool) -> Family:
 
 # ── generators ────────────────────────────────────────────────────────────
 
-def _rows(n_max: int, lin: Callable[[int], tuple[int, int]],
-          mult: tuple[int, int, int]) -> list[Poly]:
+def _rows(n_max: int, lin: Callable[[int], tuple], mult: tuple[int, int, int]) -> list[tuple]:
     """X_1 = 1 and X_{n+1} = (a0 + a1 x) X_n + (m0 + m1 x + m2 x^2) X_n',
-    rows 1..n_max, with (a0, a1) = lin(n) and (m0, m1, m2) = mult, each
-    step taken by `_row_step` on tuples of ints and wrapped in ``Poly``
-    once."""
+    rows 1..n_max as coefficient tuples (which may end in zeros), with
+    (a0, a1) = lin(n) and (m0, m1, m2) = mult, each step taken by
+    `_row_step`.  Row 1 is the unit of the ring a0 lives in: 1 for ints,
+    ``Poly((1,))`` for ``Poly`` entries."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    out = [Poly((1,))][:n_max]
+    out = [(lin(1)[0] ** 0,)][:n_max]
     for n in range(1, n_max):
-        out.append(Poly(_row_step(out[-1].coeffs, *lin(n), mult)))
+        out.append(_row_step(out[-1], *lin(n), mult))
     return out
 
 
-def _row_step(row: tuple, a0: int | Poly, a1: int,
-              mult: tuple[int, int, int]) -> list:
+def _row_step(row: tuple, a0: int | Poly, a1: int, mult: tuple[int, int, int]) -> tuple:
     """Coefficients of (a0 + a1 x) X + (m0 + m1 x + m2 x^2) X' for X with
     coefficients `row`: the three-term recurrence
 
         [x^u] = (a0 + m1 u) a_u + (a1 + m2 (u-1)) a_{u-1} + m0 (u+1) a_{u+1}.
 
     The entries of `row` and a0 are ints, or ``Poly``s in a second variable
-    (the Q rows).  With m0 = 0 (the shifted rows and Q, where m1 = 0 too)
-    the last term is dropped and a0 taken as it stands, so ``Poly`` entries
-    build no zero terms.
+    (the Q rows).
     """
     m0, m1, m2 = mult
-    if not m0:
-        return [(a0 + m1 * u if m1 else a0) * a + (a1 + m2 * (u - 1)) * below
-                for u, (a, below) in enumerate(zip(row + (0,), (0,) + row))]
-    return [(a0 + m1 * u) * a + (a1 + m2 * (u - 1)) * below + m0 * (u + 1) * above
-            for u, (a, below, above) in enumerate(zip(row + (0,), (0,) + row, row[1:] + (0, 0)))]
+    return tuple((a0 + m1 * u) * a + (a1 + m2 * (u - 1)) * below + m0 * (u + 1) * above
+                 for u, (a, below, above) in enumerate(zip(row + (0,), (0,) + row, row[1:] + (0, 0))))
 
 
 def _family_recurrence(c: int, shifted: bool):
@@ -251,7 +245,7 @@ def _family_recurrence(c: int, shifted: bool):
 
 def _family_rows(name: str, n_max: int, shifted: bool) -> list[Poly]:
     """Rows X_1..X_{n_max}, or with `shifted` the rows X_n(x-1) from their own recursion."""
-    return _rows(n_max, *_family_recurrence(FAMILIES[name].c, shifted))
+    return list(map(Poly, _rows(n_max, *_family_recurrence(FAMILIES[name].c, shifted))))
 
 
 def gen_F(n_max: int, shifted: bool = False) -> list[Poly]:
@@ -278,7 +272,7 @@ def gen_P(n_max: int) -> list[Poly]:
     P_1 = 1 and P_{n+1} = (1+x) P_n' - ((3n-1) + nx) P_n.  (-1)^{n-1} P_n
     has positive unimodal coefficients and degree n-1.
     """
-    return _rows(n_max, lambda n: (1 - 3 * n, -n), (1, 1, 0))
+    return list(map(Poly, _rows(n_max, lambda n: (1 - 3 * n, -n), (1, 1, 0))))
 
 
 def gen_Q(n_max: int) -> list[tuple[Poly, ...]]:
@@ -288,15 +282,9 @@ def gen_Q(n_max: int) -> list[tuple[Poly, ...]]:
 
     (out-of-range entries zero).  In R_n(t) = sum_k Q_{n,k}(x) t^k this is
     R_{n+1} = (x + n + n t) R_n + t^2 R_n', the shifted G recursion with x
-    added to its constant term, so each row is one `_row_step` on ``Poly``
-    entries.
+    added to its constant term, so the rows are `_rows` on ``Poly`` entries.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    rows = [(Poly((1,)),)][:n_max]
-    for n in range(1, n_max):
-        rows.append(tuple(_row_step(rows[-1], Poly((n, 1)), n, (0, 0, 1))))
-    return rows
+    return _rows(n_max, lambda n: (Poly((n, 1)), n), (0, 0, 1))
 
 
 # ── operations ────────────────────────────────────────────────────────────

@@ -2,7 +2,8 @@
 
 Each check is declared once, as an entry of ``CHECKS``: its name, the
 ``SuiteConfig`` budgets that size it, the ``gregtrees check`` options that
-tune it, the budget pairs that must agree, and its runner.  ``run_suite`` walks that table in order and
+tune it, the budget pairs that must agree, the domains of its samples, and
+its runner.  ``run_suite`` walks that table in order and
 ``gregtrees check`` routes its options through it, so a new check is one
 entry.  ``run_suite`` returns a ``SuiteResult`` whose JSON and text
 renderings are byte-deterministic for a given configuration.  Budgets live
@@ -342,7 +343,9 @@ class Check:
     `options` maps each ``gregtrees check`` option that tunes the check to
     the field the option sets.
     `needs` lists the budgets that must agree: each (a, b, k) states
-    ``a >= b + k`` and binds only when both budgets are nonzero.
+    ``a >= b + k``; both also size the check, so a zero in either skips it.
+    `domains` lists the sample domains: each (field, rule, inside) states
+    that every entry v of the field has inside(v), `rule` saying so in words.
     """
 
     name: str
@@ -350,6 +353,7 @@ class Check:
     run: Callable[[SuiteConfig, dict[str, list[Poly]]], CheckReport]
     options: dict[str, str] = field(default_factory=dict)
     needs: tuple[tuple[str, str, int], ...] = ()
+    domains: tuple[tuple[str, str, Callable[[object], bool]], ...] = ()
 
 
 _SIDES = (("unrooted", False), ("rooted", True))
@@ -364,7 +368,7 @@ CHECKS: tuple[Check, ...] = (
           lambda c, b: _check_reciprocity(b, c.reciprocity_rows), {"--n-max": "reciprocity_rows"}),
     Check("q-specializations", ("q_rows",),
           lambda c, b: _check_q_specializations(b, c.q_rows), {"--n-max": "q_rows"}),
-    *(Check(f"def-identity-{f}", ("series_n_max",),
+    *(Check(f"def-identity-{f}", ("series_n_max", "series_order"),
             lambda c, b, f=f: _series.check_def_identity(f, c.series_n_max, c.series_order, polys=b[f]),
             {"--n-max": "series_n_max"}, needs=(("series_order", "series_n_max", 5),))
       for f in _BUNDLE_FAMILIES),
@@ -374,7 +378,8 @@ CHECKS: tuple[Check, ...] = (
           lambda c, b: _series.check_reversion_lemma(c.series_order)),
     Check("egf-theorem", ("egf_n_max",),
           lambda c, b: _series.check_egf_theorem(c.egf_x_samples, c.egf_n_max, polys=b),
-          {"--n-max": "egf_n_max", "--x": "egf_x_samples"}),
+          {"--n-max": "egf_n_max", "--x": "egf_x_samples"},
+          domains=(("egf_x_samples", "!= -1", lambda x: x != -1),)),
     Check("gh-functional", ("gh_order",),
           lambda c, b: _series.check_gh_functional(c.egf_x_samples, c.gh_order, polys=b)),
     *(Check(f"census-unl-{v}", ("census_n_max",),
@@ -387,12 +392,13 @@ CHECKS: tuple[Check, ...] = (
     *(Check(f"restriction-fiber-{side}", ("restriction_n_max", "restriction_extra"),
             lambda c, b, r=r: _check_restriction(r, c.restriction_n_max, c.restriction_extra))
       for side, r in _SIDES),
-    *(Check(f"imp-census-series-{side}", ("beta_depth",),
+    *(Check(f"imp-census-series-{side}", ("beta_depth", "beta_order"),
             lambda c, b, r=r: _check_imp_series(r, c.beta_depth, c.beta_order),
             needs=(("beta_order", "beta_depth", 0),)) for side, r in _SIDES),
     Check("bernstein-signs", ("bernstein_n_max",),
           lambda c, b: _wfunc.check_bernstein(c.bernstein_points, c.bernstein_n_max),
-          {"--n-max": "bernstein_n_max"}),
+          {"--n-max": "bernstein_n_max"},
+          domains=(("bernstein_points", "finite and > 0", lambda z: 0 < z < float("inf")),)),
     Check("halfplane", ("halfplane_samples",),
           lambda c, b: _wfunc.check_halfplane(c.halfplane_samples, c.halfplane_seed),
           {"--samples": "halfplane_samples", "--seed": "halfplane_seed"}),
@@ -409,8 +415,9 @@ def run_suite(config: SuiteConfig | None = None,
 
     `only` restricts execution to the named checks; the rest appear in the
     result as skipped, so the report shape does not depend on the filter.
-    A negative sizing budget, or a pair of budgets that disagree (see
-    `Check.needs`), raises ValueError before any work; zero skips.
+    A negative sizing budget, a pair of budgets that disagree (see
+    `Check.needs`) or a sample outside its domain (`Check.domains`) raises
+    ValueError before any work; a zero budget skips its check.
     Each report's `seconds` is the wall time of its check.
     """
     config = config or SuiteConfig()
@@ -423,13 +430,17 @@ def run_suite(config: SuiteConfig | None = None,
             if getattr(config, size) < 0:
                 raise ValueError(f"SuiteConfig.{size} = {getattr(config, size)}; "
                                  "a sizing budget must be >= 0")
-    for check in CHECKS:
         for a, b, k in check.needs:
             va, vb = getattr(config, a), getattr(config, b)
             if va and vb and va < vb + k:
                 plus = f" + {k}" if k else ""
                 raise ValueError(f"SuiteConfig.{a} = {va} must be >= SuiteConfig.{b}{plus} "
                                  f"= {vb + k} ({check.name})")
+        for name, rule, inside in check.domains:
+            for v in getattr(config, name):
+                if not inside(v):
+                    raise ValueError(f"SuiteConfig.{name} holds {v}; each entry must be "
+                                     f"{rule} ({check.name})")
     bundle = _make_bundle(config)
     reports = []
     for check in CHECKS:

@@ -1,5 +1,6 @@
 """CLI contract tests: frozen outputs, exit codes, determinism, schemas."""
 
+import ast
 import hashlib
 import json
 import os
@@ -96,6 +97,12 @@ PINNED = [
      "a8c3b4e7079ef0133859aa27acfdb96dc870d3a309ba5c1fd03182b97a1afb4a"),
     (("series", "W", "40", "--format", "json"),
      "914119513b9d5be43388572ae4f45029601f63fd14638c7f5775b0eaef7b6301"),
+    # the Q triangle at depth, taken at commit 762e46d
+    (("polys", "Q", "30"), "db212f932a54584b48a4fc0e0756a7ddc70c0f56c3577d111f50302ca3aa0a6f"),
+    (("polys", "Q", "30", "--format", "json"),
+     "3067bd3b143687f488f1cce1224927ba65fa5475dd48ff1937af7ee2285ceec1"),
+    (("polys", "Q", "30", "--format", "csv"),
+     "f76e01425047eccae1bb925c976dbc265e549b0ae56a25c2e9d64ac129598867"),
 ]
 
 
@@ -104,6 +111,32 @@ def test_pinned_output_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _bench_digests() -> list[tuple[tuple[str, ...], str]]:
+    """(argv, SHA-256 of stdout) the benchmark gates on, read from the
+    source of ``perfbench/workloads.py`` without importing it."""
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    classes = {node.name: node for node in ast.parse(source.read_text()).body
+               if isinstance(node, ast.ClassDef)}
+
+    def attrs(name):
+        return {target.id: ast.literal_eval(node.value) for node in classes[name].body
+                if isinstance(node, ast.Assign) for target in node.targets
+                if isinstance(target, ast.Name) and target.id in ("argv", "digest", "tables")}
+    suite = attrs("SuiteDefault")
+    return [(suite["argv"], suite["digest"]), *attrs("ExactSeries")["tables"]]
+
+
+def test_outputs_match_the_bench_digests(capsys):
+    """The report and the tables the benchmark checks hash to the digests
+    it holds, so a change that would fail its gate fails here first."""
+    pinned = _bench_digests()
+    assert len(pinned) == 7
+    for argv, digest in pinned:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 @pytest.mark.parametrize("argv", [("check", "all"), ("check", "all", "--format", "json")],
@@ -404,6 +437,7 @@ USAGE_ERRORS = [
     ("check", "def-identity-F", "--n-max", "30"),   # series_order 20 is too low
     ("check", "halfplane", "--samples", "-3"),
     ("check", "egf", "--x", "-q"),              # not a number: an option, so --x has no value
+    ("check", "egf", "--x", "-1"),              # outside the substitution's domain
     ("check", "all", "--bogus"),
     ("--bogus",),
     ("wfun", "nan"),

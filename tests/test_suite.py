@@ -3,9 +3,11 @@
 import json
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+import gregtrees.series as series_module
 import gregtrees.suite as suite_module
 import gregtrees.trees as trees_module
 from gregtrees.polys import Poly, X, census_family
@@ -238,6 +240,12 @@ def test_budget_pairs_are_the_table_constraints():
     assert {need for check in suite_module.CHECKS for need in check.needs} == set(BROKEN_PAIRS)
 
 
+def test_both_budgets_of_a_pair_size_its_check():
+    for check in suite_module.CHECKS:
+        for a, b, _ in check.needs:
+            assert {a, b} <= set(check.sizes), check.name
+
+
 @pytest.mark.parametrize("need", sorted(BROKEN_PAIRS))
 def test_disagreeing_budgets_raise_naming_both_fields(monkeypatch, need):
     """A broken pair is an error before the bundle is built, whether or not
@@ -260,8 +268,69 @@ def test_budget_pair_holds_at_its_edge_and_lapses_at_zero(need):
     edge = replace(quick, **{a: getattr(quick, b) + k})
     assert run_suite(edge, only=[name]).ok
     # a < b + k, but b = 0 skips the check and the pair does not bind
-    skipped = run_suite(replace(quick, **{a: k - 1, b: 0}), only=[name])
+    skipped = run_suite(replace(quick, **{a: max(k - 1, 0), b: 0}), only=[name])
     assert skipped.counts["skip"] == 25
+
+
+@pytest.mark.parametrize("zero, skipped", [
+    ("beta_order", {"imp-census-series-unrooted", "imp-census-series-rooted"}),
+    ("series_order", {*(f"def-identity-{f}" for f in "FGHP"), "basic-identities",
+                      "reversion-lemma"}),
+])
+def test_zero_order_skips_its_checks_before_they_run(monkeypatch, zero, skipped):
+    """Both budgets of a pair size its check: a zero order beside a nonzero
+    depth skips the check instead of reaching the check function."""
+    def not_called(*args, **kwargs):
+        raise AssertionError("check function called")
+    for attr in ("check_def_identity", "check_imp_census_series", "check_basic_identities",
+                 "check_reversion_lemma"):
+        monkeypatch.setattr(series_module, attr, not_called)
+    result = run_suite(replace(SuiteConfig.quick(), **{zero: 0}), only=sorted(skipped))
+    assert {r.name for r in result.reports if r.skipped} == set(CHECK_NAMES)
+
+
+@pytest.mark.parametrize("field", ["series_order", "beta_order"])
+def test_negative_order_raises_naming_the_field(monkeypatch, field):
+    def no_bundle(config):
+        raise AssertionError("bundle built")
+    monkeypatch.setattr(suite_module, "_make_bundle", no_bundle)
+    with pytest.raises(ValueError, match=rf"SuiteConfig\.{field} = -1; .* >= 0"):
+        run_suite(replace(SuiteConfig.quick(), **{field: -1}))
+
+
+# per sample field, the check whose domain it must lie in and values outside it
+OUTSIDE_DOMAINS = {
+    "egf_x_samples": ("egf-theorem", [-1, Fraction(-1), -1.0]),
+    "bernstein_points": ("bernstein-signs", [0, 0.0, -1.0, float("inf"), float("-inf"),
+                                             float("nan")]),
+}
+
+
+def test_sample_domains_are_the_table_domains():
+    assert {(field, check.name) for check in suite_module.CHECKS
+            for field, _, _ in check.domains} == {(f, c) for f, (c, _) in OUTSIDE_DOMAINS.items()}
+
+
+@pytest.mark.parametrize("field", sorted(OUTSIDE_DOMAINS))
+def test_sample_outside_its_domain_raises_naming_the_field(monkeypatch, field):
+    """A sample outside its check's domain is an error before the bundle is
+    built, whether or not its check is selected."""
+    def no_bundle(config):
+        raise AssertionError("bundle built")
+    monkeypatch.setattr(suite_module, "_make_bundle", no_bundle)
+    name, outside = OUTSIDE_DOMAINS[field]
+    quick = SuiteConfig.quick()
+    for value in outside:
+        broken = replace(quick, **{field: (*getattr(quick, field), value)})
+        for only in ([name], ["golden-tables"], None):
+            with pytest.raises(ValueError, match=rf"SuiteConfig\.{field} holds .*\({name}\)"):
+                run_suite(broken, only=only)
+
+
+def test_samples_at_the_domain_edges_run():
+    config = replace(SuiteConfig.quick(), egf_x_samples=(Fraction(-3, 2), Fraction(-1, 2)),
+                     bernstein_points=(1e-9, 1e9))
+    assert run_suite(config, only=["egf-theorem", "gh-functional", "bernstein-signs"]).ok
 
 
 def test_check_functions_keep_their_own_budget_errors():
@@ -269,6 +338,10 @@ def test_check_functions_keep_their_own_budget_errors():
         check_def_identity("G", 4, 8)
     with pytest.raises(ValueError, match="derivative order 4 exceeds truncation order 3"):
         check_imp_census_series({4: [1]}, True, 3)
+    with pytest.raises(ValueError, match="x = -1 is outside the domain"):
+        check_egf_theorem([-1], 2)
+    with pytest.raises(ValueError, match="sign checks need z > 0"):
+        check_bernstein([0.0], 2)
 
 
 def test_golden_tables_run_with_every_budget_zero():
