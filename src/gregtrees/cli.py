@@ -4,9 +4,17 @@ Subcommands: polys (polynomial tables), trees (enumeration and censuses),
 series (exact Taylor coefficients), check (the verification suite), wfun
 (Lambert W values and derivatives).  All output is byte-deterministic for
 a fixed invocation; --out writes the same bytes to a file instead of
-stdout.  The polys tables are formatted and written one row at a time, so
-the text in memory stays near one row, not the whole table.  A usage error
-names the subcommand it belongs to.
+stdout.  The polys tables are formatted and written one row at a time,
+and all but the Q triangle are stepped one row at a time too, so the text
+in memory stays near one row, not the whole table.  A usage error names
+the subcommand it belongs to.
+
+Everything is exact.  The F, G, H and P tables and their shifted rows are
+stepped in ``decimal.Decimal`` integers, not ints, under a context that
+holds every digit and traps any rounding: libmpdec stores base-10^19
+limbs, so writing a coefficient as decimal text takes time linear in its
+digits, where ``str`` of an int is quadratic and refuses past 4300 digits.
+The Q triangle and everything else stays on ints.
 """
 
 from __future__ import annotations
@@ -17,11 +25,13 @@ import os
 import re
 import sys
 from dataclasses import replace
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation,
+                     Rounded, localcontext)
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .polys import FAMILIES, Poly, gen_F, gen_G, gen_H, gen_P, gen_Q
+from .polys import FAMILIES, Poly, gen_Q, table_rows
 from .series import _egf_text, series_T, series_W
 from .suite import CHECK_NAMES, CHECKS, SuiteConfig, run_suite
 from .trees import VARIANTS, enumerate_greg, imp_polynomial, u_bound, unl_polynomial
@@ -29,6 +39,10 @@ from .wfunc import _derivative_at, eval_W
 
 _VERTEX_CAP = 11          # trees work caps at 11 total vertices
 _IMP_CAP = 7              # 2,401 Pruefer folds at n = 7; 8 would take 32,768
+
+# Decimal integers step and print exactly under this context, or raise
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded, InvalidOperation])
 
 # aliases accepted by `check` beside full names
 CHECK_ALIASES = {
@@ -121,19 +135,21 @@ def _run_polys(args, parser) -> int:
         _emit(chunks, args.out)
         return 0
     base = family.removesuffix("-shift")
-    gen = globals()[f"gen_{base}"]  # by name: wrappers on gen_* see it
-    rows = gen(n) if base == family else gen(n, shifted=True)
-    if fmt == "text":
-        chunks = (f"{p}\n" for p in rows)
-    elif fmt == "json":
-        chunks = _json_rows(rows)
-    elif fmt == "csv":
-        chunks = chain(["n,k,coefficient\n"], (
-            "".join(f"{m},{k},{c}\n" for k, c in enumerate(p.coeffs))
-            for m, p in enumerate(rows, start=1)))
-    else:
-        chunks = _bfile(p.coeffs for p in rows)
-    _emit(chunks, args.out)
+    # the rows are stepped lazily as the chunks are written, and Poly's text
+    # takes abs() of each entry: the exact context stays open through _emit
+    with localcontext(_EXACT):
+        rows = map(Poly, table_rows(base, n, shifted=base != family, one=Decimal(1)))
+        if fmt == "text":
+            chunks = (f"{p}\n" for p in rows)
+        elif fmt == "json":
+            chunks = _json_rows(rows)
+        elif fmt == "csv":
+            chunks = chain(["n,k,coefficient\n"], (
+                "".join(f"{m},{k},{c}\n" for k, c in enumerate(p.coeffs))
+                for m, p in enumerate(rows, start=1)))
+        else:
+            chunks = _bfile(p.coeffs for p in rows)
+        _emit(chunks, args.out)
     return 0
 
 

@@ -15,8 +15,9 @@ recursion, whose coefficients are all nonnegative:
 
 ``gen_F/G/H(n, shifted=True)`` runs it; ``shift`` stays the exact oracle.
 Each recursion, like that of P below, is a three-term recurrence on the
-coefficients, so the rows are built on tuples of ints and wrapped in ``Poly``
-once each.
+coefficients, so one loop, ``_rows``, steps every table on tuples of
+coefficients, one row at a time; ``gen_*`` wrap each row in ``Poly`` and
+return the list, and ``table_rows`` hands the rows out as they are stepped.
 
 * ``G_n`` counts rooted Greg trees with n labeled vertices by number of
   unlabeled vertices (coefficient triangle A048160 in the OEIS); the
@@ -33,7 +34,10 @@ once each.
   (so R_n at x = 0 is G_n(t-1)), built by the same loop on ``Poly`` entries.
 
 Everything is exact: coefficients are Python ints, and the hot paths (the
-row recurrences and ``shift``) run on plain ints.  ``Poly.__call__`` is exact
+row recurrences and ``shift``) run on plain ints.  The one exception is the
+CLI's F, G, H and P tables, stepped by ``table_rows`` in ``Decimal``
+integers under a context that traps any rounding, because their decimal
+text is what the CLI writes.  ``Poly.__call__`` is exact
 at an int or a ``Fraction``; ``series`` evaluates rows at a rational point on
 integers by homogeneous Horner instead.
 """
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 
 class Poly:
@@ -207,18 +211,22 @@ def imp_family(rooted: bool) -> Family:
 
 # ── generators ────────────────────────────────────────────────────────────
 
-def _rows(n_max: int, lin: Callable[[int], tuple], mult: tuple[int, int, int]) -> list[tuple]:
+def _rows(n_max: int, lin: Callable[[int], tuple], mult: tuple[int, int, int]) -> Iterator[tuple]:
     """X_1 = 1 and X_{n+1} = (a0 + a1 x) X_n + (m0 + m1 x + m2 x^2) X_n',
-    rows 1..n_max as coefficient tuples (which may end in zeros), with
-    (a0, a1) = lin(n) and (m0, m1, m2) = mult, each step taken by
-    `_row_step`.  Row 1 is the unit of the ring a0 lives in: 1 for ints,
+    rows 1..n_max as coefficient tuples (which may end in zeros), each
+    stepped by `_row_step` only when the one before it has been taken, with
+    (a0, a1) = lin(n) and (m0, m1, m2) = mult.  Row 1 is the unit of the
+    ring a0 lives in: 1 for ints, ``Decimal(1)`` for ``Decimal`` integers,
     ``Poly((1,))`` for ``Poly`` entries."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    out = [(lin(1)[0] ** 0,)][:n_max]
+    if not n_max:
+        return
+    row = (lin(1)[0] ** 0,)
+    yield row
     for n in range(1, n_max):
-        out.append(_row_step(out[-1], *lin(n), mult))
-    return out
+        row = _row_step(row, *lin(n), mult)
+        yield row
 
 
 def _row_step(row: tuple, a0: int | Poly, a1: int, mult: tuple[int, int, int]) -> tuple:
@@ -227,8 +235,8 @@ def _row_step(row: tuple, a0: int | Poly, a1: int, mult: tuple[int, int, int]) -
 
         [x^u] = (a0 + m1 u) a_u + (a1 + m2 (u-1)) a_{u-1} + m0 (u+1) a_{u+1}.
 
-    The entries of `row` and a0 are ints, or ``Poly``s in a second variable
-    (the Q rows).
+    The entries of `row` and a0 are ints, ``Decimal`` integers, or ``Poly``s
+    in a second variable (the Q rows).
     """
     m0, m1, m2 = mult
     return tuple((a0 + m1 * u) * a + (a1 + m2 * (u - 1)) * below + m0 * (u + 1) * above
@@ -243,27 +251,43 @@ def _family_recurrence(c: int, shifted: bool):
     return (lambda n: (2 * n + c, n + c)), (1, 2, 1)
 
 
-def _family_rows(name: str, n_max: int, shifted: bool) -> list[Poly]:
-    """Rows X_1..X_{n_max}, or with `shifted` the rows X_n(x-1) from their own recursion."""
-    return list(map(Poly, _rows(n_max, *_family_recurrence(FAMILIES[name].c, shifted))))
+def table_rows(name: str, n_max: int, shifted: bool = False, one=1) -> Iterator[tuple]:
+    """Rows 1..n_max of the table `name`, F, G, H or P, or with `shifted`
+    the rows X_n(x-1) of F, G or H from their own recursion: coefficient
+    tuples, which may end in zeros, each stepped as it is taken.  The
+    entries lie in the ring of `one`.  With ``Decimal(1)`` they are
+    ``Decimal`` integers, exact only under a context whose precision holds
+    every digit; their decimal text then takes time linear in its length,
+    where ``str`` of an int is quadratic."""
+    if name == "P":
+        if shifted:
+            raise ValueError("P has no shifted table")
+        lin, mult = (lambda n: (1 - 3 * n, -n)), (1, 1, 0)
+    else:
+        lin, mult = _family_recurrence(FAMILIES[name].c, shifted)
+
+    def ring_lin(n: int) -> tuple:
+        a0, a1 = lin(n)
+        return one * a0, a1
+    return _rows(n_max, ring_lin, mult)
 
 
 def gen_F(n_max: int, shifted: bool = False) -> list[Poly]:
     """F_1..F_{n_max}: derivative polynomials of 1/(1-T); deg F_n = n-1.
     With `shifted`, the rows F_n(x-1)."""
-    return _family_rows("F", n_max, shifted)
+    return list(map(Poly, table_rows("F", n_max, shifted)))
 
 
 def gen_G(n_max: int, shifted: bool = False) -> list[Poly]:
     """G_1..G_{n_max}: rooted Greg tree census polynomials; deg G_n = n-1.
     With `shifted`, the rows G_n(x-1)."""
-    return _family_rows("G", n_max, shifted)
+    return list(map(Poly, table_rows("G", n_max, shifted)))
 
 
 def gen_H(n_max: int, shifted: bool = False) -> list[Poly]:
     """H_1..H_{n_max}: unrooted Greg tree census polynomials; deg H_n = max(n-2, 0).
     With `shifted`, the rows H_n(x-1)."""
-    return _family_rows("H", n_max, shifted)
+    return list(map(Poly, table_rows("H", n_max, shifted)))
 
 
 def gen_P(n_max: int) -> list[Poly]:
@@ -272,7 +296,7 @@ def gen_P(n_max: int) -> list[Poly]:
     P_1 = 1 and P_{n+1} = (1+x) P_n' - ((3n-1) + nx) P_n.  (-1)^{n-1} P_n
     has positive unimodal coefficients and degree n-1.
     """
-    return list(map(Poly, _rows(n_max, lambda n: (1 - 3 * n, -n), (1, 1, 0))))
+    return list(map(Poly, table_rows("P", n_max)))
 
 
 def gen_Q(n_max: int) -> list[tuple[Poly, ...]]:
@@ -284,7 +308,7 @@ def gen_Q(n_max: int) -> list[tuple[Poly, ...]]:
     R_{n+1} = (x + n + n t) R_n + t^2 R_n', the shifted G recursion with x
     added to its constant term, so the rows are `_rows` on ``Poly`` entries.
     """
-    return _rows(n_max, lambda n: (Poly((n, 1)), n), (0, 0, 1))
+    return list(_rows(n_max, lambda n: (Poly((n, 1)), n), (0, 0, 1)))
 
 
 # ── operations ────────────────────────────────────────────────────────────

@@ -24,6 +24,7 @@ polynomials, and report the first mismatching coefficient as a witness.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Sequence
@@ -146,8 +147,14 @@ def _egf_reversion(f: Sequence[int]) -> list[int]:
 
 
 def _egf_text(e: Sequence[int], k: int) -> str:
-    """Coefficient k of the series, e[k]/k!, as a fraction in lowest terms."""
-    return str(Fraction(e[k], math.factorial(k)))
+    """Coefficient k of the series, e[k]/k!, as a fraction in lowest terms:
+    the text of ``str(Fraction)``, with numerator and denominator written
+    through ``Decimal``, which converts an int exactly and has no digit
+    limit, where ``str(int)`` refuses past 4300 digits."""
+    q = Fraction(e[k], math.factorial(k))
+    if q.denominator == 1:
+        return str(Decimal(q.numerator))
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 # ── closed forms of the n-th derivatives ──────────────────────────────────

@@ -1,6 +1,7 @@
 """CLI contract tests: frozen outputs, exit codes, determinism, schemas."""
 
 import ast
+import decimal
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import mpmath
 import pytest
 
 import gregtrees
-from gregtrees import cli, wfunc
+from gregtrees import cli, polys, wfunc
 from gregtrees.cli import _json_rows, main
 from gregtrees.polys import Poly
 from gregtrees.suite import CHECK_NAMES, SuiteConfig
@@ -488,6 +489,119 @@ def test_out_streams_rows(tmp_path, fmt):
         tracemalloc.stop()
     assert code == 0
     assert peak < path.stat().st_size
+
+
+# every F, G, H and P table in every format it takes: P has mixed signs, no b-file
+TABLE_FORMATS = [(family, fmt) for family in ("F", "G", "H", "P", "F-shift", "G-shift", "H-shift")
+                 for fmt in ("text", "json", "csv", "bfile") if (family, fmt) != ("P", "bfile")]
+
+
+def _expected_table(family: str, n: int, fmt: str) -> str:
+    """The table as the CLI writes it, formatted here from the int rows of
+    ``gen_*``: coefficients of F_60 run past the 28 digits of the default
+    decimal context."""
+    base = family.removesuffix("-shift")
+    gen = getattr(gregtrees, f"gen_{base}")
+    rows = gen(n) if base == family else gen(n, shifted=True)
+    if fmt == "text":
+        return "".join(f"{p}\n" for p in rows)
+    if fmt == "json":
+        return _indented([p.to_json() for p in rows])
+    if fmt == "csv":
+        return "n,k,coefficient\n" + "".join(
+            f"{m},{k},{c}\n" for m, p in enumerate(rows, start=1) for k, c in enumerate(p.coeffs))
+    values = [c for p in rows for c in p.coeffs]
+    return "".join(f"{i} {c}\n" for i, c in enumerate(values, start=1))
+
+
+@pytest.mark.parametrize("family,fmt", TABLE_FORMATS)
+def test_tables_at_depth_match_int_rows(capsys, family, fmt):
+    code, out, _ = run(capsys, "polys", family, "60", "--format", fmt)
+    assert code == 0
+    # the first differing line, not pytest's diff of two large texts
+    got, want = out.splitlines(), _expected_table(family, 60, fmt).splitlines()
+    assert next(((i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b), None) is None
+    assert len(got) == len(want)
+
+
+class _Recorder:
+    """A stdout that notes, for each chunk written, how many rows had been
+    stepped by then."""
+
+    def __init__(self, steps: list[int]):
+        self.steps = steps
+        self.log: list[int] = []
+
+    def write(self, chunk: str) -> int:
+        self.log.append(self.steps[0])
+        return len(chunk)
+
+    def writelines(self, chunks) -> None:
+        for chunk in chunks:
+            self.write(chunk)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("family,fmt", TABLE_FORMATS)
+def test_rows_are_written_as_they_are_stepped(monkeypatch, family, fmt):
+    """Row k's chunk is written after k - 1 steps of the recurrence, before
+    row k + 1 is stepped; the csv header and the json close come first
+    and last."""
+    steps = [0]
+    step = polys._row_step
+
+    def counting(*args):
+        steps[0] += 1
+        return step(*args)
+    monkeypatch.setattr(polys, "_row_step", counting)
+    out = _Recorder(steps)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["polys", family, "6", "--format", fmt]) == 0
+    rows = list(range(6))
+    assert out.log == {"csv": [0] + rows, "json": rows + [5]}.get(fmt, rows)
+
+
+def _decimal_state():
+    ctx = decimal.getcontext()
+    return ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)
+
+
+@pytest.mark.parametrize("argv", [
+    ("polys", "F", "60"),
+    ("polys", "P", "40", "--format", "csv"),
+    ("series", "W", "60"),
+    ("polys", "F", "3", "--out", "{missing}"),
+], ids=["polys text", "polys csv", "series", "unwritable out"])
+def test_decimal_context_is_left_as_it_was(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "missing" / "rows") for a in argv]
+    before = _decimal_state()
+    code = main(argv)
+    capsys.readouterr()
+    assert code == (2 if "--out" in argv else 0)
+    assert _decimal_state() == before
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="str(int) has no digit limit before Python 3.11")
+def test_output_has_no_int_digit_limit(capsys):
+    """polys and series write coefficients longer than the interpreter's
+    limit on str(int), byte for byte as with the limit lifted."""
+    argvs = [("series", "W", "400"), ("polys", "F", "260", "--format", "bfile")]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        lifted = [run(capsys, *argv) for argv in argvs]
+        sys.set_int_max_str_digits(640)
+        limited = [run(capsys, *argv) for argv in argvs]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for argv, (code, want, _), (code2, got, err) in zip(argvs, lifted, limited):
+        assert code == code2 == 0, (argv, err)
+        assert max(map(len, re.split(r"[\s/]", want))) > 640, argv
+        # digests, not pytest's diff of two large texts
+        assert hashlib.sha256(got.encode()).digest() == hashlib.sha256(want.encode()).digest(), argv
 
 
 @pytest.mark.parametrize("where", ["missing directory", "directory"])

@@ -1,5 +1,6 @@
 """Exact checks for the polynomial families and their triangle."""
 
+import decimal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from gregtrees.polys import (
     gen_P,
     gen_Q,
     shift,
+    table_rows,
 )
 
 # frozen rows, coefficients lowest degree first
@@ -283,6 +285,24 @@ def test_every_generator_puts_row_n_at_index_n_minus_1(gen, row_one, row_two):
 def test_generators_reject_a_negative_count(gen):
     with pytest.raises(ValueError, match=">= 0"):
         gen(-1)
+
+
+@pytest.mark.parametrize("name,shifted", [("F", False), ("G", False), ("H", False), ("P", False),
+                                          ("F", True), ("G", True), ("H", True)])
+def test_table_rows_in_decimal_are_the_int_rows(name, shifted):
+    """`table_rows` with a Decimal unit steps the same rows in Decimal
+    integers, exact under a context that traps any rounding."""
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                            traps=[decimal.Inexact, decimal.Rounded])
+    with decimal.localcontext(exact):
+        rows = list(table_rows(name, 60, shifted, one=decimal.Decimal(1)))
+    assert {type(c) for row in rows for c in row} == {decimal.Decimal}
+    assert [tuple(map(int, row)) for row in rows] == list(table_rows(name, 60, shifted))
+
+
+def test_table_rows_has_no_shifted_P():
+    with pytest.raises(ValueError, match="shifted"):
+        table_rows("P", 3, shifted=True)
 
 
 @pytest.mark.parametrize("a", [Fraction(1, 2), 0.5, 1.0, Fraction(2)])
