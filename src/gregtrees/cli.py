@@ -14,7 +14,9 @@ stepped in ``decimal.Decimal`` integers, not ints, under a context that
 holds every digit and traps any rounding: libmpdec stores base-10^19
 limbs, so writing a coefficient as decimal text takes time linear in its
 digits, where ``str`` of an int is quadratic and refuses past 4300 digits.
-The Q triangle and everything else stays on ints.
+``polys`` makes the recurrence's multipliers as ``Decimal``s once per
+table, so no coefficient pays a conversion from int.  The Q triangle and
+everything else stays on ints.
 """
 
 from __future__ import annotations

@@ -33,11 +33,14 @@ return the list, and ``table_rows`` hands the rows out as they are stepped.
   to the constant term, R_{n+1} = (x + n + n t) R_n + t^2 R_n', R_1 = 1
   (so R_n at x = 0 is G_n(t-1)), built by the same loop on ``Poly`` entries.
 
-Everything is exact: coefficients are Python ints, and the hot paths (the
-row recurrences and ``shift``) run on plain ints.  The one exception is the
-CLI's F, G, H and P tables, stepped by ``table_rows`` in ``Decimal``
-integers under a context that traps any rounding, because their decimal
-text is what the CLI writes.  ``Poly.__call__`` is exact
+Everything is exact: coefficients are Python ints, and ``shift`` runs on
+plain ints.  The one exception is the CLI's F, G, H and P tables, stepped
+by ``table_rows`` in ``Decimal`` integers under a context that traps any
+rounding, because their decimal text is what the CLI writes.  ``_rows``
+steps int, ``Decimal`` and ``Poly`` entries alike: it makes the
+recurrence's multipliers in the entries' ring once per table, and
+``_row_step`` combines them with a row by C-level maps, so no coefficient
+pays a conversion from int.  ``Poly.__call__`` is exact
 at an int or a ``Fraction``; ``series`` evaluates rows at a rational point on
 integers by homogeneous Horner instead.
 """
@@ -45,7 +48,8 @@ integers by homogeneous Horner instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import Callable, Iterable, Iterator
 
 
@@ -150,16 +154,18 @@ class Poly:
             return "0"
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
+            # zero, sign and unit are read off the text: on a Decimal of
+            # hundreds of digits each compare with an int converts the int
+            body = str(self.coeffs[k])
+            if body == "0":
                 continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            a = abs(c)
-            if k == 0:
-                body = str(a)
+            if body[0] == "-":
+                sign, body = "-", body[1:]
             else:
+                sign = "+" if parts else ""
+            if k:
                 var = "x" if k == 1 else f"x^{k}"
-                body = var if a == 1 else f"{a}{var}"
+                body = var if body == "1" else body + var
             parts.append(sign + body)
         return "".join(parts)
 
@@ -211,36 +217,67 @@ def imp_family(rooted: bool) -> Family:
 
 # ── generators ────────────────────────────────────────────────────────────
 
-def _rows(n_max: int, lin: Callable[[int], tuple], mult: tuple[int, int, int]) -> Iterator[tuple]:
+def _rows(n_max: int, lin: Callable[[int], tuple], mult: tuple[int, int, int],
+          one=1) -> Iterator[tuple]:
     """X_1 = 1 and X_{n+1} = (a0 + a1 x) X_n + (m0 + m1 x + m2 x^2) X_n',
     rows 1..n_max as coefficient tuples (which may end in zeros), each
     stepped by `_row_step` only when the one before it has been taken, with
-    (a0, a1) = lin(n) and (m0, m1, m2) = mult.  Row 1 is the unit of the
-    ring a0 lives in: 1 for ints, ``Decimal(1)`` for ``Decimal`` integers,
-    ``Poly((1,))`` for ``Poly`` entries."""
+    (a0, a1) = lin(n) and (m0, m1, m2) = mult.  The entries lie in the ring
+    of `one`: ints for 1, ``Decimal`` integers for ``Decimal(1)``, ``Poly``
+    entries for ``Poly((1,))`` (there a0 is a ``Poly`` and m1 = 0).  The
+    strided multipliers are made once for the table (`_ring`), so no step
+    converts an int per entry."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if not n_max:
         return
-    row = (lin(1)[0] ** 0,)
+    steps = [lin(n) for n in range(1, n_max)]
+    # row n has n entries, so step n reads each strided sequence at u = 0..n;
+    # the ring's zero pads the rows and its unit makes the unstrided terms
+    ends = [0, 1] + [start + stride * u for n, (a0, a1) in enumerate(steps, start=1)
+                     for start, stride in _strides(a0, a1, mult) if stride for u in (0, n)]
+    ring = _ring(one, min(ends), max(ends))
+    row = (one,)
     yield row
-    for n in range(1, n_max):
-        row = _row_step(row, *lin(n), mult)
+    for a0, a1 in steps:
+        row = _row_step(row, a0, a1, mult, ring)
         yield row
 
 
-def _row_step(row: tuple, a0: int | Poly, a1: int, mult: tuple[int, int, int]) -> tuple:
+def _strides(a0, a1: int, mult: tuple[int, int, int]) -> tuple[tuple, tuple, tuple]:
+    """(start, stride) of the multipliers of a_u, a_{u-1} and a_{u+1} in
+    `_row_step`'s recurrence, each start + stride u."""
+    m0, m1, m2 = mult
+    return (a0, m1), (a1 - m2, m2), (m0, m0)
+
+
+def _ring(one, lo: int, hi: int) -> tuple[int, list]:
+    """(lo, [one * k for lo <= k <= hi]): the multipliers of `_row_step`,
+    made once; lo <= 0 < hi, so the ring's zero and unit are among them."""
+    return lo, [one * k for k in range(lo, hi + 1)]
+
+
+def _row_step(row: tuple, a0, a1: int, mult: tuple[int, int, int], ring: tuple[int, list]) -> tuple:
     """Coefficients of (a0 + a1 x) X + (m0 + m1 x + m2 x^2) X' for X with
     coefficients `row`: the three-term recurrence
 
         [x^u] = (a0 + m1 u) a_u + (a1 + m2 (u-1)) a_{u-1} + m0 (u+1) a_{u+1}.
 
-    The entries of `row` and a0 are ints, ``Decimal`` integers, or ``Poly``s
-    in a second variable (the Q rows).
+    Each multiplier sequence, start + stride u for u = 0..len(row), is a
+    slice of `ring`'s list if its stride is nonzero, else ``one * start``
+    made once for the row; C-level maps multiply and add, with the ring's
+    zero as padding.  The entries of `row` are ints, ``Decimal`` integers,
+    or ``Poly``s in a second variable (the Q rows, where a0 is a ``Poly``
+    too); `ring`'s list is in their ring and holds 0, 1 and every value a
+    strided sequence reaches.
     """
-    m0, m1, m2 = mult
-    return tuple((a0 + m1 * u) * a + (a1 + m2 * (u - 1)) * below + m0 * (u + 1) * above
-                 for u, (a, below, above) in enumerate(zip(row + (0,), (0,) + row, row[1:] + (0, 0))))
+    lo, values = ring
+    zero, one = values[-lo], values[1 - lo]
+    n = len(row)
+    a, b, c = (values[start - lo:start - lo + stride * n + 1:stride] if stride else
+               repeat(one * start) for start, stride in _strides(a0, a1, mult))
+    return tuple(map(add, map(add, map(mul, a, row + (zero,)), map(mul, b, (zero,) + row)),
+                     map(mul, c, row[1:] + (zero, zero))))
 
 
 def _family_recurrence(c: int, shifted: bool):
@@ -258,18 +295,15 @@ def table_rows(name: str, n_max: int, shifted: bool = False, one=1) -> Iterator[
     entries lie in the ring of `one`.  With ``Decimal(1)`` they are
     ``Decimal`` integers, exact only under a context whose precision holds
     every digit; their decimal text then takes time linear in its length,
-    where ``str`` of an int is quadratic."""
+    where ``str`` of an int is quadratic.  `_rows` makes each multiplier in
+    that ring once per table, so the lin and mult here stay plain ints."""
     if name == "P":
         if shifted:
             raise ValueError("P has no shifted table")
         lin, mult = (lambda n: (1 - 3 * n, -n)), (1, 1, 0)
     else:
         lin, mult = _family_recurrence(FAMILIES[name].c, shifted)
-
-    def ring_lin(n: int) -> tuple:
-        a0, a1 = lin(n)
-        return one * a0, a1
-    return _rows(n_max, ring_lin, mult)
+    return _rows(n_max, lin, mult, one)
 
 
 def gen_F(n_max: int, shifted: bool = False) -> list[Poly]:
@@ -308,7 +342,7 @@ def gen_Q(n_max: int) -> list[tuple[Poly, ...]]:
     R_{n+1} = (x + n + n t) R_n + t^2 R_n', the shifted G recursion with x
     added to its constant term, so the rows are `_rows` on ``Poly`` entries.
     """
-    return list(_rows(n_max, lambda n: (Poly((n, 1)), n), (0, 0, 1)))
+    return list(_rows(n_max, lambda n: (Poly((n, 1)), n), (0, 0, 1), Poly((1,))))
 
 
 # ── operations ────────────────────────────────────────────────────────────

@@ -104,6 +104,11 @@ PINNED = [
      "3067bd3b143687f488f1cce1224927ba65fa5475dd48ff1937af7ee2285ceec1"),
     (("polys", "Q", "30", "--format", "csv"),
      "f76e01425047eccae1bb925c976dbc265e549b0ae56a25c2e9d64ac129598867"),
+    # the formats the benchmark does not hash, at depth, taken at commit ac69cfb
+    (("polys", "F", "200"), "1af352c7a3987f176a8bdca2b19a57e6df8e94171990986501f5952897c3ad67"),
+    (("polys", "P", "200"), "c76b376f8149c104adde81e808d2044c05806a9e9fb8947a0c16c453947a6491"),
+    (("polys", "H", "200", "--format", "csv"),
+     "6915b45ab0a0f0c329153b275f8c537f192faa309aff12627c08221d50a5fcb8"),
 ]
 
 

@@ -261,7 +261,7 @@ def _entrywise_Q(n_max):
 
 
 def test_Q_matches_entrywise_oracle():
-    for n_max in (0, 1, 2, 40):
+    for n_max in (0, 1, 2, 3, 40):
         got = gen_Q(n_max)
         assert got == _entrywise_Q(n_max), n_max
         assert all(type(row) is tuple and all(type(q) is Poly for q in row) for row in got)
@@ -287,22 +287,88 @@ def test_generators_reject_a_negative_count(gen):
         gen(-1)
 
 
-@pytest.mark.parametrize("name,shifted", [("F", False), ("G", False), ("H", False), ("P", False),
-                                          ("F", True), ("G", True), ("H", True)])
+TABLES = [("F", False), ("G", False), ("H", False), ("P", False),
+          ("F", True), ("G", True), ("H", True)]
+EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+
+
+@pytest.mark.parametrize("name,shifted", TABLES)
 def test_table_rows_in_decimal_are_the_int_rows(name, shifted):
     """`table_rows` with a Decimal unit steps the same rows in Decimal
-    integers, exact under a context that traps any rounding."""
-    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-                            traps=[decimal.Inexact, decimal.Rounded])
-    with decimal.localcontext(exact):
+    integers, exact under a context that traps any rounding, with no
+    signed zero."""
+    with decimal.localcontext(EXACT):
         rows = list(table_rows(name, 60, shifted, one=decimal.Decimal(1)))
     assert {type(c) for row in rows for c in row} == {decimal.Decimal}
+    assert not any(c.is_signed() for row in rows for c in row if not c)
     assert [tuple(map(int, row)) for row in rows] == list(table_rows(name, 60, shifted))
 
 
 def test_table_rows_has_no_shifted_P():
     with pytest.raises(ValueError, match="shifted"):
         table_rows("P", 3, shifted=True)
+
+
+@pytest.mark.parametrize("name,shifted", TABLES)
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+def test_first_rows_reach_the_edges_of_the_multipliers(name, shifted, n_max):
+    """The first steps read the multipliers at the ends of the list: P's
+    a0 = 1 - 3n is negative, and H's a1 - m2 is -1 at n = 1.  In ints and
+    in Decimal the rows are the oracle's, with no signed Decimal zero (a
+    zero pad times a negative multiplier is -0 in Decimal)."""
+    want = _oracle_rows(name, n_max, shifted)
+    ints = list(table_rows(name, n_max, shifted))
+    with decimal.localcontext(EXACT):
+        decimals = list(table_rows(name, n_max, shifted, one=decimal.Decimal(1)))
+    assert list(map(Poly, ints)) == want
+    assert [tuple(map(int, row)) for row in decimals] == ints
+    assert [len(row) for row in decimals] == list(range(1, n_max + 1))
+    assert not any(c.is_signed() for row in decimals for c in row if not c)
+
+
+def test_H_row_two_ends_in_a_zero_that_Poly_strips():
+    with decimal.localcontext(EXACT):
+        row = list(table_rows("H", 2, one=decimal.Decimal(1)))[1]
+    assert row == (1, 0) and not row[1].is_signed()
+    assert Poly(row).coeffs == (1,) and str(Poly(row)) == "1"
+
+
+class _Counted:
+    """An int that counts its operations with a plain int: the conversions
+    a step would pay in a ring such as Decimal's."""
+
+    mixed = 0
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def _other(self, other):
+        if isinstance(other, _Counted):
+            return other.value
+        _Counted.mixed += 1
+        return other
+
+    def __add__(self, other):
+        return _Counted(self.value + self._other(other))
+
+    def __mul__(self, other):
+        return _Counted(self.value * self._other(other))
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("name,shifted", TABLES)
+def test_steps_convert_no_int_per_coefficient(monkeypatch, name, shifted):
+    """Rows 1..n_max hold about n_max^2 / 2 coefficients; the multipliers
+    are made once per table and once per row, so the operations with a
+    plain int stay linear in n_max."""
+    for n_max in (30, 60, 120):
+        monkeypatch.setattr(_Counted, "mixed", 0)
+        rows = list(table_rows(name, n_max, shifted, one=_Counted(1)))
+        assert [tuple(c.value for c in row) for row in rows] == list(table_rows(name, n_max, shifted))
+        assert _Counted.mixed <= 6 * n_max, (n_max, _Counted.mixed)
 
 
 @pytest.mark.parametrize("a", [Fraction(1, 2), 0.5, 1.0, Fraction(2)])

@@ -12,6 +12,7 @@ from gregtrees.polys import (
     FAMILIES,
     Poly,
     _family_recurrence,
+    _ring,
     _row_step,
     census_family,
     gen_F,
@@ -598,9 +599,10 @@ def test_child_classes_are_the_row_recurrence(variant):
     of `_rows` gives x^u at row k, with offset c' = slot - 1."""
     rules = VARIANTS[variant]
     lin, mult = _family_recurrence(_slot(rules) - 1, shifted=False)
+    ring = _ring(1, -60, 300)   # every multiplier these steps read
     for k in range(1, 60):
         for u in range(60):
-            step = _row_step((0,) * u + (1,), *lin(k), mult)
+            step = _row_step((0,) * u + (1,), *lin(k), mult, ring)
             want = {du: step[u + du] for du in (-1, 0, 1) if u + du >= 0}
             got = _child_classes(k, u, rules)
             assert {du: m for du, m in got.items() if u + du >= 0} == want, (variant, k, u)
