@@ -4,19 +4,9 @@ Subcommands: polys (polynomial tables), trees (enumeration and censuses),
 series (exact Taylor coefficients), check (the verification suite), wfun
 (Lambert W values and derivatives).  All output is byte-deterministic for
 a fixed invocation; --out writes the same bytes to a file instead of
-stdout.  The polys tables are formatted and written one row at a time,
-and all but the Q triangle are stepped one row at a time too, so the text
-in memory stays near one row, not the whole table.  A usage error names
-the subcommand it belongs to.
-
-Everything is exact.  The F, G, H and P tables and their shifted rows are
-stepped in ``decimal.Decimal`` integers, not ints, under a context that
-holds every digit and traps any rounding: libmpdec stores base-10^19
-limbs, so writing a coefficient as decimal text takes time linear in its
-digits, where ``str`` of an int is quadratic and refuses past 4300 digits.
-``polys`` makes the recurrence's multipliers as ``Decimal``s once per
-table, so no coefficient pays a conversion from int.  The Q triangle and
-everything else stays on ints.
+stdout.  The polys tables are stepped, formatted and written one row at a
+time, so the text in memory stays near one row, not the whole table.  A
+usage error names the subcommand it belongs to.
 """
 
 from __future__ import annotations
@@ -27,13 +17,12 @@ import os
 import re
 import sys
 from dataclasses import replace
-from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation,
-                     Rounded, localcontext)
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .polys import FAMILIES, Poly, gen_Q, table_rows
+from .polys import FAMILIES, Poly, table_rows
 from .series import _egf_text, series_T, series_W
 from .suite import CHECK_NAMES, CHECKS, SuiteConfig, run_suite
 from .trees import VARIANTS, enumerate_greg, imp_polynomial, u_bound, unl_polynomial
@@ -41,10 +30,6 @@ from .wfunc import _derivative_at, eval_W
 
 _VERTEX_CAP = 11          # trees work caps at 11 total vertices
 _IMP_CAP = 7              # 2,401 Pruefer folds at n = 7; 8 would take 32,768
-
-# Decimal integers step and print exactly under this context, or raise
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                 traps=[Inexact, Rounded, InvalidOperation])
 
 # aliases accepted by `check` beside full names
 CHECK_ALIASES = {
@@ -124,7 +109,7 @@ def _run_polys(args, parser) -> int:
         parser.error("P rows have mixed signs; b-file output is for the nonnegative tables")
     # one chunk per row: no list of row strings and no joined table
     if family == "Q":
-        triangle = gen_Q(n)
+        triangle = table_rows("Q", n)
         if fmt == "text":
             chunks = (" | ".join(map(str, row)) + "\n" for row in triangle)
         elif fmt == "json":
@@ -137,21 +122,20 @@ def _run_polys(args, parser) -> int:
         _emit(chunks, args.out)
         return 0
     base = family.removesuffix("-shift")
-    # the rows are stepped lazily as the chunks are written, and Poly's text
-    # takes abs() of each entry: the exact context stays open through _emit
-    with localcontext(_EXACT):
-        rows = map(Poly, table_rows(base, n, shifted=base != family, one=Decimal(1)))
-        if fmt == "text":
-            chunks = (f"{p}\n" for p in rows)
-        elif fmt == "json":
-            chunks = _json_rows(rows)
-        elif fmt == "csv":
-            chunks = chain(["n,k,coefficient\n"], (
-                "".join(f"{m},{k},{c}\n" for k, c in enumerate(p.coeffs))
-                for m, p in enumerate(rows, start=1)))
-        else:
-            chunks = _bfile(p.coeffs for p in rows)
-        _emit(chunks, args.out)
+    # Decimal text takes time linear in its digits; str of an int is
+    # quadratic and refuses past 4300 digits
+    rows = map(Poly, table_rows(base, n, shifted=base != family, one=Decimal(1)))
+    if fmt == "text":
+        chunks = (f"{p}\n" for p in rows)
+    elif fmt == "json":
+        chunks = _json_rows(rows)
+    elif fmt == "csv":
+        chunks = chain(["n,k,coefficient\n"], (
+            "".join(f"{m},{k},{c}\n" for k, c in enumerate(p.coeffs))
+            for m, p in enumerate(rows, start=1)))
+    else:
+        chunks = _bfile(p.coeffs for p in rows)
+    _emit(chunks, args.out)
     return 0
 
 

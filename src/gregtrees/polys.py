@@ -16,8 +16,9 @@ recursion, whose coefficients are all nonnegative:
 ``gen_F/G/H(n, shifted=True)`` runs it; ``shift`` stays the exact oracle.
 Each recursion, like that of P below, is a three-term recurrence on the
 coefficients, so one loop, ``_rows``, steps every table on tuples of
-coefficients, one row at a time; ``gen_*`` wrap each row in ``Poly`` and
-return the list, and ``table_rows`` hands the rows out as they are stepped.
+coefficients, one row at a time; ``table_rows`` hands out the rows of
+every table, Q included, as they are stepped, and ``gen_*`` list them,
+each F, G, H or P row as a ``Poly``.
 
 * ``G_n`` counts rooted Greg trees with n labeled vertices by number of
   unlabeled vertices (coefficient triangle A048160 in the OEIS); the
@@ -35,9 +36,10 @@ return the list, and ``table_rows`` hands the rows out as they are stepped.
 
 Everything is exact: coefficients are Python ints, and ``shift`` runs on
 plain ints.  The one exception is the CLI's F, G, H and P tables, stepped
-by ``table_rows`` in ``Decimal`` integers under a context that traps any
-rounding, because their decimal text is what the CLI writes.  ``_rows``
-steps int, ``Decimal`` and ``Poly`` entries alike: it makes the
+by ``table_rows`` in ``Decimal`` integers, because their decimal text is
+what the CLI writes; ``_rows`` holds the context they are stepped under,
+``_EXACT``, so they are exact or raise whatever the caller's context is.
+``_rows`` steps int, ``Decimal`` and ``Poly`` entries alike: it makes the
 recurrence's multipliers in the entries' ring once per table, and
 ``_row_step`` combines them with a row by C-level maps, so no coefficient
 pays a conversion from int.  ``Poly.__call__`` is exact
@@ -47,6 +49,7 @@ integers by homogeneous Horner instead.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, mul
@@ -179,6 +182,10 @@ class Poly:
 
 X = Poly((0, 1))
 
+# Decimal entries are stepped under this context: every digit held, any rounding raised
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+
 
 # ── the families ──────────────────────────────────────────────────────────
 
@@ -226,7 +233,10 @@ def _rows(n_max: int, lin: Callable[[int], tuple], mult: tuple[int, int, int],
     of `one`: ints for 1, ``Decimal`` integers for ``Decimal(1)``, ``Poly``
     entries for ``Poly((1,))`` (there a0 is a ``Poly`` and m1 = 0).  The
     strided multipliers are made once for the table (`_ring`), so no step
-    converts an int per entry."""
+    converts an int per entry.  They are made, and each row stepped, under
+    `_EXACT`, entered and left around that work and never held across a
+    yield, so ``Decimal`` rows are exact or raise whatever the caller's
+    context is, and the caller's context is left as it was."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if not n_max:
@@ -236,11 +246,13 @@ def _rows(n_max: int, lin: Callable[[int], tuple], mult: tuple[int, int, int],
     # the ring's zero pads the rows and its unit makes the unstrided terms
     ends = [0, 1] + [start + stride * u for n, (a0, a1) in enumerate(steps, start=1)
                      for start, stride in _strides(a0, a1, mult) if stride for u in (0, n)]
-    ring = _ring(one, min(ends), max(ends))
+    with decimal.localcontext(_EXACT):
+        ring = _ring(one, min(ends), max(ends))
     row = (one,)
     yield row
     for a0, a1 in steps:
-        row = _row_step(row, a0, a1, mult, ring)
+        with decimal.localcontext(_EXACT):
+            row = _row_step(row, a0, a1, mult, ring)
         yield row
 
 
@@ -266,18 +278,19 @@ def _row_step(row: tuple, a0, a1: int, mult: tuple[int, int, int], ring: tuple[i
     Each multiplier sequence, start + stride u for u = 0..len(row), is a
     slice of `ring`'s list if its stride is nonzero, else ``one * start``
     made once for the row; C-level maps multiply and add, with the ring's
-    zero as padding.  The entries of `row` are ints, ``Decimal`` integers,
-    or ``Poly``s in a second variable (the Q rows, where a0 is a ``Poly``
-    too); `ring`'s list is in their ring and holds 0, 1 and every value a
-    strided sequence reaches.
+    zero as padding.  Where m0 = 0 (the shifted tables and Q) the a_{u+1}
+    term is left out, not added as zeros.  The entries of `row` are ints,
+    ``Decimal`` integers, or ``Poly``s in a second variable (the Q rows,
+    where a0 is a ``Poly`` too); `ring`'s list is in their ring and holds
+    0, 1 and every value a strided sequence reaches.
     """
     lo, values = ring
     zero, one = values[-lo], values[1 - lo]
     n = len(row)
     a, b, c = (values[start - lo:start - lo + stride * n + 1:stride] if stride else
                repeat(one * start) for start, stride in _strides(a0, a1, mult))
-    return tuple(map(add, map(add, map(mul, a, row + (zero,)), map(mul, b, (zero,) + row)),
-                     map(mul, c, row[1:] + (zero, zero))))
+    terms = map(add, map(mul, a, row + (zero,)), map(mul, b, (zero,) + row))
+    return tuple(map(add, terms, map(mul, c, row[1:] + (zero, zero))) if mult[0] else terms)
 
 
 def _family_recurrence(c: int, shifted: bool):
@@ -289,18 +302,20 @@ def _family_recurrence(c: int, shifted: bool):
 
 
 def table_rows(name: str, n_max: int, shifted: bool = False, one=1) -> Iterator[tuple]:
-    """Rows 1..n_max of the table `name`, F, G, H or P, or with `shifted`
+    """Rows 1..n_max of the table `name`, F, G, H, P or Q, or with `shifted`
     the rows X_n(x-1) of F, G or H from their own recursion: coefficient
     tuples, which may end in zeros, each stepped as it is taken.  The
-    entries lie in the ring of `one`.  With ``Decimal(1)`` they are
-    ``Decimal`` integers, exact only under a context whose precision holds
-    every digit; their decimal text then takes time linear in its length,
-    where ``str`` of an int is quadratic.  `_rows` makes each multiplier in
-    that ring once per table, so the lin and mult here stay plain ints."""
+    entries lie in the ring of `one`; the Q rows' entries are ``Poly``s
+    over it (see `gen_Q`).  With ``Decimal(1)`` they are ``Decimal``
+    integers, whose decimal text takes time linear in its length, where
+    ``str`` of an int is quadratic.  `_rows` makes each multiplier in that
+    ring once per table, so the lin and mult here stay plain ints."""
+    if shifted and name in ("P", "Q"):
+        raise ValueError(f"{name} has no shifted table")
     if name == "P":
-        if shifted:
-            raise ValueError("P has no shifted table")
         lin, mult = (lambda n: (1 - 3 * n, -n)), (1, 1, 0)
+    elif name == "Q":
+        lin, mult, one = (lambda n: (Poly((n, 1)), n)), (0, 0, 1), Poly((one,))
     else:
         lin, mult = _family_recurrence(FAMILIES[name].c, shifted)
     return _rows(n_max, lin, mult, one)
@@ -340,9 +355,10 @@ def gen_Q(n_max: int) -> list[tuple[Poly, ...]]:
 
     (out-of-range entries zero).  In R_n(t) = sum_k Q_{n,k}(x) t^k this is
     R_{n+1} = (x + n + n t) R_n + t^2 R_n', the shifted G recursion with x
-    added to its constant term, so the rows are `_rows` on ``Poly`` entries.
+    added to its constant term, so the rows are `table_rows` on ``Poly``
+    entries.
     """
-    return list(_rows(n_max, lambda n: (Poly((n, 1)), n), (0, 0, 1), Poly((1,))))
+    return list(table_rows("Q", n_max))
 
 
 # ── operations ────────────────────────────────────────────────────────────

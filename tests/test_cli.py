@@ -484,16 +484,20 @@ def test_out_writes_same_bytes(capsys, tmp_path):
 @pytest.mark.parametrize("fmt", ["text", "json", "csv", "bfile"])
 def test_out_streams_rows(tmp_path, fmt):
     """Tables are written one row at a time: the traced peak of writing one,
-    its rows of ints included, stays below the size of the file written."""
+    its rows included, stays below the size of the file written.  The Q
+    triangle, which has no b-file form, is stepped row by row too."""
     path = tmp_path / "rows"
-    tracemalloc.start()
-    try:
-        code = main(["polys", "F", "150", "--format", fmt, "--out", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < path.stat().st_size
+    for family, n in (("F", "150"), ("Q", "60")):
+        if (family, fmt) == ("Q", "bfile"):
+            continue
+        tracemalloc.start()
+        try:
+            code = main(["polys", family, n, "--format", fmt, "--out", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, family
+        assert peak < path.stat().st_size, family
 
 
 # every F, G, H and P table in every format it takes: P has mixed signs, no b-file
@@ -549,7 +553,7 @@ class _Recorder:
         pass
 
 
-@pytest.mark.parametrize("family,fmt", TABLE_FORMATS)
+@pytest.mark.parametrize("family,fmt", TABLE_FORMATS + [("Q", f) for f in ("text", "json", "csv")])
 def test_rows_are_written_as_they_are_stepped(monkeypatch, family, fmt):
     """Row k's chunk is written after k - 1 steps of the recurrence, before
     row k + 1 is stepped; the csv header and the json close come first

@@ -36,3 +36,28 @@ def test_all_is_the_public_names_the_package_imports():
     imported = {alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(gregtrees.__all__) == sorted(n for n in imported if not n.startswith("_"))
+
+
+CONTEXT_MAKERS = {"Context", "localcontext", "setcontext"}
+
+
+def _decimal_context_uses(path: Path) -> set[str]:
+    """The names of decimal's context makers that the module at `path`
+    imports or calls."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "decimal":
+            used |= {alias.name for alias in node.names} & CONTEXT_MAKERS
+        elif isinstance(node, ast.Call):
+            func = node.func
+            used |= {func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)}
+    return used & CONTEXT_MAKERS
+
+
+def test_only_polys_makes_a_decimal_context():
+    """`polys` holds the one exact Decimal context and enters it around its
+    own steps; no other module builds, enters or sets a context."""
+    uses = {path.stem: _decimal_context_uses(path)
+            for path in sorted(Path(gregtrees.__file__).parent.glob("*.py"))}
+    assert uses.pop("polys") >= {"Context", "localcontext"}
+    assert {module: names for module, names in uses.items() if names} == {}

@@ -1,5 +1,6 @@
 """Exact checks for the polynomial families and their triangle."""
 
+import contextlib
 import decimal
 from fractions import Fraction
 
@@ -291,23 +292,62 @@ TABLES = [("F", False), ("G", False), ("H", False), ("P", False),
           ("F", True), ("G", True), ("H", True)]
 EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+# the contexts a caller may hold while stepping Decimal rows: one that traps
+# any rounding, one that rounds to a single digit, and none of its own (None)
+CALLER_CONTEXTS = [EXACT, decimal.Context(prec=1), None]
+
+
+def _decimal_rows(name: str, n_max: int, shifted: bool, caller) -> list[tuple]:
+    """`table_rows` in Decimal, listed under the caller's context `caller`."""
+    with decimal.localcontext(caller) if caller else contextlib.nullcontext():
+        return list(table_rows(name, n_max, shifted, one=decimal.Decimal(1)))
 
 
 @pytest.mark.parametrize("name,shifted", TABLES)
 def test_table_rows_in_decimal_are_the_int_rows(name, shifted):
     """`table_rows` with a Decimal unit steps the same rows in Decimal
-    integers, exact under a context that traps any rounding, with no
-    signed zero."""
-    with decimal.localcontext(EXACT):
-        rows = list(table_rows(name, 60, shifted, one=decimal.Decimal(1)))
-    assert {type(c) for row in rows for c in row} == {decimal.Decimal}
-    assert not any(c.is_signed() for row in rows for c in row if not c)
-    assert [tuple(map(int, row)) for row in rows] == list(table_rows(name, 60, shifted))
+    integers, exact whatever context the caller holds, with no signed
+    zero: under the default 28 digits F_60's coefficients would round."""
+    ints = list(table_rows(name, 60, shifted))
+    for caller in CALLER_CONTEXTS:
+        rows = _decimal_rows(name, 60, shifted, caller)
+        assert {type(c) for row in rows for c in row} == {decimal.Decimal}
+        assert not any(c.is_signed() for row in rows for c in row if not c)
+        assert [tuple(map(int, row)) for row in rows] == ints, caller
 
 
 def test_table_rows_has_no_shifted_P():
     with pytest.raises(ValueError, match="shifted"):
         table_rows("P", 3, shifted=True)
+
+
+def test_table_rows_has_no_shifted_Q():
+    with pytest.raises(ValueError, match="shifted"):
+        table_rows("Q", 3, shifted=True)
+
+
+def test_stepping_leaves_the_callers_context_alone():
+    """The exact context is entered and left around each step, never held
+    across a yield: the caller's context, its flags included, is the same
+    object in the same state after each row taken and after closing the
+    rows early."""
+    def state():
+        ctx = decimal.getcontext()
+        return ctx, ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)
+
+    before = state()
+    rows = table_rows("F", 200, one=decimal.Decimal(1))
+    for n in range(1, 201):
+        assert len(next(rows)) == n
+        assert state() == before, n
+    with pytest.raises(StopIteration):
+        next(rows)
+    assert state() == before
+    rows = table_rows("F", 200, one=decimal.Decimal(1))
+    for _ in range(60):
+        next(rows)
+    rows.close()
+    assert state() == before
 
 
 @pytest.mark.parametrize("name,shifted", TABLES)
@@ -319,12 +359,12 @@ def test_first_rows_reach_the_edges_of_the_multipliers(name, shifted, n_max):
     zero pad times a negative multiplier is -0 in Decimal)."""
     want = _oracle_rows(name, n_max, shifted)
     ints = list(table_rows(name, n_max, shifted))
-    with decimal.localcontext(EXACT):
-        decimals = list(table_rows(name, n_max, shifted, one=decimal.Decimal(1)))
     assert list(map(Poly, ints)) == want
-    assert [tuple(map(int, row)) for row in decimals] == ints
-    assert [len(row) for row in decimals] == list(range(1, n_max + 1))
-    assert not any(c.is_signed() for row in decimals for c in row if not c)
+    for caller in CALLER_CONTEXTS:
+        decimals = _decimal_rows(name, n_max, shifted, caller)
+        assert [tuple(map(int, row)) for row in decimals] == ints, caller
+        assert [len(row) for row in decimals] == list(range(1, n_max + 1))
+        assert not any(c.is_signed() for row in decimals for c in row if not c)
 
 
 def test_H_row_two_ends_in_a_zero_that_Poly_strips():
