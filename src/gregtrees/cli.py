@@ -236,7 +236,8 @@ def _run_check(args, parser) -> int:
                      + ", ".join(CHECK_NAMES) + "; aliases: " + ", ".join(CHECK_ALIASES))
 
     # each option sets the budget field that the target's table entry names
-    options = {} if target == "all" else CHECKS[CHECK_NAMES.index(target)].options
+    entry = None if target == "all" else CHECKS[CHECK_NAMES.index(target)]
+    options = entry.options if entry else {}
     overrides = {}
     for flag in ("--x", "--n-max", "--samples", "--seed"):
         value = getattr(args, flag[2:].replace("-", "_"))
@@ -246,6 +247,10 @@ def _run_check(args, parser) -> int:
             parser.error(f"{flag} does not apply to {target!r}; it tunes "
                          + ", ".join(c.name for c in CHECKS if flag in c.options))
         overrides[options[flag]] = tuple(value) if isinstance(value, list) else value
+    # an option that sets the lower side of a budget pair raises the upper side to meet it
+    for a, b, k in entry.needs if entry else ():
+        if b in overrides and a not in overrides:
+            overrides[a] = max(getattr(config, a), overrides[b] + k)
     config = replace(config, **overrides)
 
     try:

@@ -2,21 +2,24 @@
 
 Each check is declared once, as an entry of ``CHECKS``: its name, the
 ``SuiteConfig`` budgets that size it, the ``gregtrees check`` options that
-tune it, the budget pairs that must agree, the domains of its samples, and
-its runner.  ``run_suite`` walks that table in order and
-``gregtrees check`` routes its options through it, so a new check is one
-entry.  ``run_suite`` returns a ``SuiteResult`` whose JSON and text
+tune it, the budget pairs that must agree, the domains of its samples, the
+bundle rows it reads, and its runner.  ``run_suite`` walks that table in
+order and ``gregtrees check`` routes its options through it, so a new check
+is one entry.  ``run_suite`` returns a ``SuiteResult`` whose JSON and text
 renderings are byte-deterministic for a given configuration.  Budgets live
 in ``SuiteConfig``; the ``quick`` profile trims them for smoke runs.  A
-check reads the configuration and the shared polynomial bundle, nothing
-else, so checks cannot mask each other's failures.  The checks that
-compare rows shifted to x - 1 share one memo keyed by the row's value
-(``_shifted``), so each distinct row is shifted once however many checks
-read it.
+check reads the configuration and only the rows its entry declares, nothing
+else, so checks cannot mask each other's failures.  The bundle is as
+deep as the deepest row any entry reads.  The checks that compare rows shifted to
+x - 1 share one memo keyed by the row's value (``_shifted``), so each
+distinct row is shifted once however many checks read it.
 
 ``SuiteConfig.corrupt`` ("G:3" bumps the constant term of the stored G_3)
-exists to demonstrate sensitivity: a corrupted bundle must trip every
-check that consumes the corrupted row and no check that does not.
+exists to demonstrate sensitivity: a corrupted row must trip every check
+that ties the row and no check that does not read it.
+``shifted-positivity`` is sign-only: it reads rows without tying them.
+The rows that it alone reads are pinned by
+``tests/test_suite.py::test_untied_rows_inventory``.
 """
 
 from __future__ import annotations
@@ -157,11 +160,16 @@ def _parse_corrupt(spec: str) -> tuple[str, int]:
     return family, int(row)
 
 
+def _window(config: SuiteConfig, read: tuple[str, str | int, int]) -> range:
+    """The rows, numbered from 1, that one entry of `Check.reads` covers:
+    n + offset for n = 1..bound, none below row 1."""
+    _, bound, offset = read
+    n = getattr(config, bound) if isinstance(bound, str) else bound
+    return range(max(1, 1 + offset), n + offset + 1)
+
+
 def _make_bundle(config: SuiteConfig) -> dict[str, list[Poly]]:
-    rows = max(config.poly_rows, config.positivity_rows, config.reciprocity_rows,
-               config.q_rows + 1, config.imp_rows, config.egf_n_max,
-               config.series_n_max, config.gh_order, config.census_n_max,
-               config.census_birooted_n_max, *map(len, _GOLDEN.values()))
+    rows = max(row for check in CHECKS for read in check.reads for row in _window(config, read))
     # gen_* by name in this module, so wrappers placed on them see the calls
     bundle = {family: globals()[f"gen_{family}"](rows) for family in _BUNDLE_FAMILIES}
     if config.corrupt is not None:
@@ -204,13 +212,13 @@ def _check_positivity(bundle, rows: int) -> CheckReport:
     for family in FAMILIES:
         for i in range(rows):
             p = _shifted(bundle[family][i])
-            if any(c < 0 for c in p.coeffs):
+            if not p or any(c < 0 for c in p.coeffs):
                 return CheckReport.fail(name, f"{family}_{i + 1}(x-1) = {p}",
                                         family=family, row=i + 1)
     for i in range(rows):
         q = bundle["P"][i] if i % 2 == 0 else -bundle["P"][i]
         cs = q.coeffs
-        if any(c <= 0 for c in cs):
+        if not cs or any(c <= 0 for c in cs):
             return CheckReport.fail(name, f"(-1)^{i} P_{i + 1} = {q}", family="P", row=i + 1)
         peak = max(range(len(cs)), key=lambda j: cs[j])
         rising = all(cs[j] <= cs[j + 1] for j in range(peak))
@@ -346,6 +354,16 @@ class Check:
     ``a >= b + k``; both also size the check, so a zero in either skips it.
     `domains` lists the sample domains: each (field, rule, inside) states
     that every entry v of the field has inside(v), `rule` saying so in words.
+    `reads` lists the bundle rows the check reads: each (family, bound,
+    offset) covers rows n + offset of the family for n = 1..bound, none
+    below row 1, where `bound` is a ``SuiteConfig`` field or a fixed row
+    count.  ``q-specializations`` reads F_1..F_{q-1} (offset -1) and
+    H_2..H_{q+1} (offset +1).  The bundle is sized from `reads`, and `run`
+    is handed each family cut after its last declared row, so reading past
+    the declaration raises IndexError and an undeclared family KeyError.
+    `ties` is False for a check that tests only the signs of the rows it
+    reads (``shifted-positivity``); every other reader ties its rows
+    exactly, so a corrupted row trips it.
     """
 
     name: str
@@ -354,23 +372,37 @@ class Check:
     options: dict[str, str] = field(default_factory=dict)
     needs: tuple[tuple[str, str, int], ...] = ()
     domains: tuple[tuple[str, str, Callable[[object], bool]], ...] = ()
+    reads: tuple[tuple[str, str | int, int], ...] = ()
+    ties: bool = True
 
 
 _SIDES = (("unrooted", False), ("rooted", True))
 
+
+def _rows(bound: str, *families: str) -> tuple[tuple[str, str, int], ...]:
+    """`Check.reads` for rows 1..bound of each family."""
+    return tuple((family, bound, 0) for family in families)
+
+
 CHECKS: tuple[Check, ...] = (
-    Check("golden-tables", (), lambda c, b: _check_golden(b)),
+    Check("golden-tables", (), lambda c, b: _check_golden(b),
+          reads=tuple((family, len(table), 0) for family, table in _GOLDEN.items())),
     Check("shifted-positivity", ("positivity_rows",),
-          lambda c, b: _check_positivity(b, c.positivity_rows), {"--n-max": "positivity_rows"}),
+          lambda c, b: _check_positivity(b, c.positivity_rows), {"--n-max": "positivity_rows"},
+          reads=_rows("positivity_rows", *_BUNDLE_FAMILIES), ties=False),
     Check("interconversion", ("poly_rows",),
-          lambda c, b: _check_interconversion(b, c.poly_rows), {"--n-max": "poly_rows"}),
+          lambda c, b: _check_interconversion(b, c.poly_rows), {"--n-max": "poly_rows"},
+          reads=_rows("poly_rows", "G", "H")),
     Check("reciprocity", ("reciprocity_rows",),
-          lambda c, b: _check_reciprocity(b, c.reciprocity_rows), {"--n-max": "reciprocity_rows"}),
+          lambda c, b: _check_reciprocity(b, c.reciprocity_rows), {"--n-max": "reciprocity_rows"},
+          reads=_rows("reciprocity_rows", "G", "P")),
     Check("q-specializations", ("q_rows",),
-          lambda c, b: _check_q_specializations(b, c.q_rows), {"--n-max": "q_rows"}),
+          lambda c, b: _check_q_specializations(b, c.q_rows), {"--n-max": "q_rows"},
+          reads=(("F", "q_rows", -1), ("G", "q_rows", 0), ("H", "q_rows", 1))),
     *(Check(f"def-identity-{f}", ("series_n_max", "series_order"),
             lambda c, b, f=f: _series.check_def_identity(f, c.series_n_max, c.series_order, polys=b[f]),
-            {"--n-max": "series_n_max"}, needs=(("series_order", "series_n_max", 5),))
+            {"--n-max": "series_n_max"}, needs=(("series_order", "series_n_max", 5),),
+            reads=_rows("series_n_max", f))
       for f in _BUNDLE_FAMILIES),
     Check("basic-identities", ("series_order",),
           lambda c, b: _series.check_basic_identities(c.series_order)),
@@ -379,16 +411,21 @@ CHECKS: tuple[Check, ...] = (
     Check("egf-theorem", ("egf_n_max",),
           lambda c, b: _series.check_egf_theorem(c.egf_x_samples, c.egf_n_max, polys=b),
           {"--n-max": "egf_n_max", "--x": "egf_x_samples"},
-          domains=(("egf_x_samples", "!= -1", lambda x: x != -1),)),
+          domains=(("egf_x_samples", "!= -1", lambda x: x != -1),),
+          reads=_rows("egf_n_max", *FAMILIES)),
     Check("gh-functional", ("gh_order",),
-          lambda c, b: _series.check_gh_functional(c.egf_x_samples, c.gh_order, polys=b)),
+          lambda c, b: _series.check_gh_functional(c.egf_x_samples, c.gh_order, polys=b),
+          reads=_rows("gh_order", "G", "H")),
     *(Check(f"census-unl-{v}", ("census_n_max",),
-            lambda c, b, v=v: _check_census_unl(b, v, c.census_n_max))
+            lambda c, b, v=v: _check_census_unl(b, v, c.census_n_max),
+            reads=_rows("census_n_max", census_family(v)[0].name))
       for v in ("unrooted", "rooted", "relaxed")),
     Check("census-unl-birooted", ("census_birooted_n_max",),
-          lambda c, b: _check_census_unl(b, "birooted", c.census_birooted_n_max)),
+          lambda c, b: _check_census_unl(b, "birooted", c.census_birooted_n_max),
+          reads=_rows("census_birooted_n_max", census_family("birooted")[0].name)),
     *(Check(f"census-imp-{side}", ("imp_rows",),
-            lambda c, b, r=r: _check_census_imp(b, r, c.imp_rows)) for side, r in reversed(_SIDES)),
+            lambda c, b, r=r: _check_census_imp(b, r, c.imp_rows),
+            reads=_rows("imp_rows", imp_family(r).name)) for side, r in reversed(_SIDES)),
     *(Check(f"restriction-fiber-{side}", ("restriction_n_max", "restriction_extra"),
             lambda c, b, r=r: _check_restriction(r, c.restriction_n_max, c.restriction_extra))
       for side, r in _SIDES),
@@ -418,6 +455,7 @@ def run_suite(config: SuiteConfig | None = None,
     A negative sizing budget, a pair of budgets that disagree (see
     `Check.needs`) or a sample outside its domain (`Check.domains`) raises
     ValueError before any work; a zero budget skips its check.
+    Each runner is handed only the rows its entry declares (`Check.reads`).
     Each report's `seconds` is the wall time of its check.
     """
     config = config or SuiteConfig()
@@ -449,7 +487,9 @@ def run_suite(config: SuiteConfig | None = None,
                 or not all(getattr(config, size) for size in check.sizes)):
             report = CheckReport.skip(check.name)
         else:
-            report = check.run(config, bundle)
+            report = check.run(config, {
+                read[0]: bundle[read[0]][:max(_window(config, read), default=0)]
+                for read in check.reads})
         report.seconds = time.perf_counter() - start
         reports.append(report)
     return SuiteResult(reports=reports, budget=config.budget_dict())

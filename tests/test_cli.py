@@ -399,6 +399,20 @@ def test_check_option_routing(capsys, name, option):
     assert json.loads(out)["budget"] == {**SuiteConfig.quick().budget_dict(), field: shown}
 
 
+@pytest.mark.parametrize("family", "FGHP")
+def test_n_max_raises_the_paired_series_order(capsys, family):
+    """No option sets series_order, so `--n-max` on a def-identity check
+    raises it to meet series_order >= series_n_max + 5, and only raises it."""
+    for n_max, order in (("30", 35), ("3", 20)):
+        code, out, err = run(capsys, "check", f"def-identity-{family}", "--n-max", n_max,
+                             "--format", "json")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["summary"] == {"pass": 1, "fail": 0, "skip": 24, "total": 25}
+        assert report["budget"]["series_n_max"] == int(n_max)
+        assert report["budget"]["series_order"] == order
+
+
 def test_check_corruption_fails_with_exit_1(capsys):
     code, out, _ = run(capsys, "check", "golden", "--quick", "--corrupt", "G:3")
     assert code == 1
@@ -440,7 +454,6 @@ USAGE_ERRORS = [
     ("wfun", "abc"),
     ("wfun", "1.0", "--n-max", "-1"),
     ("check", "reciprocity", "--n-max", "-5"),   # depths are counts
-    ("check", "def-identity-F", "--n-max", "30"),   # series_order 20 is too low
     ("check", "halfplane", "--samples", "-3"),
     ("check", "egf", "--x", "-q"),              # not a number: an option, so --x has no value
     ("check", "egf", "--x", "-1"),              # outside the substitution's domain

@@ -14,38 +14,31 @@ from gregtrees.polys import Poly, X, census_family
 from gregtrees.report import CheckReport
 from gregtrees.series import (check_def_identity, check_egf_theorem, check_gh_functional,
                               check_imp_census_series, rhs_series)
-from gregtrees.suite import (CHECK_NAMES, SuiteConfig, _check_restriction, _restriction_expected,
-                             run_suite)
+from gregtrees.suite import (_BUNDLE_FAMILIES, CHECK_NAMES, CHECKS, SuiteConfig, _check_restriction,
+                             _make_bundle, _restriction_expected, _window, run_suite)
 from gregtrees.wfunc import check_bernstein, check_halfplane
 
-# per corrupted row, the checks that consume it somewhere in their work
-# (quick profile)
-SENSITIVE = {
-    "G:3": {
-        "golden-tables",
-        "interconversion",
-        "reciprocity",
-        "q-specializations",
-        "def-identity-G",
-        "egf-theorem",
-        "gh-functional",
-        "census-unl-rooted",
-        "census-unl-relaxed",
-        "census-imp-rooted",
-    },
-    "P:3": {"reciprocity", "def-identity-P"},
-    "F:3": {"golden-tables", "q-specializations", "def-identity-F", "egf-theorem"},
-    "H:3": {
-        "golden-tables",
-        "interconversion",
-        "q-specializations",
-        "def-identity-H",
-        "egf-theorem",
-        "gh-functional",
-        "census-unl-unrooted",
-        "census-imp-unrooted",
-    },
-}
+
+def _tie_readers(config, family, row):
+    """The checks whose `Check.reads` cover the row and tie it exactly."""
+    return {c.name for c in CHECKS if c.ties for read in c.reads
+            if read[0] == family and row in _window(config, read)}
+
+
+def _untied_rows(config):
+    """The (family, row) pairs some check reads and no check ties."""
+    def read_by(checks):
+        return {(read[0], row) for c in checks for read in c.reads for row in _window(config, read)}
+    return read_by(CHECKS) - read_by(c for c in CHECKS if c.ties)
+
+
+def _bump_leading(gen, row):
+    """`gen` with +1 on the leading coefficient of the given row."""
+    def bumped(n_max):
+        rows = gen(n_max)
+        rows[row - 1] = rows[row - 1] + X ** rows[row - 1].degree
+        return rows
+    return bumped
 
 
 def test_quick_profile_all_pass():
@@ -80,24 +73,94 @@ def test_text_rendering_shape():
     assert lines[-1] == "25 passed, 0 failed, 0 skipped"
 
 
-@pytest.mark.parametrize("spec", SENSITIVE)
-def test_corruption_trips_exactly_the_consumers(spec):
-    sensitive = SENSITIVE[spec]
-    result = run_suite(replace(SuiteConfig.quick(), corrupt=spec))
-    assert set(result.failed_names()) == sensitive
-    for r in result.reports:
-        if r.name in sensitive:
-            assert r.passed is False
-            assert r.witness
-        else:
-            assert r.passed is True, r.name  # untouched checks stay green
-    assert not result.ok
-    # the witnesses point at the damaged row
-    by_name = {r.name: r for r in result.reports}
-    if "golden-tables" in sensitive:
-        family = spec.partition(":")[0]
-        assert by_name["golden-tables"].params == {"family": family, "row": 3}
-        assert f"{family}_3" in by_name["golden-tables"].witness
+def test_bundle_is_as_deep_as_the_deepest_declared_read():
+    assert {len(rows) for rows in _make_bundle(SuiteConfig()).values()} == {50}
+    assert {len(rows) for rows in _make_bundle(SuiteConfig.quick()).values()} == {15}
+
+
+@pytest.mark.parametrize("coefficient", ["constant", "leading"])
+def test_corruption_trips_exactly_the_consumers(monkeypatch, coefficient):
+    """+1 on one coefficient of each row of the quick bundle fails exactly
+    the checks that tie the row by their `Check.reads`, and no other: the
+    constant term through `corrupt`, the leading coefficient through a
+    wrapped `suite.gen_*`."""
+    quick = SuiteConfig.quick()
+    rows = len(_make_bundle(quick)["F"])
+    for family in _BUNDLE_FAMILIES:
+        for row in range(1, rows + 1):
+            with monkeypatch.context() as m:
+                if coefficient == "constant":
+                    result = run_suite(replace(quick, corrupt=f"{family}:{row}"))
+                else:
+                    gen = getattr(suite_module, f"gen_{family}")
+                    m.setattr(suite_module, f"gen_{family}", _bump_leading(gen, row))
+                    result = run_suite(quick)
+            sensitive = _tie_readers(quick, family, row)
+            assert set(result.failed_names()) == sensitive, (family, row)
+            for r in result.reports:
+                if r.name in sensitive:
+                    assert r.passed is False
+                    assert r.witness
+                else:
+                    assert r.passed is True, (family, row, r.name)  # untouched checks stay green
+            assert result.ok == (not sensitive)   # an untied row trips nothing
+            # the witnesses point at the damaged row
+            golden = result.reports[CHECK_NAMES.index("golden-tables")]
+            if "golden-tables" in sensitive:
+                assert golden.params == {"family": family, "row": row}
+                assert f"{family}_{row}" in golden.witness
+
+
+def test_untied_rows_inventory():
+    """The rows that some check reads and no check ties, from `Check.reads`
+    alone: a corruption there passes every check, since only the sign-only
+    `shifted-positivity` reads them.  An identity that ties every F row to
+    the G rows, (1+x)^2 F_n = x G_{n+1} + n G_n, with poly_rows and
+    reciprocity_rows raised to positivity_rows, empties both sets (the
+    ROADMAP item "Every row a check reads is tied by an identity").  They
+    must never grow.  `run_suite` does not enforce that reach rule yet,
+    since it would change the default report."""
+    def span(family, first, last):
+        return {(family, row) for row in range(first, last + 1)}
+    assert _untied_rows(SuiteConfig()) == (span("F", 12, 50) | span("G", 41, 50)
+                                           | span("H", 41, 50) | span("P", 31, 50))
+    assert _untied_rows(SuiteConfig.quick()) == (span("F", 8, 15) | span("G", 13, 15)
+                                                 | span("H", 13, 15) | span("P", 11, 15))
+
+
+def test_read_windows_shift_by_their_offset_and_may_be_empty():
+    config = replace(SuiteConfig.quick(), q_rows=1)
+    assert _window(config, ("F", "q_rows", -1)) == range(1, 1)
+    assert _window(config, ("H", "q_rows", 1)) == range(2, 3)
+    config = replace(config, q_rows=0)
+    assert [list(_window(config, ("F", "q_rows", k))) for k in (-1, 0, 1)] == [[], [], []]
+    assert list(_window(config, ("G", 6, 0))) == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("reads, error", [
+    ((("G", "poly_rows", -1), ("H", "poly_rows", 0)), IndexError),
+    ((("G", "poly_rows", 0),), KeyError),
+])
+def test_a_runner_reads_only_its_declared_rows(monkeypatch, reads, error):
+    """Declare fewer rows, or fewer families, than interconversion reads,
+    and it raises instead of reading the rest of the bundle."""
+    i = CHECK_NAMES.index("interconversion")
+    short = replace(CHECKS[i], reads=reads)
+    assert run_suite(SuiteConfig.quick(), only=["interconversion"]).ok
+    monkeypatch.setattr(suite_module, "CHECKS", (*CHECKS[:i], short, *CHECKS[i + 1:]))
+    with pytest.raises(error):
+        run_suite(SuiteConfig.quick(), only=["interconversion"])
+
+
+@pytest.mark.parametrize("family, witness", [("G", "G_1(x-1) = 0"), ("P", "(-1)^0 P_1 = 0")])
+def test_positivity_fails_on_a_zero_row(monkeypatch, family, witness):
+    gen = getattr(suite_module, f"gen_{family}")
+    monkeypatch.setattr(suite_module, f"gen_{family}", lambda n_max: [Poly()] + gen(n_max)[1:])
+    result = run_suite(SuiteConfig.quick(), only=["shifted-positivity"])
+    report = result.reports[CHECK_NAMES.index("shifted-positivity")]
+    assert report.passed is False
+    assert report.params == {"family": family, "row": 1}
+    assert report.witness == witness
 
 
 def test_corrupt_spec_validation():
