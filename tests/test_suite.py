@@ -78,37 +78,47 @@ def test_bundle_is_as_deep_as_the_deepest_declared_read():
     assert {len(rows) for rows in _make_bundle(SuiteConfig.quick()).values()} == {15}
 
 
-@pytest.mark.parametrize("coefficient", ["constant", "leading"])
-def test_corruption_trips_exactly_the_consumers(monkeypatch, coefficient):
-    """+1 on one coefficient of each row of the quick bundle fails exactly
-    the checks that tie the row by their `Check.reads`, and no other: the
-    constant term through `corrupt`, the leading coefficient through a
-    wrapped `suite.gen_*`."""
+_QUICK_ROWS = [(family, row) for family in _BUNDLE_FAMILIES
+               for row in range(1, len(_make_bundle(SuiteConfig.quick())["F"]) + 1)]
+_QUICK_IDS = [f"{family}:{row}" for family, row in _QUICK_ROWS]
+
+
+def _assert_trips_exactly_the_tie_readers(result, config, family, row):
+    """The failed set of `result` is the checks that tie the damaged row by
+    their `Check.reads`, each with a witness; every other check passes."""
+    sensitive = _tie_readers(config, family, row)
+    assert set(result.failed_names()) == sensitive, (family, row)
+    for r in result.reports:
+        if r.name in sensitive:
+            assert r.passed is False
+            assert r.witness
+        else:
+            assert r.passed is True, (family, row, r.name)  # untouched checks stay green
+    assert result.ok == (not sensitive)   # an untied row trips nothing
+    # the witnesses point at the damaged row
+    golden = result.reports[CHECK_NAMES.index("golden-tables")]
+    if "golden-tables" in sensitive:
+        assert golden.params == {"family": family, "row": row}
+        assert f"{family}_{row}" in golden.witness
+
+
+@pytest.mark.parametrize("family, row", _QUICK_ROWS, ids=_QUICK_IDS)
+def test_corruption_trips_exactly_the_consumers(family, row):
+    """+1 on the constant term of one row of the quick bundle, through
+    `corrupt`, fails exactly the checks that tie the row, and no other."""
     quick = SuiteConfig.quick()
-    rows = len(_make_bundle(quick)["F"])
-    for family in _BUNDLE_FAMILIES:
-        for row in range(1, rows + 1):
-            with monkeypatch.context() as m:
-                if coefficient == "constant":
-                    result = run_suite(replace(quick, corrupt=f"{family}:{row}"))
-                else:
-                    gen = getattr(suite_module, f"gen_{family}")
-                    m.setattr(suite_module, f"gen_{family}", _bump_leading(gen, row))
-                    result = run_suite(quick)
-            sensitive = _tie_readers(quick, family, row)
-            assert set(result.failed_names()) == sensitive, (family, row)
-            for r in result.reports:
-                if r.name in sensitive:
-                    assert r.passed is False
-                    assert r.witness
-                else:
-                    assert r.passed is True, (family, row, r.name)  # untouched checks stay green
-            assert result.ok == (not sensitive)   # an untied row trips nothing
-            # the witnesses point at the damaged row
-            golden = result.reports[CHECK_NAMES.index("golden-tables")]
-            if "golden-tables" in sensitive:
-                assert golden.params == {"family": family, "row": row}
-                assert f"{family}_{row}" in golden.witness
+    result = run_suite(replace(quick, corrupt=f"{family}:{row}"))
+    _assert_trips_exactly_the_tie_readers(result, quick, family, row)
+
+
+@pytest.mark.parametrize("family, row", _QUICK_ROWS, ids=_QUICK_IDS)
+def test_leading_corruption_trips_exactly_the_consumers(monkeypatch, family, row):
+    """+1 on the leading coefficient of one row of the quick bundle, through
+    a wrapped `suite.gen_*`, fails exactly the checks that tie the row."""
+    gen = getattr(suite_module, f"gen_{family}")
+    monkeypatch.setattr(suite_module, f"gen_{family}", _bump_leading(gen, row))
+    quick = SuiteConfig.quick()
+    _assert_trips_exactly_the_tie_readers(run_suite(quick), quick, family, row)
 
 
 def test_untied_rows_inventory():
