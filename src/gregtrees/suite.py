@@ -9,10 +9,14 @@ is one entry.  ``run_suite`` returns a ``SuiteResult`` whose JSON and text
 renderings are byte-deterministic for a given configuration.  Budgets live
 in ``SuiteConfig``; the ``quick`` profile trims them for smoke runs.  A
 check reads the configuration and only the rows its entry declares, nothing
-else, so checks cannot mask each other's failures.  The bundle is as
-deep as the deepest row any entry reads.  The checks that compare rows shifted to
-x - 1 share one memo keyed by the row's value (``_shifted``), so each
-distinct row is shifted once however many checks read it.
+else, so checks cannot mask each other's failures.  One row plan serves a
+run, from the `reads` of the checks that run (``_last_rows``): the bundle
+holds each family only up to the last row those checks read, and each
+runner is handed each family it declares up to the deepest of its reads of
+that family, so a family one entry reads twice is cut at the deeper read.
+The checks that compare rows shifted to x - 1 share one memo keyed by the
+row's value (``_shifted``), so each distinct row is shifted once however
+many checks read it.
 
 ``SuiteConfig.corrupt`` ("G:3" bumps the constant term of the stored G_3)
 exists to demonstrate sensitivity: a corrupted row must trip every check
@@ -29,7 +33,7 @@ import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import series as _series
 from . import trees as _trees
@@ -38,7 +42,7 @@ from .polys import (FAMILIES, Poly, X, census_family, gen_F, gen_G, gen_H, gen_P
                     imp_family, shift)
 from .report import CheckReport, jsonable
 
-_BUNDLE_FAMILIES = (*FAMILIES, "P")    # the rows a bundle holds and --corrupt may bump
+_BUNDLE_FAMILIES = (*FAMILIES, "P")    # the families a bundle may hold and --corrupt may bump
 
 # frozen reference rows, coefficients lowest degree first
 _GOLDEN: dict[str, list[list[int]]] = {
@@ -168,15 +172,30 @@ def _window(config: SuiteConfig, read: tuple[str, str | int, int]) -> range:
     return range(max(1, 1 + offset), n + offset + 1)
 
 
-def _make_bundle(config: SuiteConfig) -> dict[str, list[Poly]]:
-    rows = max(row for check in CHECKS for read in check.reads for row in _window(config, read))
+def _last_rows(config: SuiteConfig, checks: Iterable[Check]) -> dict[str, int]:
+    """The last row of each family that the `reads` of `checks` cover, by
+    the deepest of all their reads of it (0 where those windows are empty);
+    a family that none of them declares is absent."""
+    last: dict[str, int] = {}
+    for check in checks:
+        for read in check.reads:
+            last[read[0]] = max(last.get(read[0], 0), max(_window(config, read), default=0))
+    return last
+
+
+def _make_bundle(config: SuiteConfig, checks: Iterable[Check]) -> dict[str, list[Poly]]:
+    """Each family that `checks` read, built to the last row they read.
+    `corrupt` may name any row up to the deepest that any entry reads at
+    this config; a row the bundle does not hold is left alone."""
     # gen_* by name in this module, so wrappers placed on them see the calls
-    bundle = {family: globals()[f"gen_{family}"](rows) for family in _BUNDLE_FAMILIES}
+    bundle = {f: globals()[f"gen_{f}"](rows) for f, rows in _last_rows(config, checks).items()}
     if config.corrupt is not None:
         family, row = _parse_corrupt(config.corrupt)
-        if row > rows:
-            raise ValueError(f"corrupt row {row} beyond generated {rows}")
-        bundle[family][row - 1] = bundle[family][row - 1] + Poly((1,))
+        deepest = max(_last_rows(config, CHECKS).values())
+        if row > deepest:
+            raise ValueError(f"corrupt row {row} beyond row {deepest}, the deepest any check reads")
+        if row <= len(bundle.get(family, ())):
+            bundle[family][row - 1] = bundle[family][row - 1] + Poly((1,))
     return bundle
 
 
@@ -230,12 +249,34 @@ def _check_positivity(bundle, rows: int) -> CheckReport:
 
 
 def _check_interconversion(bundle, rows: int) -> CheckReport:
+    """G_n = (n + (n-1)x) H_n + (x + x^2) H_n', then (1+x)^2 F_n = x G_{n+1} + n G_n,
+    for n = 1..rows.
+
+    The second ties F to G.  With the base series of ``Family``,
+    d^n T_alpha = e^{nT} (1-T)^{-(n+c)} X_n(y) and y = T/(1-T): zT' = T/(1-T)
+    (from T = z e^T), so T_0 = sum n^n z^n/n! = T/(1-T) = zT', and by Leibniz
+
+        d^n T_0 = z T^(n+1) + n T^(n),        n >= 1.
+
+    Put in the display (F has c = 2, G has c = 0) with z = T e^{-T}, so that
+    z T^(n+1) = T e^{nT} (1-T)^{-(n+1)} G_{n+1}(y), and divide by
+    e^{nT} (1-T)^{-n}: (1-T)^{-2} F_n(y) = y G_{n+1}(y) + n G_n(y).  Since
+    1/(1-T) = 1 + y, that is (1+y)^2 F_n(y) = y G_{n+1}(y) + n G_n(y) as power
+    series in z.  As y = z + O(z^2), a polynomial in y that is zero as a
+    power series in z is the zero polynomial, so the identity holds in x.
+    """
     name = "interconversion"
     for n in range(1, rows + 1):
         h = bundle["H"][n - 1]
         built = Poly((n, n - 1)) * h + Poly((0, 1, 1)) * h.derivative()
         if built != bundle["G"][n - 1]:
             return CheckReport.fail(name, f"n={n}: (n+(n-1)x) H_n + (x+x^2) H_n' = {built}", n=n)
+    for n in range(1, rows + 1):
+        gap = Poly((1, 2, 1)) * bundle["F"][n - 1] - X * bundle["G"][n] - n * bundle["G"][n - 1]
+        if gap:
+            k = next(k for k, c in enumerate(gap.coeffs) if c)
+            return CheckReport.fail(name, f"n={n}: (1+x)^2 F_n - x G_(n+1) - n G_n has "
+                                          f"x^{k} coefficient {gap.coeffs[k]}", n=n)
     return CheckReport.ok(name, rows=rows)
 
 
@@ -358,9 +399,12 @@ class Check:
     offset) covers rows n + offset of the family for n = 1..bound, none
     below row 1, where `bound` is a ``SuiteConfig`` field or a fixed row
     count.  ``q-specializations`` reads F_1..F_{q-1} (offset -1) and
-    H_2..H_{q+1} (offset +1).  The bundle is sized from `reads`, and `run`
-    is handed each family cut after its last declared row, so reading past
-    the declaration raises IndexError and an undeclared family KeyError.
+    H_2..H_{q+1} (offset +1); ``interconversion`` reads G twice, at offsets
+    0 and +1, so G_1..G_{p+1} for p = poly_rows.  The bundle is built from the `reads` of the
+    checks that run, each family to the last row they read, and `run` is
+    handed each family it declares cut at the deepest of all its reads of
+    that family, so reading past the declaration raises IndexError and an
+    undeclared family KeyError.
     `ties` is False for a check that tests only the signs of the rows it
     reads (``shifted-positivity``); every other reader ties its rows
     exactly, so a corrupted row trips it.
@@ -392,7 +436,7 @@ CHECKS: tuple[Check, ...] = (
           reads=_rows("positivity_rows", *_BUNDLE_FAMILIES), ties=False),
     Check("interconversion", ("poly_rows",),
           lambda c, b: _check_interconversion(b, c.poly_rows), {"--n-max": "poly_rows"},
-          reads=_rows("poly_rows", "G", "H")),
+          reads=(*_rows("poly_rows", "F", "G", "H"), ("G", "poly_rows", 1))),
     Check("reciprocity", ("reciprocity_rows",),
           lambda c, b: _check_reciprocity(b, c.reciprocity_rows), {"--n-max": "reciprocity_rows"},
           reads=_rows("reciprocity_rows", "G", "P")),
@@ -454,8 +498,12 @@ def run_suite(config: SuiteConfig | None = None,
     result as skipped, so the report shape does not depend on the filter.
     A negative sizing budget, a pair of budgets that disagree (see
     `Check.needs`) or a sample outside its domain (`Check.domains`) raises
-    ValueError before any work; a zero budget skips its check.
-    Each runner is handed only the rows its entry declares (`Check.reads`).
+    ValueError before any work, whichever checks run; a zero budget skips
+    its check.  The checks that run are those `only` names whose sizing
+    budgets are all nonzero.  The bundle is built for them alone, each
+    family to the last row they read (`Check.reads`), and each runner is
+    handed only the rows its entry declares, each family to its deepest
+    read.
     Each report's `seconds` is the wall time of its check.
     """
     config = config or SuiteConfig()
@@ -479,17 +527,18 @@ def run_suite(config: SuiteConfig | None = None,
                 if not inside(v):
                     raise ValueError(f"SuiteConfig.{name} holds {v}; each entry must be "
                                      f"{rule} ({check.name})")
-    bundle = _make_bundle(config)
+    running = {check.name: check for check in CHECKS
+               if (only is None or check.name in only)
+               and all(getattr(config, size) for size in check.sizes)}
+    bundle = _make_bundle(config, running.values())
     reports = []
     for check in CHECKS:
         start = time.perf_counter()
-        if ((only is not None and check.name not in only)
-                or not all(getattr(config, size) for size in check.sizes)):
-            report = CheckReport.skip(check.name)
+        if check.name in running:
+            report = check.run(config, {family: bundle[family][:rows]
+                                        for family, rows in _last_rows(config, [check]).items()})
         else:
-            report = check.run(config, {
-                read[0]: bundle[read[0]][:max(_window(config, read), default=0)]
-                for read in check.reads})
+            report = CheckReport.skip(check.name)
         report.seconds = time.perf_counter() - start
         reports.append(report)
     return SuiteResult(reports=reports, budget=config.budget_dict())

@@ -76,7 +76,14 @@ class WEval(NamedTuple):
 
 
 def _seed_real(z: float) -> float:
-    """The seeds of `_seed_complex` on the real line, where left of -1/e is the cut."""
+    """The Halley seed for real z > -1/e (left of -1/e is the cut): the
+    branch-point series in p = sqrt(2(ez + 1)) within 0.3 of -1/e, z itself
+    for |z| <= 0.8, log1p z on (0.8, e), and log z - log log z from e on.
+
+    Only the first two agree with `_seed_complex` on the real line.  For
+    every real z > 0.8 the seeds differ: the complex seed is log z on
+    (0.8, 3), and log z - log log z + log log z / log z from 3 on.
+    """
     if abs(z + _INV_E) <= 0.3:
         p = math.sqrt(2.0 * (math.e * z + 1.0))
         return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))

@@ -41,9 +41,13 @@ FROZEN = [
      "1 1\n2 1\n3 2\n4 1\n5 6\n6 7\n7 3\n"),
     (("polys", "Q", "3"), "1\nx+1 | 1\nx^2+3x+2 | 3x+4 | 3\n"),
     (("series", "T1", "6"), "0\n1\n1\n3/2\n8/3\n125/24\n54/5\n"),
+    (("series", "T1", "6", "--format", "csv"),
+     "k,coefficient\n0,0\n1,1\n2,1\n3,3/2\n4,8/3\n5,125/24\n6,54/5\n"),
     (("trees", "rooted", "2", "census-unl", "--format", "csv"),
      "u,count\n0,2\n1,1\n"),
     (("trees", "rooted", "3", "census-imp"), "0 2\n1 4\n2 3\n"),
+    (("trees", "rooted", "3", "census-imp", "--format", "bfile"), "1 2\n2 4\n3 3\n"),
+    (("trees", "rooted", "3", "census-unl", "--format", "bfile"), "1 9\n2 10\n3 3\n"),
     (("trees", "unrooted", "3", "list"),
      "3 0 -\n1 2\n1 3\n\n"
      "3 0 -\n1 2\n2 3\n\n"
@@ -419,6 +423,23 @@ def test_check_corruption_fails_with_exit_1(capsys):
     assert "FAIL golden-tables" in out
 
 
+def test_x_with_a_zero_denominator_names_the_option(capsys):
+    code, out, err = run(capsys, "check", "egf", "--x", "1/0")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == \
+        "gregtrees check: error: argument --x: invalid rational value: '1/0'"
+
+
+def test_corrupt_f_row_trips_interconversion(capsys):
+    """(1+x)^2 F_n = x G_{n+1} + n G_n ties F_20, which only the sign-only
+    shifted-positivity read before."""
+    code, out, _ = run(capsys, "check", "all", "--corrupt", "F:20")
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+        "FAIL interconversion: n=20: (1+x)^2 F_n - x G_(n+1) - n G_n has x^0 coefficient 1",
+        "24 passed, 1 failed, 0 skipped"]
+
+
 def test_check_quick_all(capsys):
     code, out, _ = run(capsys, "check", "all", "--quick")
     assert code == 0
@@ -457,6 +478,8 @@ USAGE_ERRORS = [
     ("check", "halfplane", "--samples", "-3"),
     ("check", "egf", "--x", "-q"),              # not a number: an option, so --x has no value
     ("check", "egf", "--x", "-1"),              # outside the substitution's domain
+    ("check", "egf", "--x", "1/0"),             # not a rational
+    ("check", "all", "--corrupt", "G:51"),      # past the deepest row any check reads
     ("check", "all", "--bogus"),
     ("--bogus",),
     ("wfun", "nan"),

@@ -74,12 +74,75 @@ def test_text_rendering_shape():
 
 
 def test_bundle_is_as_deep_as_the_deepest_declared_read():
-    assert {len(rows) for rows in _make_bundle(SuiteConfig()).values()} == {50}
-    assert {len(rows) for rows in _make_bundle(SuiteConfig.quick()).values()} == {15}
+    assert {len(rows) for rows in _make_bundle(SuiteConfig(), CHECKS).values()} == {50}
+    assert {len(rows) for rows in _make_bundle(SuiteConfig.quick(), CHECKS).values()} == {15}
+
+
+def _counted_generators(monkeypatch):
+    """Wrap each `suite.gen_*` of the bundle; the list gets (family, rows)
+    per call."""
+    calls = []
+    for family in _BUNDLE_FAMILIES:
+        gen = getattr(suite_module, f"gen_{family}")
+        monkeypatch.setattr(suite_module, f"gen_{family}",
+                            lambda n, family=family, gen=gen: calls.append((family, n)) or gen(n))
+    return calls
+
+
+@pytest.mark.parametrize("only, zero, asked", [
+    (["golden-tables"], {}, [("F", 6), ("G", 6), ("H", 7)]),
+    (None, {}, [("F", 50), ("G", 50), ("H", 50), ("P", 50)]),
+    (["interconversion"], {}, [("F", 40), ("G", 41), ("H", 40)]),
+    (["halfplane"], {}, []),
+    (["shifted-positivity", "interconversion", "golden-tables"],
+     {"positivity_rows": 0, "poly_rows": 0}, [("F", 6), ("G", 6), ("H", 7)]),
+], ids=["golden", "all", "interconversion", "halfplane", "zero-budgets-skip"])
+def test_bundle_holds_only_the_rows_the_running_checks_read(monkeypatch, only, zero, asked):
+    calls = _counted_generators(monkeypatch)
+    assert run_suite(replace(SuiteConfig(), **zero), only=only).ok
+    assert calls == asked
+
+
+def test_a_family_read_twice_is_cut_at_the_deeper_read(monkeypatch):
+    """An entry that declares G twice, the deeper read first, is handed G
+    to its deepest read, not to whichever read comes last."""
+    seen = {}
+
+    def record(config, bundle):
+        seen.update({family: len(rows) for family, rows in bundle.items()})
+        return CheckReport.ok("reciprocity")
+    i = CHECK_NAMES.index("reciprocity")
+    twice = replace(CHECKS[i], run=record,
+                    reads=(("G", "reciprocity_rows", 1), ("G", "reciprocity_rows", 0)))
+    monkeypatch.setattr(suite_module, "CHECKS", (*CHECKS[:i], twice, *CHECKS[i + 1:]))
+    assert run_suite(SuiteConfig.quick(), only=["reciprocity"]).ok
+    assert seen == {"G": 11}
+
+
+@pytest.mark.parametrize("only, spec, failed", [
+    (["golden-tables"], "P:3", []),            # P is not built: left alone
+    (["golden-tables"], "G:20", []),           # past the rows golden reads
+    (None, "G:41", ["interconversion"]),       # G_{n+1} at n = poly_rows
+    (None, "G:50", []),                        # the deepest row read, and untied
+], ids=["golden-P:3", "golden-G:20", "all-G:41", "all-G:50"])
+def test_corrupt_leaves_a_row_the_bundle_does_not_hold_alone(only, spec, failed):
+    result = run_suite(replace(SuiteConfig(), corrupt=spec), only=only)
+    assert result.failed_names() == failed
+
+
+@pytest.mark.parametrize("only", [None, ["golden-tables"]], ids=["all", "golden"])
+def test_corrupt_past_the_deepest_read_row_is_an_error(only):
+    """The reach of `corrupt` is the deepest row any entry reads at this
+    config, whichever checks run."""
+    with pytest.raises(ValueError, match="corrupt row 51 beyond"):
+        run_suite(replace(SuiteConfig(), corrupt="G:51"), only=only)
+    run_suite(replace(SuiteConfig.quick(), corrupt="F:15"), only=only)
+    with pytest.raises(ValueError, match="corrupt row 16 beyond"):
+        run_suite(replace(SuiteConfig.quick(), corrupt="F:16"), only=only)
 
 
 _QUICK_ROWS = [(family, row) for family in _BUNDLE_FAMILIES
-               for row in range(1, len(_make_bundle(SuiteConfig.quick())["F"]) + 1)]
+               for row in range(1, len(_make_bundle(SuiteConfig.quick(), CHECKS)["F"]) + 1)]
 _QUICK_IDS = [f"{family}:{row}" for family, row in _QUICK_ROWS]
 
 
@@ -124,17 +187,17 @@ def test_leading_corruption_trips_exactly_the_consumers(monkeypatch, family, row
 def test_untied_rows_inventory():
     """The rows that some check reads and no check ties, from `Check.reads`
     alone: a corruption there passes every check, since only the sign-only
-    `shifted-positivity` reads them.  An identity that ties every F row to
-    the G rows, (1+x)^2 F_n = x G_{n+1} + n G_n, with poly_rows and
-    reciprocity_rows raised to positivity_rows, empties both sets (the
+    `shifted-positivity` reads them.  `interconversion` ties F_n and G_{n+1}
+    to G_n for n <= poly_rows by (1+x)^2 F_n = x G_{n+1} + n G_n; raising
+    poly_rows and reciprocity_rows to positivity_rows empties both sets (the
     ROADMAP item "Every row a check reads is tied by an identity").  They
     must never grow.  `run_suite` does not enforce that reach rule yet,
     since it would change the default report."""
     def span(family, first, last):
         return {(family, row) for row in range(first, last + 1)}
-    assert _untied_rows(SuiteConfig()) == (span("F", 12, 50) | span("G", 41, 50)
+    assert _untied_rows(SuiteConfig()) == (span("F", 41, 50) | span("G", 42, 50)
                                            | span("H", 41, 50) | span("P", 31, 50))
-    assert _untied_rows(SuiteConfig.quick()) == (span("F", 8, 15) | span("G", 13, 15)
+    assert _untied_rows(SuiteConfig.quick()) == (span("F", 13, 15) | span("G", 14, 15)
                                                  | span("H", 13, 15) | span("P", 11, 15))
 
 
@@ -171,6 +234,34 @@ def test_positivity_fails_on_a_zero_row(monkeypatch, family, witness):
     assert report.passed is False
     assert report.params == {"family": family, "row": 1}
     assert report.witness == witness
+
+
+def test_positivity_fails_on_a_p_row_that_is_not_unimodal(monkeypatch):
+    gen = suite_module.gen_P
+    monkeypatch.setattr(suite_module, "gen_P",
+                        lambda n_max: [*gen(n_max)[:2], Poly((9, 1, 2)), *gen(n_max)[3:]])
+    result = run_suite(SuiteConfig.quick(), only=["shifted-positivity"])
+    report = result.reports[CHECK_NAMES.index("shifted-positivity")]
+    assert report.passed is False
+    assert report.params == {"family": "P", "row": 3}
+    assert report.witness == "(-1)^2 P_3 = 2x^2+x+9 is not unimodal"
+
+
+def test_golden_fails_on_a_wrong_shifted_row(monkeypatch):
+    """The unshifted tables match, so the shifted table is what fails."""
+    real = suite_module.shift
+    g3 = Poly((9, 10, 3))
+    monkeypatch.setattr(suite_module, "shift",
+                        lambda p, a: real(p, a) + 1 if p == g3 else real(p, a))
+    suite_module._shifted.cache_clear()
+    try:
+        result = run_suite(SuiteConfig.quick(), only=["golden-tables"])
+    finally:
+        suite_module._shifted.cache_clear()
+    report = result.reports[CHECK_NAMES.index("golden-tables")]
+    assert report.passed is False
+    assert report.params == {"family": "G", "row": 3, "shifted": True}
+    assert report.witness == "G_3(x-1) = 3x^2+4x+3"
 
 
 def test_corrupt_spec_validation():

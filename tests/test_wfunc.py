@@ -426,6 +426,21 @@ def test_bernstein_check_passes():
     assert set(report.params["families"]) == set(BERNSTEIN_FAMILIES)
 
 
+def test_bernstein_fails_on_a_wrong_sign(monkeypatch):
+    real = wfunc.family_derivative
+
+    def flipped(family, z, n):
+        value = real(family, z, n)
+        return -value if (family, z, n) == ("half-square", 1.0, 2) else value
+    monkeypatch.setattr(wfunc, "family_derivative", flipped)
+    report = check_bernstein([0.1, 1.0], 3)
+    assert report.passed is False
+    assert report.witness == (f"half-square: d^2 at z=1.0 is {-real('half-square', 1.0, 2)!r}, "
+                              "expected sign (-)")
+    assert report.params == {"points": [0.1, 1.0], "n_max": 3,
+                             "families": list(BERNSTEIN_FAMILIES)}
+
+
 def test_bernstein_overflow_names_family_n_and_z():
     # d^150 W(0.1) is the first derivative of the default points past the float range
     with pytest.raises(OverflowError, match=r"^W: d\^150 at z=0\.1 is past the float range"):
@@ -495,6 +510,20 @@ def test_halfplane_check_full_pass():
     report = check_halfplane(1000, 42)
     assert report.passed, report.witness
     assert report.params["passed_samples"] == 1000
+
+
+def test_halfplane_fails_on_a_sample_off_the_upper_half_plane(monkeypatch):
+    real = wfunc.eval_W
+    bad = halfplane_sample(42, 3)
+
+    def conjugated(z):
+        res = real(z)
+        return res._replace(w=res.w.conjugate()) if z == bad else res
+    monkeypatch.setattr(wfunc, "eval_W", conjugated)
+    report = check_halfplane(10, 42)
+    assert report.passed is False
+    assert report.witness == f"sample 3: z={bad!r}, Im W = {-real(bad).w.imag!r}"
+    assert report.params == {"samples": 10, "seed": 42, "passed_samples": 3}
 
 
 def test_halfplane_check_deterministic():
