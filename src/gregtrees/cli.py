@@ -227,8 +227,6 @@ def positive(text: str) -> int:
 
 def _run_check(args, parser) -> int:
     config = SuiteConfig.quick() if args.quick else SuiteConfig()
-    if args.corrupt is not None:
-        config = replace(config, corrupt=args.corrupt)
 
     target = CHECK_ALIASES.get(args.name, args.name)
     if target != "all" and target not in CHECK_NAMES:
@@ -238,7 +236,7 @@ def _run_check(args, parser) -> int:
     # each option sets the budget field that the target's table entry names
     entry = None if target == "all" else CHECKS[CHECK_NAMES.index(target)]
     options = entry.options if entry else {}
-    overrides = {}
+    overrides = {} if args.corrupt is None else {"corrupt": args.corrupt}
     for flag in ("--x", "--n-max", "--samples", "--seed"):
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is None:

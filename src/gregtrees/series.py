@@ -209,9 +209,15 @@ def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> lis
     return _egf_mul(_egf_exp([a * b + k * c for b, c in zip(base, log)]), _egf_horner(poly, arg))
 
 
-def _first_mismatch(a: Sequence, b: Sequence) -> int | None:
-    """Index of the first entry where a and b differ, over their common length."""
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+def _display_gap(family: str, n: int, order: int, poly: Poly, base: Sequence[int]) -> tuple:
+    """d^n of the `base` EGF vector through z^order, beside the closed form
+    of `rhs_series` with `poly` as row n: (the index of the first entry
+    where they differ, over their common length, or None; d^n base; the
+    closed form)."""
+    derivative = base[n:]
+    display = rhs_series(family, n, order - n, poly)
+    k = next((i for i, (a, b) in enumerate(zip(derivative, display)) if a != b), None)
+    return k, derivative, display
 
 
 def check_def_identity(
@@ -238,9 +244,7 @@ def check_def_identity(
     name = f"def-identity-{family}"
     base = series_W(order) if family == "P" else series_T(FAMILIES[family].alpha, order)
     for n in range(1, n_max + 1):
-        lhs = base[n:]
-        rhs = rhs_series(family, n, order - n, polys[n - 1])
-        k = _first_mismatch(lhs, rhs)
+        k, lhs, rhs = _display_gap(family, n, order, polys[n - 1], base)
         if k is not None:
             return CheckReport.fail(
                 name,
@@ -470,9 +474,7 @@ def check_imp_census_series(
         if n > order:
             raise ValueError(f"derivative order {n} exceeds truncation order {order}")
         # sum_j c_j (1-T)^{-j} is C(1 + T/(1-T)) for C(x) = sum_j c_j x^j
-        display = rhs_series(family.name, n, order - n, shift(Poly(censuses[n]), 1))
-        lhs = base[n:]
-        k = _first_mismatch(display, lhs)
+        k, lhs, display = _display_gap(family.name, n, order, shift(Poly(censuses[n]), 1), base)
         if k is not None:
             return CheckReport.fail(
                 name, f"n={n}: coefficient of z^{k}: census side {_egf_text(display, k)}, "

@@ -156,11 +156,16 @@ class SuiteResult:
 
 # ── polynomial bundle ─────────────────────────────────────────────────────
 
-def _parse_corrupt(spec: str) -> tuple[str, int]:
-    family, _, row = spec.partition(":")
-    if family not in _BUNDLE_FAMILIES or not row.isdigit() or int(row) < 1:
-        raise ValueError(f"corrupt spec {spec!r}; want FAMILY:ROW, FAMILY one of "
+def _parse_corrupt(config: SuiteConfig) -> tuple[str, int]:
+    """The (family, row) that `config.corrupt` names.  The row may be any
+    up to the deepest that any entry reads at this config."""
+    family, _, row = config.corrupt.partition(":")
+    if family not in _BUNDLE_FAMILIES or not row.isdecimal() or int(row) < 1:
+        raise ValueError(f"corrupt spec {config.corrupt!r}; want FAMILY:ROW, FAMILY one of "
                          + ", ".join(_BUNDLE_FAMILIES))
+    last = max(_last_rows(config, CHECKS).values())
+    if int(row) > last:
+        raise ValueError(f"corrupt row {int(row)} beyond row {last}, the deepest any check reads")
     return family, int(row)
 
 
@@ -183,17 +188,14 @@ def _last_rows(config: SuiteConfig, checks: Iterable[Check]) -> dict[str, int]:
     return last
 
 
-def _make_bundle(config: SuiteConfig, checks: Iterable[Check]) -> dict[str, list[Poly]]:
-    """Each family that `checks` read, built to the last row they read.
-    `corrupt` may name any row up to the deepest that any entry reads at
-    this config; a row the bundle does not hold is left alone."""
+def _make_bundle(config: SuiteConfig, checks: Iterable[Check], corrupt: tuple | None) -> dict:
+    """Each family that `checks` read, built to the last row they read,
+    with the constant term of the `corrupt` (family, row) bumped by one;
+    a row the bundle does not hold is left alone."""
     # gen_* by name in this module, so wrappers placed on them see the calls
     bundle = {f: globals()[f"gen_{f}"](rows) for f, rows in _last_rows(config, checks).items()}
-    if config.corrupt is not None:
-        family, row = _parse_corrupt(config.corrupt)
-        deepest = max(_last_rows(config, CHECKS).values())
-        if row > deepest:
-            raise ValueError(f"corrupt row {row} beyond row {deepest}, the deepest any check reads")
+    if corrupt is not None:
+        family, row = corrupt
         if row <= len(bundle.get(family, ())):
             bundle[family][row - 1] = bundle[family][row - 1] + Poly((1,))
     return bundle
@@ -497,9 +499,10 @@ def run_suite(config: SuiteConfig | None = None,
     `only` restricts execution to the named checks; the rest appear in the
     result as skipped, so the report shape does not depend on the filter.
     A negative sizing budget, a pair of budgets that disagree (see
-    `Check.needs`) or a sample outside its domain (`Check.domains`) raises
-    ValueError before any work, whichever checks run; a zero budget skips
-    its check.  The checks that run are those `only` names whose sizing
+    `Check.needs`), a sample outside its domain (`Check.domains`) or a
+    `corrupt` spec that is malformed or names a row past the deepest any
+    entry reads raises ValueError before any work, whichever checks run;
+    a zero budget skips its check.  The checks that run are those `only` names whose sizing
     budgets are all nonzero.  The bundle is built for them alone, each
     family to the last row they read (`Check.reads`), and each runner is
     handed only the rows its entry declares, each family to its deepest
@@ -527,10 +530,11 @@ def run_suite(config: SuiteConfig | None = None,
                 if not inside(v):
                     raise ValueError(f"SuiteConfig.{name} holds {v}; each entry must be "
                                      f"{rule} ({check.name})")
+    corrupt = None if config.corrupt is None else _parse_corrupt(config)
     running = {check.name: check for check in CHECKS
                if (only is None or check.name in only)
                and all(getattr(config, size) for size in check.sizes)}
-    bundle = _make_bundle(config, running.values())
+    bundle = _make_bundle(config, running.values(), corrupt)
     reports = []
     for check in CHECKS:
         start = time.perf_counter()

@@ -45,9 +45,10 @@ object.  `_prufer_pairs` is the one Pruefer decoder.  The census
 entries that can precede it, and `_imp_fold` folds the (leaf, parent)
 pairs, each leaf into its parent, counting improper edges at every root
 with no reroot pass, on each tree relabeled i -> n+1-i; `imp` folds one
-tree's pairs, listed by a walk from its relabeled root.  One walk per
-(m, n), `_fiber_keys`, keys each Cayley tree and each of its roots for
-`_fibers`, which runs `restrict` once per key of the side asked for.
+tree's pairs, hung from label 1 by `_hang`, the one search, pairs
+relabeled.  One walk per (m, n), `_fiber_keys`, keys each Cayley tree and
+each of its roots for `_fibers`, which runs `restrict` once per key of the
+side asked for.
 """
 
 from __future__ import annotations
@@ -102,25 +103,39 @@ def _normalize_edges(edges) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(tuple(sorted((a, b))) for a, b in edges))
 
 
+def _adjacency(ids, edges) -> dict[int, list[int]]:
+    """Each vertex of `ids` with the list of its neighbours by `edges`."""
+    adj: dict[int, list[int]] = {v: [] for v in ids}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _hang(adj: dict[int, list[int]], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from `root` of the vertices `adj` (ids 1..k) joins
+    to it, and parent[v] by id: the root is its own parent, 0 marks a vertex
+    not reached.  Each vertex enters once, so a cycle cannot hold the walk."""
+    parent = [0] * (len(adj) + 1)
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if not parent[w]:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
 def _check_tree(ids: set[int], edges: tuple[tuple[int, int], ...]) -> None:
     if len(edges) != len(ids) - 1:
         raise ValueError(f"{len(ids)} vertices need {len(ids) - 1} edges, got {len(edges)}")
     if len(set(edges)) != len(edges):
         raise ValueError("duplicate edge")
-    adj: dict[int, list[int]] = {v: [] for v in ids}
     for a, b in edges:
         if a == b or a not in ids or b not in ids:
             raise ValueError(f"bad edge ({a}, {b})")
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {min(ids)}
-    stack = [min(ids)]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != ids:
+    if len(_hang(_adjacency(ids, edges), 1)[0]) != len(ids):
         raise ValueError("edge set is not connected")
 
 
@@ -211,10 +226,7 @@ def _canonical(n, ids, edges, roots) -> GregTree:
         new_edges = sorted([(a, min(b, top)) if a < b else (b, min(a, top)) for a, b in edges])
         return GregTree(n=n, u=len(ids) - n, edges=tuple(new_edges),
                         roots=tuple(min(r, top) for r in roots))
-    adj: dict[int, list[int]] = {v: [] for v in ids}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = _adjacency(ids, edges)
     mark = {v: 0 for v in ids}
     for i, r in enumerate(roots):
         mark[r] |= 1 << i
@@ -518,24 +530,14 @@ def imp(t: GregTree) -> int:
     smallest label in the child's subtree.
 
     `_imp_fold` reads a tree relabeled i -> n + 1 - i and hung from n, so
-    one breadth-first walk from n lists this tree so relabeled, children
-    last; reversed, that is a (leaf, parent) list to fold, and the root r
-    is vertex n + 1 - r."""
+    this tree is hung from label 1 by one breadth-first walk, children
+    last; reversed and relabeled, its (child, parent) pairs are a
+    (leaf, parent) list to fold, and the root r is vertex n + 1 - r."""
     if t.u or len(t.roots) != 1:
         raise ValueError("imp needs a Cayley tree (u = 0) with one root")
     n = t.n
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in t.edges:
-        adj[n + 1 - a].append(n + 1 - b)
-        adj[n + 1 - b].append(n + 1 - a)
-    parent = [0] * (n + 1)
-    order = [n]
-    for v in order:
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    j, _, high, up = _imp_fold([(v, parent[v]) for v in reversed(order[1:])], n, 0)
+    order, parent = _hang(_adjacency(range(1, n + 1), t.edges), 1)
+    j, _, high, up = _imp_fold([(n + 1 - v, n + 1 - parent[v]) for v in reversed(order[1:])], n, 0)
     return _rerooted(n + 1 - t.roots[0], n, j, high, up)
 
 
@@ -652,10 +654,7 @@ def restrict(x: GregTree, n: int) -> GregTree:
         raise ValueError("restrict needs a Cayley tree (u = 0) with at most one root")
     if not 1 <= n < x.n:
         raise ValueError(f"need 1 <= n < {x.n}")
-    adj: dict[int, set[int]] = {v: set() for v in range(1, x.n + 1)}
-    for a, b in x.edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = _adjacency(range(1, x.n + 1), x.edges)
     root = x.roots[0] if x.roots else None
     # labels are never pruned, so no two unlabeled leaves are adjacent and
     # every vertex on the worklist is still a leaf when it is popped
@@ -673,8 +672,8 @@ def restrict(x: GregTree, n: int) -> GregTree:
         a, b = adj.pop(v)
         adj[a].remove(v)
         adj[b].remove(v)
-        adj[a].add(b)
-        adj[b].add(a)
+        adj[a].append(b)
+        adj[b].append(a)
     # the canonical form renumbers the surviving unlabeled ids
     edges = [(a, b) for a in adj for b in adj[a] if a < b]
     return _canonical(n, adj, edges, (root,) if root else ())

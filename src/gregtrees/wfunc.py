@@ -75,6 +75,12 @@ class WEval(NamedTuple):
     iterations: int
 
 
+def _branch_seed(p: complex | float) -> complex | float:
+    """W near the branch point, -1 + p - p^2/3 + 11 p^3/72, in
+    p = sqrt(2(ez + 1))."""
+    return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+
+
 def _seed_real(z: float) -> float:
     """The Halley seed for real z > -1/e (left of -1/e is the cut): the
     branch-point series in p = sqrt(2(ez + 1)) within 0.3 of -1/e, z itself
@@ -85,8 +91,7 @@ def _seed_real(z: float) -> float:
     (0.8, 3), and log z - log log z + log log z / log z from 3 on.
     """
     if abs(z + _INV_E) <= 0.3:
-        p = math.sqrt(2.0 * (math.e * z + 1.0))
-        return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+        return _branch_seed(math.sqrt(2.0 * (math.e * z + 1.0)))
     if abs(z) <= 0.8:
         return z
     if z >= math.e:
@@ -99,8 +104,7 @@ def _seed_complex(z: complex) -> complex:
     if near <= 0.3 or (z.real < -_INV_E and near <= 0.6):
         # branch-point series in p = sqrt(2(ez+1)); left of -1/e out to 0.6,
         # where a log seed can wander or cross the cut to a conjugate branch
-        p = cmath.sqrt(2.0 * (math.e * z + 1.0))
-        return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+        return _branch_seed(cmath.sqrt(2.0 * (math.e * z + 1.0)))
     if abs(z) <= 0.8:
         # W(z) = z + O(z^2); the identity seed also keeps the iteration on
         # the principal branch in the annulus past 1/e, where a log seed
@@ -182,8 +186,11 @@ def _solve_log_form(z: complex | float) -> tuple[complex | float, float, int, fl
     L1 - L2 + L2/L1 + L2 (L2 - 2)/(2 L1^2), L1 = log z, L2 = log L1
     (Corless et al., Adv. Comput. Math. 5, 1996), with the stopping tests
     of the Halley loop; principal logs keep w on the principal branch.
-    The relative residual is |expm1(g(w))|, which cannot overflow, and
-    neither |z| nor w e^w is ever formed.  log z is carried as hi + lo:
+    The relative residual is |e^g(w) - 1|, which cannot overflow, and
+    neither |z| nor w e^w is ever formed.  It has one formula for real
+    and complex z, |expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y| at
+    g(w) = x + iy, which at y = 0 is |expm1(x)| bit for bit, as cos 0 = 1,
+    sin 0 = 0 and |a + 0i| = |a| are exact.  log z is carried as hi + lo:
     with z = m 2^e, |m| in [1/2, 2), hi = e _LN2_HI and lo = log |m| +
     e _LN2_LO + i atan2(Im z, Re z), so w - hi is exact.  A log z rounded
     to one float (error up to 5.7e-14 near 700) breaks the contract at
@@ -209,13 +216,9 @@ def _solve_log_form(z: complex | float) -> tuple[complex | float, float, int, fl
         if abs(g) <= _FLOOR_TOL or abs(dw) <= _STEP_TOL * (1.0 + abs(w)):
             break
     g = (w - hi) + (log(w) - lo)
-    if isinstance(g, complex):
-        # e^(x+iy) - 1 = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y
-        x, y = g.real, g.imag
-        relative = abs(complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
-                               math.exp(x) * math.sin(y)))
-    else:
-        relative = abs(math.expm1(g))
+    x, y = g.real, g.imag   # a real g has y = 0
+    relative = abs(complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
+                           math.exp(x) * math.sin(y)))
     return w, math.ldexp(m * relative, e), iterations, relative
 
 

@@ -61,3 +61,48 @@ def test_only_polys_makes_a_decimal_context():
             for path in sorted(Path(gregtrees.__file__).parent.glob("*.py"))}
     assert uses.pop("polys") >= {"Context", "localcontext"}
     assert {module: names for module, names in uses.items() if names} == {}
+
+
+WORKLOADS = PYPROJECT.parent / "perfbench" / "workloads.py"
+CACHES = {"cache", "lru_cache"}
+
+
+def _bench_cleared_modules() -> set[str]:
+    """The module names `clear_program_caches` walks, read from the source
+    of ``perfbench/workloads.py`` without importing it."""
+    tree = ast.parse(WORKLOADS.read_text())
+    clear = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "clear_program_caches")
+    loop = next(node for node in ast.walk(clear) if isinstance(node, ast.For))
+    return set(ast.literal_eval(loop.iter))
+
+
+def _cache_uses(path: Path) -> list[str | None]:
+    """Each use of functools' `cache` or `lru_cache` in the module at
+    `path`: the name of the function it decorates when that function is
+    at module level, where the bench finds it, else None."""
+    tree = ast.parse(path.read_text())
+    decorates = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in node.decorator_list:
+                decorates[id(d)] = decorates[id(getattr(d, "func", d))] = node.name
+    return [decorates.get(id(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in CACHES
+            or isinstance(node, ast.Attribute) and node.attr in CACHES]
+
+
+def test_the_bench_clears_every_program_cache():
+    """`clear_program_caches` walks every module of the package, and every
+    functools cache in it decorates a module-level function, where that
+    walk finds it.  A cache it misses would survive from one bench
+    iteration to the next and read as a gain that is not there."""
+    package = Path(gregtrees.__file__).parent
+    walked = _bench_cleared_modules()
+    assert walked == {path.stem for path in package.glob("*.py")} - {"__init__"}
+    for path in sorted(package.glob("*.py")):
+        uses = _cache_uses(path)
+        assert None not in uses, path.name
+        assert not uses or path.stem in walked, path.name
+    assert "_imp_polynomials" in _cache_uses(package / "trees.py")
+    assert "_family_row" in _cache_uses(package / "wfunc.py")

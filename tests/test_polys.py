@@ -469,6 +469,29 @@ def test_derivative_and_arithmetic_basics():
     assert 2 * p == p + p
 
 
+def test_poly_equals_an_int_as_its_constant():
+    assert Poly((3,)) == 3 and Poly() == 0 and 0 == Poly()
+    assert Poly((3, 1)) != 3 and Poly((3,)) != 4 and Poly((1,)) != "1"
+
+
+@pytest.mark.parametrize("other", [1.5, "x"])
+def test_arithmetic_with_a_non_poly_operand_raises_type_error(other):
+    for op in (lambda a, b: a + b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(X, other)
+        with pytest.raises(TypeError):
+            op(other, X)
+
+
+def test_int_minus_poly():
+    assert 3 - (X + 1) == Poly((2, -1))
+
+
+def test_negative_power_raises():
+    with pytest.raises(ValueError, match="negative power -1"):
+        X ** -1
+
+
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=6)
 
 

@@ -755,3 +755,14 @@ def test_gh_functional_rejects_short_rows():
         check_gh_functional([1], 10, polys={"G": gen_G(10), "H": gen_H(9)})
     with pytest.raises(ValueError, match="rows"):
         check_gh_functional([1], 10, polys={"G": gen_G(9), "H": gen_H(10)})
+
+
+def test_rhs_series_rejects_a_derivative_index_below_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="derivative index must be >= 1"):
+            rhs_series("G", n, 5)
+
+
+def test_imp_census_series_rejects_a_derivative_index_below_one():
+    with pytest.raises(ValueError, match="derivative index must be >= 1"):
+        check_imp_census_series({0: [1], 1: [1]}, rooted=True, order=5)

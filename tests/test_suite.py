@@ -11,7 +11,7 @@ import gregtrees.series as series_module
 import gregtrees.suite as suite_module
 import gregtrees.trees as trees_module
 from gregtrees.polys import Poly, X, census_family
-from gregtrees.report import CheckReport
+from gregtrees.report import CheckReport, jsonable
 from gregtrees.series import (check_def_identity, check_egf_theorem, check_gh_functional,
                               check_imp_census_series, rhs_series)
 from gregtrees.suite import (_BUNDLE_FAMILIES, CHECK_NAMES, CHECKS, SuiteConfig, _check_restriction,
@@ -32,11 +32,11 @@ def _untied_rows(config):
     return read_by(CHECKS) - read_by(c for c in CHECKS if c.ties)
 
 
-def _bump_leading(gen, row):
-    """`gen` with +1 on the leading coefficient of the given row."""
+def _bump(gen, row, power):
+    """`gen` with +1 on the coefficient of x^power(degree) of the given row."""
     def bumped(n_max):
         rows = gen(n_max)
-        rows[row - 1] = rows[row - 1] + X ** rows[row - 1].degree
+        rows[row - 1] = rows[row - 1] + X ** power(rows[row - 1].degree)
         return rows
     return bumped
 
@@ -74,8 +74,8 @@ def test_text_rendering_shape():
 
 
 def test_bundle_is_as_deep_as_the_deepest_declared_read():
-    assert {len(rows) for rows in _make_bundle(SuiteConfig(), CHECKS).values()} == {50}
-    assert {len(rows) for rows in _make_bundle(SuiteConfig.quick(), CHECKS).values()} == {15}
+    assert {len(rows) for rows in _make_bundle(SuiteConfig(), CHECKS, None).values()} == {50}
+    assert {len(rows) for rows in _make_bundle(SuiteConfig.quick(), CHECKS, None).values()} == {15}
 
 
 def _counted_generators(monkeypatch):
@@ -141,8 +141,20 @@ def test_corrupt_past_the_deepest_read_row_is_an_error(only):
         run_suite(replace(SuiteConfig.quick(), corrupt="F:16"), only=only)
 
 
+@pytest.mark.parametrize("spec", ["G:\u00b2", "X:1", "G:0", "G:", "G:51"])
+def test_a_bad_corrupt_spec_is_an_error_before_any_row_is_built(monkeypatch, spec):
+    """A malformed spec, or a row past the deepest that any entry reads,
+    raises ValueError with its own message before any `gen_*` call, even
+    for a digit like a superscript two that `int` cannot read."""
+    calls = _counted_generators(monkeypatch)
+    match = "corrupt row 51 beyond" if spec == "G:51" else "corrupt spec"
+    with pytest.raises(ValueError, match=match):
+        run_suite(replace(SuiteConfig(), corrupt=spec))
+    assert calls == []
+
+
 _QUICK_ROWS = [(family, row) for family in _BUNDLE_FAMILIES
-               for row in range(1, len(_make_bundle(SuiteConfig.quick(), CHECKS)["F"]) + 1)]
+               for row in range(1, len(_make_bundle(SuiteConfig.quick(), CHECKS, None)["F"]) + 1)]
 _QUICK_IDS = [f"{family}:{row}" for family, row in _QUICK_ROWS]
 
 
@@ -179,7 +191,18 @@ def test_leading_corruption_trips_exactly_the_consumers(monkeypatch, family, row
     """+1 on the leading coefficient of one row of the quick bundle, through
     a wrapped `suite.gen_*`, fails exactly the checks that tie the row."""
     gen = getattr(suite_module, f"gen_{family}")
-    monkeypatch.setattr(suite_module, f"gen_{family}", _bump_leading(gen, row))
+    monkeypatch.setattr(suite_module, f"gen_{family}", _bump(gen, row, lambda degree: degree))
+    quick = SuiteConfig.quick()
+    _assert_trips_exactly_the_tie_readers(run_suite(quick), quick, family, row)
+
+
+@pytest.mark.parametrize("family, row", _QUICK_ROWS, ids=_QUICK_IDS)
+def test_middle_corruption_trips_exactly_the_consumers(monkeypatch, family, row):
+    """+1 on the coefficient of x^(degree // 2) of one row of the quick
+    bundle, through a wrapped `suite.gen_*`, fails exactly the checks that
+    tie the row: a check that reads only the ends of a row misses it."""
+    gen = getattr(suite_module, f"gen_{family}")
+    monkeypatch.setattr(suite_module, f"gen_{family}", _bump(gen, row, lambda degree: degree // 2))
     quick = SuiteConfig.quick()
     _assert_trips_exactly_the_tie_readers(run_suite(quick), quick, family, row)
 
@@ -307,6 +330,17 @@ def test_a_skip_is_passed_none():
     assert CheckReport.skip("x").skipped and not CheckReport.ok("x").skipped
     with pytest.raises(TypeError):
         CheckReport("x", skipped=True)
+
+
+def test_jsonable_writes_any_other_value_as_its_string():
+    assert jsonable({1: (Fraction(1, 2), None, 2.5), "z": complex(1, 2)}) == {
+        "1": ["1/2", None, 2.5], "z": "(1+2j)"}
+
+
+@pytest.mark.parametrize("passed, witness", [(False, None), (True, "w"), (None, "w")])
+def test_a_witness_is_present_iff_the_check_failed(passed, witness):
+    with pytest.raises(ValueError, match="witness present iff failed"):
+        CheckReport("x", passed=passed, witness=witness)
 
 
 # the SuiteConfig field whose budget sizes each check; golden-tables has none,

@@ -159,6 +159,21 @@ def test_cayley_build_validation():
         GregTree.build(2, 0, [(1, 2)], roots=(3,))
 
 
+@pytest.mark.parametrize("edges", [[(1, 2), (2, 3), (1, 3)], [(2, 3), (3, 4), (2, 4)]],
+                         ids=["4-isolated", "1-isolated"])
+def test_build_rejects_an_edge_set_that_is_not_connected(edges):
+    """A triangle and an isolated vertex: n - 1 distinct edges in range, so
+    only the search rejects it, and the search must stop on the cycle."""
+    with pytest.raises(ValueError, match="edge set is not connected"):
+        GregTree.build(4, 0, edges)
+
+
+@pytest.mark.parametrize("n, u", [(0, 1), (-1, 0), (2, -1)])
+def test_build_rejects_no_labels_or_negative_unlabeled(n, u):
+    with pytest.raises(ValueError, match="need n >= 1 labeled and u >= 0 unlabeled"):
+        GregTree.build(n, u, [])
+
+
 @pytest.mark.parametrize("rooted", [False, True])
 def test_enumerate_cayley_yields_canonical_values(rooted):
     """Each tree equals its built canonical form, so it compares and
