@@ -35,9 +35,12 @@ n = 1 trees n-1 times and builds no larger tree; the walk that makes every
 move lives in the tests, as the rule's witness.  The oracle
 ``prufer_census`` and the listing ``enumerate_greg`` go through Pruefer
 sequences generated under multiplicity constraints (a vertex of degree d
-appears d-1 times), so only degree-feasible labeled trees are decoded,
-each in linear time, and keep the first candidate of each split system
-(``_split_firsts``); only the listing puts it into canonical form.
+appears d-1 times), so only degree-feasible labeled trees are seen.  The
+oracle decodes none: it counts each u's configurations, a sequence times
+the root tuples the slot rule allows it, and divides by u!, as relabeling
+the unlabeled ids acts freely.  The listing decodes each in linear time,
+keeps the first candidate of each split system (``_split_firsts``) and
+puts that into canonical form.
 
 The improper-edge census and the restriction fibers build no per-tree
 object.  `_prufer_pairs` is the one Pruefer decoder.  The census
@@ -57,6 +60,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from math import factorial
 from typing import Iterator, Sequence
 
 from .polys import Poly
@@ -392,27 +396,26 @@ def u_bound(n: int, variant: str) -> int:
     return max(n - 2 + rules.roots * (3 - rules.root_degree), 0)
 
 
+@cache
+def _root_choices(k: int, slots: int, short: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+    """The slot rule: the root tuples on ids 1..k, lexicographic, that a
+    configuration whose unlabeled ids in `short` are below degree 3 (appear
+    fewer than twice in the Pruefer sequence) allows.  Such an id must fill
+    a root slot, so a tuple is allowed iff it holds every short id."""
+    return tuple(r for r in product(range(1, k + 1), repeat=slots) if short <= set(r))
+
+
 def _greg_configs(n: int, u: int, rules: Variant):
     """Degree-valid (edges, roots) configurations, before dedup.
 
     Edges are the (leaf, neighbour) pairs of `_prufer_pairs`.  Order:
-    lexicographic Pruefer, then root tuples in lexicographic order.  The
-    slot rule picks the root tuples: an unlabeled vertex below degree 3
-    (one that appears fewer than twice in the sequence) must fill a root
-    slot, so a tuple is allowed iff it holds every such short vertex.  The
-    allowed tuples are listed once per distinct short set.
+    lexicographic Pruefer, then the root tuples `_root_choices` allows.
     """
     k = n + u
-    slots = rules.roots
-    allowed: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for seq in _constrained_prufer(n, u, slots, max(rules.root_degree - 1, 0)):
+    for seq in _constrained_prufer(n, u, rules.roots, max(rules.root_degree - 1, 0)):
         pairs = _prufer_pairs(seq, k)
         short = frozenset(v for v in range(n + 1, k + 1) if seq.count(v) < 2)
-        choices = allowed.get(short)
-        if choices is None:
-            choices = allowed[short] = [
-                r for r in product(range(1, k + 1), repeat=slots) if short <= set(r)]
-        for roots in choices:
+        for roots in _root_choices(k, rules.roots, short):
             yield pairs, roots
 
 
@@ -459,12 +462,24 @@ def enumerate_greg(n: int, variant: str = "unrooted") -> Iterator[GregTree]:
 
 
 def degree_filtered_count(n: int, u: int, variant: str) -> int:
-    """Number of degree-valid labeled configurations at (n, u), before the
-    unlabeled ids are identified.  The relabeling action is free, so this
-    equals u! times the number of canonical forms."""
-    if n < 1 or u < 0:
-        raise ValueError("need n >= 1 labeled and u >= 0 unlabeled vertices")
-    return sum(1 for _ in _greg_configs(n, u, _variant(variant)))
+    """Number of degree-valid labeled configurations at (n, u), the ones
+    `_greg_configs` lists, before the unlabeled ids are identified, counted
+    without building any: each sequence of `_constrained_prufer` adds the
+    number of root tuples `_root_choices` allows it, which depends only on
+    k = n + u, the slot count and how many unlabeled ids are short, so the
+    sequences are tallied by that number.  The relabeling action is free
+    (`prufer_census`), so this equals u! times the number of Greg trees."""
+    rules = _rules(n, variant)
+    if not isinstance(u, int):
+        raise TypeError(f"an int number of unlabeled vertices only, got {type(u).__name__}")
+    if u < 0:
+        raise ValueError("need u >= 0 unlabeled vertices")
+    k = n + u
+    unlabeled = range(n + 1, k + 1)
+    shorts = Counter(sum(seq.count(v) < 2 for v in unlabeled) for seq in
+                     _constrained_prufer(n, u, rules.roots, max(rules.root_degree - 1, 0)))
+    return sum(c * len(_root_choices(k, rules.roots, frozenset(unlabeled[:s])))
+               for s, c in shorts.items())
 
 
 def unl_polynomial(n: int, variant: str = "unrooted") -> Poly:
@@ -488,11 +503,31 @@ def unl_polynomial(n: int, variant: str = "unrooted") -> Poly:
 
 
 def prufer_census(n: int, variant: str = "unrooted") -> Poly:
-    """The census of `unl_polynomial`, counted over the Pruefer
-    configurations `enumerate_greg` lists, one per tree, with no canonical
-    form built."""
-    rules = _rules(n, variant)
-    return _census(Counter(u for u, _, _ in _split_firsts(n, rules)))
+    """The census of `unl_polynomial`, counted another way: the coefficient
+    of x^u is `degree_filtered_count` at (n, u) divided by u!, with no tree
+    decoded, deduplicated or put into canonical form.
+
+    The division is exact and gives the number of Greg trees.  Each labeled
+    form of a tree (its ids n+1..k in some order) is one configuration, one
+    Pruefer sequence and root tuple, so the trees are the orbits of the u!
+    relabelings of the unlabeled ids, and the lemma is that they act
+    freely.  Let a relabeling fix a configuration.  It fixes every label
+    and every root slot's vertex, so every mark, and maps each edge to an
+    edge with the same split (`_split_firsts`: the marks on the side away
+    from vertex 1).  Distinct edges have distinct splits, so it fixes every
+    edge; a vertex of degree >= 2 is the one common end of two of its
+    edges, and a leaf carries a mark, so it fixes every vertex: it is the
+    identity.  A remainder means the walk lost or doubled a configuration,
+    and raises ArithmeticError."""
+    coeffs = []
+    for u in range(u_bound(n, variant) + 1):
+        count = degree_filtered_count(n, u, variant)
+        trees, rest = divmod(count, factorial(u))
+        if rest:
+            raise ArithmeticError(f"{variant} census at n={n}, u={u}: {count} "
+                                  f"configurations, not a multiple of {u}!")
+        coeffs.append(trees)
+    return Poly(coeffs)
 
 
 def _census(counts: Counter[int]) -> Poly:

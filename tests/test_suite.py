@@ -575,21 +575,76 @@ def test_census_unl_checks_the_insertion_walk_against_pruefer_below_n_max(
     assert report.params == {"n": bad_n, "variant": "relaxed"}
 
 
+def _dropping_one_sequence(monkeypatch, at):
+    """Wrap `trees._constrained_prufer` so that it loses its first sequence
+    at (n, u) = `at`."""
+    real = trees_module._constrained_prufer
+
+    def dropped(n, u, slack, floor):
+        sequences = real(n, u, slack, floor)
+        if (n, u) == at:
+            next(sequences)
+        return sequences
+    monkeypatch.setattr(trees_module, "_constrained_prufer", dropped)
+
+
+@pytest.mark.parametrize("u, witness", [
+    (0, "n=2: census x+2, Pruefer census x"),
+    (1, "n=2: census x+2, Pruefer census 2"),
+])
+def test_a_lost_pruefer_sequence_below_two_unlabeled_fails_the_census(monkeypatch, u, witness):
+    """At u <= 1 the count is the census itself: a lost configuration
+    shows as a census mismatch."""
+    _dropping_one_sequence(monkeypatch, (2, u))
+    result = run_suite(SuiteConfig.quick(), only=["census-unl-rooted"])
+    (report,) = [r for r in result.reports if not r.skipped]
+    assert report.passed is False
+    assert report.witness == witness
+    assert report.params == {"n": 2, "variant": "rooted"}
+
+
+def test_a_lost_pruefer_sequence_breaks_the_division_by_u_factorial(monkeypatch):
+    """At u >= 2 the census divides the count by u!, and a lost
+    configuration leaves a remainder: the free-action lemma fails."""
+    _dropping_one_sequence(monkeypatch, (3, 2))
+    with pytest.raises(ArithmeticError,
+                       match=r"^rooted census at n=3, u=2: 5 configurations, not a multiple of 2!$"):
+        run_suite(SuiteConfig.quick(), only=["census-unl-rooted"])
+
+
 def test_census_unl_checks_count_without_building(monkeypatch):
     """Work count of the four census-unl checks at default budgets: the
     only canonical forms are the n = 1 trees that seed each census, and
-    the program has no insertion walk left to build larger trees."""
+    the program has no insertion walk left to build larger trees.  The
+    Pruefer census pulls its sequences through `trees._constrained_prufer`,
+    where the bench marks them, and decodes and split-keys none: only the
+    n = 1 seeds are."""
     work = Counter()
-    canonical = trees_module._canonical
+    walking = [0]
+    sequences = trees_module._constrained_prufer
 
-    def counted_canonical(*args):
-        work["canonical"] += 1
-        return canonical(*args)
-    monkeypatch.setattr(trees_module, "_canonical", counted_canonical)
+    def counted_sequences(n, *args):
+        for seq in sequences(n, *args):
+            walking[0] = n
+            work["sequences", n] += 1
+            yield seq
+    monkeypatch.setattr(trees_module, "_constrained_prufer", counted_sequences)
+
+    def counted(name):
+        real = getattr(trees_module, name)
+
+        def wrapper(*args):
+            work[name, walking[0]] += 1
+            return real(*args)
+        monkeypatch.setattr(trees_module, name, wrapper)
+    for name in ("_prufer_pairs", "_split_marks", "_canonical"):
+        counted(name)
     only = [name for name in CHECK_NAMES if name.startswith("census-unl-")]
     assert len(only) == 4
     assert run_suite(only=only).ok
-    assert work == {"canonical": 44}
+    assert work == {("sequences", 1): 56, ("sequences", 2): 104, ("sequences", 3): 83,
+                    ("sequences", 4): 1659, ("_prufer_pairs", 1): 44, ("_split_marks", 1): 68,
+                    ("_canonical", 1): 44}
     assert not {"_children", "_inserted"} & set(vars(trees_module))
 
 

@@ -266,6 +266,7 @@ def test_unl_polynomial_rejects_bad_input_before_walking(monkeypatch):
         raise AssertionError("walk started")
     monkeypatch.setattr(trees_module, "enumerate_greg", walk)
     monkeypatch.setattr(trees_module, "_split_firsts", walk)
+    monkeypatch.setattr(trees_module, "_constrained_prufer", walk)
     for census in (unl_polynomial, prufer_census):
         for variant in VARIANTS:
             with pytest.raises(ValueError, match="labeled"):
@@ -280,10 +281,13 @@ def test_unl_polynomial_rejects_bad_input_before_walking(monkeypatch):
     lambda n: unl_polynomial(n, "rooted"),
     lambda n: prufer_census(n, "rooted"),
     lambda n: imp_polynomial(n),
-], ids=["u_bound", "enumerate_greg", "unl_polynomial", "prufer_census", "imp_polynomial"])
+    lambda n: degree_filtered_count(n, 0, "rooted"),
+    lambda u: degree_filtered_count(3, u, "rooted"),
+], ids=["u_bound", "enumerate_greg", "unl_polynomial", "prufer_census", "imp_polynomial",
+        "degree_filtered_count_n", "degree_filtered_count_u"])
 def test_non_int_counts_raise_type_error(count):
     for n in (2.5, 3.0, "3"):
-        with pytest.raises(TypeError, match="int"):
+        with pytest.raises(TypeError, match="^an int number of .* only, got "):
             count(n)
 
 
@@ -308,8 +312,9 @@ def test_u_bound_is_sharp():
 
 
 def test_degree_filtered_counts_are_factorial_multiples():
+    """The count builds nothing; the split-key listing is its witness."""
     for variant in VARIANTS:
-        for n in (1, 2, 3):
+        for n in range(1, (3 if variant == "birooted" else 4) + 1):
             census = Counter(t.u for t in enumerate_greg(n, variant))
             for u in range(u_bound(n, variant) + 1):
                 assert degree_filtered_count(n, u, variant) == \
