@@ -29,7 +29,7 @@ from .trees import VARIANTS, enumerate_greg, imp_polynomial, u_bound, unl_polyno
 from .wfunc import _derivative_at, eval_W
 
 _VERTEX_CAP = 11          # trees work caps at 11 total vertices
-_IMP_CAP = 7              # 2,401 Pruefer folds at n = 7; 8 would take 32,768
+_IMP_CAP = 7              # 1,296 Pruefer folds at n = 7; 8 would take 16,807
 
 # aliases accepted by `check` beside full names
 CHECK_ALIASES = {

@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 from typing import Callable, Iterable, Sequence
 
 from . import series as _series
@@ -274,11 +275,15 @@ def _check_interconversion(bundle, rows: int) -> CheckReport:
         if built != bundle["G"][n - 1]:
             return CheckReport.fail(name, f"n={n}: (n+(n-1)x) H_n + (x+x^2) H_n' = {built}", n=n)
     for n in range(1, rows + 1):
-        gap = Poly((1, 2, 1)) * bundle["F"][n - 1] - X * bundle["G"][n] - n * bundle["G"][n - 1]
-        if gap:
-            k = next(k for k, c in enumerate(gap.coeffs) if c)
-            return CheckReport.fail(name, f"n={n}: (1+x)^2 F_n - x G_(n+1) - n G_n has "
-                                          f"x^{k} coefficient {gap.coeffs[k]}", n=n)
+        # x^k: f[k] + 2 f[k-1] + f[k-2] - g'[k-1] - n g[k], g' the row of G_(n+1)
+        f = bundle["F"][n - 1].coeffs
+        gap = (a + 2 * b + c - d - n * e for a, b, c, d, e in zip_longest(
+            f, (0, *f), (0, 0, *f), (0, *bundle["G"][n].coeffs), bundle["G"][n - 1].coeffs,
+            fillvalue=0))
+        for k, c in enumerate(gap):
+            if c:
+                return CheckReport.fail(name, f"n={n}: (1+x)^2 F_n - x G_(n+1) - n G_n has "
+                                              f"x^{k} coefficient {c}", n=n)
     return CheckReport.ok(name, rows=rows)
 
 

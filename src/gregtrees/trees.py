@@ -44,14 +44,16 @@ puts that into canonical form.
 
 The improper-edge census and the restriction fibers build no per-tree
 object.  `_prufer_pairs` is the one Pruefer decoder.  The census
-(`_imp_polynomials`) decodes each Pruefer suffix once for all n first
-entries that can precede it, and `_imp_fold` folds the (leaf, parent)
-pairs, each leaf into its parent, counting improper edges at every root
-with no reroot pass, on each tree relabeled i -> n+1-i; `imp` folds one
-tree's pairs, hung from label 1 by `_hang`, the one search, pairs
-relabeled.  One walk per (m, n), `_fiber_keys`, keys each Cayley tree and
-each of its roots for `_fibers`, which runs `restrict` once per key of the
-side asked for.
+(`_imp_polynomials`) walks the Cayley trees on n-1 labels, one fold each:
+a tree whose first leaf is mu stands for the Pruefer suffixes on n labels
+with smallest missing label a <= mu, each with all n first entries.
+`_imp_fold` folds the (leaf, parent) pairs, each leaf into its parent,
+counting improper edges at every root with no reroot pass, on each tree
+relabeled i -> k+1-i on k labels; `imp` folds one tree's pairs, hung from
+label 1 by `_hang`, the one search, pairs relabeled.  One walk per (m, n),
+`_fiber_keys`, keys each Cayley tree and each of its roots for `_fibers`,
+the roots through one pass over the edges (`_inner_codes`); `_fibers`
+runs `restrict` once per key of the side asked for.
 """
 
 from __future__ import annotations
@@ -265,24 +267,18 @@ def _encode(v: int, parent: int | None, n: int, adj, mark) -> tuple:
 
 # ── Pruefer machinery ─────────────────────────────────────────────────────
 
-def _prufer_pairs(seq: Sequence[int], k: int,
-                  degree: list[int] | None = None) -> list[tuple[int, int]]:
+def _prufer_pairs(seq: Sequence[int], k: int) -> list[tuple[int, int]]:
     """Edges of the tree on 1..k encoded by `seq`, as (leaf, neighbour)
     pairs in removal order: hung from vertex k, every vertex appears as a
     leaf after all of its children.  Linear: the pointer to the smallest
     leaf only moves forward, and a neighbour that just became a leaf below
     the pointer is taken next.  Entries are not range-checked.  The one
-    tree on a single vertex has no edge.
-
-    `degree`, if given, is 1 + the count in `seq` of each label v that the
-    tree holds and 0 for the others, so `seq` decodes on those labels
-    alone; the walk uses it up."""
+    tree on a single vertex has no edge."""
     if k == 1:
         return []
-    if degree is None:
-        degree = [1] * (k + 1)
-        for v in seq:
-            degree[v] += 1
+    degree = [1] * (k + 1)
+    for v in seq:
+        degree[v] += 1
     ptr = degree.index(1, 1)
     leaf = ptr
     pairs = []
@@ -373,10 +369,10 @@ def _split_marks(pairs: list[tuple[int, int]], mark: list[int], full: int,
             up[leaf] = parent
 
 
-def _prufer_sequences(n: int, skip: int = 0) -> Iterator[tuple[int, ...]]:
+def _prufer_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """The Pruefer sequence of every labeled tree on 1..n (the empty one on
-    one vertex), lexicographic, less its first `skip` entries, each once."""
-    return product(range(1, n + 1), repeat=max(n - 2 - skip, 0))
+    one vertex), lexicographic, each once."""
+    return product(range(1, n + 1), repeat=max(n - 2, 0))
 
 
 def _cayley_pairs(n: int) -> Iterator[list[tuple[int, int]]]:
@@ -482,17 +478,24 @@ def degree_filtered_count(n: int, u: int, variant: str) -> int:
                for s, c in shorts.items())
 
 
+@cache
+def _seed_counts(variant: str) -> Counter[int]:
+    """The u-counts of the variant's n = 1 trees of `enumerate_greg`, listed
+    once.  Cached, so shared by all callers, who must not mutate it."""
+    return Counter(t.u for t in enumerate_greg(1, variant))
+
+
 def unl_polynomial(n: int, variant: str = "unrooted") -> Poly:
     """Census polynomial: coefficient of x^u counts Greg trees with u
     unlabeled vertices.
 
-    The u-counts of the n = 1 trees of `enumerate_greg`, stepped n - 1
+    The u-counts of the n = 1 trees (`_seed_counts`), stepped n - 1
     times by the move rule: a tree on k labels with u unlabeled vertices
     has `_child_classes(k, u)` children on k + 1 labels, by their change
     in u, so no tree past n = 1 is built.  `prufer_census` counts the same
     trees another way, as the oracle."""
     rules = _rules(n, variant)
-    counts = Counter(t.u for t in enumerate_greg(1, rules.name))
+    counts = _seed_counts(rules.name)
     for k in range(1, n):
         step: Counter[int] = Counter()
         for u, c in counts.items():
@@ -577,12 +580,11 @@ def imp(t: GregTree) -> int:
 
 
 def _imp_fold(pairs, n: int, k: int) -> tuple[int, int, list[int], list[int]]:
-    """Fold the tree that the (leaf, parent) `pairs` hang from n, children
-    first as `_prufer_pairs` lists them, on some or all of the labels 1..n:
-    each leaf goes into its parent as its pair comes.  Returns, for the
-    tree read relabeled i -> n + 1 - i: imp at root n; sum_r x^imp(r),
-    packed k bits a coefficient; high[v], the largest vertex in v's
-    subtree; and up[v].
+    """Fold the tree on 1..n that the (leaf, parent) `pairs` hang from n,
+    children first as `_prufer_pairs` lists them: each leaf goes into its
+    parent as its pair comes.  Returns, for the tree read relabeled
+    i -> n + 1 - i: imp at root n; sum_r x^imp(r), packed k bits a
+    coefficient; high[v], the largest vertex in v's subtree; and up[v].
 
     p -> v is improper when p < high[v], and only then can it raise
     high[p] >= p; an edge onto n is always proper.  Rerooting from p to its child v turns p -> v into
@@ -617,18 +619,19 @@ def _rerooted(v: int, n: int, j: int, high: list[int], up: list[int]) -> int:
 @cache
 def _imp_polynomials(n: int) -> tuple[Poly, Poly]:
     """The unrooted and the rooted improper-edge census, from one walk of
-    `_imp_fold` over the Pruefer sequences (y, Q) on 1..n, which reads each
-    tree relabeled i -> n + 1 - i, a bijection of the labeled trees; the
-    unrooted census is imp at root n, the relabeled 1.  Both are packed k
-    bits a coefficient, as every coefficient is below n^(n-1) < 2^k.
+    `_imp_fold` over the Cayley trees T' on 1..n-1, one fold each.  A fold
+    reads its tree relabeled i -> m + 1 - i on m labels, a bijection of the
+    labeled trees; the unrooted census is imp at root n, the relabeled 1.
+    Both are packed k bits a coefficient, as every coefficient is below
+    n^(n-1) < 2^k.
 
-    Lemma (n >= 3).  Let a < a' be the two smallest labels missing from Q,
-    and T_a the tree Q decodes on the labels other than a (`_prufer_pairs`
-    given Q's degree list with degree[a] = 0), with
-    j = imp(T_a, n) and R_a = sum_r x^imp(T_a, r).  Below n, every subtree
-    of T_a holds a leaf, a label missing from Q other than a, so
-    high[v] >= a' > a at every vertex v of T_a: a hung anywhere in T_a
-    changes no high[], and no edge of T_a changes kind.
+    Lemma (n >= 3).  Write a Pruefer sequence on 1..n as (y, Q).  Let
+    a < a' be the two smallest labels missing from Q, and T_a the tree Q
+    decodes on the labels other than a, with j = imp(T_a, n) and
+    R_a = sum_r x^imp(T_a, r).  Below n, every subtree of T_a holds a leaf,
+    a label missing from Q other than a, so high[v] >= a' > a at every
+    vertex v of T_a: a hung anywhere in T_a changes no high[], and no edge
+    of T_a changes kind.
     * y != a: a is the first leaf, as every label below a is in Q, and
       hangs from y; the rest decodes T_a.  y -> a is improper iff y < a,
       so imp at r != a is imp(T_a, r) + [y < a].  At a, a -> y is
@@ -640,26 +643,34 @@ def _imp_polynomials(n: int) -> tuple[Poly, Poly]:
       a', with high[a] = high[a'] > a: a -> a' is improper and the edge
       above a keeps its kind, so imp is 1 + imp(T_a, a' if r = a else r).
     The roots y != a run over T_a once, so Q adds (n - a) x^j + a x^(j+1)
-    unrooted and (n - a) R_a + x ((a + 1) R_a + x^imp(T_a, a')) rooted: one
-    fold and one walk up from a', n^(n-3) folds in all.  Every packed term
-    is a sum of counts, with no subtraction, so no coefficient borrows."""
+    unrooted and (n - a) R_a + x ((a + 1) R_a + x^imp(T_a, a')) rooted.
+
+    Merge.  Let phi_a map 1..n-1 onto the labels other than a, keeping
+    order, and Q' = phi_a^-1(Q): any n - 3 labels on 1..n-1, a full
+    Pruefer sequence, and T_a = phi_a(T') for the tree T' it decodes.
+    phi_a fixes the labels below a, so "every label below a is in Q" reads
+    a <= mu, the smallest label missing from Q', which is T''s first leaf,
+    its first pair's; then a' = phi_a(mu) = mu + 1.  So the suffixes Q are
+    the pairs (T', a), a = 1..mu, each once.  imp reads only the order of
+    the labels, which phi_a keeps, sending the root n - 1 to n, so T_a has
+    T''s j and R, and imp(T_a, a') = imp(T', mu).  Summed over a = 1..mu,
+    with A = mu (mu + 1) / 2, T' adds (mu n - A) x^j + A x^(j+1) unrooted
+    and (mu n - A) R + x ((A + mu) R + mu x^imp(T', mu)) rooted: one fold
+    and one walk up from mu, (n - 1)^(n - 3) folds in all.  Every packed
+    term is a count times a sum of counts, so no coefficient borrows."""
     k = (n ** (n - 1)).bit_length() + 1
     if n < 3:     # one tree, imp 0 at n; its empty sequence has no first entry
         unrooted, rooted = 1, _imp_fold(_prufer_pairs((), n), n, k)[1]
     else:
         unrooted = rooted = 0
-        ones = [1] * (n + 1)
-        for q in _prufer_sequences(n, 1):
-            degree = ones[:]
-            for v in q:
-                degree[v] += 1
-            a = degree.index(1, 1)
-            second = degree.index(1, a + 1)
-            degree[a] = 0
-            j, s, high, up = _imp_fold(_prufer_pairs(q, n, degree), n, k)
-            top = 1 << k * _rerooted(second, n, j, high, up)
-            unrooted += ((n - a) << k * j) + (a << k * (j + 1))
-            rooted += (n - a) * s + (((a + 1) * s + top) << k)
+        for pairs in _cayley_pairs(n - 1):
+            mu = pairs[0][0]
+            j, s, high, up = _imp_fold(pairs, n - 1, k)
+            top = 1 << k * _rerooted(mu, n - 1, j, high, up)
+            up_to = mu * (mu + 1) // 2     # A: the (a, y) with y <= a
+            above = mu * n - up_to
+            unrooted += (above << k * j) + (up_to << k * (j + 1))
+            rooted += above * s + (((up_to + mu) * s + mu * top) << k)
     mask = (1 << k) - 1
     return tuple(Poly((c >> k * j) & mask for j in range(n)) for c in (unrooted, rooted))
 
@@ -714,6 +725,19 @@ def restrict(x: GregTree, n: int) -> GregTree:
     return _canonical(n, adj, edges, (root,) if root else ())
 
 
+def _inner_codes(split: list[int], up: list[int], n: int) -> list[int]:
+    """2 split[v] + inner for each vertex v of the tree `_split_marks` left
+    in (split, up): inner is 1 when v is unlabeled (v > n) and has a child
+    edge of its own split, some w with up[w] = v and split[w] = split[v].
+    One pass over the edges, each the edge from w != 1 up to up[w]."""
+    codes = [2 * s for s in split]
+    for w in range(2, len(split)):
+        v = up[w]
+        if v > n and split[w] == split[v]:
+            codes[v] |= 1
+    return codes
+
+
 @cache
 def _fiber_keys(m: int, n: int) -> tuple[tuple[Counter, dict], tuple[Counter, dict]]:
     """One walk of the Cayley trees of size m for both `_fibers` sides: trees
@@ -728,11 +752,11 @@ def _fiber_keys(m: int, n: int) -> tuple[tuple[Counter, dict], tuple[Counter, di
         if system not in cells:
             first[system], cells[system] = (pairs, ()), Counter()
         codes = cells[system]
+        inner = _inner_codes(split, up, n)
         for v in range(1, m + 1):   # v goes from the root r up to where pruning lands it
             while not split[v] and v != 1:
                 v = up[v]
-            s = split[v]
-            code = 2 * s + (v > n and any(up[w] == v and split[w] == s for w in range(2, m + 1)))
+            code = inner[v]
             if code not in codes:
                 rooted_first[system, code] = pairs, (v,)
             codes[code] += 1

@@ -614,11 +614,12 @@ def test_a_lost_pruefer_sequence_breaks_the_division_by_u_factorial(monkeypatch)
 
 def test_census_unl_checks_count_without_building(monkeypatch):
     """Work count of the four census-unl checks at default budgets: the
-    only canonical forms are the n = 1 trees that seed each census, and
-    the program has no insertion walk left to build larger trees.  The
-    Pruefer census pulls its sequences through `trees._constrained_prufer`,
-    where the bench marks them, and decodes and split-keys none: only the
-    n = 1 seeds are."""
+    only canonical forms are the n = 1 trees that seed each census, listed
+    once per variant (12 in all: 1 unrooted, 1 rooted, 2 relaxed and 8
+    birooted), and the program has no insertion walk left to build larger
+    trees.  The Pruefer census pulls its sequences through
+    `trees._constrained_prufer`, where the bench marks them, and decodes
+    and split-keys none: only the n = 1 seeds are."""
     work = Counter()
     walking = [0]
     sequences = trees_module._constrained_prufer
@@ -641,10 +642,11 @@ def test_census_unl_checks_count_without_building(monkeypatch):
         counted(name)
     only = [name for name in CHECK_NAMES if name.startswith("census-unl-")]
     assert len(only) == 4
+    trees_module._seed_counts.cache_clear()
     assert run_suite(only=only).ok
-    assert work == {("sequences", 1): 56, ("sequences", 2): 104, ("sequences", 3): 83,
-                    ("sequences", 4): 1659, ("_prufer_pairs", 1): 44, ("_split_marks", 1): 68,
-                    ("_canonical", 1): 44}
+    assert work == {("sequences", 1): 24, ("sequences", 2): 104, ("sequences", 3): 83,
+                    ("sequences", 4): 1659, ("_prufer_pairs", 1): 12, ("_split_marks", 1): 20,
+                    ("_canonical", 1): 12}
     assert not {"_children", "_inserted"} & set(vars(trees_module))
 
 

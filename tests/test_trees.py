@@ -34,6 +34,7 @@ from gregtrees.trees import (
     _greg_configs,
     _imp_fold,
     _imp_polynomials,
+    _inner_codes,
     _normalize_edges,
     _prufer_pairs,
     _prufer_sequences,
@@ -86,13 +87,9 @@ def test_prufer_decode_matches_quadratic_reference():
     for k in range(1, 8):
         seqs = list(itertools.product(range(1, k + 1), repeat=max(k - 2, 0)))
         assert list(_prufer_sequences(k)) == seqs
-        if k >= 3:   # the suffixes after the first entry, each once
-            assert list(_prufer_sequences(k, 1)) == [s[1:] for s in seqs if s[0] == 1]
         for seq in seqs:
             pairs = _prufer_pairs(seq, k)
             assert _normalize_edges(pairs) == _quadratic_prufer_decode(seq, k), (seq, k)
-            degree = [1 + seq.count(v) for v in range(k + 1)]
-            assert _prufer_pairs(seq, k, degree) == pairs, (seq, k)
 
 
 def enumerate_cayley(n, rooted=False):
@@ -914,19 +911,19 @@ def test_imp_polynomial_equals_shifted_family(rooted, family):
 
 def test_imp_censuses_share_one_walk(monkeypatch):
     """The rooted and the unrooted census come from one pass over the
-    Pruefer suffixes, and each is still its shifted family row."""
+    Cayley trees on n - 1 labels, and each is still its shifted family row."""
     calls = []
-    real = trees_module._prufer_sequences
+    real = trees_module._cayley_pairs
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(trees_module, "_prufer_sequences", counted)
+    monkeypatch.setattr(trees_module, "_cayley_pairs", counted)
     _imp_polynomials.cache_clear()
     try:
         rooted, unrooted = imp_polynomial(5, True), imp_polynomial(5, False)
-        assert calls == [(5, 1)]
+        assert calls == [(4,)]
         assert imp_polynomial(5, rooted=1) == rooted and imp_polynomial(5, rooted=0) == unrooted
         assert rooted == shift(gen_G(5)[4], -1) and unrooted == shift(gen_H(5)[4], -1)
     finally:
@@ -946,11 +943,13 @@ def test_imp_walk_matches_oracle_census():
 
 
 def test_imp_census_folds_each_suffix_once(monkeypatch):
-    """At n = 7 the fold runs once for each suffix Q, n^(n-3) times: every
-    first entry's tree is an edit of that one fold."""
+    """At n = 7 the fold runs once for each Cayley tree T' on n - 1 labels,
+    (n-1)^(n-3) times, each on n - 1 labels: the suffixes Q whose smallest
+    missing label is a are the trees T' with a <= their first leaf, and
+    every first entry's tree is an edit of that one fold."""
     n = 7
-    want = n ** (n - 3)
-    assert want == 2401
+    want = (n - 1) ** (n - 3)
+    assert want == 1296
     calls = []
     real = trees_module._imp_fold
 
@@ -963,7 +962,7 @@ def test_imp_census_folds_each_suffix_once(monkeypatch):
     try:
         assert imp_polynomial(n, True) == shift(gen_G(n)[n - 1], -1)
         assert imp_polynomial(n, False) == shift(gen_H(n)[n - 1], -1)
-        assert calls == [n] * want
+        assert calls == [n - 1] * want
     finally:
         _imp_polynomials.cache_clear()
 
@@ -974,63 +973,83 @@ def _relabeled(pairs, n):
 
 
 def _lemma_trees(n):
-    """For each suffix Q on 1..n: Q, a, the pairs of T_a (Q decoded on
-    1..n-1, mapped back to the labels other than a) and the fold of T_a.
-    The census's decode of Q, with degree[a] = 0, must list those pairs."""
-    for q in itertools.product(range(1, n + 1), repeat=n - 3):
-        a = min(set(range(1, n + 1)) - set(q))
-        others = [v for v in range(1, n + 1) if v != a]
-        index = {v: i for i, v in enumerate(others, start=1)}
-        t_a = [(others[c - 1], others[p - 1])
-               for c, p in _prufer_pairs([index[v] for v in q], n - 1)]
-        degree = [1 + q.count(v) for v in range(n + 1)]
-        degree[a] = 0
-        pairs = _prufer_pairs(q, n, degree)
-        assert pairs == t_a, (n, q)
-        yield q, a, t_a, _imp_fold(pairs, n, 0)
+    """For each Cayley tree T' on 1..n-1 (its Pruefer sequence q) and each
+    a = 1..mu, mu the first leaf of T': the suffix Q = phi_a(q), a, mu,
+    phi_a (1..n-1 onto the labels other than a, order kept, as a list by
+    label), the pairs of T_a = phi_a(T') and the census's fold of T'.
+    a must be the smallest label missing from Q, and a + 1..mu + 1 the
+    labels up to the next one."""
+    for q in itertools.product(range(1, n), repeat=n - 3):
+        t = _prufer_pairs(q, n - 1)
+        mu = t[0][0]
+        fold = _imp_fold(t, n - 1, 0)
+        for a in range(1, mu + 1):
+            phi = [0] + [v + (v >= a) for v in range(1, n)]
+            suffix = tuple(phi[v] for v in q)
+            assert sorted(set(range(1, n + 1)) - set(suffix))[:2] == [a, mu + 1], (n, q, a)
+            yield suffix, a, mu, phi, [(phi[c], phi[p]) for c, p in t], fold
+
+
+def _lemma_pairs(a, y, t_a):
+    """The tree the lemma puts together for first entry y: a hung from y
+    on T_a if y != a, else a on T_a's edge from the first leaf a' up."""
+    if y != a:
+        return [(a, y)] + t_a
+    (c, p), *rest = t_a
+    return [(c, a), (a, p)] + rest
+
+
+def test_first_leaf_merge_lists_every_tree_once():
+    """The triples (T' on n - 1 labels, a <= mu(T'), first entry y) give
+    every labeled tree on n labels exactly once, n = 3..7."""
+    for n in range(3, 8):
+        built = Counter(_normalize_edges(_lemma_pairs(a, y, t_a))
+                        for _, a, _, _, t_a, _ in _lemma_trees(n) for y in range(1, n + 1))
+        want = Counter(_normalize_edges(_prufer_pairs(seq, n))
+                       for seq in itertools.product(range(1, n + 1), repeat=n - 2))
+        assert len(want) == n ** (n - 2) and set(want.values()) == {1}
+        assert built == want, n
 
 
 def test_imp_lemma_first_entries_above_the_missing_label():
     """For (y, Q) with y > a, a the smallest label missing from Q: the
     decode hangs a from y and then decodes Q on the other labels as the
-    tree T_a, and imp at every root is that of T_a, plus one at root a
-    taken from y.  imp is checked by `_imp_from_root` on the tree the walk
-    reads, relabeled i -> n + 1 - i; T_a is decoded on 1..n-1 and mapped
-    back to the labels other than a."""
+    tree T_a = phi_a(T'), and imp at every root is that of T', plus one at
+    root a taken from y.  imp is checked by `_imp_from_root` on the tree
+    the walk reads, relabeled i -> n + 1 - i; T' is folded on 1..n-1, and
+    a root r != a of T_a is the root phi_a^-1(r) of T'."""
     for n in range(3, 7):
-        for q, a, t_a, (j, _, high, up) in _lemma_trees(n):
+        for q, a, _, phi, t_a, (j, _, high, up) in _lemma_trees(n):
+            back = {w: v for v, w in enumerate(phi)}
             for y in range(a + 1, n + 1):
                 pairs = _prufer_pairs((y, *q), n)
-                assert pairs == [(a, y)] + t_a, (n, y, q)
+                assert pairs == _lemma_pairs(a, y, t_a), (n, y, q)
                 tree = _relabeled(pairs, n)
                 for r in range(1, n + 1):
-                    lemma = _rerooted(y if r == a else r, n, j, high, up)
+                    lemma = _rerooted(back[y if r == a else r], n - 1, j, high, up)
                     assert lemma + (r == a) == _imp_from_root(tree, n + 1 - r), (n, y, q, r)
 
 
 def test_imp_lemma_first_entries_up_to_the_missing_label():
-    """For (y, Q) with y <= a, n = 3..6 (at n = 3, Q is empty): below n,
-    every subtree of T_a holds a label above a, so high[v] > a, and
+    """For (y, Q) with y <= a, n = 3..6 (at n = 3, Q is empty): every
+    subtree of T' below its root holds a leaf, so high[v] >= mu >= a, and
     * y < a: the decode hangs a from y and then decodes T_a, and imp is
-      1 + imp(T_a, r) at r != a and 1 + imp(T_a, y) at a;
-    * y = a: a', the second missing label, hangs from a, and a from the
-      parent of a' in T_a; imp is 1 + imp(T_a, r), or 1 + imp(T_a, a') at a.
+      1 + imp(T', phi_a^-1(r)) at r != a and 1 + imp(T', y) at a;
+    * y = a: a' = mu + 1, the second missing label, hangs from a, and a
+      from the parent of a' in T_a; imp is 1 + imp(T', phi_a^-1(r)), or
+      1 + imp(T', mu) at a.
     imp is checked by `_imp_from_root` as above."""
     for n in range(3, 7):
-        for q, a, t_a, (j, _, high, up) in _lemma_trees(n):
-            second = min(set(range(1, n + 1)) - set(q) - {a})
-            assert all(high[v] > a for v in range(1, n + 1) if v != a), (n, q)
+        for q, a, mu, phi, t_a, (j, _, high, up) in _lemma_trees(n):
+            back = {w: v for v, w in enumerate(phi)}
+            assert all(high[v] >= mu for v in range(1, n)), (n, q)
             for y in range(1, a + 1):
                 pairs = _prufer_pairs((y, *q), n)
-                if y < a:
-                    assert pairs == [(a, y)] + t_a, (n, y, q)
-                else:
-                    (c, p), *rest = t_a
-                    assert c == second and pairs == [(second, a), (a, p)] + rest, (n, q)
+                assert pairs == _lemma_pairs(a, y, t_a), (n, y, q)
                 tree = _relabeled(pairs, n)
-                below = y if y < a else second
+                below = y if y < a else mu
                 for r in range(1, n + 1):
-                    lemma = 1 + _rerooted(below if r == a else r, n, j, high, up)
+                    lemma = 1 + _rerooted(below if r == a else back[r], n - 1, j, high, up)
                     assert lemma == _imp_from_root(tree, n + 1 - r), (n, y, q, r)
 
 
@@ -1159,6 +1178,23 @@ def test_fibers_restrict_once_per_restricted_tree(monkeypatch):
                     assert calls == {int(rooted): len(fiber)}, (m, n, rooted)
     finally:
         _fibers.cache_clear()
+
+
+def test_inner_codes_match_the_scan_over_every_child_edge():
+    """`_inner_codes`' one pass over the edges gives, at every vertex v,
+    2 split[v] plus the inner bit the rooted key was first read with: v is
+    unlabeled and some w != 1 hangs from it with the same split (a scan of
+    all the vertices per root).  Every Cayley tree, m <= 6, n < m."""
+    for m in range(2, 7):
+        for n in range(1, m):
+            base = [0] + [1 << i for i in range(n)] + [0] * (m - n)
+            split, up = [0] * (m + 1), [0] * (m + 1)
+            for pairs in _cayley_pairs(m):
+                _split_marks(pairs, base[:], (1 << n) - 1, split, up)
+                scanned = [2 * split[v] + (v > n and any(up[w] == v and split[w] == split[v]
+                                                         for w in range(2, m + 1)))
+                           for v in range(m + 1)]
+                assert _inner_codes(split, up, n) == scanned, (m, n, pairs)
 
 
 @pytest.mark.parametrize("m, n", [(4, 4), (4, 0), (1, 1)], ids=["n=m", "n=0", "m=1"])
