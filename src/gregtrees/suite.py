@@ -270,9 +270,11 @@ def _check_interconversion(bundle, rows: int) -> CheckReport:
     """
     name = "interconversion"
     for n in range(1, rows + 1):
+        # x^k: (n+k) h[k] + (n+k-2) h[k-1] - g[k]; the product only for the witness
         h = bundle["H"][n - 1]
-        built = Poly((n, n - 1)) * h + Poly((0, 1, 1)) * h.derivative()
-        if built != bundle["G"][n - 1]:
+        if any((n + k) * a + (n + k - 2) * b != c for k, (a, b, c) in enumerate(zip_longest(
+                h.coeffs, (0, *h.coeffs), bundle["G"][n - 1].coeffs, fillvalue=0))):
+            built = Poly((n, n - 1)) * h + Poly((0, 1, 1)) * h.derivative()
             return CheckReport.fail(name, f"n={n}: (n+(n-1)x) H_n + (x+x^2) H_n' = {built}", n=n)
     for n in range(1, rows + 1):
         # x^k: f[k] + 2 f[k-1] + f[k-2] - g'[k-1] - n g[k], g' the row of G_(n+1)

@@ -51,9 +51,12 @@ with smallest missing label a <= mu, each with all n first entries.
 counting improper edges at every root with no reroot pass, on each tree
 relabeled i -> k+1-i on k labels; `imp` folds one tree's pairs, hung from
 label 1 by `_hang`, the one search, pairs relabeled.  One walk per (m, n),
-`_fiber_keys`, keys each Cayley tree and each of its roots for `_fibers`,
-the roots through one pass over the edges (`_inner_codes`); `_fibers`
-runs `restrict` once per key of the side asked for.
+`_fiber_keys`, counts the Cayley trees by the split key of their
+restriction, and each root by its code, read for every vertex in one pass
+over the edges (`_inner_codes`).  `restriction_census` keys a Greg tree
+the same way (`_fiber_key`) and looks its fiber up: keys and restrictions
+are one to one, so no tree is restricted; `restrict` is the definition
+the keys are tested against.
 """
 
 from __future__ import annotations
@@ -356,8 +359,10 @@ def _split_marks(pairs: list[tuple[int, int]], mark: list[int], full: int,
     that edge's other end.  The pairs hang leaves first, so a leaf's marks,
     OR-ed up into `mark`, are complete when its edge comes up; when they
     hold label 1 the parent is the far end, and its side's marks are their
-    complement within `full`.  Every entry but those of ids 0 and 1 is
-    written anew, so the lists can serve tree after tree of one size."""
+    complement within `full`.  In pairs hung from label 1 (`_fiber_key`)
+    no leaf's marks hold label 1, so up[v] is v's parent there.  Every
+    entry but those of ids 0 and 1 is written anew, so the lists can serve
+    tree after tree of one size."""
     for leaf, parent in pairs:
         m = mark[leaf]
         mark[parent] |= m
@@ -738,70 +743,75 @@ def _inner_codes(split: list[int], up: list[int], n: int) -> list[int]:
     return codes
 
 
+def _fiber_key(t: GregTree) -> frozenset[int] | tuple[frozenset[int], int]:
+    """The key under which `_fiber_keys` counts the Cayley trees that
+    restrict to the unrooted or rooted Greg tree t: S, the set of the marks
+    on the side of each edge away from label 1 (label i is bit i - 1), the
+    key `_split_firsts` gives a configuration, paired for a rooted t with
+    the root's code of `_inner_codes`.  t is hung from label 1 by `_hang`.
+
+    Lemma: for a Cayley tree X of size m > n, the walk's key of X is
+    `_fiber_key(restrict(X, n))`, and keys and restrictions are one to one.
+    The walk keys X on S, and X at root r on (S, 2 s + inner): v is the
+    first vertex on r's path to label 1 with a nonzero split s, else label
+    1 (s = 0), and inner says v is unlabeled with a child edge of split s.
+    S is the split system of restrict(X, n): pruning removes the edges of
+    split 0, smoothing joins edges of one split, and every vertex of degree
+    <= 2 of the restriction is a label or its root, so its splits fix it
+    (see `_split_firsts`).  Pruning hands r up to v, which keeps its edge
+    of split s toward label 1; an inner v keeps just one child edge, of
+    split s, so it is the unlabeled degree-2 root, and any other v keeps a
+    label or two child edges of other splits: the root's code in the
+    restriction is X's.  With the root as one more mark R the rooted
+    restriction's splits are S if s = 0, else those of S not holding s,
+    x|R for each x of S holding s (s included), and s again if inner.  The
+    least marked split gives s back and an unmarked s gives inner, so the
+    key fixes the restriction.
+    """
+    k = t.n + t.u
+    order, parent = _hang(_adjacency(range(1, k + 1), t.edges), 1)
+    split, up = [0] * (k + 1), [0] * (k + 1)
+    _split_marks([(v, parent[v]) for v in reversed(order[1:])],
+                 [0] + [1 << i for i in range(t.n)] + [0] * t.u, (1 << t.n) - 1, split, up)
+    system = frozenset(split)
+    return (system, _inner_codes(split, up, t.n)[t.roots[0]]) if t.roots else system
+
+
 @cache
-def _fiber_keys(m: int, n: int) -> tuple[tuple[Counter, dict], tuple[Counter, dict]]:
-    """One walk of the Cayley trees of size m for both `_fibers` sides: trees
-    per key and (pairs, roots) of the first, (S, s, inner) packed as (S, 2s + inner)."""
+def _fiber_keys(m: int, n: int) -> tuple[Counter, Counter]:
+    """One walk of the Cayley trees of size m, for 1 <= n < m: how many
+    have each unrooted key, and how many (tree, root) each rooted key, of
+    `_fiber_key` on the labels 1..n.  Cached, so shared by all callers, who
+    must not mutate it; bounds are checked before the walk."""
+    if not 1 <= n < m:
+        raise ValueError(f"need 1 <= n < m = {m}, got n = {n}")
     base = [0] + [1 << i for i in range(n)] + [0] * (m - n)
     split, up = [0] * (m + 1), [0] * (m + 1)
-    counts, first, cells, rooted_first = Counter(), {}, {}, {}   # cells[S]: Counter of 2s + inner
+    unrooted, rooted = Counter(), Counter()
     for pairs in _cayley_pairs(m):
         _split_marks(pairs, base[:], (1 << n) - 1, split, up)
         system = frozenset(split)
-        counts[system] += 1
-        if system not in cells:
-            first[system], cells[system] = (pairs, ()), Counter()
-        codes = cells[system]
+        unrooted[system] += 1
         inner = _inner_codes(split, up, n)
         for v in range(1, m + 1):   # v goes from the root r up to where pruning lands it
             while not split[v] and v != 1:
                 v = up[v]
-            code = inner[v]
-            if code not in codes:
-                rooted_first[system, code] = pairs, (v,)
-            codes[code] += 1
-    rooted = Counter({(system, code): k for system, codes in cells.items() for code, k in codes.items()})
-    return (counts, first), (rooted, rooted_first)
-
-
-@cache
-def _fibers(m: int, n: int, rooted: bool) -> Counter[GregTree]:
-    """How many Cayley trees of size m (rooted or not) restrict to each
-    Greg tree on the labels 1..n, for 1 <= n < m.  Cached, so shared by all
-    callers, who must not mutate it; bounds are checked before the walk.
-    `_fiber_keys` keys a tree X on S, the set of the marks on the side of
-    each edge away from label 1 (label i <= n is bit i - 1), the key
-    `_split_firsts` gives a configuration, and X at root r on (S, s, inner):
-    v is the first vertex on r's path to label 1 with a nonzero split s,
-    else label 1 (s = 0), and inner says v is unlabeled with a child edge
-    of split s.  S is the split system of restrict(X, n): pruning removes
-    the edges of split 0, smoothing joins edges of one split, and every
-    vertex of degree <= 2 of the restriction is a label or its root, so
-    its splits fix it (see `_split_firsts`).  Pruning hands r up to v, so
-    with the root as one more mark R the rooted restriction's splits are S
-    if s = 0, else those of S not holding s, t|R for each t of S holding s
-    (s included), and s again if inner: only an inner v keeps a child edge
-    of split s, apart from v's own as v is the root.  The least marked
-    split gives s back and an unmarked s gives inner, so keys and
-    restrictions are one to one: `restrict` runs once per key.
-    """
-    if not 1 <= n < m:
-        raise ValueError(f"need 1 <= n < m = {m}, got n = {n}")
-    counts, first = _fiber_keys(m, n)[rooted]
-    return Counter({restrict(GregTree(n=m, u=0, edges=_normalize_edges(pairs), roots=roots), n):
-                    counts[key] for key, (pairs, roots) in first.items()})
+            rooted[system, inner[v]] += 1
+    return unrooted, rooted
 
 
 def restriction_census(t: GregTree, m_max: int) -> list[int]:
     """Entry for each m = t.n..m_max: how many Cayley trees of size m
     (rooted iff t is) restrict to t.  The m = t.n entry uses the identity
-    convention restrict(X, n) = X, so it is 1 exactly when t.u = 0.  A tree
-    that breaks the unrooted or rooted degree rules, or m_max < t.n, raises
-    ValueError."""
+    convention restrict(X, n) = X, so it is 1 exactly when t.u = 0.  Each
+    later entry is t's key (`_fiber_key`) looked up in the walk of size m
+    (`_fiber_keys`), so no tree is restricted.  A tree that breaks the
+    unrooted or rooted degree rules, or m_max < t.n, raises ValueError."""
     if m_max < t.n:
         raise ValueError(f"need m_max >= n = {t.n}, got {m_max}")
     if len(t.roots) > 1:
         raise ValueError("restriction fibers are defined for unrooted and rooted trees")
     t.validate("rooted" if t.roots else "unrooted")
-    return [int(t.u == 0)] + [_fibers(m, t.n, bool(t.roots)).get(t, 0)
+    key = _fiber_key(t)
+    return [int(t.u == 0)] + [_fiber_keys(m, t.n)[bool(t.roots)][key]
                               for m in range(t.n + 1, m_max + 1)]

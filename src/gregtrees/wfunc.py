@@ -127,7 +127,8 @@ def eval_W(z: complex | float) -> WEval:
     `residual` is |w e^w - z| of the returned w.
 
     Real z on the cut (z <= -1/e) and non-finite z (an infinite or NaN
-    part) raise ValueError.  A z whose Halley solve overflows or misses
+    part) raise ValueError, and so does an int or Fraction beyond the float
+    range (`_real`).  A z whose Halley solve overflows or misses
     the residual contract is solved again on w + log w = log z
     (`_solve_log_form`), which forms neither |z| nor w e^w; `iterations`
     then counts that solve's steps.  A result violating the residual
@@ -139,7 +140,7 @@ def eval_W(z: complex | float) -> WEval:
                 raise ValueError(f"z={z!r} is not finite")
             return _halley(z, _seed_complex, cmath.exp)
         z = z.real
-    z = float(z)
+    z = _real(z)
     if not math.isfinite(z):
         raise ValueError(f"z={z!r} is not finite")
     if z <= -_INV_E:
@@ -147,6 +148,19 @@ def eval_W(z: complex | float) -> WEval:
     if z == 0:
         return WEval(z, 0.0, 0.0, 0)
     return _halley(z, _seed_real, math.exp)
+
+
+def _real(z) -> float:
+    """float(z) for a real z.  An int or Fraction beyond the float range
+    raises ValueError: on the cut if negative, else as beyond the range.
+    The message holds no digits of z, as the repr of an int past 4300
+    digits raises."""
+    try:
+        return float(z)
+    except OverflowError:
+        if z < 0:
+            raise ValueError("z below the float range lies on the branch cut (-inf, -1/e]") from None
+        raise ValueError("z is beyond the float range") from None
 
 
 def _halley(z, seed, exp) -> WEval:
@@ -281,12 +295,13 @@ def family_derivative(family: str, z: float, n: int) -> float:
     shifted row Y_n at y = 1/(1+w) > 0, w = W(z), so the sign is
     (-1)^{n-1} for every real z > -1/e.  A value beyond the float range
     raises OverflowError (d^n W(0) = (-n)^{n-1}, so from n = 144 on at
-    z = 0); one below it returns a zero or subnormal of that sign."""
+    z = 0); one below it returns a zero or subnormal of that sign.  A z
+    beyond the float range raises ValueError, as in `eval_W`."""
     if family not in BERNSTEIN_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("derivative index must be >= 1")
-    return _derivative_at(family, _solved_W(float(z)), n)
+    return _derivative_at(family, _solved_W(_real(z)), n)
 
 
 def _derivative_at(family: str, w: float, n: int) -> float:

@@ -440,6 +440,29 @@ def test_corrupt_f_row_trips_interconversion(capsys):
         "24 passed, 1 failed, 0 skipped"]
 
 
+# SHA-256 of the quick reports under a corrupt H or G row, whose
+# interconversion witness prints the built polynomial, taken at commit b9a549d
+CORRUPT_PINNED = [
+    (("check", "all", "--quick", "--corrupt", "H:3"),
+     "bf6e7a6b65d464e3f7571a1fc80f76eb12533d18014c305dbb49f02bab67d2c3"),
+    (("check", "all", "--quick", "--corrupt", "H:3", "--format", "json"),
+     "016e46ca399715b124933995f27ce55f46769ff4210d6abf411ba1b5744d9e3b"),
+    (("check", "all", "--quick", "--corrupt", "G:5"),
+     "b351dc5a0cf2d131169ebe3ff81e7b5ba4a679add5b9fb7b219b37eb304101ac"),
+    (("check", "all", "--quick", "--corrupt", "G:5", "--format", "json"),
+     "4842c90412b9340b12c329819b0ce396e8412c5785947d565ae89f7bd160c217"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CORRUPT_PINNED,
+                         ids=[" ".join(a) for a, _ in CORRUPT_PINNED])
+def test_corrupt_g_or_h_row_report_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "(n+(n-1)x) H_n + (x+x^2) H_n' = " in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_check_quick_all(capsys):
     code, out, _ = run(capsys, "check", "all", "--quick")
     assert code == 0

@@ -676,17 +676,27 @@ def test_restriction_check_walks_each_size_once_per_n(monkeypatch):
         walks.append(m)
         return real(m)
     monkeypatch.setattr(trees_module, "_cayley_pairs", counted)
-    caches = trees_module._fibers, trees_module._fiber_keys
-    for cache in caches:
-        cache.cache_clear()
+    trees_module._fiber_keys.cache_clear()
     try:
         assert _check_restriction(True, 3, 3).passed
         assert _check_restriction(False, 3, 3).passed
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        trees_module._fiber_keys.cache_clear()
     # one walk per (m, n) with n <= 3 < m <= n + 3 serves both sides
     assert sorted(walks) == [2, 3, 3, 4, 4, 4, 5, 5, 6]
+
+
+def test_restriction_checks_restrict_no_tree(monkeypatch):
+    """The fiber checks look each Greg tree's key up in the walk, so they
+    pass at default budgets with `restrict` refusing every call, from
+    empty caches."""
+    def refuse(x, n):
+        raise AssertionError("restrict called")
+    monkeypatch.setattr(trees_module, "restrict", refuse)
+    for value in vars(trees_module).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    assert run_suite(only=["restriction-fiber-unrooted", "restriction-fiber-rooted"]).ok
 
 
 def test_each_row_value_is_shifted_once(monkeypatch):

@@ -30,7 +30,8 @@ from gregtrees.trees import (
     _cayley_pairs,
     _child_classes,
     _constrained_prufer,
-    _fibers,
+    _fiber_key,
+    _fiber_keys,
     _greg_configs,
     _imp_fold,
     _imp_polynomials,
@@ -1145,7 +1146,8 @@ def _rescanning_restrict(x, n):
 
 @pytest.mark.parametrize("rooted, m_max", [(False, 7), (True, 6)])
 def test_restrict_matches_rescanning_restrict(rooted, m_max):
-    """Each restriction, and each fiber count of `_fibers`."""
+    """Each restriction, and each fiber count of `restriction_census`; the
+    walk has one key per restricted tree, and no other."""
     for m in range(2, m_max + 1):
         fibers = {n: Counter() for n in range(1, m)}
         for x in enumerate_cayley(m, rooted=rooted):
@@ -1154,30 +1156,30 @@ def test_restrict_matches_rescanning_restrict(rooted, m_max):
                 assert restrict(x, n) == want, (x, n)
                 fiber[want] += 1
         for n, fiber in fibers.items():
-            assert _fibers(m, n, rooted) == fiber, (m, n)
+            walk = _fiber_keys(m, n)[rooted]
+            assert len(walk) == len(fiber) == len({_fiber_key(t) for t in fiber}), (m, n)
+            for t, count in fiber.items():
+                assert restriction_census(t, m)[-1] == count, (m, n, t)
 
 
-def test_fibers_restrict_once_per_restricted_tree(monkeypatch):
-    """Keys and restrictions are one to one: `restrict` runs once for each
-    tree of the fiber, and only for the side asked for, though one walk
-    keys both sides."""
-    calls = Counter()
-    real = trees_module.restrict
-
-    def counted(x, n):
-        calls[len(x.roots)] += 1
-        return real(x, n)
-    monkeypatch.setattr(trees_module, "restrict", counted)
-    _fibers.cache_clear()
+def test_fiber_key_of_each_restriction_is_its_key_in_the_walk(monkeypatch):
+    """The lemma of `_fiber_key`: walked alone, every Cayley tree X of size
+    m <= 6 counts once under `_fiber_key(restrict(X, n))` for each n < m,
+    and its m (tree, root) pairs count under the keys of their restrictions."""
+    real = trees_module._cayley_pairs
     try:
-        for rooted in (False, True):
-            for m in range(2, 7):
+        for m in range(2, 7):
+            for pairs in real(m):
+                monkeypatch.setattr(trees_module, "_cayley_pairs", lambda k: iter([pairs]))
+                edges = _normalize_edges(pairs)
                 for n in range(1, m):
-                    calls.clear()
-                    fiber = _fibers(m, n, rooted)
-                    assert calls == {int(rooted): len(fiber)}, (m, n, rooted)
+                    _fiber_keys.cache_clear()
+                    unrooted, rooted = _fiber_keys(m, n)
+                    assert unrooted == {_fiber_key(restrict(GregTree(m, 0, edges), n)): 1}
+                    assert rooted == Counter(_fiber_key(restrict(GregTree(m, 0, edges, (r,)), n))
+                                             for r in range(1, m + 1)), (pairs, n)
     finally:
-        _fibers.cache_clear()
+        _fiber_keys.cache_clear()
 
 
 def test_inner_codes_match_the_scan_over_every_child_edge():
@@ -1202,9 +1204,8 @@ def test_restriction_fibers_reject_bad_bounds_before_walking(monkeypatch, m, n):
     def walk(*args):
         raise AssertionError("walk started")
     monkeypatch.setattr(trees_module, "_cayley_pairs", walk)
-    for rooted in (False, True):
-        with pytest.raises(ValueError, match="1 <= n < m"):
-            _fibers(m, n, rooted)
+    with pytest.raises(ValueError, match="1 <= n < m"):
+        _fiber_keys(m, n)
 
 
 def test_restrict_rejects_bad_index():
@@ -1279,11 +1280,11 @@ def test_rooted_root_cells_match_prediction_past_the_oracles(n):
     fiber keys are the rooted trees on n labels with u <= m - n, and the
     fibers cover all 7**6 rooted Cayley trees."""
     trees = [t for t in enumerate_greg(n, "rooted") if t.u <= 7 - n]
-    fibers = _fibers(7, n, True)
-    assert set(fibers) == set(trees)
+    walk = _fiber_keys(7, n)[True]
+    assert len(walk) == len(trees) and set(walk) == {_fiber_key(t) for t in trees}
     for t in trees:
-        assert fibers[t] == _restriction_expected("rooted", n, t.u, 7), t
-    assert sum(fibers.values()) == 7 ** 6 == 117_649
+        assert restriction_census(t, 7)[-1] == _restriction_expected("rooted", n, t.u, 7), t
+    assert sum(walk.values()) == 7 ** 6 == 117_649
 
 
 # ── serialization ────────────────────────────────────────────────────────

@@ -194,7 +194,8 @@ def _pin_grid() -> list:
 
 
 def test_eval_W_outputs_are_pinned_bit_for_bit():
-    # digest of each result's repr, or each exception's type and message
+    # digest of each result's repr, or each exception's type and message;
+    # -10**400 // 3 and 10**400 raise ValueError, no longer OverflowError
     lines = []
     for z in _pin_grid():
         try:
@@ -203,7 +204,7 @@ def test_eval_W_outputs_are_pinned_bit_for_bit():
             lines.append(f"{type(exc).__name__}: {exc}")
     assert len(lines) == 2326
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "ee275e63110f7084609ab30d5b69170c9a11de2c143b8f8c403b429092ee44f2"
+    assert digest == "85914f1c0227479d1b438a22d2de829ee592efb14e61c89d40420c54f309f7f1"
 
 
 def test_largest_floats_meet_residual_contract():
@@ -268,6 +269,22 @@ def test_branch_cut_rejection():
     for z in (math.inf, -math.inf, math.nan, complex(math.nan, 1.0), complex(1.0, math.inf)):
         with pytest.raises(ValueError, match="not finite"):
             eval_W(z)
+
+
+@pytest.mark.parametrize("z, match", [
+    (-10**400, "branch cut"),
+    (Fraction(-10**400, 3), "branch cut"),
+    (10**400, "beyond the float range"),
+    (10**5000, "beyond the float range"),    # its repr raises: past 4300 digits
+], ids=["-10**400", "-10**400/3", "10**400", "10**5000"])
+def test_reals_beyond_the_float_range_raise_value_error(z, match):
+    """An int or Fraction that no float holds is refused before any
+    solve, by eval_W and family_derivative alike, with no digits of z."""
+    for call in (lambda: eval_W(z), lambda: family_derivative("W", z, 2)):
+        with pytest.raises(ValueError, match=match) as info:
+            call()
+        assert "0000" not in str(info.value)
+    assert eval_W(10**300) == eval_W(1e300)
 
 
 def test_real_input_stays_real():
