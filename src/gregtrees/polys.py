@@ -13,12 +13,17 @@ recursion, whose coefficients are all nonnegative:
 
     Y_{n+1}(y) = (n + (n+c) y) Y_n(y) + y^2 Y_n'(y),                   Y_1 = 1.
 
-``gen_F/G/H(n, shifted=True)`` runs it; ``shift`` stays the exact oracle.
+``gen_F/G/H(n, shifted=True)`` runs it.  It is the conjugate of the first
+under x = y - 1 (``_conjugate``, which derives it, and P's, from the
+unshifted recurrence), so a step of one is a step of the other shifted:
+the suite steps each shifted row it reads from the row before, and
+``shift``, the exact Taylor shift, runs there only where a handed row
+departs from the recurrence.
 Each recursion, like that of P below, is a three-term recurrence on the
 coefficients, so one loop, ``_rows``, steps every table on tuples of
-coefficients, one row at a time; ``table_rows`` hands out the rows of
-every table, Q included, as they are stepped, and ``gen_*`` list them,
-each F, G, H or P row as a ``Poly``.
+coefficients, one row at a time (``_stepper``); ``table_rows`` hands out
+the rows of every table, Q included, as they are stepped, and ``gen_*``
+list them, each F, G, H or P row as a ``Poly``.
 
 * ``G_n`` counts rooted Greg trees with n labeled vertices by number of
   unlabeled vertices (coefficient triangle A048160 in the OEIS); the
@@ -37,14 +42,15 @@ each F, G, H or P row as a ``Poly``.
 Everything is exact: coefficients are Python ints, and ``shift`` runs on
 plain ints.  The one exception is the CLI's F, G, H and P tables, stepped
 by ``table_rows`` in ``Decimal`` integers, because their decimal text is
-what the CLI writes; ``_rows`` holds the context they are stepped under,
+what the CLI writes; ``_stepper`` holds the context they are stepped under,
 ``_EXACT``, so they are exact or raise whatever the caller's context is.
-``_rows`` steps int, ``Decimal`` and ``Poly`` entries alike: it makes the
-recurrence's multipliers in the entries' ring once per table, and
+``_stepper`` steps int, ``Decimal`` and ``Poly`` entries alike: it makes
+the recurrence's multipliers in the entries' ring once per table, and
 ``_row_step`` combines them with a row by C-level maps, so no coefficient
-pays a conversion from int.  ``Poly.__call__`` is exact
-at an int or a ``Fraction``; ``series`` evaluates rows at a rational point on
-integers by homogeneous Horner instead.
+pays a conversion from int, and refuses a ring too short for the row.
+``Poly.__call__`` is exact at an int or a ``Fraction``; ``series``
+evaluates rows at a rational point on integers by homogeneous Horner
+instead.
 """
 
 from __future__ import annotations
@@ -228,32 +234,48 @@ def _rows(n_max: int, lin: Callable[[int], tuple], mult: tuple[int, int, int],
           one=1) -> Iterator[tuple]:
     """X_1 = 1 and X_{n+1} = (a0 + a1 x) X_n + (m0 + m1 x + m2 x^2) X_n',
     rows 1..n_max as coefficient tuples (which may end in zeros), each
-    stepped by `_row_step` only when the one before it has been taken, with
+    stepped by `_stepper` only when the one before it has been taken, with
     (a0, a1) = lin(n) and (m0, m1, m2) = mult.  The entries lie in the ring
     of `one`: ints for 1, ``Decimal`` integers for ``Decimal(1)``, ``Poly``
-    entries for ``Poly((1,))`` (there a0 is a ``Poly`` and m1 = 0).  The
-    strided multipliers are made once for the table (`_ring`), so no step
-    converts an int per entry.  They are made, and each row stepped, under
-    `_EXACT`, entered and left around that work and never held across a
-    yield, so ``Decimal`` rows are exact or raise whatever the caller's
-    context is, and the caller's context is left as it was."""
+    entries for ``Poly((1,))`` (there a0 is a ``Poly`` and m1 = 0)."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if not n_max:
         return
-    steps = [lin(n) for n in range(1, n_max)]
-    # row n has n entries, so step n reads each strided sequence at u = 0..n;
-    # the ring's zero pads the rows and its unit makes the unstrided terms
-    ends = [0, 1] + [start + stride * u for n, (a0, a1) in enumerate(steps, start=1)
-                     for start, stride in _strides(a0, a1, mult) if stride for u in (0, n)]
-    with decimal.localcontext(_EXACT):
-        ring = _ring(one, min(ends), max(ends))
+    step = _stepper(n_max, lin, mult, one)
     row = (one,)
     yield row
-    for a0, a1 in steps:
-        with decimal.localcontext(_EXACT):
-            row = _row_step(row, a0, a1, mult, ring)
+    for n in range(1, n_max):
+        row = step(row, n)
         yield row
+
+
+def _stepper(n_max: int, lin: Callable[[int], tuple], mult: tuple[int, int, int],
+             one=1) -> Callable[[tuple, int], tuple]:
+    """step(row, n) for 1 <= n < n_max: `_row_step` of a row of at most n
+    entries, with (a0, a1) = lin(n), which is row n + 1 of the recurrence
+    of `_rows` when row is its row n.  The strided multipliers are made once
+    for all the steps (`_ring`), so no step converts an int per entry.
+    They are made, and each ``Decimal`` or ``Poly`` row stepped, under
+    `_EXACT`, entered and left around that work, so ``Decimal`` rows are
+    exact or raise whatever the caller's context is, and the caller's
+    context is left as it was; int rows need no context."""
+    steps = [lin(n) for n in range(1, n_max)]
+    # row n has n entries, so step n reads each strided sequence at u = 0..n,
+    # whose ends are those at u = 0 and u = n; lin is affine in n (every
+    # table's is), so over the steps they are those of the first and last
+    # step.  The ring's zero pads the rows and its unit makes the unstrided terms
+    ends = [0, 1] + [start + stride * u for n in ({1, len(steps)} if steps else ())
+                     for start, stride in _strides(*steps[n - 1], mult) if stride for u in (0, n)]
+    with decimal.localcontext(_EXACT):
+        ring = _ring(one, min(ends), max(ends))
+    if type(one) is int:
+        return lambda row, n: _row_step(row, *steps[n - 1], mult, ring)
+
+    def step(row: tuple, n: int) -> tuple:
+        with decimal.localcontext(_EXACT):
+            return _row_step(row, *steps[n - 1], mult, ring)
+    return step
 
 
 def _strides(a0, a1: int, mult: tuple[int, int, int]) -> tuple[tuple, tuple, tuple]:
@@ -287,18 +309,50 @@ def _row_step(row: tuple, a0, a1: int, mult: tuple[int, int, int], ring: tuple[i
     lo, values = ring
     zero, one = values[-lo], values[1 - lo]
     n = len(row)
+    strides = _strides(a0, a1, mult)
     a, b, c = (values[start - lo:start - lo + stride * n + 1:stride] if stride else
-               repeat(one * start) for start, stride in _strides(a0, a1, mult))
+               repeat(one * start) for start, stride in strides)
+    for (start, stride), seq in zip(strides, (a, b, c)):
+        if stride and (start < lo or len(seq) <= n):
+            raise ValueError(f"the ring {lo}..{lo + len(values) - 1} misses multipliers "
+                             f"{start} + {stride} u for a row of {n} entries")
     terms = map(add, map(mul, a, row + (zero,)), map(mul, b, (zero,) + row))
     return tuple(map(add, terms, map(mul, c, row[1:] + (zero, zero))) if mult[0] else terms)
 
 
-def _family_recurrence(c: int, shifted: bool):
-    """(lin, mult) of `_rows` for the family with recursion offset c, or
-    with `shifted` for its rows X_n(x-1)."""
-    if shifted:
-        return (lambda n: (n, n + c)), (0, 0, 1)
+def _conjugate(lin: Callable[[int], tuple], mult: tuple[int, int, int]):
+    """(lin', mult') of `_rows` for the rows Y_n(y) = X_n(y-1) of the
+    recurrence (lin, mult):
+
+        a0' = a0 - a1,   a1' = a1,   mult' = (m0 - m1 + m2, m1 - 2 m2, m2).
+
+    Lemma (conjugacy): for every polynomial R, the step of (lin', mult')
+    at n maps R(y-1) to S(y-1), S the step of (lin, mult) at n from R.
+    Put x = y - 1, so d/dx = d/dy:  a0 + a1 x = (a0 - a1) + a1 y and
+    m0 + m1 x + m2 x^2 = (m0 - m1 + m2) + (m1 - 2 m2) y + m2 y^2.  So Y_1 = 1
+    and the conjugate recurrence give the rows X_n(y-1), and both steps are
+    linear in R."""
+    m0, m1, m2 = mult
+
+    def lin_shifted(n: int) -> tuple:
+        a0, a1 = lin(n)
+        return a0 - a1, a1
+    return lin_shifted, (m0 - m1 + m2, m1 - 2 * m2, m2)
+
+
+def _family_recurrence(c: int):
+    """(lin, mult) of `_rows` for the family with recursion offset c."""
     return (lambda n: (2 * n + c, n + c)), (1, 2, 1)
+
+
+def _recurrence(name: str, shifted: bool = False):
+    """(lin, mult) of `_rows` for the table F, G, H or P, or with `shifted`
+    its conjugate, for the rows X_n(x-1) (`_conjugate`)."""
+    if name == "P":
+        lin, mult = (lambda n: (1 - 3 * n, -n)), (1, 1, 0)
+    else:
+        lin, mult = _family_recurrence(FAMILIES[name].c)
+    return _conjugate(lin, mult) if shifted else (lin, mult)
 
 
 def table_rows(name: str, n_max: int, shifted: bool = False, one=1) -> Iterator[tuple]:
@@ -312,12 +366,10 @@ def table_rows(name: str, n_max: int, shifted: bool = False, one=1) -> Iterator[
     ring once per table, so the lin and mult here stay plain ints."""
     if shifted and name in ("P", "Q"):
         raise ValueError(f"{name} has no shifted table")
-    if name == "P":
-        lin, mult = (lambda n: (1 - 3 * n, -n)), (1, 1, 0)
-    elif name == "Q":
+    if name == "Q":
         lin, mult, one = (lambda n: (Poly((n, 1)), n)), (0, 0, 1), Poly((one,))
     else:
-        lin, mult = _family_recurrence(FAMILIES[name].c, shifted)
+        lin, mult = _recurrence(name, shifted)
     return _rows(n_max, lin, mult, one)
 
 

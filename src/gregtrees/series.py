@@ -8,7 +8,10 @@ the tree series at x = p/q once entry n is scaled by q^n.  Products are
 binomial convolutions, and exp, inverse, composition and reversion are
 integer recursions on those convolutions, so no floating point and no
 fraction arithmetic enters any series.  The n-th derivative of a series is
-its vector shifted by n.
+its vector shifted by n.  Truncation keeps a prefix, so the closed forms
+of one check share one cached depth: ``rhs_series`` sums a row over the
+powers of T/(1-T), or of W, made once at the order of the base series and
+read to the order each closed form needs.
 
 The checks at the bottom compare independently computed expansions of the
 tree function T (T = z e^T, T(z) = -W(-z)) and its relatives
@@ -103,15 +106,6 @@ def _egf_inverse(f: Sequence[int]) -> list[int]:
     return g
 
 
-def _egf_horner(p: Poly, v: Sequence[int]) -> list[int]:
-    """p(v), to the length of v."""
-    acc = [0] * len(v)
-    for c in reversed(p.coeffs):
-        acc = _egf_mul(acc, v)
-        acc[0] += c
-    return acc
-
-
 def _egf_compose(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """f(g) for g[0] = 0, to the shorter length: the sum of f[k] g^k/k!.
     g^k/k! is an integer vector (entry m sums, over the partitions of m
@@ -185,6 +179,16 @@ def _display_series(w: bool, order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(f), tuple(log), tuple(f if w else [0] + inverse[1:])
 
 
+@cache
+def _display_power(w: bool, depth: int, j: int) -> tuple[int, ...]:
+    """(T/(1-T))^j, or for `w` W^j, through z^depth, each power the one
+    before it times the argument of `_display_series`; `rhs_series` asks
+    for them in rising j, so each step finds the one before cached."""
+    if not j:
+        return (1,) + (0,) * depth
+    return tuple(_egf_mul(_display_power(w, depth, j - 1), _display_series(w, depth)[2]))
+
+
 def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> list[int]:
     """EGF vector, through z^order, of the closed form of the n-th derivative
     of the family's base series.
@@ -195,7 +199,12 @@ def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> lis
     P: e^{-nW} (1+W)^{-(2n-1)} P_n(W)       for W itself
 
     The factor before X_n is one exp, of nT + k log 1/(1-T) or of
-    -nW + (2n-1) log 1/(1+W).  A given `poly` stands in for row n.
+    -nW + (2n-1) log 1/(1+W).  X_n is summed over the cached powers of its
+    argument (`_display_power`), none past z^order, as the power j starts
+    at z^j.  The series and the powers are cached at depth order + n, the
+    order of the base series whose n-th derivative this is, so the closed
+    forms of one check, for every n, share them; each is read to z^order,
+    as EGF truncation is a prefix.  A given `poly` stands in for row n.
     """
     if n < 1:
         raise ValueError("derivative index must be >= 1")
@@ -204,9 +213,16 @@ def rhs_series(family: str, n: int, order: int, poly: Poly | None = None) -> lis
         raise ValueError("negative truncation order")
     if poly is None:
         poly = _gen(family, n)[n - 1]
-    a, k = (-n, 2 * n - 1) if family == "P" else (n, n + FAMILIES[family].c)
-    base, log, arg = _display_series(family == "P", order)
-    return _egf_mul(_egf_exp([a * b + k * c for b, c in zip(base, log)]), _egf_horner(poly, arg))
+    w, depth = family == "P", order + n
+    a, k = (-n, 2 * n - 1) if w else (n, n + FAMILIES[family].c)
+    base, log, _ = _display_series(w, depth)
+    factor = _egf_exp([a * b + k * c for b, c, _ in zip(base, log, range(order + 1))])
+    value = [0] * (order + 1)
+    for j, c in enumerate(poly.coeffs[:order + 1]):
+        power = _display_power(w, depth, j)
+        if c:
+            value = [v + c * e for v, e in zip(value, power)]
+    return _egf_mul(factor, value)
 
 
 def _display_gap(family: str, n: int, order: int, poly: Poly, base: Sequence[int]) -> tuple:

@@ -14,9 +14,11 @@ run, from the `reads` of the checks that run (``_last_rows``): the bundle
 holds each family only up to the last row those checks read, and each
 runner is handed each family it declares up to the deepest of its reads of
 that family, so a family one entry reads twice is cut at the deeper read.
-The checks that compare rows shifted to x - 1 share one memo keyed by the
-row's value (``_shifted``), so each distinct row is shifted once however
-many checks read it.
+The checks that compare rows shifted to x - 1 declare the families they
+shift (`shifts`), and the run makes each such family once, to the deepest
+of those reads, in one pass (``_shifted_rows``): each row is stepped from
+the row before by the conjugate recurrence, and ``shift`` runs only on
+row 1 and where a handed row departs from the step of the one before it.
 
 ``SuiteConfig.corrupt`` ("G:3" bumps the constant term of the stored G_3)
 exists to demonstrate sensitivity: a corrupted row must trip every check
@@ -39,8 +41,8 @@ from typing import Callable, Iterable, Sequence
 from . import series as _series
 from . import trees as _trees
 from . import wfunc as _wfunc
-from .polys import (FAMILIES, Poly, X, census_family, gen_F, gen_G, gen_H, gen_P, gen_Q,
-                    imp_family, shift)
+from .polys import (FAMILIES, Poly, X, _recurrence, _stepper, census_family, gen_F, gen_G,
+                    gen_H, gen_P, gen_Q, imp_family, shift)
 from .report import CheckReport, jsonable
 
 _BUNDLE_FAMILIES = (*FAMILIES, "P")    # the families a bundle may hold and --corrupt may bump
@@ -203,12 +205,42 @@ def _make_bundle(config: SuiteConfig, checks: Iterable[Check], corrupt: tuple | 
 
 
 @cache
-def _shifted(row: Poly) -> Poly:
-    """row(x - 1), computed once per row value for all the checks that
-    compare shifted rows.  A corrupted row is its own key, so it reaches
-    exactly the checks that read it.  `shift` is looked up in this module,
-    so wrappers placed on it see the calls."""
-    return shift(row, -1)
+def _shifted_rows(family: str, rows: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """Each handed row of `family` (F, G, H or P), row n at index n - 1,
+    at x - 1, in one pass: Y_1 = shift(X_1, -1) and, with step and step'
+    the family's recurrence and its conjugate (``polys._recurrence``),
+
+        Y_n = step'(Y_{n-1}) + shift(X_n - step(X_{n-1}), -1).
+
+    This is X_n(x-1) for any handed rows, by induction: Y_{n-1} is
+    X_{n-1}(x-1), so step'(Y_{n-1}) is step(X_{n-1})(x-1) by the conjugacy
+    lemma, and shift is linear.  `shift` runs on row 1 and on the nonzero
+    departures X_n - step(X_{n-1}) alone, so a clean bundle shifts only
+    constants, and a corrupted X_n shifts the departures of X_n and
+    X_{n+1}.  A row with
+    more entries than its index is shifted whole, and so is the row after
+    it: the steps' multipliers are made for a row n of at most n entries,
+    and a longer one is refused (``polys._row_step``).
+    ``run_suite`` makes one pass per family a run shifts; cached by the
+    rows, so a later run over the same rows reuses it.  `shift` is looked
+    up in this module, so wrappers placed on it see the calls."""
+    step, step_shifted = (_stepper(len(rows), *_recurrence(family, shifted))
+                          for shifted in (False, True))
+    out: list[Poly] = []
+    prev = None
+    for n, row in enumerate(rows, start=1):
+        if prev is None or len(row.coeffs) > n or len(prev.coeffs) >= n:
+            got = shift(row, -1)
+        else:
+            got = Poly(step_shifted(out[-1].coeffs, n - 1))
+            stepped = step(prev.coeffs, n - 1)
+            if stepped != row.coeffs:
+                departure = Poly(a - b for a, b in zip_longest(row.coeffs, stepped, fillvalue=0))
+                if departure:
+                    got = got + shift(departure, -1)
+        out.append(got)
+        prev = row
+    return tuple(out)
 
 
 # ── individual checks ─────────────────────────────────────────────────────
@@ -222,7 +254,7 @@ def _check_golden(bundle) -> CheckReport:
                 return CheckReport.fail(name, f"{family}_{i + 1} = {got}", family=family, row=i + 1)
     for family, table in _GOLDEN_SHIFT.items():
         for i, coeffs in enumerate(table):
-            got = _shifted(bundle[family][i])
+            got = bundle[f"{family}-shift"][i]
             if list(got.coeffs) != coeffs:
                 return CheckReport.fail(name, f"{family}_{i + 1}(x-1) = {got}",
                                         family=family, row=i + 1, shifted=True)
@@ -233,7 +265,7 @@ def _check_positivity(bundle, rows: int) -> CheckReport:
     name = "shifted-positivity"
     for family in FAMILIES:
         for i in range(rows):
-            p = _shifted(bundle[family][i])
+            p = bundle[f"{family}-shift"][i]
             if not p or any(c < 0 for c in p.coeffs):
                 return CheckReport.fail(name, f"{family}_{i + 1}(x-1) = {p}",
                                         family=family, row=i + 1)
@@ -292,8 +324,8 @@ def _check_interconversion(bundle, rows: int) -> CheckReport:
 def _check_reciprocity(bundle, rows: int) -> CheckReport:
     name = "reciprocity"
     for n in range(1, rows + 1):
-        g = _shifted(bundle["G"][n - 1])
-        p = _shifted(bundle["P"][n - 1])
+        g = bundle["G-shift"][n - 1]
+        p = bundle["P-shift"][n - 1]
         if n % 2 == 0:
             p = -p
         if tuple(reversed(g.coeffs)) != p.coeffs:
@@ -314,9 +346,9 @@ def _check_q_specializations(bundle, rows: int) -> CheckReport:
         for value, family, offset in ((-1, "F", -1), (0, "G", 0), (1, "H", 1)):
             got = Poly(q(value) for q in row)
             if family == "F":
-                want = Poly((1,)) if n == 1 else X * _shifted(bundle["F"][n - 2])
+                want = Poly((1,)) if n == 1 else X * bundle["F-shift"][n - 2]
             else:
-                want = _shifted(bundle[family][n - 1 + offset])
+                want = bundle[f"{family}-shift"][n - 1 + offset]
             if got != want:
                 return CheckReport.fail(
                     name, f"n={n}, x={value}: row evaluates to {got}, want {want}",
@@ -350,7 +382,7 @@ def _check_census_imp(bundle, rooted: bool, rows: int) -> CheckReport:
     family = imp_family(rooted).name
     for n in range(1, rows + 1):
         got = _trees.imp_polynomial(n, rooted)
-        want = _shifted(bundle[family][n - 1])
+        want = bundle[f"{family}-shift"][n - 1]
         if got != want:
             return CheckReport.fail(name, f"n={n}: imp census {got}, expected {want}",
                                     n=n, rooted=rooted)
@@ -414,6 +446,10 @@ class Check:
     handed each family it declares cut at the deepest of all its reads of
     that family, so reading past the declaration raises IndexError and an
     undeclared family KeyError.
+    `shifts` names the families whose rows `run` also reads at x - 1,
+    handed as ``bundle[family + "-shift"]`` and cut like the family's rows;
+    each is made once for the run, in one pass (`_shifted_rows`), to the
+    deepest row that the checks shifting it read.
     `ties` is False for a check that tests only the signs of the rows it
     reads (``shifted-positivity``); every other reader ties its rows
     exactly, so a corrupted row trips it.
@@ -426,6 +462,7 @@ class Check:
     needs: tuple[tuple[str, str, int], ...] = ()
     domains: tuple[tuple[str, str, Callable[[object], bool]], ...] = ()
     reads: tuple[tuple[str, str | int, int], ...] = ()
+    shifts: tuple[str, ...] = ()
     ties: bool = True
 
 
@@ -439,19 +476,21 @@ def _rows(bound: str, *families: str) -> tuple[tuple[str, str, int], ...]:
 
 CHECKS: tuple[Check, ...] = (
     Check("golden-tables", (), lambda c, b: _check_golden(b),
-          reads=tuple((family, len(table), 0) for family, table in _GOLDEN.items())),
+          reads=tuple((family, len(table), 0) for family, table in _GOLDEN.items()),
+          shifts=tuple(_GOLDEN_SHIFT)),
     Check("shifted-positivity", ("positivity_rows",),
           lambda c, b: _check_positivity(b, c.positivity_rows), {"--n-max": "positivity_rows"},
-          reads=_rows("positivity_rows", *_BUNDLE_FAMILIES), ties=False),
+          reads=_rows("positivity_rows", *_BUNDLE_FAMILIES), shifts=tuple(FAMILIES), ties=False),
     Check("interconversion", ("poly_rows",),
           lambda c, b: _check_interconversion(b, c.poly_rows), {"--n-max": "poly_rows"},
           reads=(*_rows("poly_rows", "F", "G", "H"), ("G", "poly_rows", 1))),
     Check("reciprocity", ("reciprocity_rows",),
           lambda c, b: _check_reciprocity(b, c.reciprocity_rows), {"--n-max": "reciprocity_rows"},
-          reads=_rows("reciprocity_rows", "G", "P")),
+          reads=_rows("reciprocity_rows", "G", "P"), shifts=("G", "P")),
     Check("q-specializations", ("q_rows",),
           lambda c, b: _check_q_specializations(b, c.q_rows), {"--n-max": "q_rows"},
-          reads=(("F", "q_rows", -1), ("G", "q_rows", 0), ("H", "q_rows", 1))),
+          reads=(("F", "q_rows", -1), ("G", "q_rows", 0), ("H", "q_rows", 1)),
+          shifts=tuple(FAMILIES)),
     *(Check(f"def-identity-{f}", ("series_n_max", "series_order"),
             lambda c, b, f=f: _series.check_def_identity(f, c.series_n_max, c.series_order, polys=b[f]),
             {"--n-max": "series_n_max"}, needs=(("series_order", "series_n_max", 5),),
@@ -478,7 +517,8 @@ CHECKS: tuple[Check, ...] = (
           reads=_rows("census_birooted_n_max", census_family("birooted")[0].name)),
     *(Check(f"census-imp-{side}", ("imp_rows",),
             lambda c, b, r=r: _check_census_imp(b, r, c.imp_rows),
-            reads=_rows("imp_rows", imp_family(r).name)) for side, r in reversed(_SIDES)),
+            reads=_rows("imp_rows", imp_family(r).name), shifts=(imp_family(r).name,))
+      for side, r in reversed(_SIDES)),
     *(Check(f"restriction-fiber-{side}", ("restriction_n_max", "restriction_extra"),
             lambda c, b, r=r: _check_restriction(r, c.restriction_n_max, c.restriction_extra))
       for side, r in _SIDES),
@@ -511,9 +551,11 @@ def run_suite(config: SuiteConfig | None = None,
     entry reads raises ValueError before any work, whichever checks run;
     a zero budget skips its check.  The checks that run are those `only` names whose sizing
     budgets are all nonzero.  The bundle is built for them alone, each
-    family to the last row they read (`Check.reads`), and each runner is
-    handed only the rows its entry declares, each family to its deepest
-    read.
+    family to the last row they read (`Check.reads`), with each family
+    that they shift (`Check.shifts`) made at x - 1 in one pass to the
+    deepest row the checks shifting it read, and each runner is handed
+    only the rows its entry declares, each family, and each family at
+    x - 1, to its deepest read.
     Each report's `seconds` is the wall time of its check.
     """
     config = config or SuiteConfig()
@@ -542,12 +584,20 @@ def run_suite(config: SuiteConfig | None = None,
                if (only is None or check.name in only)
                and all(getattr(config, size) for size in check.sizes)}
     bundle = _make_bundle(config, running.values(), corrupt)
+    depths: dict[str, int] = {}
+    for check in running.values():
+        last = _last_rows(config, [check])
+        for family in check.shifts:
+            depths[family] = max(depths.get(family, 0), last[family])
+    bundle.update({f"{family}-shift": _shifted_rows(family, tuple(bundle[family][:rows]))
+                   for family, rows in depths.items()})
     reports = []
     for check in CHECKS:
         start = time.perf_counter()
         if check.name in running:
-            report = check.run(config, {family: bundle[family][:rows]
-                                        for family, rows in _last_rows(config, [check]).items()})
+            last = _last_rows(config, [check])
+            last.update({f"{family}-shift": last[family] for family in check.shifts})
+            report = check.run(config, {key: bundle[key][:rows] for key, rows in last.items()})
         else:
             report = CheckReport.skip(check.name)
         report.seconds = time.perf_counter() - start

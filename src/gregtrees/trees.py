@@ -53,15 +53,15 @@ relabeled i -> k+1-i on k labels; `imp` folds one tree's pairs, hung from
 label 1 by `_hang`, the one search, pairs relabeled.  One walk per (m, n),
 `_fiber_keys`, counts the Cayley trees by the split key of their
 restriction, and each root by its code, read for every vertex in one pass
-over the edges (`_inner_codes`).  `restriction_census` keys a Greg tree
-the same way (`_fiber_key`) and looks its fiber up: keys and restrictions
-are one to one, so no tree is restricted; `restrict` is the definition
-the keys are tested against.
+over the edges (`_inner_codes`) and tallied per split system.
+`restriction_census` keys a Greg tree the same way (`_fiber_key`) and
+looks its fiber up: keys and restrictions are one to one, so no tree is
+restricted; `restrict` is the definition the keys are tested against.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -781,22 +781,29 @@ def _fiber_key(t: GregTree) -> frozenset[int] | tuple[frozenset[int], int]:
 def _fiber_keys(m: int, n: int) -> tuple[Counter, Counter]:
     """One walk of the Cayley trees of size m, for 1 <= n < m: how many
     have each unrooted key, and how many (tree, root) each rooted key, of
-    `_fiber_key` on the labels 1..n.  Cached, so shared by all callers, who
-    must not mutate it; bounds are checked before the walk."""
+    `_fiber_key` on the labels 1..n.  Each tree's m root codes go into its
+    split system's own tally of codes with one update, and the tallies are
+    keyed (system, code) once, after the walk.  Cached, so shared by all
+    callers, who must not mutate it; bounds are checked before the walk."""
     if not 1 <= n < m:
         raise ValueError(f"need 1 <= n < m = {m}, got n = {n}")
     base = [0] + [1 << i for i in range(n)] + [0] * (m - n)
     split, up = [0] * (m + 1), [0] * (m + 1)
-    unrooted, rooted = Counter(), Counter()
+    unrooted, tallies = Counter(), defaultdict(Counter)
+    roots = range(1, m + 1)
     for pairs in _cayley_pairs(m):
         _split_marks(pairs, base[:], (1 << n) - 1, split, up)
         system = frozenset(split)
         unrooted[system] += 1
         inner = _inner_codes(split, up, n)
-        for v in range(1, m + 1):   # v goes from the root r up to where pruning lands it
+        codes = []
+        for v in roots:   # v goes from the root r up to where pruning lands it
             while not split[v] and v != 1:
                 v = up[v]
-            rooted[system, inner[v]] += 1
+            codes.append(inner[v])
+        tallies[system].update(codes)
+    rooted = Counter({(system, code): count for system, tally in tallies.items()
+                      for code, count in tally.items()})
     return unrooted, rooted
 
 

@@ -11,6 +11,11 @@ from hypothesis import strategies as st
 from gregtrees.polys import (
     Poly,
     X,
+    _family_recurrence,
+    _recurrence,
+    _ring,
+    _row_step,
+    _rows,
     gen_F,
     gen_G,
     gen_H,
@@ -319,6 +324,25 @@ def test_table_rows_in_decimal_are_the_int_rows(name, shifted):
 def test_table_rows_has_no_shifted_P():
     with pytest.raises(ValueError, match="shifted"):
         table_rows("P", 3, shifted=True)
+
+
+def test_conjugate_of_P_steps_its_shifted_rows():
+    """P has no shifted table, but the conjugate of its recurrence steps
+    the rows P_n(x-1), as it does F, G and H's."""
+    rows = list(map(Poly, _rows(80, *_recurrence("P", shifted=True))))
+    assert rows == [shift(p, -1) for p in gen_P(80)]
+
+
+def test_row_step_refuses_a_ring_too_short_for_the_row():
+    """With G's recurrence, a ring of 0..6 holds the multipliers 4 + 2u of
+    step 2 only to u = 1; the full step of a row of four entries has five,
+    and the short ring raises rather than drop the last three."""
+    lin, mult = _family_recurrence(0)
+    assert _row_step((1, 2, 3, 4), *lin(2), mult, _ring(1, -2, 20)) == (6, 20, 42, 52, 20)
+    with pytest.raises(ValueError, match="ring"):
+        _row_step((1, 2, 3, 4), *lin(2), mult, _ring(1, 0, 6))
+    with pytest.raises(ValueError, match="ring"):   # a multiplier below the ring
+        _row_step((1, 2), *lin(2), mult, _ring(1, 5, 20))
 
 
 def test_table_rows_has_no_shifted_Q():

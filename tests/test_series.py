@@ -23,7 +23,6 @@ from gregtrees.series import (
     _display_series,
     _egf_compose,
     _egf_exp,
-    _egf_horner,
     _egf_inverse,
     _egf_mul,
     _egf_reversion,
@@ -138,11 +137,6 @@ def test_compose_exp_reciprocal():
     assert _egf_compose(e, inner) == _egf_exp(inner)
     with pytest.raises(ValueError):
         _egf_compose(e, [1] + inner[1:])   # the inner constant term must vanish
-
-
-def test_poly_at_series():
-    t = series_T(1, 8)
-    assert _egf_horner(Poly((2, 0, 3)), t) == [3 * c + 2 * (k == 0) for k, c in enumerate(_egf_mul(t, t))]
 
 
 def test_reversion_against_known_inverse():
@@ -289,6 +283,22 @@ def test_def_identity_rejects_unknown_family(family):
         check_def_identity(family, 3, 10)
     with pytest.raises(ValueError, match="unknown family"):
         rhs_series(family, 3, 10)
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, "P"])
+def test_rhs_series_truncates_to_a_prefix(family):
+    """The display at order k is the prefix of the display at any K > k:
+    the cached series and powers, made at depth order + n, are read as
+    prefixes."""
+    K = 14
+    for n in range(1, 7):
+        deep = rhs_series(family, n, K)
+        for k in range(K):
+            assert rhs_series(family, n, k) == deep[:k + 1], (n, k)
+        for poly in (X ** 9, Poly((3, -1, 0, 2)), Poly()):
+            deep = rhs_series(family, n, K, poly)
+            assert [rhs_series(family, n, k, poly) for k in range(K)] == \
+                [deep[:k + 1] for k in range(K)], (n, poly)
 
 
 def test_rhs_series_first_derivatives():

@@ -10,7 +10,7 @@ import pytest
 import gregtrees.series as series_module
 import gregtrees.suite as suite_module
 import gregtrees.trees as trees_module
-from gregtrees.polys import Poly, X, census_family
+from gregtrees.polys import Poly, X, census_family, shift
 from gregtrees.report import CheckReport, jsonable
 from gregtrees.series import (check_def_identity, check_egf_theorem, check_gh_functional,
                               check_imp_census_series, rhs_series)
@@ -104,19 +104,19 @@ def test_bundle_holds_only_the_rows_the_running_checks_read(monkeypatch, only, z
 
 
 def test_a_family_read_twice_is_cut_at_the_deeper_read(monkeypatch):
-    """An entry that declares G twice, the deeper read first, is handed G
-    to its deepest read, not to whichever read comes last."""
+    """An entry that declares G twice, the deeper read first, is handed G,
+    and G at x - 1, to its deepest read, not to whichever read comes last."""
     seen = {}
 
     def record(config, bundle):
         seen.update({family: len(rows) for family, rows in bundle.items()})
         return CheckReport.ok("reciprocity")
     i = CHECK_NAMES.index("reciprocity")
-    twice = replace(CHECKS[i], run=record,
+    twice = replace(CHECKS[i], run=record, shifts=("G",),
                     reads=(("G", "reciprocity_rows", 1), ("G", "reciprocity_rows", 0)))
     monkeypatch.setattr(suite_module, "CHECKS", (*CHECKS[:i], twice, *CHECKS[i + 1:]))
     assert run_suite(SuiteConfig.quick(), only=["reciprocity"]).ok
-    assert seen == {"G": 11}
+    assert seen == {"G": 11, "G-shift": 11}
 
 
 @pytest.mark.parametrize("only, spec, failed", [
@@ -272,15 +272,13 @@ def test_positivity_fails_on_a_p_row_that_is_not_unimodal(monkeypatch):
 
 def test_golden_fails_on_a_wrong_shifted_row(monkeypatch):
     """The unshifted tables match, so the shifted table is what fails."""
-    real = suite_module.shift
-    g3 = Poly((9, 10, 3))
-    monkeypatch.setattr(suite_module, "shift",
-                        lambda p, a: real(p, a) + 1 if p == g3 else real(p, a))
-    suite_module._shifted.cache_clear()
-    try:
-        result = run_suite(SuiteConfig.quick(), only=["golden-tables"])
-    finally:
-        suite_module._shifted.cache_clear()
+    real = suite_module._shifted_rows
+
+    def wrong_g3(family, rows):
+        got = real(family, rows)
+        return got[:2] + (got[2] + 1,) + got[3:] if family == "G" else got
+    monkeypatch.setattr(suite_module, "_shifted_rows", wrong_g3)
+    result = run_suite(SuiteConfig.quick(), only=["golden-tables"])
     report = result.reports[CHECK_NAMES.index("golden-tables")]
     assert report.passed is False
     assert report.params == {"family": "G", "row": 3, "shifted": True}
@@ -699,21 +697,117 @@ def test_restriction_checks_restrict_no_tree(monkeypatch):
     assert run_suite(only=["restriction-fiber-unrooted", "restriction-fiber-rooted"]).ok
 
 
-def test_each_row_value_is_shifted_once(monkeypatch):
-    shifted = Counter()
+def _shift_calls(monkeypatch, config):
+    """The suite's result at `config` from an empty shift memo, and the
+    polynomial of each `shift` call it made."""
+    calls = []
     real = suite_module.shift
 
     def counted(p, a):
-        shifted[p.coeffs, a] += 1
+        assert a == -1
+        calls.append(p)
         return real(p, a)
     monkeypatch.setattr(suite_module, "shift", counted)
-    suite_module._shifted.cache_clear()
+    suite_module._shifted_rows.cache_clear()
     try:
-        assert run_suite().ok
+        return run_suite(config), calls
     finally:
-        suite_module._shifted.cache_clear()
-    assert len(shifted) == 176
-    assert set(shifted.values()) == {1}
+        suite_module._shifted_rows.cache_clear()
+
+
+def test_shift_runs_on_row_one_and_departures_alone(monkeypatch):
+    """At defaults every shifted row after row 1 is stepped from the row
+    before, so every `shift` call is on a constant.  Under G:45 the one
+    call on a nonconstant polynomial is the departure of G_46: the bump's
+    step, -(90 + 45x) with G's (a0, a1) = (2n, n) at n = 45."""
+    result, calls = _shift_calls(monkeypatch, SuiteConfig())
+    assert result.ok
+    assert calls == [Poly((1,))] * 4   # row 1 of each family's pass
+    result, calls = _shift_calls(monkeypatch, replace(SuiteConfig(), corrupt="G:45"))
+    assert result.ok   # G_45 is read by the sign-only check alone
+    assert [p for p in calls if p.degree > 0] == [Poly((-90, -45))]
+    assert Poly((1,)) in calls   # the departure of G_45 itself
+
+
+def test_each_shifted_family_is_made_once_per_run(monkeypatch):
+    """One pass per family that some running check shifts, to the deepest
+    of their reads: F, G and H to positivity_rows, P to reciprocity_rows;
+    each check is handed exactly the families it declares in `shifts`."""
+    passes, handed = [], {}
+    real = suite_module._shifted_rows
+
+    def recorded(family, rows):
+        passes.append((family, len(rows)))
+        return real(family, rows)
+    monkeypatch.setattr(suite_module, "_shifted_rows", recorded)
+    checks = []
+    for check in CHECKS:
+        def run(config, bundle, check=check):
+            handed[check.name] = {f: len(rows) for f, rows in bundle.items() if f.endswith("-shift")}
+            return check.run(config, bundle)
+        checks.append(replace(check, run=run))
+    monkeypatch.setattr(suite_module, "CHECKS", tuple(checks))
+    assert run_suite().ok
+    assert sorted(passes) == [("F", 50), ("G", 50), ("H", 50), ("P", 30)]
+    for check in CHECKS:
+        assert set(handed[check.name]) == {f"{f}-shift" for f in check.shifts}, check.name
+    assert handed["reciprocity"] == {"G-shift": 30, "P-shift": 30}
+    assert handed["q-specializations"] == {"F-shift": 11, "G-shift": 12, "H-shift": 13}
+
+
+_SHIFT_READERS = ["golden-tables", "shifted-positivity", "reciprocity", "q-specializations",
+                  "census-imp-rooted", "census-imp-unrooted"]
+
+
+def _assert_shifted_rows_are_shifts(monkeypatch, config):
+    """Run the checks that read shifted rows at `config`; every shifted
+    row handed to them is its row at x - 1 by `shift`, the oracle."""
+    seen = []
+    real = suite_module._shifted_rows
+
+    def recorded(family, rows):
+        got = real(family, rows)
+        seen.append((family, rows, got))
+        return got
+    monkeypatch.setattr(suite_module, "_shifted_rows", recorded)
+    run_suite(config, only=_SHIFT_READERS)
+    assert {family for family, _, _ in seen} == set(_BUNDLE_FAMILIES)
+    for family, rows, got in seen:
+        assert got == tuple(shift(row, -1) for row in rows), family
+    return seen
+
+
+@pytest.mark.parametrize("corrupt", [None] + [f"{family}:{row}" for family in _BUNDLE_FAMILIES
+                                              for row in (1, 2, 25, 50)])
+def test_every_shifted_row_a_check_reads_is_its_shift(monkeypatch, corrupt):
+    _assert_shifted_rows_are_shifts(monkeypatch, replace(SuiteConfig(), corrupt=corrupt))
+
+
+def test_shifted_rows_survive_zero_and_overlong_rows(monkeypatch):
+    """Row 10 of each family zero; rows 20, 29 and 49 longer than their
+    index (x^30, x^29 and x^49 added), the last two one entry past it in
+    the last step of a 30-row and a 50-row pass, and the rows after them:
+    each is shifted whole or stepped, with no step on a ring too short for
+    it, and every shifted row a check reads is still the shift of its row."""
+    for family in _BUNDLE_FAMILIES:
+        gen = getattr(suite_module, f"gen_{family}")
+
+        def damaged(n_max, gen=gen):
+            rows = gen(n_max)
+            rows[9] = Poly()
+            for row, power in ((20, 30), (29, 29), (49, 49)):
+                if row <= n_max:
+                    rows[row - 1] = rows[row - 1] + X ** power
+            return rows
+        monkeypatch.setattr(suite_module, f"gen_{family}", damaged)
+    seen = _assert_shifted_rows_are_shifts(monkeypatch, SuiteConfig())
+    assert {(family, len(rows)) for family, rows, _ in seen} == {
+        ("F", 50), ("G", 50), ("H", 50), ("P", 30)}
+    assert all(not rows[9] and rows[19].degree == 30 and rows[28].degree == 29
+               for _, rows, _ in seen)
+    # a first row longer than its index, and a zero first row
+    for rows in ((Poly((1, 2)), Poly((2, 1)), Poly((9, 10, 3))), (Poly(), Poly((2, 1)))):
+        assert suite_module._shifted_rows("G", rows) == tuple(shift(row, -1) for row in rows)
 
 
 def test_restriction_check_reads_restriction_census(monkeypatch):

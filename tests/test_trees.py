@@ -616,7 +616,7 @@ def test_child_classes_are_the_row_recurrence(variant):
     """The class sizes at (k, u) against the three coefficients one step
     of `_rows` gives x^u at row k, with offset c' = slot - 1."""
     rules = VARIANTS[variant]
-    lin, mult = _family_recurrence(_slot(rules) - 1, shifted=False)
+    lin, mult = _family_recurrence(_slot(rules) - 1)
     ring = _ring(1, -60, 300)   # every multiplier these steps read
     for k in range(1, 60):
         for u in range(60):
@@ -1197,6 +1197,34 @@ def test_inner_codes_match_the_scan_over_every_child_edge():
                                                          for w in range(2, m + 1)))
                            for v in range(m + 1)]
                 assert _inner_codes(split, up, n) == scanned, (m, n, pairs)
+
+
+def _per_root_fiber_keys(m, n):
+    """The walk of `_fiber_keys` with one `Counter` update per root, under
+    its (system, code) key: the oracle for the walk's per-system tallies."""
+    base = [0] + [1 << i for i in range(n)] + [0] * (m - n)
+    split, up = [0] * (m + 1), [0] * (m + 1)
+    unrooted, rooted = Counter(), Counter()
+    for pairs in _cayley_pairs(m):
+        _split_marks(pairs, base[:], (1 << n) - 1, split, up)
+        system = frozenset(split)
+        unrooted[system] += 1
+        inner = _inner_codes(split, up, n)
+        for v in range(1, m + 1):
+            while not split[v] and v != 1:
+                v = up[v]
+            rooted[system, inner[v]] += 1
+    return unrooted, rooted
+
+
+def test_fiber_keys_match_the_per_root_walk():
+    """Both Counters of the walk, every 1 <= n < m <= 6, against the
+    per-root oracle, with no key counted zero times."""
+    for m in range(2, 7):
+        for n in range(1, m):
+            got = _fiber_keys(m, n)
+            assert got == _per_root_fiber_keys(m, n), (m, n)
+            assert all(count > 0 for side in got for count in side.values()), (m, n)
 
 
 @pytest.mark.parametrize("m, n", [(4, 4), (4, 0), (1, 1)], ids=["n=m", "n=0", "m=1"])
